@@ -1,10 +1,10 @@
 """Constructors for :class:`~repro.graph.csr.CSRGraph`.
 
 All builders normalise their input to the invariants ``CSRGraph.validate``
-checks: simple (no self-loops, no parallel edges), symmetric, strictly
-positive weights, sorted adjacency.  Duplicate undirected edges are resolved
-by keeping the maximum weight — the convention SuiteSparse loaders use for
-pattern-symmetrised matrices.
+checks: simple (no self-loops, no parallel edges), symmetric, finite
+strictly positive weights, sorted adjacency.  Duplicate undirected edges
+are resolved by keeping the maximum weight — the convention SuiteSparse
+loaders use for pattern-symmetrised matrices.
 """
 
 from __future__ import annotations
@@ -60,8 +60,10 @@ def from_coo(
         raise GraphFormatError("COO arrays must have equal length")
     if len(u) and (u.min() < 0 or v.min() < 0):
         raise GraphFormatError("negative vertex id")
-    if len(w) and not np.all(w > 0):
-        raise GraphFormatError("edge weights must be strictly positive")
+    # ``w < inf`` also rejects NaN, which fails every comparison.
+    if len(w) and not np.all((w > 0) & (w < np.inf)):
+        raise GraphFormatError(
+            "edge weights must be finite and strictly positive")
 
     n = int(max(u.max(initial=-1), v.max(initial=-1)) + 1) if len(u) else 0
     if num_vertices is not None:

@@ -21,6 +21,9 @@ import numpy as np
 
 __all__ = ["CSRGraph", "GraphFormatError"]
 
+#: Attributes of :class:`CSRGraph` holding derived-array memos.
+_MEMOS = ("_degrees", "_canonical_eids", "_row_order")
+
 
 class GraphFormatError(ValueError):
     """Raised when arrays handed to :class:`CSRGraph` are inconsistent."""
@@ -54,14 +57,18 @@ class CSRGraph:
     indices: np.ndarray
     weights: np.ndarray
     name: str = field(default="graph")
-    # Derived-array memos (degrees / canonical edge ids are recomputed by
-    # nearly every algorithm; suitor alone used to derive the edge ids
-    # twice per run).  Both are exposed read-only so a cached array can
-    # never be silently corrupted by a caller.
-    _degrees: np.ndarray | None = field(
+    # Derived-array memos, each held as ``(sources, value)``: the value
+    # is read-only and is rebuilt whenever one of the source arrays it
+    # was derived from has since been reassigned (e.g. ``g.weights =
+    # ...`` on a ``copy.copy``).  Pickling drops them (see
+    # ``__getstate__``), so a shipped graph costs only its CSR arrays.
+    _degrees: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _canonical_eids: np.ndarray | None = field(
+    _canonical_eids: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _row_order: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -73,6 +80,25 @@ class CSRGraph:
         self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(self.indices, dtype=np.int64)
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for attr in _MEMOS:
+            state[attr] = None
+        return state
+
+    def _memoised(self, attr: str, sources: tuple, build) -> np.ndarray:
+        """``build()``'s read-only result, cached on ``attr`` until an
+        array in ``sources`` is no longer the one it was built from."""
+        memo = getattr(self, attr)
+        if memo is None or any(
+            a is not b for a, b in zip(memo[0], sources)
+        ):
+            value = build()
+            value.setflags(write=False)
+            memo = (sources, value)
+            setattr(self, attr, memo)
+        return memo[1]
 
     @classmethod
     def checked(
@@ -113,7 +139,8 @@ class CSRGraph:
         contiguous with the canonical dtype — so mutating the graph
         through this object is impossible and mutating the underlying
         buffer is the caller's contract to avoid.  The memoised
-        :attr:`degrees` / :meth:`canonical_edge_ids` derivations work
+        :attr:`degrees` / :meth:`canonical_edge_ids` /
+        :meth:`sorted_row_order` derivations work
         unchanged (they allocate fresh arrays; nothing is written back
         into the buffers).  The caller keeps the buffers alive for the
         graph's lifetime; numpy views hold a reference to the exporting
@@ -166,11 +193,8 @@ class CSRGraph:
     @property
     def degrees(self) -> np.ndarray:
         """Per-vertex degree array (``int64``; cached, read-only)."""
-        if self._degrees is None:
-            d = np.diff(self.indptr)
-            d.setflags(write=False)
-            self._degrees = d
-        return self._degrees
+        return self._memoised("_degrees", (self.indptr,),
+                              lambda: np.diff(self.indptr))
 
     @property
     def max_degree(self) -> int:
@@ -254,15 +278,43 @@ class CSRGraph:
         access (read-only): the O(m) derivation used to be repeated per
         algorithm call.
         """
-        if self._canonical_eids is None:
-            n = self.num_vertices
-            rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
-            lo = np.minimum(rows, self.indices)
-            hi = np.maximum(rows, self.indices)
-            eids = lo * np.int64(n) + hi
-            eids.setflags(write=False)
-            self._canonical_eids = eids
-        return self._canonical_eids
+        return self._memoised("_canonical_eids",
+                              (self.indptr, self.indices), self._build_eids)
+
+    def _build_eids(self) -> np.ndarray:
+        n = self.num_vertices
+        rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        lo = np.minimum(rows, self.indices)
+        hi = np.maximum(rows, self.indices)
+        return lo * np.int64(n) + hi
+
+    def sorted_row_order(self) -> np.ndarray:
+        """Per-row permutation sorting adjacency descending by ``(w, eid)``.
+
+        ``order[indptr[v]:indptr[v + 1]]`` holds the positions (global
+        indices into ``indices`` / ``weights``) of row ``v``'s entries,
+        heaviest first, ties broken by the larger canonical edge id —
+        the order in which LD's pointing kernel, Suitor's proposals and
+        the streaming engine's cursors visit a vertex's neighbours
+        (paper §III-B).  This is the graph's one per-row sort: it is
+        computed on first access and cached read-only, as ``int32``
+        when ``2m < 2^31`` (else ``int64``).
+        """
+        return self._memoised(
+            "_row_order", (self.indptr, self.indices, self.weights),
+            self._build_row_order)
+
+    def _build_row_order(self) -> np.ndarray:
+        rows = np.repeat(np.arange(self.num_vertices, dtype=np.int64),
+                         self.degrees)
+        # Stable sort by (row asc, weight desc, eid desc): rows stay
+        # contiguous, so ``indptr`` still delimits them.  Canonical eids
+        # are non-negative, so negation is safe.
+        order = np.lexsort(
+            (-self.canonical_edge_ids(), -self.weights, rows))
+        if len(order) < 2**31:
+            order = order.astype(np.int32)
+        return order
 
     # ------------------------------------------------------------------ #
     # validation / transforms
@@ -270,7 +322,7 @@ class CSRGraph:
 
     def validate(self) -> None:
         """Raise :class:`GraphFormatError` unless the CSR arrays encode a
-        simple undirected graph with positive weights."""
+        simple undirected graph with finite positive weights."""
         if len(self.indptr) < 1:
             raise GraphFormatError("indptr must have length >= 1")
         if self.indptr[0] != 0:
@@ -289,8 +341,10 @@ class CSRGraph:
             self.indices.min() < 0 or self.indices.max() >= n
         ):
             raise GraphFormatError("neighbour id out of range")
-        if len(self.weights) and not np.all(self.weights > 0):
-            raise GraphFormatError("edge weights must be strictly positive")
+        w = self.weights
+        if len(w) and not np.all((w > 0) & (w < np.inf)):
+            raise GraphFormatError(
+                "edge weights must be finite and strictly positive")
         rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
         if np.any(rows == self.indices):
             raise GraphFormatError("self-loops are not allowed")

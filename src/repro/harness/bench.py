@@ -81,14 +81,15 @@ class Workload:
 # (:mod:`repro.matching.pointer_index`) where their costs actually
 # diverge.  The registry analogs converge in <= 10 rounds with a
 # geometrically shrinking frontier, so total segment re-scanning is only
-# ~1.7x |E| and the index engine's one-time sorted-adjacency build
-# dominates.  Pointing-dominated instances are the tie-heavy ones: with
-# equal weights the (weight, eid) tiebreak serialises locally dominant
-# matching — a clique matches one pair per round (k/2 rounds over a
-# full-size frontier, Theta(k^3) segment re-scanning vs the index
-# engine's amortised O(k^2)) and a path matches right-to-left (n/2
-# rounds dominated by per-round overhead).  Module-level zero-argument
-# builders so ``parallel=N`` can pickle them by reference.
+# ~1.7x |E| and the graph's one sorted-row build (which the index
+# engine needs) dominates.  Pointing-dominated instances are the
+# tie-heavy ones: with equal weights the (weight, eid) tiebreak
+# serialises locally dominant matching — a clique matches one pair per
+# round (k/2 rounds over a full-size frontier, Theta(k^3) segment
+# re-scanning vs the index engine's amortised O(k^2)) and a path
+# matches right-to-left (n/2 rounds dominated by per-round overhead).
+# Module-level zero-argument builders so ``parallel=N`` can pickle them
+# by reference.
 
 
 def _tie_clique(k: int, name: str):

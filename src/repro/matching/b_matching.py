@@ -21,7 +21,6 @@ from typing import Any
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.segments import row_ids
 
 __all__ = ["BMatchResult", "b_suitor", "greedy_b_matching",
            "is_valid_b_matching"]
@@ -90,12 +89,7 @@ def b_suitor(graph: CSRGraph, b: int | np.ndarray = 2) -> BMatchResult:
 
     # Adjacency of each vertex sorted by decreasing (w, eid): the
     # eligibility threshold only rises, so a monotone pointer suffices.
-    order = np.arange(len(indices), dtype=np.int64)
-    for v in range(n):
-        lo, hi = int(indptr[v]), int(indptr[v + 1])
-        if hi > lo:
-            sub = np.lexsort((-eids[lo:hi], -weights[lo:hi]))
-            order[lo:hi] = lo + sub
+    order = graph.sorted_row_order()
 
     # heaps[v]: accepted proposals as (w, eid, proposer) min-heaps.
     heaps: list[list[tuple[float, int, int]]] = [[] for _ in range(n)]

@@ -8,6 +8,17 @@ under a total order are unique) the test suite leans on as a cross-check.
 
 The global sort is what makes greedy unattractive on parallel hardware
 (§II-B), but it is the simplest correct oracle for the concurrent variants.
+The scan over the sorted edges runs as vectorised rounds over fixed-size
+chunks of that order rather than one Python step per edge: within a
+chunk, drop the edges with a matched endpoint, then accept every edge
+that comes first in the chunk at both of its endpoints, until the chunk
+is empty.  Each accepted edge is exactly one the sequential scan accepts
+— every earlier edge at either endpoint was already decided, and none
+was accepted — and the earliest remaining edge always qualifies.  When
+a round decides under an eighth of the edges still open (a dependence
+chain, such as a path with monotone weights), the rest of the chunk
+goes to the sequential scan, so no input pays more than a few rounds
+per chunk.
 """
 
 from __future__ import annotations
@@ -20,6 +31,19 @@ from repro.matching.types import UNMATCHED, MatchResult
 
 __all__ = ["greedy_matching"]
 
+#: Sorted edges per chunk of vectorised rounds.
+_CHUNK = 1 << 14
+
+
+def _scan(rest: np.ndarray, u: np.ndarray, v: np.ndarray,
+          mate: np.ndarray, accepted: np.ndarray) -> None:
+    """The sequential greedy step over sorted edge slots ``rest``."""
+    mate_v, acc_v = memoryview(mate), memoryview(accepted)
+    for k, a, b in zip(rest.tolist(), u[rest].tolist(), v[rest].tolist()):
+        if mate_v[a] == UNMATCHED and mate_v[b] == UNMATCHED:
+            mate_v[a], mate_v[b] = b, a
+            acc_v[k] = True
+
 
 def greedy_matching(graph: CSRGraph) -> MatchResult:
     """Sort-based greedy matching under the ``(w, eid)`` total order."""
@@ -27,18 +51,39 @@ def greedy_matching(graph: CSRGraph) -> MatchResult:
     mate = np.full(n, UNMATCHED, dtype=np.int64)
     u, v, w = graph.edge_array()
     # Decreasing (w, eid); eid == canonical id == u * n + v since u < v.
-    eid = u * np.int64(max(n, 1)) + v
-    order = np.lexsort((-eid, -w))
-    weight = 0.0
-    for k in order:
-        a, b = int(u[k]), int(v[k])
-        if mate[a] == UNMATCHED and mate[b] == UNMATCHED:
-            mate[a] = b
-            mate[b] = a
-            weight += float(w[k])
+    order = np.lexsort((-(u * np.int64(max(n, 1)) + v), -w))
+    u, v, w = u[order], v[order], w[order]
+    accepted = np.zeros(len(w), dtype=bool)
+    first = np.empty(n, dtype=np.int64)  # per vertex: its first slot
+    for lo in range(0, len(w), _CHUNK):
+        rest = np.arange(lo, min(lo + _CHUNK, len(w)))
+        live = None  # edges left after the previous round's drop step
+        while len(rest):
+            a, b = u[rest], v[rest]
+            free = (mate[a] == UNMATCHED) & (mate[b] == UNMATCHED)
+            rest, a, b = rest[free], a[free], b[free]
+            if live is not None and (live - len(rest)) * 8 < live:
+                # A dependence chain (e.g. a path with monotone weights)
+                # decides only a few edges per round: finish the chunk
+                # with the sequential scan.
+                _scan(rest, u, v, mate, accepted)
+                break
+            live = len(rest)
+            slot = np.arange(live)
+            first[a] = first[b] = live
+            np.minimum.at(first, a, slot)
+            np.minimum.at(first, b, slot)
+            win = (first[a] == slot) & (first[b] == slot)
+            mate[a[win]] = b[win]
+            mate[b[win]] = a[win]
+            accepted[rest[win]] = True
+            rest = rest[~win]
+    # Summed left to right in the sorted order, like the sequential scan
+    # (``np.sum``'s pairwise summation would round differently).
+    taken = w[accepted]
     return MatchResult(
         mate=mate,
-        weight=weight,
+        weight=float(np.cumsum(taken)[-1]) if len(taken) else 0.0,
         algorithm="greedy",
         iterations=0,
     )

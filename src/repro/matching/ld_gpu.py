@@ -78,9 +78,9 @@ class _DevicePartition:
     plan: BatchPlan
     pointers: np.ndarray
     mate: np.ndarray
-    #: Sorted-adjacency pointer index (``engine="index"``), built once
-    #: per run for this partition's row range (keyed by ``start`` as the
-    #: row offset); ``None`` under the segment engine.
+    #: Cursors over this partition's slice of the graph's sorted rows
+    #: (``engine="index"``; one per run, keyed by ``start`` as the row
+    #: offset); ``None`` under the segment engine.
     index: PointerIndex | None = None
 
     @property
@@ -236,9 +236,10 @@ def ld_gpu(
         ``platform.gpu_link``).  The multi-node extension injects a
         hierarchical NVLink+InfiniBand collective here.
     engine:
-        Host-side engine for both phases: ``"index"`` builds one
-        :class:`~repro.matching.pointer_index.PointerIndex` per device
-        partition (sorted adjacency + cursors) plus a global
+        Host-side engine for both phases: ``"index"`` gives each device
+        partition a :class:`~repro.matching.pointer_index.PointerIndex`
+        (per-run cursors over its slice of the graph's rows, which are
+        sorted once per graph) plus a global
         :class:`~repro.matching.pointer_index.MutualIndex` (pointer-
         delta mutual checks), amortized O(m) host work; ``"segment"``
         re-scans via :func:`~repro.matching.ld_seq.compute_pointers`
@@ -277,15 +278,12 @@ def ld_gpu(
 
     eids = graph.canonical_edge_ids()
     if engine == "index":
-        # One sorted-adjacency index per device partition, keyed by its
-        # row offset: built once per run, reused across iterations and
-        # batches (§III-B's monotone availability makes cursors safe).
+        # Per device partition, cursors over its slice of the graph's
+        # sorted rows (sorted once per graph, sliced here per run),
+        # reused across iterations and batches (§III-B's monotone
+        # availability makes cursors safe).
         for p in parts:
-            base = int(graph.indptr[p.start])
-            p.index = PointerIndex(
-                p.local_indptr, graph.indices[base:],
-                graph.weights[base:], eids[base:], row_offset=p.start,
-            )
+            p.index = PointerIndex(graph, p.start, p.stop)
     # The mutual check runs on the host over the *merged* pointers (one
     # check per iteration, not per device), so one delta index suffices.
     mutual = MutualIndex(n) if engine == "index" else None

@@ -25,8 +25,8 @@ frontier vertex's whole adjacency every pointing round
 (:func:`compute_pointers`) and re-probes every vertex's pointer every
 matching round (:func:`find_mutual_pairs` unrestricted, mirroring the
 modeled full-sweep SetMates kernel) — while the *index* engine pairs
-:class:`~repro.matching.pointer_index.PointerIndex` (sorted rows +
-cursors) with :class:`~repro.matching.pointer_index.MutualIndex`
+:class:`~repro.matching.pointer_index.PointerIndex` (cursors over the
+graph's memoised sorted rows) with :class:`~repro.matching.pointer_index.MutualIndex`
 (pointer-delta mutual checks), making both phases amortized O(m) host
 work over a run with bit-identical ``mate``/``edges_scanned``.
 """
@@ -153,8 +153,7 @@ def ld_seq(
     mate = np.full(n, UNMATCHED, dtype=np.int64)
     pointer = np.full(n, UNMATCHED, dtype=np.int64)
     eids = graph.canonical_edge_ids()
-    index = PointerIndex(graph.indptr, graph.indices, graph.weights,
-                         eids) if engine == "index" else None
+    index = PointerIndex(graph) if engine == "index" else None
     mutual = MutualIndex(n) if engine == "index" else None
 
     frontier = np.arange(n, dtype=np.int64)

@@ -10,19 +10,21 @@ task distribution") and that Suitor-style algorithms (Birn et al.,
 *Efficient Parallel and External Matching*) turn into amortized-linear
 total work.
 
-:class:`PointerIndex` is the *index* engine: built once per run (per
-device partition in LD-GPU, keyed by ``row_offset``), it sorts each CSR
-row's adjacency descending by the shared lexicographic key ``(w, eid)``
-and keeps a per-vertex cursor into the sorted layout.  Pointing then
-just advances each frontier vertex's cursor past neighbours whose
-``mate`` is set and takes the first live entry.  Because the key is a
-strict total order within a row (canonical edge ids are distinct across
-a vertex's neighbours), the first live entry *is* the
-``segment_argmax_lex`` winner — the engines are bit-identical by
-construction (the same total order as Lemma III.1's tie-break).
+:class:`PointerIndex` is the *index* engine.  Each graph's rows are
+sorted once, descending by the shared lexicographic key ``(w, eid)``
+(:meth:`~repro.graph.csr.CSRGraph.sorted_row_order`, memoised on the
+graph); each run — and, in LD-GPU, each device partition, keyed by its
+row offset — only gathers its slice of that layout and keeps its own
+per-vertex cursors into it.  Pointing then just advances each frontier
+vertex's cursor past neighbours whose ``mate`` is set and takes the
+first live entry.  Because the key is a strict total order within a
+row (canonical edge ids are distinct across a vertex's neighbours), the
+first live entry *is* the ``segment_argmax_lex`` winner — the engines
+are bit-identical by construction (the same total order as Lemma
+III.1's tie-break).
 Cursors only ever move forward and each advance permanently retires one
-adjacency entry, so the host arithmetic over an entire run is O(m) plus
-the one O(m log m) build, instead of O(m × rounds).
+adjacency entry, so the host arithmetic over an entire run is O(m) on
+top of the graph's one O(m log m) sort, instead of O(m × rounds).
 
 Cursor advances are vectorised as repeated whole-frontier NumPy steps
 over a shrinking working set — there is no per-vertex Python loop.
@@ -56,6 +58,7 @@ import os
 
 import numpy as np
 
+from repro.graph.csr import CSRGraph
 from repro.matching.types import UNMATCHED
 
 __all__ = [
@@ -108,22 +111,19 @@ def resolve_pointing_engine(engine: str | None = None) -> str:
 
 
 class PointerIndex:
-    """Build-once sorted adjacency + per-vertex cursors for one CSR
-    row range.
+    """Per-run cursors over one CSR row range of the graph's sorted rows.
 
     Parameters
     ----------
-    indptr:
-        Local row offsets (length ``n_local + 1``); may describe a
-        device partition's row range starting at global vertex id
-        ``row_offset`` (cf. :func:`~repro.matching.ld_seq.
-        compute_pointers`).
-    indices / weights / eids:
-        Adjacency arrays indexed by ``indptr``'s local positions
-        (suffix views of the global arrays work — only the first
-        ``indptr[-1]`` entries are read).  Neighbour ids are global.
-    row_offset:
-        Global id of local row 0.
+    graph:
+        The graph; its memoised :meth:`~repro.graph.csr.CSRGraph.
+        sorted_row_order` supplies the ``(w, eid)``-descending row
+        layout (the first index over a graph fills that memo — the one
+        sort — and every later one only slices it).
+    start / stop:
+        Global vertex range ``[start, stop)`` served — a device
+        partition in LD-GPU; ``stop=None`` means every row.  Local row
+        0 is global vertex ``start`` (:attr:`row_offset`).
 
     Notes
     -----
@@ -136,24 +136,19 @@ class PointerIndex:
 
     def __init__(
         self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        weights: np.ndarray,
-        eids: np.ndarray,
-        row_offset: int = 0,
+        graph: CSRGraph,
+        start: int = 0,
+        stop: int | None = None,
     ) -> None:
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.row_offset = int(row_offset)
-        n_local = len(self.indptr) - 1
-        m = int(self.indptr[-1]) if n_local >= 0 else 0
-        rows = np.repeat(np.arange(n_local, dtype=np.int64),
-                         np.diff(self.indptr))
-        # Stable sort by (row asc, weight desc, eid desc): rows stay
-        # contiguous, so ``indptr`` still delimits them in the sorted
-        # layout.  Canonical eids are non-negative, so negation is safe.
-        order = np.lexsort((-eids[:m], -weights[:m], rows))
+        if stop is None:
+            stop = graph.num_vertices
+        order = graph.sorted_row_order()
+        lo, hi = int(graph.indptr[start]), int(graph.indptr[stop])
+        #: Local row offsets of the served range.
+        self.indptr = graph.indptr[start:stop + 1] - lo
+        self.row_offset = int(start)
         #: Neighbour id per sorted adjacency slot.
-        self.sorted_indices = indices[:m][order]
+        self.sorted_indices = graph.indices[order[lo:hi]]
         #: Per-local-vertex cursor into the sorted layout.
         self.cursor = self.indptr[:-1].copy()
         #: Actual adjacency entries examined across all ``point`` calls.

@@ -11,7 +11,8 @@ produces exactly the greedy/locally-dominant matching.
 
 Three variants:
 
-* :func:`suitor_seq` — the sequential displacement algorithm (reference).
+* :func:`suitor_seq` — the sequential displacement algorithm (reference),
+  walking cursors over the graph's once-sorted rows.
 * :func:`suitor_omp_sim` — round-synchronous vectorised Suitor with a
   multicore CPU cost model: the paper's **SR-OMP** (256 threads).
 * :func:`suitor_gpu_sim` — the same rounds on one simulated GPU with
@@ -43,37 +44,54 @@ _NEG_INF = -np.inf
 
 
 def suitor_seq(graph: CSRGraph) -> MatchResult:
-    """Sequential Suitor with the shared ``(w, eid)`` total order."""
+    """Sequential Suitor with the shared ``(w, eid)`` total order.
+
+    Each vertex walks a monotone cursor down its row of the graph's
+    sorted layout (:meth:`~repro.graph.csr.CSRGraph.sorted_row_order`):
+    the first neighbour whose standing proposal its edge beats is its
+    best eligible one.  An entry the cursor passes can never become
+    eligible again — a standing proposal's key only rises — so each
+    entry is passed at most once and a displaced vertex resumes where
+    it left off: O(m) scalar steps in all, on top of the graph's one
+    sort.
+    """
     n = graph.num_vertices
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-    eids = graph.canonical_edge_ids()
+    # Scalar access through memoryviews: Python numbers without the
+    # per-element cost of NumPy scalars or a list copy of the 2m arrays.
+    order = memoryview(graph.sorted_row_order())
+    indices = memoryview(graph.indices)
+    weights = memoryview(graph.weights)
+    row_end = memoryview(graph.indptr)[1:]
+    cursor = memoryview(graph.indptr[:-1].copy())
     suitor = np.full(n, UNMATCHED, dtype=np.int64)
     ws_w = np.full(n, _NEG_INF)  # weight of the standing proposal
     ws_e = np.full(n, -1, dtype=np.int64)  # its tie-break key
+    s_v, s_w, s_e = memoryview(suitor), memoryview(ws_w), memoryview(ws_e)
 
     for start in range(n):
         u = start
         while u != UNMATCHED:
-            best_v = UNMATCHED
-            best_w = _NEG_INF
-            best_e = -1
-            for k in range(indptr[u], indptr[u + 1]):
-                v = int(indices[k])
+            p, stop = cursor[u], row_end[u]
+            while p < stop:
+                k = order[p]
+                v = indices[k]
                 w = weights[k]
-                e = eids[k]
-                # Eligible: beats v's standing proposal ...
-                if (w, e) <= (ws_w[v], ws_e[v]):
-                    continue
-                # ... and is u's best such neighbour.
-                if (w, e) > (best_w, best_e):
-                    best_v, best_w, best_e = v, w, e
-            if best_v == UNMATCHED:
+                # First entry beating v's standing proposal = u's best
+                # (the canonical eid breaks weight ties).
+                standing = s_w[v]
+                if w > standing or w == standing and (
+                        u * n + v if u < v else v * n + u) > s_e[v]:
+                    break
+                p += 1
+            if p == stop:
+                cursor[u] = p
                 break
-            displaced = int(suitor[best_v])
-            suitor[best_v] = u
-            ws_w[best_v] = best_w
-            ws_e[best_v] = best_e
-            u = displaced if displaced != UNMATCHED else UNMATCHED
+            # Once displaced from v, u can never beat v's key again.
+            cursor[u] = p + 1
+            e = u * n + v if u < v else v * n + u
+            displaced = s_v[v]
+            s_v[v], s_w[v], s_e[v] = u, w, e
+            u = displaced
 
     mate = _suitor_to_mate(suitor)
     return MatchResult(

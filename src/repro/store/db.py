@@ -145,6 +145,30 @@ def _count(name: str) -> None:
     emit_event(name, "Run-store lifecycle events.")
 
 
+#: How long a connection waits on another process's lock.
+_BUSY_TIMEOUT_S = 30.0
+
+
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch ``conn``'s database to WAL, retrying within the busy timeout.
+
+    Two processes opening the same fresh file can race on the switch;
+    SQLite reports the loser's ``database is locked`` at once, without
+    calling the busy handler, so the wait is done here.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT_S
+    delay = 0.001
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                raise
+        time.sleep(delay)
+        delay = min(2 * delay, 0.05)
+
+
 @dataclass(frozen=True)
 class StoredRun:
     """One ``runs`` row, as Python data."""
@@ -274,12 +298,12 @@ class RunStore:
         if conn is not None:
             return conn
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(str(self.path), timeout=30.0,
+        conn = sqlite3.connect(str(self.path), timeout=_BUSY_TIMEOUT_S,
                                isolation_level=None)
         conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA journal_mode=WAL")
+        _enable_wal(conn)
         conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute("PRAGMA busy_timeout=30000")
+        conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_S * 1000)}")
         conn.executescript(_SCHEMA_SQL)
         conn.execute(
             "INSERT OR IGNORE INTO store_meta (key, value) VALUES "

@@ -182,13 +182,11 @@ class IncrementalLD(StreamingEngine):
     def __init__(self, base: CSRGraph):
         super().__init__(base)
         # PointerIndex layout: every base row sorted descending by
-        # (weight, eid) in one global lexsort; per-vertex overlay rows
-        # replace base slices only after that vertex's neighbourhood
-        # changes (the "cursor rebuild").
+        # (weight, eid) — the base graph's memoised row order; per-vertex
+        # overlay rows replace base slices only after that vertex's
+        # neighbourhood changes (the "cursor rebuild").
         eids = base.canonical_edge_ids()
-        rows = np.repeat(np.arange(self._n, dtype=np.int64),
-                         base.degrees)
-        order = np.lexsort((-eids, -base.weights, rows))
+        order = base.sorted_row_order()
         self._indptr = base.indptr
         self._sorted_nbrs = base.indices[order]
         self._sorted_ws = base.weights[order]

@@ -61,6 +61,12 @@ class TestFromCoo:
         with pytest.raises(GraphFormatError):
             from_coo(np.array([0]), np.array([1]), np.array([0.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weight(self, bad):
+        with pytest.raises(GraphFormatError, match="finite"):
+            from_coo(np.array([0, 1]), np.array([1, 2]),
+                     np.array([1.0, bad]))
+
     def test_num_vertices_too_small(self):
         with pytest.raises(GraphFormatError):
             from_coo(np.array([0]), np.array([5]), np.array([1.0]),

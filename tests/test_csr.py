@@ -149,6 +149,13 @@ class TestValidation:
         with pytest.raises(GraphFormatError, match="positive"):
             g.validate()
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weight(self, bad):
+        g = CSRGraph(np.array([0, 1, 2]), np.array([1, 0]),
+                     np.array([bad, bad]))
+        with pytest.raises(GraphFormatError, match="finite"):
+            g.validate()
+
     def test_self_loop(self):
         g = CSRGraph(np.array([0, 1, 1]), np.array([0]), np.array([1.0]))
         with pytest.raises(GraphFormatError, match="self-loop"):

@@ -191,8 +191,7 @@ def test_cursors_persist_across_iterations(medium_graph):
     """A single index, reused round after round as ``mate`` fills in,
     stays identical to from-scratch segment pointing every round."""
     g = medium_graph
-    idx = PointerIndex(g.indptr, g.indices, g.weights,
-                       g.canonical_edge_ids())
+    idx = PointerIndex(g)
     rng = np.random.default_rng(0)
     mate = np.full(g.num_vertices, UNMATCHED, dtype=np.int64)
     pointer = np.full(g.num_vertices, UNMATCHED, dtype=np.int64)
@@ -213,8 +212,7 @@ def test_cursors_persist_across_iterations(medium_graph):
 
 def test_point_modeled_count_is_frontier_degrees(triangle):
     g = triangle
-    idx = PointerIndex(g.indptr, g.indices, g.weights,
-                       g.canonical_edge_ids())
+    idx = PointerIndex(g)
     mate = np.full(3, UNMATCHED, dtype=np.int64)
     pointer = np.full(3, UNMATCHED, dtype=np.int64)
     frontier = np.arange(3)
@@ -226,8 +224,7 @@ def test_point_modeled_count_is_frontier_degrees(triangle):
 
 def test_empty_frontier_and_empty_graph():
     g = build_graph(4, [])
-    idx = PointerIndex(g.indptr, g.indices, g.weights,
-                       g.canonical_edge_ids())
+    idx = PointerIndex(g)
     mate = np.full(4, UNMATCHED, dtype=np.int64)
     pointer = np.full(4, UNMATCHED, dtype=np.int64)
     assert idx.point(mate, pointer, np.arange(4)) == 0
@@ -340,8 +337,8 @@ def test_mutual_index_none_diffs_whole_array():
 
 
 def test_row_offset_matches_global(medium_graph):
-    """Per-partition indices (local indptr + suffix adjacency views,
-    exactly how LD-GPU builds them) agree with global pointing."""
+    """Per-partition indices (row-range slices of the graph's sorted
+    rows, exactly how LD-GPU builds them) agree with global pointing."""
     g = medium_graph
     n = g.num_vertices
     eids = g.canonical_edge_ids()
@@ -355,11 +352,7 @@ def test_row_offset_matches_global(medium_graph):
     compute_pointers(g.indptr, g.indices, g.weights, eids, mate,
                      global_ptr, frontier)
     for start, stop in ((0, split), (split, n)):
-        base = int(g.indptr[start])
-        local_indptr = g.indptr[start:stop + 1] - base
-        idx = PointerIndex(local_indptr, g.indices[base:],
-                           g.weights[base:], eids[base:],
-                           row_offset=start)
+        idx = PointerIndex(g, start, stop)
         sel = frontier[(frontier >= start) & (frontier < stop)]
         idx.point(mate, part_ptr, sel)
     assert np.array_equal(part_ptr[frontier], global_ptr[frontier])

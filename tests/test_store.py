@@ -376,10 +376,32 @@ def _claim_worker(payload):
     return store.claim(fp)
 
 
+def _open_worker(payload):
+    """Busy-wait to a shared deadline, then open (and so create) the
+    store: every worker switches the same fresh file to WAL at once."""
+    db, deadline = payload
+    while time.time() < deadline:
+        pass
+    return RunStore(db).counts()
+
+
 @pytest.mark.skipif("fork" not in
                     multiprocessing.get_all_start_methods(),
                     reason="fork start method unavailable")
 class TestConcurrentClaims:
+    def test_fresh_store_opened_by_many_processes(self, tmp_path):
+        ctx = multiprocessing.get_context("fork")
+        workers = 4
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=ctx) as pool:
+            for attempt in range(20):
+                db = str(tmp_path / f"runs{attempt}.db")
+                deadline = time.time() + 0.1
+                counts = list(pool.map(_open_worker,
+                                       [(db, deadline)] * workers))
+                assert counts == [{"pending": 0, "leased": 0, "done": 0,
+                                   "error": 0}] * workers
+
     def test_exactly_one_claim_wins(self, tmp_path):
         db = str(tmp_path / "runs.db")
         fp = "cell:" + "d" * 40
