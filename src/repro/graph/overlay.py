@@ -1,18 +1,20 @@
 """Base + overlay view of an edge-mutable graph.
 
-The streaming plane (:mod:`repro.streaming`) and the greedy
-:class:`~repro.matching.dynamic.DynamicMatcher` both need the same
-thing: a graph that starts from an immutable :class:`CSRGraph` and
-absorbs edge inserts/deletes/reweights in O(1) each, while staying able
-to (a) hand back an exact CSR snapshot vectorised — never a per-edge
-Python loop — and (b) reconstruct any *single* vertex's current
-adjacency in O(deg) so an incremental matcher can rebuild just the rows
-a batch touched.
+The streaming plane (:mod:`repro.streaming`) needs a graph that starts
+from an immutable :class:`CSRGraph` and absorbs edge
+inserts/deletes/reweights in O(log m) each, while staying able to (a)
+hand back an exact CSR snapshot vectorised — never a per-edge Python
+loop — and (b) reconstruct any *single* vertex's current adjacency in
+O(deg).
 
-State is three small structures over the untouched base CSR:
+State is small structures over the untouched base CSR:
 
-* a liveness mask over the base's undirected edge list (deletes and
-  reweights of base edges flip one bit);
+* the base's undirected edge list, sorted by ``(u, v)``, with its keys
+  ``u * n + v`` as one ascending int64 array — a base edge is found by
+  ``np.searchsorted``, so the index costs 8 bytes per edge instead of a
+  Python dict entry;
+* a liveness mask over that edge list (deletes and reweights of base
+  edges flip one bit);
 * an ``extra`` dict of overlay edges — inserted edges plus the current
   weight of re-weighted base edges (an overlay key is never live in the
   base, so snapshots are a concatenation, not a merge);
@@ -36,6 +38,12 @@ from repro.graph.csr import CSRGraph
 __all__ = ["OverlayGraph"]
 
 
+def _check_weight(w: float) -> None:
+    # NaN would break the (w, eid) total order the matchers rely on.
+    if not (0 < w < np.inf):
+        raise ValueError(f"weights must be positive and finite, got {w!r}")
+
+
 class OverlayGraph:
     """An edge-mutable graph over an immutable CSR base."""
 
@@ -46,10 +54,8 @@ class OverlayGraph:
         bu, bv, bw = base.edge_array()
         self._base_uvw = (bu, bv, bw)
         self._base_live = np.ones(len(bu), dtype=bool)
-        self._base_index = {
-            (int(a), int(b)): k
-            for k, (a, b) in enumerate(zip(bu.tolist(), bv.tolist()))
-        }
+        # edge_array() is sorted by (u, v), so these keys ascend.
+        self._base_keys = bu * np.int64(self._n) + bv
         self._extra: dict[tuple[int, int], float] = {}
         self._row_edits: dict[int, dict[int, float | None]] = {}
 
@@ -72,11 +78,19 @@ class OverlayGraph:
                 f"vertex out of range for fixed vertex set of {self._n}")
         return (u, v) if u < v else (v, u)
 
+    def _base_slot(self, key: tuple[int, int]) -> int | None:
+        """Position of ``key`` in the base edge list, live or not."""
+        x = key[0] * self._n + key[1]
+        k = int(self._base_keys.searchsorted(x))
+        if k < len(self._base_keys) and self._base_keys[k] == x:
+            return k
+        return None
+
     def has_edge(self, u: int, v: int) -> bool:
         key = self._key(u, v)
         if key in self._extra:
             return True
-        k = self._base_index.get(key)
+        k = self._base_slot(key)
         return k is not None and bool(self._base_live[k])
 
     def edge_weight(self, u: int, v: int) -> float:
@@ -84,10 +98,28 @@ class OverlayGraph:
         w = self._extra.get(key)
         if w is not None:
             return w
-        k = self._base_index.get(key)
+        k = self._base_slot(key)
         if k is None or not self._base_live[k]:
             raise KeyError(f"edge ({u}, {v}) not present")
         return float(self._base_uvw[2][k])
+
+    def edge_weights(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`edge_weight` over endpoint arrays (every
+        pair must be a present edge)."""
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = lo * np.int64(self._n) + hi
+        k = np.searchsorted(self._base_keys, keys)
+        in_base = k < len(self._base_keys)
+        kb = k[in_base]
+        in_base[in_base] = (self._base_keys[kb] == keys[in_base]) \
+            & self._base_live[kb]
+        out = np.empty(len(keys), dtype=np.float64)
+        out[in_base] = self._base_uvw[2][k[in_base]]
+        for i in np.flatnonzero(~in_base).tolist():
+            out[i] = self.edge_weight(int(lo[i]), int(hi[i]))
+        return out
 
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Current undirected edge list ``(u, v, w)``, ``u < v``,
@@ -148,8 +180,7 @@ class OverlayGraph:
         """Insert a *new* edge; a present edge is a usage error (use
         :meth:`reweight`)."""
         key = self._key(u, v)
-        if w <= 0:
-            raise ValueError("weights must be positive")
+        _check_weight(w)
         if self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) already present; "
                              "use reweight")
@@ -159,10 +190,9 @@ class OverlayGraph:
     def reweight(self, u: int, v: int, w: float) -> None:
         """Change the weight of a present edge."""
         key = self._key(u, v)
-        if w <= 0:
-            raise ValueError("weights must be positive")
+        _check_weight(w)
         if key not in self._extra:
-            k = self._base_index.get(key)
+            k = self._base_slot(key)
             if k is None or not self._base_live[k]:
                 raise KeyError(f"edge ({u}, {v}) not present")
             self._base_live[k] = False
@@ -175,7 +205,7 @@ class OverlayGraph:
         if key in self._extra:
             del self._extra[key]
         else:
-            k = self._base_index.get(key)
+            k = self._base_slot(key)
             if k is None or not self._base_live[k]:
                 raise KeyError(f"edge ({u}, {v}) not present")
             self._base_live[k] = False

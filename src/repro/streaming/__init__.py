@@ -9,8 +9,8 @@ first-class workload plane:
   batches, deterministically replayable from a seeded generator or a
   recorded JSONL event log;
 * :mod:`repro.streaming.engine` — the :class:`IncrementalLD` engine
-  (apply a batch to a base+overlay graph, invalidate only the sorted-
-  row cursors of vertices whose neighbourhood changed, repair the
+  (apply a batch to a base+overlay graph, patch only the sorted rows
+  of vertices whose neighbourhood changed, repair the
   locally dominant matching from that affected frontier to the fixed
   point) and the :class:`RecomputeLD` from-scratch oracle.  Both reach
   the *same* fixed point — LD's matching is the unique stable matching

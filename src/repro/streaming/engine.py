@@ -17,18 +17,21 @@ base+overlay graph (:class:`~repro.graph.overlay.OverlayGraph`); then:
    any op) is released — after this, every blocking edge of the new
    graph has at least one free endpoint, because an all-matched
    blocking pair would have had to be blocking before the batch too;
-2. only the changed vertices' sorted-row cursors are invalidated: their
-   adjacency rows (sorted descending by ``(w, eid)``, the
-   PointerIndex layout) are rebuilt from the overlay, everyone else
-   keeps their base row;
+2. only the changed vertices' sorted rows are patched, all in one
+   vectorised pass per batch: their rows (sorted descending by
+   ``(w, eid)``, the PointerIndex layout, in one pool shared by every
+   vertex) are gathered, every entry of an edge the batch touched is
+   dropped, and each touched edge's final state is merged back in at
+   its sorted position — the kept entries are still in order, so
+   nothing is re-sorted; everyone else keeps their row untouched;
 3. pointing/matching rounds run from the affected frontier to the
-   fixed point.  Pointing scans a free vertex's sorted row for the
-   first *dethronable* neighbour — free, or matched through a smaller
-   key than the connecting edge; matching commits proposals in
-   descending key order (the globally best proposal always commits, so
-   every round makes progress), freeing dethroned partners into the
-   next frontier.  When no free vertex can point anywhere, no blocking
-   edge is left.
+   fixed point.  Pointing scans every free frontier vertex's sorted
+   row at once for its first *dethronable* neighbour — free, or
+   matched through a smaller key than the connecting edge; matching
+   commits proposals in descending key order (the globally best
+   proposal always commits, so every round makes progress), freeing
+   dethroned partners into the next frontier.  When no free vertex can
+   point anywhere, no blocking edge is left.
 
 Host work is counted exactly as in
 :mod:`~repro.matching.pointer_index`: every adjacency entry examined
@@ -78,7 +81,34 @@ _COUNTER_HELP = {
 }
 
 _NEG_INF = -np.inf
-_SCAN_CHUNK = 64
+# Pointing scans every frontier row's first 8 entries, then 4x more per
+# pass, until each row has a hit or is exhausted.
+_FIRST_CHUNK = 8
+_CHUNK_GROWTH = 4
+# The row pool keeps 1/4 of its live capacity free as tail room for
+# rows that outgrow their slot.
+_POOL_SLACK = 4
+# Row order as one comparable key: ascending (owner, -w, -eid).
+_ROW_KEY = np.dtype([("owner", np.int64), ("w", np.float64),
+                     ("eid", np.int64)])
+
+
+def _ranges(starts: np.ndarray,
+            lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``starts[i] + arange(lens[i])`` for every ``i``,
+    concatenated, and the offsets delimiting each range in them."""
+    offs = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=offs[1:])
+    pos = np.arange(offs[-1], dtype=np.int64)
+    pos += np.repeat(starts - offs[:-1], lens)
+    return offs, pos
+
+
+def _row_keys(owner: np.ndarray, w: np.ndarray,
+              eid: np.ndarray) -> np.ndarray:
+    keys = np.empty(len(owner), dtype=_ROW_KEY)
+    keys["owner"], keys["w"], keys["eid"] = owner, -w, -eid
+    return keys
 
 
 @dataclass(frozen=True)
@@ -88,7 +118,7 @@ class BatchResult:
     ``affected`` is the set of vertices whose matching state the repair
     touched (released, re-pointed, proposed-to or dethroned);
     ``cursors_rebuilt`` — always a subset — is the vertices whose
-    sorted-adjacency rows were invalidated because their neighbourhood
+    sorted-adjacency rows were patched because their neighbourhood
     changed.  ``host_entries_scanned`` counts adjacency entries
     actually examined; ``repairs`` counts matched-edge commits.
     """
@@ -136,13 +166,11 @@ class StreamingEngine:
 
     @property
     def weight(self) -> float:
-        """Current matching weight (sum of matched edge weights)."""
-        total = 0.0
-        for v in np.nonzero(self.mate != UNMATCHED)[0].tolist():
-            u = int(self.mate[v])
-            if v < u:
-                total += self._overlay.edge_weight(v, u)
-        return total
+        """Current matching weight: matched edges summed in ascending
+        order of their lower endpoint, as
+        :func:`~repro.matching.validate.matching_weight` sums them."""
+        v = np.flatnonzero(np.arange(self._n) < self.mate)
+        return float(self._overlay.edge_weights(v, self.mate[v]).sum())
 
     @property
     def matched_edges(self) -> int:
@@ -175,44 +203,48 @@ class StreamingEngine:
 
 
 class IncrementalLD(StreamingEngine):
-    """Local repair to the exact LD fixed point after each batch."""
+    """Local repair to the exact LD fixed point after each batch.
+
+    Every row lives in one pool: a neighbour array and a weight array
+    shared by all vertices, each row kept sorted descending by
+    ``(w, eid)`` (the PointerIndex layout) in its slot
+    ``[start, start + cap)`` of which the first ``len`` entries are
+    live.  Eids are not stored; ``min(v, u) * n + max(v, u)`` is derived
+    where a weight tie needs it.
+    """
 
     kind = "incremental"
 
     def __init__(self, base: CSRGraph):
         super().__init__(base)
-        # PointerIndex layout: every base row sorted descending by
-        # (weight, eid) — the base graph's memoised row order; per-vertex
-        # overlay rows replace base slices only after that vertex's
-        # neighbourhood changes (the "cursor rebuild").
-        eids = base.canonical_edge_ids()
+        n = self._n
         order = base.sorted_row_order()
-        self._indptr = base.indptr
-        self._sorted_nbrs = base.indices[order]
-        self._sorted_ws = base.weights[order]
-        self._sorted_eids = eids[order]
-        self._rows: dict[int, tuple[np.ndarray, np.ndarray,
-                                    np.ndarray]] = {}
+        m2 = len(order)
+        self._nbr = np.empty(m2 + m2 // _POOL_SLACK,
+                             dtype=np.int32 if n < 2**31 else np.int64)
+        self._w = np.empty(len(self._nbr), dtype=np.float64)
+        self._nbr[:m2] = base.indices[order]
+        self._w[:m2] = base.weights[order]
+        self._start = base.indptr[:-1].astype(np.int64)
+        self._len = np.diff(base.indptr).astype(np.int64)
+        self._cap = self._len.copy()
+        self._tail = m2
+        self._ids = np.arange(n, dtype=np.int64)
+        self._mark = np.zeros(n, dtype=bool)
         # Matched key per vertex ((-inf, -1) = free), the O(1) side of
         # the dethronable test.
-        self._mw = np.full(self._n, _NEG_INF, dtype=np.float64)
-        self._meid = np.full(self._n, -1, dtype=np.int64)
-        for v in np.nonzero(self.mate != UNMATCHED)[0].tolist():
-            u = int(self.mate[v])
-            if v < u:
-                self._set_matched_key(v, u,
-                                      self._overlay.edge_weight(v, u))
+        self._mw = np.full(n, _NEG_INF, dtype=np.float64)
+        self._meid = np.full(n, -1, dtype=np.int64)
+        v = np.flatnonzero(self._ids < self.mate)
+        u = self.mate[v]
+        self._mw[v] = self._mw[u] = self._overlay.edge_weights(v, u)
+        self._meid[v] = self._meid[u] = v * n + u
+
+    @property
+    def weight(self) -> float:
+        return float(self._mw[self._ids < self.mate].sum())
 
     # -------------------------------------------------------------- #
-    def _eid(self, u: int, v: int) -> int:
-        lo, hi = (u, v) if u < v else (v, u)
-        return lo * self._n + hi
-
-    def _set_matched_key(self, v: int, u: int, w: float) -> None:
-        e = self._eid(v, u)
-        self._mw[v] = self._mw[u] = w
-        self._meid[v] = self._meid[u] = e
-
     def _release(self, v: int) -> int:
         """Unmatch ``v`` (and its partner); returns the ex-partner."""
         u = int(self.mate[v])
@@ -222,82 +254,151 @@ class IncrementalLD(StreamingEngine):
             self._meid[v] = self._meid[u] = -1
         return u
 
-    def _row(self, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        got = self._rows.get(v)
-        if got is not None:
-            return got
-        s, e = int(self._indptr[v]), int(self._indptr[v + 1])
-        return (self._sorted_nbrs[s:e], self._sorted_ws[s:e],
-                self._sorted_eids[s:e])
+    def _eids(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+        lo = np.minimum(v, u).astype(np.int64)
+        return lo * self._n + np.maximum(v, u)
 
-    def _rebuild_row(self, v: int) -> None:
-        """Cursor invalidation: re-sort ``v``'s current adjacency."""
-        nbrs, ws = self._overlay.row_arrays(v)
-        lo = np.minimum(v, nbrs)
-        eids = lo * np.int64(self._n) + np.maximum(v, nbrs)
-        order = np.lexsort((-eids, -ws))
-        self._rows[v] = (np.ascontiguousarray(nbrs[order]),
-                         np.ascontiguousarray(ws[order]),
-                         np.ascontiguousarray(eids[order]))
+    def _patch_rows(self, rows: np.ndarray, batch: UpdateBatch) -> None:
+        """Patch every changed row at once: drop each entry of ``rows``
+        (the changed vertices, ascending) whose edge the batch touched,
+        then merge each touched edge's final state back in at its
+        sorted position.  A row that outgrows its slot moves to the
+        pool tail with ``cap = 1.5 * len + 2``; a full tail compacts."""
+        n = self._n
+        final: dict[int, float | None] = {}
+        for _, u, v, w in batch.ops:  # the last op on an edge wins
+            final[min(u, v) * n + max(u, v)] = w
+        touched = np.fromiter(final, dtype=np.int64, count=len(final))
+        new_e = np.array([e for e, w in final.items() if w is not None],
+                         dtype=np.int64)
+        new_w = np.array([w for w in final.values() if w is not None],
+                         dtype=np.float64)
 
-    def _point(self, v: int) -> tuple[float, int, int] | None:
-        """First dethronable neighbour of free ``v`` in sorted order
-        (= the max-key one); returns ``(w, eid, target)`` or ``None``.
-        Scans in chunks, charging every examined entry to
-        ``_host_scanned``."""
-        nbrs, ws, es = self._row(v)
-        mw, meid = self._mw, self._meid
-        m = len(nbrs)
-        start = 0
-        while start < m:
-            stop = min(start + _SCAN_CHUNK, m)
-            nn = nbrs[start:stop]
-            cw = ws[start:stop]
-            ce = es[start:stop]
-            cond = (cw > mw[nn]) | ((cw == mw[nn]) & (ce > meid[nn]))
-            hit = np.flatnonzero(cond)
-            if hit.size:
-                k = int(hit[0])
-                self._host_scanned += k + 1
-                return float(cw[k]), int(ce[k]), int(nn[k])
-            self._host_scanned += stop - start
-            start = stop
-        return None
+        offs, pos = _ranges(self._start[rows], self._len[rows])
+        owner = np.repeat(np.arange(len(rows)), np.diff(offs))
+        nbr, w = self._nbr[pos], self._w[pos]
+        eid = self._eids(rows[owner], nbr)
+        # A touched edge joins two changed vertices, so only entries
+        # pointing into ``rows`` are tested against the touched eids.
+        self._mark[rows] = True
+        cand = np.flatnonzero(self._mark[nbr])
+        self._mark[rows] = False
+        keep = np.ones(len(eid), dtype=bool)
+        keep[cand[np.isin(eid[cand], touched)]] = False
+        owner, nbr, w, eid = owner[keep], nbr[keep], w[keep], eid[keep]
+
+        # Both directions of each surviving edge, ordered like the kept
+        # entries: by (owner, -w, -eid).
+        lo, hi = new_e // n, new_e % n
+        add_owner = np.searchsorted(rows, np.concatenate([lo, hi]))
+        add_nbr = np.concatenate([hi, lo])
+        add_w = np.concatenate([new_w, new_w])
+        add_e = np.concatenate([new_e, new_e])
+        order = np.lexsort((-add_e, -add_w, add_owner))
+        add_owner, add_nbr = add_owner[order], add_nbr[order]
+        add_w, add_e = add_w[order], add_e[order]
+        at = np.searchsorted(_row_keys(owner, w, eid),
+                             _row_keys(add_owner, add_w, add_e))
+        nbr = np.insert(nbr, at, add_nbr)
+        w = np.insert(w, at, add_w)
+        lens = (np.bincount(owner, minlength=len(rows))
+                + np.bincount(add_owner, minlength=len(rows)))
+
+        grow = lens > self._cap[rows]
+        if grow.any():
+            moved = rows[grow]
+            cap = 3 * lens[grow] // 2 + 2
+            self._cap[moved] = cap
+            need = int(cap.sum())
+            if self._tail + need > len(self._nbr):
+                self._compact()
+            else:
+                self._start[moved] = self._tail + np.cumsum(cap) - cap
+                self._tail += need
+        self._len[rows] = lens
+        _, dest = _ranges(self._start[rows], lens)
+        self._nbr[dest] = nbr
+        self._w[dest] = w
+
+    def _compact(self) -> None:
+        """Repack every row at its (preserved) cap in vertex order,
+        leaving ``1 / _POOL_SLACK`` of the total as tail room."""
+        start = np.cumsum(self._cap) - self._cap
+        total = int(self._cap.sum())
+        _, src = _ranges(self._start, self._len)
+        _, dest = _ranges(start, self._len)
+        nbr = np.empty(total + total // _POOL_SLACK, dtype=self._nbr.dtype)
+        w = np.empty(len(nbr), dtype=np.float64)
+        nbr[dest] = self._nbr[src]
+        w[dest] = self._w[src]
+        self._nbr, self._w, self._start, self._tail = nbr, w, start, total
+
+    def _point(self, frontier: np.ndarray) -> tuple[np.ndarray, ...]:
+        """First dethronable neighbour of every vertex in ``frontier``
+        (free, ascending) in sorted order — the max-key one.
+
+        All rows are scanned together in growing chunks (8 entries,
+        then 4x more per pass); each row charges ``_host_scanned`` its
+        hit index + 1, or its full length when nothing is dethronable.
+        Returns ``(v, target, w, eid)`` arrays, ``v`` ascending.
+        """
+        starts, lens = self._start[frontier], self._len[frontier]
+        hit = np.full(len(frontier), -1, dtype=np.int64)
+        active = np.flatnonzero(lens)
+        off, chunk = 0, _FIRST_CHUNK
+        while active.size:
+            take = np.minimum(lens[active] - off, chunk)
+            offs, pos = _ranges(starts[active] + off, take)
+            nn, cw = self._nbr[pos], self._w[pos]
+            mw = self._mw[nn]
+            cond = cw > mw
+            tie = np.flatnonzero(cw == mw)
+            if tie.size:
+                owner = np.repeat(frontier[active], take)[tie]
+                cond[tie] = (self._eids(owner, nn[tie])
+                             > self._meid[nn[tie]])
+            at = np.flatnonzero(cond)
+            seg = np.searchsorted(offs, at, side="right") - 1
+            first = np.flatnonzero(np.diff(seg, prepend=-1))
+            hit[active[seg[first]]] = off + at[first] - offs[seg[first]]
+            off += chunk
+            chunk *= _CHUNK_GROWTH
+            active = active[(hit[active] < 0) & (lens[active] > off)]
+        found = hit >= 0
+        self._host_scanned += int(hit[found].sum() + found.sum()
+                                  + lens[~found].sum())
+        v = frontier[found]
+        at = starts[found] + hit[found]
+        target = self._nbr[at].astype(np.int64)
+        return v, target, self._w[at], self._eids(v, target)
 
     # -------------------------------------------------------------- #
     def apply(self, batch: UpdateBatch) -> BatchResult:
         t0 = time.perf_counter()
-        changed = self._apply_ops(batch)
+        rows = np.array(sorted(self._apply_ops(batch)), dtype=np.int64)
 
         # Release every matched edge at a changed endpoint: afterwards
         # each blocking edge of the mutated graph has a free endpoint.
-        frontier: set[int] = set()
-        for x in changed:
-            p = self._release(x)
-            if p != UNMATCHED:
-                frontier.add(p)
-            frontier.add(x)
-        for x in changed:
-            self._rebuild_row(x)
-        cursors_rebuilt = tuple(sorted(changed))
-        affected = set(frontier)
+        partners = self.mate[rows]
+        partners = partners[partners != UNMATCHED]
+        for x in (rows, partners):
+            self.mate[x] = UNMATCHED
+            self._mw[x] = _NEG_INF
+            self._meid[x] = -1
+        frontier = np.union1d(rows, partners)
+        self._patch_rows(rows, batch)
+        affected = set(frontier.tolist())
 
         self._host_scanned = 0
         repairs = 0
         rounds = 0
-        while frontier:
+        while frontier.size:
             rounds += 1
             # Pointing phase: each free frontier vertex proposes along
             # its best dethronable edge (sorted order over an exact
             # row, so "first valid" is "max key").
-            proposals: list[tuple[float, int, int, int]] = []
-            for v in sorted(frontier):
-                if self.mate[v] != UNMATCHED:
-                    continue
-                best = self._point(v)
-                if best is not None:
-                    w, e, target = best
-                    proposals.append((w, e, v, target))
+            pv, pt, pw, pe = self._point(
+                frontier[self.mate[frontier] == UNMATCHED])
             # Matching phase: commit in descending key order under the
             # mutual-or-dethrone rule.  Dethroning a *matched* target
             # only raises its matched key, so it can never create a
@@ -311,10 +412,14 @@ class IncrementalLD(StreamingEngine):
             # (both sides' max dethronable key is the shared edge), so
             # rounds without a commit can only grow the pointed set —
             # termination is bounded by commits + frontier growth.
-            pointed = {v: target for _, _, v, target in proposals}
+            # lexsort is stable: a mutual pair's two proposals keep
+            # ascending-v order.
+            order = np.lexsort((-pe, -pw))
+            pv, pt = pv[order].tolist(), pt[order].tolist()
+            pw, pe = pw[order].tolist(), pe[order].tolist()
+            pointed = dict(zip(pv, pt))
             next_frontier: set[int] = set()
-            for w, e, v, target in sorted(
-                    proposals, key=lambda p: (-p[0], -p[1])):
+            for w, e, v, target in zip(pw, pe, pv, pt):
                 if self.mate[v] != UNMATCHED:
                     # matched as someone else's mutual partner.
                     continue
@@ -339,22 +444,22 @@ class IncrementalLD(StreamingEngine):
                 repairs += 1
                 affected.add(target)
                 affected.add(v)
-            frontier = {x for x in next_frontier
-                        if self.mate[x] == UNMATCHED}
-            affected |= frontier
+            frontier = np.array(sorted(next_frontier), dtype=np.int64)
+            frontier = frontier[self.mate[frontier] == UNMATCHED]
+            affected.update(frontier.tolist())
 
         self._batches_applied += 1
         result = BatchResult(
             index=self._batches_applied - 1,
             num_ops=batch.num_ops,
             affected=tuple(sorted(affected)),
-            cursors_rebuilt=cursors_rebuilt,
+            cursors_rebuilt=tuple(rows.tolist()),
             host_entries_scanned=self._host_scanned,
             repairs=repairs,
             rounds=rounds,
             latency_s=time.perf_counter() - t0,
             matched_edges=self.matched_edges,
-            weight=float(self._mw[self._mw > _NEG_INF].sum() / 2.0),
+            weight=self.weight,
         )
         self._emit(result)
         return result

@@ -57,8 +57,9 @@ class UpdateBatch:
             if kind == "delete":
                 if w is not None:
                     raise ValueError("delete carries no weight")
-            elif w is None or w <= 0:
-                raise ValueError(f"{kind} needs a positive weight")
+            elif w is None or not 0 < w < np.inf:
+                # NaN would break the (w, eid) total order of the repair.
+                raise ValueError(f"{kind} needs a finite positive weight")
 
     @property
     def num_ops(self) -> int:
@@ -206,17 +207,36 @@ class EdgeStream:
 
     @classmethod
     def load(cls, path: "str | Path") -> "EdgeStream":
-        """Replay a recorded event log."""
+        """Replay a recorded event log.  A malformed log raises
+        ``ValueError`` naming ``path:line``."""
         with open(path, "rt") as fh:
-            lines = [line for line in fh if line.strip()]
+            lines = [(i, line) for i, line in enumerate(fh, 1)
+                     if line.strip()]
         if not lines:
             raise ValueError(f"{path}: empty event log")
-        header = json.loads(lines[0])
+        docs = []
+        for lineno, line in lines:
+            try:
+                docs.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: corrupt event log "
+                                 f"line ({exc.msg})") from None
+        where = f"{path}:{lines[0][0]}"
+        header = docs[0] if isinstance(docs[0], dict) else {}
         if header.get("version") != _STREAM_LOG_VERSION:
+            raise ValueError(f"{where}: unsupported event log version "
+                             f"{header.get('version')!r}")
+        try:
+            num_vertices = int(header["num_vertices"])
+        except (KeyError, TypeError, ValueError):
             raise ValueError(
-                f"{path}: unsupported event log version "
-                f"{header.get('version')!r}")
-        batches = tuple(UpdateBatch.from_doc(json.loads(line))
-                        for line in lines[1:])
-        return cls(num_vertices=int(header["num_vertices"]),
-                   batches=batches, seed=header.get("seed"))
+                f"{where}: header has no integer num_vertices") from None
+        batches = []
+        for (lineno, _), doc in zip(lines[1:], docs[1:]):
+            try:
+                batches.append(UpdateBatch.from_doc(doc))
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: bad batch ({exc!r})") from None
+        return cls(num_vertices=num_vertices, batches=tuple(batches),
+                   seed=header.get("seed"))

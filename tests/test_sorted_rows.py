@@ -273,9 +273,16 @@ def test_incremental_ld_rows_are_the_shared_order(medium_graph):
     g = tie_heavy(medium_graph)
     eng = IncrementalLD(g)
     order = lexsort_row_order(g)
-    assert np.array_equal(eng._sorted_nbrs, g.indices[order])
-    assert np.array_equal(eng._sorted_ws, g.weights[order])
-    assert np.array_equal(eng._sorted_eids, g.canonical_edge_ids()[order])
+    m2 = g.num_directed_edges
+    # the pool starts as the shared order, row v at indptr[v]
+    assert np.array_equal(eng._start, g.indptr[:-1])
+    assert np.array_equal(eng._len, g.degrees)
+    assert np.array_equal(eng._nbr[:m2], g.indices[order])
+    assert np.array_equal(eng._w[:m2], g.weights[order])
+    rows = np.repeat(np.arange(g.num_vertices), g.degrees)
+    nbrs = eng._nbr[:m2].astype(np.int64)
+    eids = np.minimum(rows, nbrs) * g.num_vertices + np.maximum(rows, nbrs)
+    assert np.array_equal(eids, g.canonical_edge_ids()[order])
 
 
 # ------------------------------------------------------------------ #
