@@ -22,7 +22,7 @@ import numpy as np
 __all__ = ["CSRGraph", "GraphFormatError"]
 
 #: Attributes of :class:`CSRGraph` holding derived-array memos.
-_MEMOS = ("_degrees", "_canonical_eids", "_row_order")
+_MEMOS = ("_degrees", "_canonical_eids", "_orders", "_fingerprint")
 
 
 class GraphFormatError(ValueError):
@@ -57,18 +57,25 @@ class CSRGraph:
     indices: np.ndarray
     weights: np.ndarray
     name: str = field(default="graph")
-    # Derived-array memos, each held as ``(sources, value)``: the value
+    # Derived-value memos, each held as ``(sources, value)``: the value
     # is read-only and is rebuilt whenever one of the source arrays it
     # was derived from has since been reassigned (e.g. ``g.weights =
-    # ...`` on a ``copy.copy``).  Pickling drops them (see
-    # ``__getstate__``), so a shipped graph costs only its CSR arrays.
+    # ...`` on a ``copy.copy``).  The contract they rely on: the CSR
+    # arrays are reassigned, never written in place.  Pickling drops
+    # them (see ``__getstate__``), so a shipped graph costs only its CSR
+    # arrays.
     _degrees: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _canonical_eids: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _row_order: tuple | None = field(
+    #: ``(sorted_row_order(), sorted_edge_order())``, built together.
+    _orders: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: :func:`repro.telemetry.provenance.graph_fingerprint`'s memo.
+    _fingerprint: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -87,15 +94,18 @@ class CSRGraph:
             state[attr] = None
         return state
 
-    def _memoised(self, attr: str, sources: tuple, build) -> np.ndarray:
-        """``build()``'s read-only result, cached on ``attr`` until an
-        array in ``sources`` is no longer the one it was built from."""
+    def _memoised(self, attr: str, sources: tuple, build):
+        """``build()``'s result (its arrays made read-only), cached on
+        ``attr`` until an array in ``sources`` is no longer the one it
+        was built from."""
         memo = getattr(self, attr)
         if memo is None or any(
             a is not b for a, b in zip(memo[0], sources)
         ):
             value = build()
-            value.setflags(write=False)
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
             memo = (sources, value)
             setattr(self, attr, memo)
         return memo[1]
@@ -139,10 +149,10 @@ class CSRGraph:
         contiguous with the canonical dtype — so mutating the graph
         through this object is impossible and mutating the underlying
         buffer is the caller's contract to avoid.  The memoised
-        :attr:`degrees` / :meth:`canonical_edge_ids` /
-        :meth:`sorted_row_order` derivations work
-        unchanged (they allocate fresh arrays; nothing is written back
-        into the buffers).  The caller keeps the buffers alive for the
+        derivations (:attr:`degrees`, :meth:`canonical_edge_ids`, the
+        sorted orders, the content fingerprint) work unchanged (they
+        allocate fresh values; nothing is written back into the
+        buffers).  The caller keeps the buffers alive for the
         graph's lifetime; numpy views hold a reference to the exporting
         object, which pins ``SharedMemory`` mappings automatically.
         """
@@ -262,9 +272,7 @@ class CSRGraph:
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorised undirected edge list ``(u, v, w)`` with ``u < v``."""
-        rows = np.repeat(
-            np.arange(self.num_vertices, dtype=np.int64), self.degrees
-        )
+        rows = self._row_ids()
         keep = rows < self.indices
         return rows[keep], self.indices[keep], self.weights[keep]
 
@@ -283,7 +291,7 @@ class CSRGraph:
 
     def _build_eids(self) -> np.ndarray:
         n = self.num_vertices
-        rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        rows = self._row_ids()
         lo = np.minimum(rows, self.indices)
         hi = np.maximum(rows, self.indices)
         return lo * np.int64(n) + hi
@@ -296,25 +304,60 @@ class CSRGraph:
         heaviest first, ties broken by the larger canonical edge id —
         the order in which LD's pointing kernel, Suitor's proposals and
         the streaming engine's cursors visit a vertex's neighbours
-        (paper §III-B).  This is the graph's one per-row sort: it is
-        computed on first access and cached read-only, as ``int32``
-        when ``2m < 2^31`` (else ``int64``).
+        (paper §III-B).  It is cut, with :meth:`sorted_edge_order`, from
+        the graph's one global sort, computed on first access of either
+        and cached read-only, as ``int32`` when ``2m < 2^31`` (else
+        ``int64``).
         """
-        return self._memoised(
-            "_row_order", (self.indptr, self.indices, self.weights),
-            self._build_row_order)
+        return self._sorted_orders()[0]
 
-    def _build_row_order(self) -> np.ndarray:
-        rows = np.repeat(np.arange(self.num_vertices, dtype=np.int64),
+    def sorted_edge_order(self) -> np.ndarray:
+        """Positions of the ``row < neighbour`` entries, descending by
+        ``(w, eid)``.
+
+        One entry per undirected edge, heaviest first, ties broken by
+        the larger canonical edge id: the global order greedy matching
+        and greedy b-matching scan.  Memoised with
+        :meth:`sorted_row_order`.
+        """
+        return self._sorted_orders()[1]
+
+    def _sorted_orders(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._memoised(
+            "_orders", (self.indptr, self.indices, self.weights),
+            self._build_orders)
+
+    def _build_orders(self) -> tuple[np.ndarray, np.ndarray]:
+        n = self.num_vertices
+        upper = self._row_ids() < self.indices
+        # Both orders outlive the sort's temporaries, so they are
+        # allocated first, where they cannot pin heap memory the
+        # temporaries free (it showed in the sweep benchmark's peak RSS).
+        dtype = np.int32 if len(self.indices) < 2**31 else np.int64
+        rows = np.empty(len(self.indices), dtype)
+        edges = np.empty(np.count_nonzero(upper), dtype)
+        # One stable global sort by (weight desc, eid desc); canonical
+        # eids are non-negative, so negation is safe.  Its row <
+        # neighbour entries are the edge order.
+        order = np.lexsort((-self.canonical_edge_ids(), -self.weights))
+        edges[:] = order[upper[order]]
+        # Its stable regrouping by row keeps rows contiguous, so
+        # ``indptr`` still delimits them: an LSD radix sort over the
+        # row id's 16-bit digits.  NumPy's stable sort of ``uint16``
+        # keys is itself a radix sort, so each digit is one O(m) pass.
+        shift = 0
+        while True:
+            digit = np.repeat((np.arange(n) >> shift).astype(np.uint16),
+                              self.degrees)
+            order = order[np.argsort(digit[order], kind="stable")]
+            shift += 16
+            if (n - 1) >> shift <= 0:
+                rows[:] = order
+                return rows, edges
+
+    def _row_ids(self) -> np.ndarray:
+        return np.repeat(np.arange(self.num_vertices, dtype=np.int64),
                          self.degrees)
-        # Stable sort by (row asc, weight desc, eid desc): rows stay
-        # contiguous, so ``indptr`` still delimits them.  Canonical eids
-        # are non-negative, so negation is safe.
-        order = np.lexsort(
-            (-self.canonical_edge_ids(), -self.weights, rows))
-        if len(order) < 2**31:
-            order = order.astype(np.int32)
-        return order
 
     # ------------------------------------------------------------------ #
     # validation / transforms
@@ -345,7 +388,7 @@ class CSRGraph:
         if len(w) and not np.all((w > 0) & (w < np.inf)):
             raise GraphFormatError(
                 "edge weights must be finite and strictly positive")
-        rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        rows = self._row_ids()
         if np.any(rows == self.indices):
             raise GraphFormatError("self-loops are not allowed")
         # Symmetry + simplicity: the multiset of (min, max) pairs must

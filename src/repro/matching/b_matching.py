@@ -21,6 +21,7 @@ from typing import Any
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.matching.greedy import sorted_edges
 
 __all__ = ["BMatchResult", "b_suitor", "greedy_b_matching",
            "is_valid_b_matching"]
@@ -152,23 +153,22 @@ def b_suitor(graph: CSRGraph, b: int | np.ndarray = 2) -> BMatchResult:
 
 def greedy_b_matching(graph: CSRGraph,
                       b: int | np.ndarray = 2) -> BMatchResult:
-    """Global-sort greedy b-matching (the ½-approximation oracle)."""
+    """Global-sort greedy b-matching (the ½-approximation oracle), over
+    the graph's memoised edge order, which it shares with
+    :func:`~repro.matching.greedy.greedy_matching`."""
     n = graph.num_vertices
     bs = _normalise_b(graph, b)
-    u, v, w = graph.edge_array()
-    eid = u * np.int64(max(n, 1)) + v
-    order = np.lexsort((-eid, -w))
+    u, v, w = sorted_edges(graph)
     capacity = bs.copy()
     partners: list[list[int]] = [[] for _ in range(n)]
     weight = 0.0
-    for k in order:
-        a, c = int(u[k]), int(v[k])
+    for a, c, wk in zip(u.tolist(), v.tolist(), w.tolist()):
         if capacity[a] > 0 and capacity[c] > 0:
             capacity[a] -= 1
             capacity[c] -= 1
             partners[a].append(c)
             partners[c].append(a)
-            weight += float(w[k])
+            weight += wk
     return BMatchResult(
         partners=[np.array(sorted(p), dtype=np.int64) for p in partners],
         weight=weight,

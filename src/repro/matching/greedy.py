@@ -29,10 +29,21 @@ from repro.engine.spec import AlgorithmSpec, register
 from repro.graph.csr import CSRGraph
 from repro.matching.types import UNMATCHED, MatchResult
 
-__all__ = ["greedy_matching"]
+__all__ = ["greedy_matching", "sorted_edges"]
 
 #: Sorted edges per chunk of vectorised rounds.
 _CHUNK = 1 << 14
+
+
+def sorted_edges(
+        graph: CSRGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(u, v, w)`` per undirected edge, ``u < v``, in the graph's
+    memoised descending ``(w, eid)`` order
+    (:meth:`~repro.graph.csr.CSRGraph.sorted_edge_order`)."""
+    pos = graph.sorted_edge_order()
+    # The canonical id of an entry with row < neighbour is row * n + v.
+    u = graph.canonical_edge_ids()[pos] // max(graph.num_vertices, 1)
+    return u, graph.indices[pos], graph.weights[pos]
 
 
 def _scan(rest: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -49,10 +60,7 @@ def greedy_matching(graph: CSRGraph) -> MatchResult:
     """Sort-based greedy matching under the ``(w, eid)`` total order."""
     n = graph.num_vertices
     mate = np.full(n, UNMATCHED, dtype=np.int64)
-    u, v, w = graph.edge_array()
-    # Decreasing (w, eid); eid == canonical id == u * n + v since u < v.
-    order = np.lexsort((-(u * np.int64(max(n, 1)) + v), -w))
-    u, v, w = u[order], v[order], w[order]
+    u, v, w = sorted_edges(graph)
     accepted = np.zeros(len(w), dtype=bool)
     first = np.empty(n, dtype=np.int64)  # per vertex: its first slot
     for lo in range(0, len(w), _CHUNK):

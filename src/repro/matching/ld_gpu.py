@@ -51,7 +51,7 @@ from repro.matching.pointer_index import (
     resolve_pointing_engine,
 )
 from repro.matching.types import UNMATCHED, MatchResult
-from repro.matching.validate import matching_weight
+from repro.matching.validate import matched_vertex_weight, matching_weight
 from repro.partition.batch import BatchPlan, auto_batch_count, plan_batches
 from repro.partition.vertex import (
     edge_balanced_partition,
@@ -470,7 +470,13 @@ def ld_gpu(
         live = np.nonzero((mate_g == UNMATCHED) & (pointers_g >= 0))[0]
         frontier = live[mate_g[pointers_g[live]] != UNMATCHED]
 
-    weight = matching_weight(graph, mate_g)
+    if engine == "index":
+        # Each vertex's matched edge, read under the cursor of the
+        # partition that owns it (partitions tile [0, n) in order).
+        weight = matched_vertex_weight(mate_g, np.concatenate(
+            [p.index.matched_weights(mate_g) for p in parts]))
+    else:
+        weight = matching_weight(graph, mate_g)
     stats: dict = {
         "config": LdGpuRun(platform.name, num_devices, nb,
                            vertices_per_warp, engine),

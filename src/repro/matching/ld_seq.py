@@ -46,7 +46,7 @@ from repro.matching.pointer_index import (
     resolve_pointing_engine,
 )
 from repro.matching.types import UNMATCHED, MatchResult
-from repro.matching.validate import matching_weight
+from repro.matching.validate import matched_vertex_weight, matching_weight
 from repro.telemetry.spans import count
 
 __all__ = ["ld_seq", "compute_pointers", "find_mutual_pairs"]
@@ -207,7 +207,10 @@ def ld_seq(
             live = np.nonzero((mate == UNMATCHED) & (pointer >= 0))[0]
             frontier = live[mate[pointer[live]] != UNMATCHED]
 
-    weight = matching_weight(graph, mate)
+    if index is not None:
+        weight = matched_vertex_weight(mate, index.matched_weights(mate))
+    else:
+        weight = matching_weight(graph, mate)
     stats = {}
     if collect_stats:
         stats = {

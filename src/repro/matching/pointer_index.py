@@ -147,8 +147,11 @@ class PointerIndex:
         #: Local row offsets of the served range.
         self.indptr = graph.indptr[start:stop + 1] - lo
         self.row_offset = int(start)
+        #: Graph position (into ``indices``/``weights``) per sorted slot.
+        self._slots = order[lo:hi]
+        self._weights = graph.weights
         #: Neighbour id per sorted adjacency slot.
-        self.sorted_indices = graph.indices[order[lo:hi]]
+        self.sorted_indices = graph.indices[self._slots]
         #: Per-local-vertex cursor into the sorted layout.
         self.cursor = self.indptr[:-1].copy()
         #: Actual adjacency entries examined across all ``point`` calls.
@@ -207,6 +210,22 @@ class PointerIndex:
         self.last_host_scanned = int(host)
         self.host_entries_scanned += self.last_host_scanned
         return int((end - self.indptr[local]).sum())
+
+    def matched_weights(self, mate: np.ndarray) -> np.ndarray:
+        """Per local row, the weight of its vertex's matched edge (0
+        where the vertex is unmatched), read in O(rows).
+
+        A matched vertex's cursor rests on its mate: the pointing phase
+        left it on the entry it pointed at, and a matched vertex is
+        never pointed again.  So the entry under the cursor is the
+        vertex's own row entry for its mate.
+        """
+        mw = np.zeros(self.num_rows)
+        rows = np.flatnonzero(
+            mate[self.row_offset:self.row_offset + self.num_rows]
+            != UNMATCHED)
+        mw[rows] = self._weights[self._slots[self.cursor[rows]]]
+        return mw
 
 
 class MutualIndex:

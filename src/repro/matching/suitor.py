@@ -36,7 +36,7 @@ from repro.gpusim.timeline import Timeline
 from repro.graph.csr import CSRGraph
 from repro.graph.segments import gather_rows, segment_argmax_lex
 from repro.matching.types import UNMATCHED, MatchResult
-from repro.matching.validate import matching_weight
+from repro.matching.validate import matched_vertex_weight, matching_weight
 
 __all__ = ["suitor_seq", "suitor_omp_sim", "suitor_gpu_sim"]
 
@@ -94,9 +94,11 @@ def suitor_seq(graph: CSRGraph) -> MatchResult:
             u = displaced
 
     mate = _suitor_to_mate(suitor)
+    # ``ws_w[mate[u]]`` is the weight u proposed to its mate, read from
+    # u's own row: the entry ``matching_weight`` would sum for u.
     return MatchResult(
         mate=mate,
-        weight=matching_weight(graph, mate),
+        weight=matched_vertex_weight(mate, ws_w[mate]),
         algorithm="suitor_seq",
         iterations=0,
     )

@@ -7,6 +7,8 @@ maximal locally dominant matchings) and Corollary II.1 (½-approximation).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.graph.csr import CSRGraph
@@ -17,6 +19,7 @@ __all__ = [
     "is_valid_matching",
     "is_maximal_matching",
     "matching_weight",
+    "matched_vertex_weight",
     "matched_edge_count",
     "matched_pairs_exist_in_graph",
     "verify_result",
@@ -63,6 +66,27 @@ def matching_weight(graph: CSRGraph, mate: np.ndarray) -> float:
     rid = row_ids(graph.indptr)
     hit = (mate[rid] == graph.indices) & (rid < graph.indices)
     return float(graph.weights[hit].sum())
+
+
+def matched_vertex_weight(mate: np.ndarray, mw: np.ndarray) -> float:
+    """:func:`matching_weight` in O(n) from per-vertex weights.
+
+    ``mw[v]`` must hold the weight of matched vertex ``v``'s entry for
+    its mate in ``v``'s own row (any value where ``v`` is unmatched).
+    The sum runs over the same elements in the same order as
+    :func:`matching_weight` — each matched edge at its lower endpoint,
+    in ascending order of that endpoint — so the two are bit-equal.
+    """
+    return float(mw[_vertex_ids(len(mate)) < mate].sum())
+
+
+@lru_cache(maxsize=8)
+def _vertex_ids(n: int) -> np.ndarray:
+    """A shared read-only ``arange(n)``: allocating a fresh one per call
+    showed in an incremental-LD batch's latency."""
+    ids = np.arange(n)
+    ids.setflags(write=False)
+    return ids
 
 
 def matched_edge_count(mate: np.ndarray) -> int:

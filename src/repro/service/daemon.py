@@ -26,8 +26,12 @@ interchangeable ``store=`` values.
 Error contract (mirrored by :class:`repro.api._HttpBackend`):
 ``404`` unknown fingerprint, ``409`` cancelled job's result, ``429``
 per-client pending quota exceeded, ``400`` invalid submission
-(unknown algorithm/dataset/platform, inapplicable options), ``500``
-anything else.  Bodies carry ``{"error": "..."}``.
+(unknown algorithm/dataset/platform, inapplicable options) or a
+negative or non-integer ``Content-Length``, ``413`` a body over
+:data:`MAX_BODY_BYTES` (refused unread), ``408`` a request that
+stalls for :data:`REQUEST_TIMEOUT_S`, ``500`` anything else.  Bodies
+carry ``{"error": "..."}``; a 400 for the length, 408 or 413 also
+closes the connection.
 
 Threading: :class:`ThreadingHTTPServer` handles each request on its
 own thread, and SQLite connections are not shareable across threads,
@@ -65,6 +69,16 @@ REQUESTS_COUNTER = "repro_service_requests_total"
 SUBMITS_COUNTER = "repro_service_submissions_total"
 REJECTS_COUNTER = "repro_service_rejections_total"
 JOBS_GAUGE = "repro_service_jobs"
+
+#: Largest request body the daemon reads; a longer one is refused
+#: with 413 before any of it is read.
+MAX_BODY_BYTES = 1 << 20
+#: Seconds a connection may stall mid-request before it is dropped.
+REQUEST_TIMEOUT_S = 30.0
+
+
+class _BodyTooLarge(ValueError):
+    """The declared request body exceeds :data:`MAX_BODY_BYTES`."""
 
 
 class ServiceState:
@@ -172,6 +186,8 @@ class ServiceState:
 class _Handler(BaseHTTPRequestHandler):
     server: "_Server"  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"
+    # Socket timeout set by ``StreamRequestHandler.setup``.
+    timeout = REQUEST_TIMEOUT_S
 
     # ------------------------------------------------------------ #
     # plumbing
@@ -195,7 +211,20 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(code, {"error": message})
 
     def _body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            if length < 0:
+                raise ValueError(f"invalid Content-Length {declared!r}")
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -227,6 +256,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(409, f"job {exc.args[0]!s} was cancelled")
         except QuotaExceeded as exc:
             self._error(429, str(exc))
+        except _BodyTooLarge as exc:
+            self._error(413, str(exc))
+        except TimeoutError:
+            self.close_connection = True
+            self._error(408, "request timed out")
         except (ValueError, KeyError, TypeError, JobError) as exc:
             self._error(400, str(exc) or type(exc).__name__)
         except BrokenPipeError:  # client went away mid-response

@@ -54,6 +54,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.overlay import OverlayGraph
 from repro.matching.ld_seq import ld_seq
 from repro.matching.types import UNMATCHED
+from repro.matching.validate import matched_vertex_weight
 from repro.streaming.events import UpdateBatch
 from repro.telemetry.spans import count
 
@@ -229,20 +230,19 @@ class IncrementalLD(StreamingEngine):
         self._len = np.diff(base.indptr).astype(np.int64)
         self._cap = self._len.copy()
         self._tail = m2
-        self._ids = np.arange(n, dtype=np.int64)
         self._mark = np.zeros(n, dtype=bool)
         # Matched key per vertex ((-inf, -1) = free), the O(1) side of
         # the dethronable test.
         self._mw = np.full(n, _NEG_INF, dtype=np.float64)
         self._meid = np.full(n, -1, dtype=np.int64)
-        v = np.flatnonzero(self._ids < self.mate)
+        v = np.flatnonzero(np.arange(n) < self.mate)
         u = self.mate[v]
         self._mw[v] = self._mw[u] = self._overlay.edge_weights(v, u)
         self._meid[v] = self._meid[u] = v * n + u
 
     @property
     def weight(self) -> float:
-        return float(self._mw[self._ids < self.mate].sum())
+        return matched_vertex_weight(self.mate, self._mw)
 
     # -------------------------------------------------------------- #
     def _release(self, v: int) -> int:

@@ -76,9 +76,18 @@ def graph_fingerprint(graph: "CSRGraph") -> str:
 
     Covers ``indptr``, ``indices`` and ``weights`` via sampled bytes plus
     whole-array checksums — two graphs with the same fingerprint carry
-    the same topology and weights for all practical purposes, while the
-    cost stays O(1)-ish on LARGE inputs.
+    the same topology and weights for all practical purposes.  The
+    checksums read every byte, so the hash is memoised on the graph
+    like its other derived values: computed once per graph object,
+    recomputed when one of the three arrays is reassigned, and never
+    carried across pickling, a cache load or a shared-memory attach.
     """
+    return graph._memoised(
+        "_fingerprint", (graph.indptr, graph.indices, graph.weights),
+        lambda: _hash_graph(graph))
+
+
+def _hash_graph(graph: "CSRGraph") -> str:
     h = hashlib.sha256()
     h.update(f"v={graph.num_vertices};e={graph.num_directed_edges};"
              .encode())

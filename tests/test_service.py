@@ -6,6 +6,7 @@ serial `run_cells`."""
 import json
 import os
 import signal
+import socket
 import sqlite3
 import subprocess
 import sys
@@ -18,7 +19,8 @@ import pytest
 import repro
 import repro.api as api
 from repro.engine.cells import run_cells
-from repro.service.daemon import build_server
+import repro.service.daemon as daemon_mod
+from repro.service.daemon import MAX_BODY_BYTES, build_server
 from repro.service.worker import worker_loop
 from repro.store.db import STORE_SCHEMA_VERSION, RunStore
 
@@ -427,6 +429,60 @@ class TestDaemon:
         assert validate_prometheus_text(text) > 0
         assert "repro_service_submissions_total 1" in text
         assert 'repro_service_jobs{state="pending"} 1' in text
+
+
+def _raw_submit(url: str, headers: str, body: bytes = b"") -> bytes:
+    """POST a hand-built request; read until the daemon closes the
+    connection (a kept-alive connection fails on the socket timeout)."""
+    host, port = url.rsplit("/", 1)[-1].split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(f"POST /api/v1/jobs HTTP/1.1\r\nHost: {host}\r\n"
+                     f"{headers}\r\n".encode() + body)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _status(response: bytes) -> int:
+    return int(response.split(b" ", 2)[1])
+
+
+class TestDaemonBody:
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5"])
+    def test_bad_content_length_400(self, daemon, length):
+        url, _ = daemon
+        resp = _raw_submit(url, f"Content-Length: {length}\r\n", b"{}")
+        assert _status(resp) == 400
+        assert b"Content-Length" in resp
+
+    def test_oversized_body_413_unread(self, daemon):
+        url, db = daemon
+        # Declared but never sent: the daemon must answer without
+        # waiting for the body.
+        resp = _raw_submit(
+            url, f"Content-Length: {MAX_BODY_BYTES + 1}\r\n")
+        assert _status(resp) == 413
+        assert api.query(store=db) == []
+
+    def test_body_at_limit_is_read(self, daemon):
+        url, _ = daemon
+        head = b'{"algorithm": "nope", "pad": "'
+        body = head + b"x" * (MAX_BODY_BYTES - len(head) - 2) + b'"}'
+        assert len(body) == MAX_BODY_BYTES
+        resp = _raw_submit(
+            url, f"Content-Length: {len(body)}\r\n"
+                 "Connection: close\r\n", body)
+        assert _status(resp) == 400  # parsed, then rejected as a spec
+
+    def test_stalled_body_408(self, daemon, monkeypatch):
+        url, _ = daemon
+        assert daemon_mod._Handler.timeout == daemon_mod.REQUEST_TIMEOUT_S
+        monkeypatch.setattr(daemon_mod._Handler, "timeout", 0.3)
+        t0 = time.monotonic()
+        resp = _raw_submit(url, "Content-Length: 100\r\n", b"{")
+        assert _status(resp) == 408
+        assert time.monotonic() - t0 < 5
 
 
 # ------------------------------------------------------------------ #

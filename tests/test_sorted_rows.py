@@ -2,11 +2,15 @@
 
 ``CSRGraph.sorted_row_order`` is the graph's only per-row ``(w, eid)``
 sort; ``PointerIndex`` (LD-SEQ, every LD-GPU partition), ``suitor_seq``,
-``b_suitor`` and ``IncrementalLD`` all read it, and ``greedy_matching``
-scans the global order in chunked vectorised rounds.  The reference
-oracles below are the implementations those replaced — a fresh lexsort
-per build, Suitor's full-row scan per proposal, greedy's per-edge loop —
-and every test pits the shared-layout code against them bit for bit.
+``b_suitor`` and ``IncrementalLD`` all read it.
+``CSRGraph.sorted_edge_order`` is its only global edge sort;
+``greedy_matching`` (in chunked vectorised rounds) and
+``greedy_b_matching`` scan it.  LD on the index engine and
+``suitor_seq`` read their matched weight in O(n) off their own state.
+The reference oracles below are the implementations those replaced — a
+fresh lexsort per build or run, Suitor's full-row scan per proposal,
+greedy's per-edge loop, the O(m) ``matching_weight`` — and every test
+pits the shared-layout code against them bit for bit.
 """
 
 from __future__ import annotations
@@ -23,10 +27,14 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
 from repro.matching import greedy as greedy_mod
 from repro.matching.b_matching import b_suitor, greedy_b_matching
-from repro.matching.greedy import greedy_matching
+from repro.matching.greedy import greedy_matching, sorted_edges
+from repro.matching.ld_gpu import ld_gpu
+from repro.matching.ld_multinode import ld_multinode
+from repro.matching.ld_seq import ld_seq
 from repro.matching.pointer_index import PointerIndex
 from repro.matching.suitor import suitor_seq
 from repro.matching.types import UNMATCHED
+from repro.matching.validate import matching_weight
 from repro.partition.vertex import (
     edge_balanced_partition,
     vertex_balanced_partition,
@@ -102,19 +110,44 @@ def suitor_full_scan(g: CSRGraph) -> np.ndarray:
     return mate
 
 
+def lexsort_edges(g: CSRGraph):
+    """A per-run ``edge_array`` + lexsort: ``(u, v, w)`` descending by
+    ``(w, eid)``, as greedy and greedy-b used to sort every run."""
+    u, v, w = g.edge_array()
+    order = np.lexsort((-(u * np.int64(max(g.num_vertices, 1)) + v), -w))
+    return u[order], v[order], w[order]
+
+
 def greedy_per_edge(g: CSRGraph) -> tuple[np.ndarray, float]:
     """Greedy's former one-Python-step-per-edge scan."""
     n = g.num_vertices
     mate = np.full(n, UNMATCHED, dtype=np.int64)
-    u, v, w = g.edge_array()
-    order = np.lexsort((-(u * np.int64(max(n, 1)) + v), -w))
+    u, v, w = lexsort_edges(g)
     weight = 0.0
-    for k in order:
+    for k in range(len(w)):
         a, b = int(u[k]), int(v[k])
         if mate[a] == UNMATCHED and mate[b] == UNMATCHED:
             mate[a], mate[b] = b, a
             weight += float(w[k])
     return mate, weight
+
+
+def greedy_b_per_run_sort(g: CSRGraph, b: int):
+    """``greedy_b_matching`` as it was, sorting the edges every run."""
+    n = g.num_vertices
+    u, v, w = lexsort_edges(g)
+    capacity = np.full(n, b, dtype=np.int64)
+    partners: list[list[int]] = [[] for _ in range(n)]
+    weight = 0.0
+    for k in range(len(w)):
+        a, c = int(u[k]), int(v[k])
+        if capacity[a] > 0 and capacity[c] > 0:
+            capacity[a] -= 1
+            capacity[c] -= 1
+            partners[a].append(c)
+            partners[c].append(a)
+            weight += float(w[k])
+    return [sorted(p) for p in partners], weight
 
 
 # ------------------------------------------------------------------ #
@@ -223,18 +256,91 @@ def test_eids_and_degrees_rebuilt_after_reassignment(path_graph):
 
 def test_pickle_drops_memos(medium_graph):
     from repro.harness.parallel import _GraphRef
+    from repro.telemetry.provenance import graph_fingerprint
 
     g = copy.copy(medium_graph)
     cold = pickle.dumps(g)
     cold_ref = pickle.dumps(_GraphRef(inline=g))
     g.degrees, g.canonical_edge_ids(), g.sorted_row_order()
+    g.sorted_edge_order(), graph_fingerprint(g)
     assert len(pickle.dumps(g)) == len(cold)
     assert len(pickle.dumps(_GraphRef(inline=g))) == len(cold_ref)
     back = pickle.loads(pickle.dumps(g))
-    assert back._degrees is back._canonical_eids is back._row_order is None
+    assert back._degrees is back._canonical_eids is back._orders is None
+    assert back._fingerprint is None
     assert np.array_equal(back.sorted_row_order(), g.sorted_row_order())
     # Pickling leaves the live graph's own memos in place.
-    assert g._row_order is not None
+    assert g._orders is not None
+
+
+# ------------------------------------------------------------------ #
+# the memoised global edge order
+# ------------------------------------------------------------------ #
+
+
+def assert_edge_order_matches(g: CSRGraph) -> None:
+    pos = g.sorted_edge_order()
+    u, v, w = sorted_edges(g)
+    for got, want in zip((u, v, w), lexsort_edges(g)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(g.indices[pos], v)
+    assert np.array_equal(g.weights[pos], w)
+
+
+@given(g=random_graphs(tie_prone=True))
+def test_edge_order_equals_per_run_lexsort_tie_prone(g):
+    assert_edge_order_matches(g)
+    assert_edge_order_matches(tie_heavy(g))
+
+
+@given(g=random_graphs())
+def test_edge_order_equals_per_run_lexsort(g):
+    assert_edge_order_matches(g)
+
+
+def test_edge_order_equals_per_run_lexsort_fixed(fixed_graph):
+    assert_edge_order_matches(fixed_graph)
+
+
+def test_orders_past_one_radix_digit():
+    # Vertex ids above 2^16 take the row regrouping's second digit.
+    rng = np.random.default_rng(3)
+    n = 70_000
+    u = rng.integers(0, n, 3000)
+    v = rng.integers(0, n, 3000)
+    g = build_graph(n, [(a, b, float(w)) for a, b, w in
+                        zip(u.tolist(), v.tolist(),
+                            rng.integers(1, 4, 3000).tolist()) if a != b])
+    assert_order_matches(g)
+    assert_edge_order_matches(g)
+
+
+def test_edge_order_memoised_readonly_int32(medium_graph):
+    pos = medium_graph.sorted_edge_order()
+    assert pos is medium_graph.sorted_edge_order()
+    assert not pos.flags.writeable
+    assert pos.dtype == np.int32
+    assert len(pos) == medium_graph.num_edges
+    # One build serves both orders, whichever is asked for first.
+    g = copy.copy(medium_graph)
+    g._orders = None
+    assert g.sorted_edge_order() is g.sorted_edge_order()
+    memo = g._orders
+    assert np.array_equal(g.sorted_row_order(), lexsort_row_order(g))
+    assert g._orders is memo
+
+
+@pytest.mark.parametrize("attr", ["indptr", "indices", "weights"])
+def test_every_source_array_keys_the_edge_order(attr, medium_graph):
+    g = copy.copy(medium_graph)
+    first = g.sorted_edge_order()
+    setattr(g, attr, getattr(g, attr).copy())  # same values, new array
+    again = g.sorted_edge_order()
+    assert again is not first
+    assert np.array_equal(again, first)
+    g.weights = (g.canonical_edge_ids() % 7 + 1).astype(float)
+    assert_edge_order_matches(g)
+    assert_edge_order_matches(medium_graph)  # the original is untouched
 
 
 # ------------------------------------------------------------------ #
@@ -358,3 +464,84 @@ def test_greedy_long_chain_falls_back_exactly():
     # chunk is finished by the sequential scan.
     n = 3 * greedy_mod._CHUNK
     assert_greedy_identical(path(n, np.arange(n - 1, 0, -1)))
+
+
+# ------------------------------------------------------------------ #
+# greedy-b: the memoised edge order vs a per-run sort
+# ------------------------------------------------------------------ #
+
+
+def assert_greedy_b_identical(g: CSRGraph) -> None:
+    for b in (1, 2, 3):
+        r = greedy_b_matching(g, b)
+        partners, weight = greedy_b_per_run_sort(g, b)
+        assert [p.tolist() for p in r.partners] == partners
+        assert r.weight.hex() == weight.hex()
+
+
+@given(g=random_graphs(tie_prone=True))
+def test_greedy_b_equals_per_run_sort_tie_prone(g):
+    for h in (g, tie_heavy(g)):
+        assert_greedy_b_identical(h)
+
+
+@given(g=random_graphs())
+def test_greedy_b_equals_per_run_sort(g):
+    assert_greedy_b_identical(g)
+
+
+def test_greedy_b_equals_per_run_sort_fixed(fixed_graph):
+    assert_greedy_b_identical(fixed_graph)
+
+
+def test_greedy_b_equals_per_run_sort_medium(medium_graph):
+    assert_greedy_b_identical(medium_graph)
+    assert_greedy_b_identical(tie_heavy(medium_graph))
+
+
+# ------------------------------------------------------------------ #
+# matched weight: O(n) off the run's own state vs matching_weight
+# ------------------------------------------------------------------ #
+
+#: Every LD-GPU shape: 1-8 devices, both partitions, resident and
+#: batched, and batches streamed through the dual buffers.
+LD_GPU_SHAPES = [
+    dict(num_devices=d, partition=p, **extra)
+    for d in range(1, 9)
+    for p in ("edge", "vertex")
+    for extra in ({}, {"num_batches": 2},
+                  {"num_batches": 2, "force_streaming": True})
+]
+
+
+def assert_weight_exact(g: CSRGraph, shapes=LD_GPU_SHAPES) -> None:
+    runs = [ld_seq(g), suitor_seq(g),
+            ld_multinode(g, num_nodes=2, devices_per_node=2)]
+    runs += [ld_gpu(g, **shape) for shape in shapes]
+    for r in runs:
+        # ``==``, not isclose: the same elements summed in the same order.
+        assert r.weight == matching_weight(g, r.mate), r.algorithm
+
+
+#: A spread of the shapes for the many small hypothesis examples.
+SOME_SHAPES = [s for s in LD_GPU_SHAPES if s["num_devices"] in (1, 3, 8)]
+
+
+@given(g=random_graphs(tie_prone=True))
+def test_weight_exact_tie_prone(g):
+    for h in (g, tie_heavy(g)):
+        assert_weight_exact(h, SOME_SHAPES)
+
+
+@given(g=random_graphs())
+def test_weight_exact(g):
+    assert_weight_exact(g, SOME_SHAPES)
+
+
+def test_weight_exact_fixed(fixed_graph):
+    assert_weight_exact(fixed_graph)
+
+
+def test_weight_exact_medium(medium_graph):
+    assert_weight_exact(medium_graph)
+    assert_weight_exact(tie_heavy(medium_graph))

@@ -267,6 +267,114 @@ class TestProvenance:
         assert graph_fingerprint(medium_graph) != graph_fingerprint(g2)
 
 
+@pytest.fixture
+def hashes(monkeypatch):
+    """Count the content hashes ``graph_fingerprint`` actually runs."""
+    import repro.telemetry.provenance as prov
+
+    calls = []
+    real = prov._hash_graph
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(prov, "_hash_graph", counting)
+    return calls
+
+
+class TestFingerprintMemo:
+    """The fingerprint is memoised on the graph like its derived arrays:
+    once per graph object, rebuilt when a CSR array is reassigned, and
+    never inherited by a pickled, cache-loaded or shm-attached copy."""
+
+    @staticmethod
+    def fresh(graph):
+        from repro.telemetry.provenance import _hash_graph
+
+        return _hash_graph(graph)
+
+    def test_memo_equals_fresh_hash(self, medium_graph, hashes):
+        import copy
+
+        g = copy.copy(medium_graph)
+        g._fingerprint = None
+        fp = graph_fingerprint(g)
+        assert graph_fingerprint(g) is fp
+        assert len(hashes) == 1
+        assert fp == self.fresh(g)
+
+    @pytest.mark.parametrize("attr", ["indptr", "indices", "weights"])
+    def test_reassigned_array_rebuilds(self, medium_graph, attr, hashes):
+        import copy
+
+        g = copy.copy(medium_graph)
+        before = graph_fingerprint(g)
+        setattr(g, attr, getattr(g, attr).copy())  # same values
+        hashes.clear()
+        assert graph_fingerprint(g) == before
+        assert len(hashes) == 1
+        g.weights = g.weights * 2.0
+        assert graph_fingerprint(g) == self.fresh(g) != before
+        assert graph_fingerprint(medium_graph) == before
+
+    def test_unpickled_graph_recomputes(self, medium_graph, hashes):
+        import pickle
+
+        fp = graph_fingerprint(medium_graph)
+        back = pickle.loads(pickle.dumps(medium_graph))
+        assert back._fingerprint is None
+        hashes.clear()
+        assert graph_fingerprint(back) == fp
+        assert hashes == [back]
+
+    def test_cache_load_hashes_loaded_bytes(self, medium_graph, tmp_path,
+                                            hashes):
+        from repro.harness.cache import GraphCache
+
+        cache = GraphCache(tmp_path)
+        path, fp = cache.store(medium_graph)
+        loaded = cache.load(path)  # no expected fingerprint: no check
+        assert loaded._fingerprint is None
+        hashes.clear()
+        assert graph_fingerprint(loaded) == fp
+        assert hashes == [loaded]
+
+    def test_corrupt_cache_entry_still_rejected(self, medium_graph,
+                                                tmp_path):
+        from repro.graph.io import save_npz
+        from repro.harness.cache import GraphCache
+
+        cache = GraphCache(tmp_path)
+        path, fp = cache.store(medium_graph)  # memoises medium's hash
+        # Same filename (so the same expected fingerprint), other bytes.
+        save_npz(medium_graph.reweighted(medium_graph.weights * 2.0), path)
+        with pytest.raises(ValueError, match="corrupt"):
+            cache.load(path, fp)
+        assert cache.get_or_build(
+            medium_graph.name, lambda: medium_graph, expect=fp) \
+            is medium_graph  # the bad entry is rebuilt, not returned
+
+    def test_shm_attach_hashes_its_own_bytes(self, medium_graph, hashes):
+        import dataclasses
+
+        from repro.harness.shm import SharedGraphRegistry
+
+        owner, reader = SharedGraphRegistry(), SharedGraphRegistry()
+        try:
+            seg = owner.publish(medium_graph)
+            # A descriptor's fingerprint is never seeded into the memo.
+            bogus = dataclasses.replace(seg, fingerprint="sha256:" + "0" * 32)
+            attached = reader.attach(bogus)
+            assert attached._fingerprint is None
+            hashes.clear()
+            assert graph_fingerprint(attached) == seg.fingerprint
+            assert hashes == [attached]
+        finally:
+            reader.unlink_all()
+            owner.unlink_all()
+
+
 class TestMetricsSink:
     def test_run_records_metrics_and_reconciles(self, medium_graph):
         sink = MetricsSink()
