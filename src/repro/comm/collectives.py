@@ -1,11 +1,13 @@
-"""NCCL-style collectives over per-device NumPy buffers.
+"""NCCL-style collectives: cost models and exact per-buffer combines.
 
 LD-GPU calls ``ncclAllReduce`` on the ``pointers`` array after the pointing
 phase and on the ``mate`` array after the matching phase (Algorithm 2).
 Because the vertex partition is disjoint, only the owning device holds a
 live value for each slot and everyone else holds the sentinel ``-1``, so a
 MAX reduction reconstructs the global array unambiguously (the argument in
-the paper's Lemma III.1 proof).
+the paper's Lemma III.1 proof).  LD-GPU therefore keeps one host array
+and charges only the modeled time; the combining functions below reduce
+real per-device buffers, which the tests use to check that argument.
 
 Cost model — the textbook ring allreduce NCCL uses for large messages:
 ``2·(N−1) steps``, each moving ``bytes/N`` at the link bandwidth plus a
@@ -21,7 +23,8 @@ import numpy as np
 from repro.comm.topology import Interconnect
 
 __all__ = ["allreduce_max", "allreduce_sum", "broadcast",
-           "hierarchical_allreduce_max", "ring_allreduce_time"]
+           "hierarchical_allreduce_max", "hierarchical_allreduce_time",
+           "ring_allreduce_time"]
 
 
 def ring_allreduce_time(nbytes: int, num_devices: int,
@@ -38,6 +41,27 @@ def ring_allreduce_time(nbytes: int, num_devices: int,
     chunk = nbytes / num_devices
     bw = link.collective_bandwidth_bps(num_devices)
     return steps * (chunk / bw + link.latency_s)
+
+
+def hierarchical_allreduce_time(nbytes: int, num_nodes: int,
+                                devices_per_node: int,
+                                intra: Interconnect,
+                                inter: Interconnect) -> float:
+    """Seconds for NCCL's tree-of-rings allreduce of ``nbytes`` across
+    ``num_nodes`` nodes of ``devices_per_node`` GPUs each.
+
+    Stage 1 reduces to each node's leader (a ring reduce, about half an
+    allreduce); stage 2 allreduces across the leaders; stage 3
+    broadcasts the result within each node.
+    """
+    t = 0.0
+    if devices_per_node > 1:
+        t += ring_allreduce_time(nbytes, devices_per_node, intra) / 2.0
+    t += ring_allreduce_time(nbytes, num_nodes, inter)
+    if devices_per_node > 1:
+        t += nbytes / intra.collective_bandwidth_bps(devices_per_node) \
+            + (devices_per_node - 1) * intra.latency_s
+    return t
 
 
 def _check(buffers: Sequence[np.ndarray]) -> None:
@@ -97,26 +121,14 @@ def hierarchical_allreduce_max(
             f"{len(buffers)} buffers do not fill whole nodes of "
             f"{devices_per_node}"
         )
-    num_nodes = len(buffers) // devices_per_node
-    nbytes = buffers[0].nbytes
-
-    # Stage 1: reduce to each node's leader (ring reduce ≈ half an
-    # allreduce); Stage 2: allreduce across leaders; Stage 3: intra-node
-    # broadcast of the result.
-    t = 0.0
-    if devices_per_node > 1:
-        t += ring_allreduce_time(nbytes, devices_per_node, intra) / 2.0
-    t += ring_allreduce_time(nbytes, num_nodes, inter)
-    if devices_per_node > 1:
-        t += nbytes / intra.collective_bandwidth_bps(devices_per_node) \
-            + (devices_per_node - 1) * intra.latency_s
-
     out = buffers[0].copy()
     for b in buffers[1:]:
         np.maximum(out, b, out=out)
     for b in buffers:
         b[...] = out
-    return t
+    return hierarchical_allreduce_time(
+        out.nbytes, len(buffers) // devices_per_node, devices_per_node,
+        intra, inter)
 
 
 def broadcast(buffers: Sequence[np.ndarray], root: int,

@@ -41,15 +41,20 @@ def read_matrix_market(path_or_file, name: str | None = None) -> CSRGraph:
     * Non-positive values are mapped to their absolute value, with exact
       zeros bumped to the smallest positive weight present (SuiteSparse
       convention for magnitude-based matching).
+
+    A malformed file raises :class:`GraphFormatError`; a bad size line
+    or entry is named as ``path:line``.
     """
     close = False
     if isinstance(path_or_file, (str, os.PathLike)):
         fh = open(path_or_file, "rt")
         close = True
         default_name = Path(path_or_file).stem
+        where = os.fspath(path_or_file)
     else:
         fh = path_or_file
         default_name = "mtx"
+        where = getattr(path_or_file, "name", "<stream>")
     try:
         header = fh.readline()
         if not header.startswith("%%MatrixMarket"):
@@ -64,10 +69,18 @@ def read_matrix_market(path_or_file, name: str | None = None) -> CSRGraph:
             raise GraphFormatError(f"unsupported symmetry: {symmetry}")
 
         line = fh.readline()
+        lineno = 2
         while line.startswith("%") or not line.strip():
+            if not line:
+                raise GraphFormatError(f"{where}: missing size line")
             line = fh.readline()
-        dims = line.split()
-        nrows, ncols, nnz = int(dims[0]), int(dims[1]), int(dims[2])
+            lineno += 1
+        try:
+            nrows, ncols, nnz = (int(x) for x in line.split()[:3])
+        except ValueError:
+            raise GraphFormatError(
+                f"{where}:{lineno}: bad size line {line.strip()!r}"
+            ) from None
         if nrows != ncols:
             raise GraphFormatError("matrix must be square")
 
@@ -79,10 +92,13 @@ def read_matrix_market(path_or_file, name: str | None = None) -> CSRGraph:
     if nnz == 0:
         return CSRGraph.empty(nrows, name or default_name)
 
-    data = np.loadtxt(io.StringIO(body), ndmin=2)
+    try:
+        data = np.loadtxt(io.StringIO(body), ndmin=2)
+    except ValueError as exc:
+        raise _bad_entry(body, lineno + 1, where, exc) from None
     if data.shape[0] != nnz:
         raise GraphFormatError(
-            f"expected {nnz} entries, found {data.shape[0]}"
+            f"{where}: expected {nnz} entries, found {data.shape[0]}"
         )
     rows = data[:, 0].astype(np.int64) - 1
     cols = data[:, 1].astype(np.int64) - 1
@@ -99,6 +115,29 @@ def read_matrix_market(path_or_file, name: str | None = None) -> CSRGraph:
 
     return from_coo(rows, cols, vals, num_vertices=nrows,
                     name=name or default_name)
+
+
+def _bad_entry(body: str, first_line: int, where: str,
+               exc: ValueError) -> GraphFormatError:
+    """The error for the first entry line of ``body`` that
+    ``np.loadtxt`` cannot parse (file line ``first_line`` onwards)."""
+    width = None
+    for lineno, line in enumerate(body.splitlines(), first_line):
+        fields = line.split("#", 1)[0].split()
+        if not fields:
+            continue
+        try:
+            [float(x) for x in fields]
+        except ValueError:
+            return GraphFormatError(
+                f"{where}:{lineno}: non-numeric entry {line.strip()!r}")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            return GraphFormatError(
+                f"{where}:{lineno}: entry has {len(fields)} fields, "
+                f"expected {width}")
+    return GraphFormatError(f"{where}: unreadable entries ({exc})")
 
 
 def write_matrix_market(graph: CSRGraph, path) -> None:

@@ -25,6 +25,8 @@ Configuration (all overridable per :class:`GraphCache` instance):
 from __future__ import annotations
 
 import os
+import zipfile
+import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -133,8 +135,9 @@ class GraphCache:
              fingerprint: str | None = None) -> "CSRGraph":
         """Load a snapshot, verifying content against ``fingerprint``.
 
-        Raises ``ValueError`` on a mismatch (truncated or stale file) —
-        callers should rebuild rather than trust the entry.
+        Raises ``ValueError`` on an unreadable (truncated) file or a
+        fingerprint mismatch (stale file) — callers should rebuild
+        rather than trust the entry.
         Verification is memoised per ``(path, fingerprint)`` within the
         process: a worker loading the same snapshot for its second cell
         skips the re-hash (entries are content-addressed and written
@@ -143,7 +146,12 @@ class GraphCache:
         from repro.graph.io import load_npz
         from repro.telemetry.provenance import graph_fingerprint
 
-        graph = load_npz(path)
+        try:
+            graph = load_npz(path)
+        except (zipfile.BadZipFile, EOFError, KeyError, zlib.error) as exc:
+            raise ValueError(
+                f"graph cache entry {path} is corrupt: unreadable ({exc})"
+            ) from exc
         if fingerprint is not None:
             memo_key = (os.path.realpath(os.fspath(path)), fingerprint)
             if memo_key not in _VERIFIED:
@@ -170,7 +178,8 @@ class GraphCache:
         parallel executor does) to additionally require *that exact
         content* — without it, a stale entry from an older generator
         version of the same dataset name is indistinguishable from a
-        fresh one.
+        fresh one.  A corrupt candidate is deleted before the rebuild,
+        so the rebuilt graph replaces it on disk.
         """
         if expect is not None:
             candidates = [self.path_for(name, expect)]
@@ -187,7 +196,10 @@ class GraphCache:
                 else "sha256:" + path.stem.rsplit("-", 1)[-1]
             try:
                 graph = self.load(path, fp)
-            except (ValueError, OSError):
+            except ValueError:
+                path.unlink(missing_ok=True)
+                continue
+            except OSError:
                 continue
             path.touch()
             return graph

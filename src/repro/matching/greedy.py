@@ -28,6 +28,7 @@ import numpy as np
 from repro.engine.spec import AlgorithmSpec, register
 from repro.graph.csr import CSRGraph
 from repro.matching.types import UNMATCHED, MatchResult
+from repro.matching.validate import matched_vertex_weight
 
 __all__ = ["greedy_matching", "sorted_edges"]
 
@@ -46,14 +47,15 @@ def sorted_edges(
     return u, graph.indices[pos], graph.weights[pos]
 
 
-def _scan(rest: np.ndarray, u: np.ndarray, v: np.ndarray,
-          mate: np.ndarray, accepted: np.ndarray) -> None:
+def _scan(rest: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray,
+          mate: np.ndarray, mw: np.ndarray) -> None:
     """The sequential greedy step over sorted edge slots ``rest``."""
-    mate_v, acc_v = memoryview(mate), memoryview(accepted)
-    for k, a, b in zip(rest.tolist(), u[rest].tolist(), v[rest].tolist()):
+    mate_v, mw_v = memoryview(mate), memoryview(mw)
+    for a, b, x in zip(u[rest].tolist(), v[rest].tolist(),
+                       w[rest].tolist()):
         if mate_v[a] == UNMATCHED and mate_v[b] == UNMATCHED:
             mate_v[a], mate_v[b] = b, a
-            acc_v[k] = True
+            mw_v[a] = mw_v[b] = x
 
 
 def greedy_matching(graph: CSRGraph) -> MatchResult:
@@ -61,7 +63,7 @@ def greedy_matching(graph: CSRGraph) -> MatchResult:
     n = graph.num_vertices
     mate = np.full(n, UNMATCHED, dtype=np.int64)
     u, v, w = sorted_edges(graph)
-    accepted = np.zeros(len(w), dtype=bool)
+    mw = np.zeros(n)  # per matched vertex: its matched edge's weight
     first = np.empty(n, dtype=np.int64)  # per vertex: its first slot
     for lo in range(0, len(w), _CHUNK):
         rest = np.arange(lo, min(lo + _CHUNK, len(w)))
@@ -74,7 +76,7 @@ def greedy_matching(graph: CSRGraph) -> MatchResult:
                 # A dependence chain (e.g. a path with monotone weights)
                 # decides only a few edges per round: finish the chunk
                 # with the sequential scan.
-                _scan(rest, u, v, mate, accepted)
+                _scan(rest, u, v, w, mate, mw)
                 break
             live = len(rest)
             slot = np.arange(live)
@@ -84,14 +86,11 @@ def greedy_matching(graph: CSRGraph) -> MatchResult:
             win = (first[a] == slot) & (first[b] == slot)
             mate[a[win]] = b[win]
             mate[b[win]] = a[win]
-            accepted[rest[win]] = True
+            mw[a[win]] = mw[b[win]] = w[rest[win]]
             rest = rest[~win]
-    # Summed left to right in the sorted order, like the sequential scan
-    # (``np.sum``'s pairwise summation would round differently).
-    taken = w[accepted]
     return MatchResult(
         mate=mate,
-        weight=float(np.cumsum(taken)[-1]) if len(taken) else 0.0,
+        weight=matched_vertex_weight(mate, mw),
         algorithm="greedy",
         iterations=0,
     )

@@ -16,10 +16,13 @@ device simulator:
    NCCL-style MAX allreduce of ``pointers`` → ``SetMates`` mutual check →
    MAX allreduce of ``mate`` → terminate when no edge was committed.
 
-Arithmetic is shared with LD-SEQ (:func:`compute_pointers` /
-:func:`find_mutual_pairs`), so for every (devices, batches) configuration
-the ``mate`` array is bit-identical to the sequential algorithm — the
-executable form of the paper's Lemma III.1.
+The vertex partition is disjoint, so a MAX allreduce over {-1, owner
+value} is the owner's write (the paper's Lemma III.1 argument): the host
+keeps one global ``pointers`` / ``mate`` pair and points the whole
+frontier in one call per round, while every per-device cost is still
+charged from that device's slice of the frontier.  Arithmetic is shared
+with LD-SEQ, so for every (devices, batches) configuration the ``mate``
+array is bit-identical to the sequential algorithm.
 
 Work model: like the frontier-optimised LD-SEQ, only vertices whose pointer
 died are re-scanned, and only batches intersecting that frontier are
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.spec import AlgorithmSpec, register
-from repro.comm.collectives import allreduce_max
+from repro.comm.collectives import ring_allreduce_time
 from repro.comm.transfer import h2d_time
 from repro.gpusim.device import SimDevice
 from repro.gpusim.kernels import matching_kernel_cost, pointing_kernel_cost
@@ -69,19 +72,13 @@ _SYNCS_PER_ITERATION = 2
 
 @dataclass
 class _DevicePartition:
-    """Per-device state: vertex range, local CSR rows, batch plan."""
+    """Per-device state: vertex range and batch plan (the local CSR row
+    offsets are the device's registered ``"indptr"`` view)."""
 
     device: SimDevice
     start: int
     stop: int
-    local_indptr: np.ndarray
     plan: BatchPlan
-    pointers: np.ndarray
-    mate: np.ndarray
-    #: Cursors over this partition's slice of the graph's sorted rows
-    #: (``engine="index"``; one per run, keyed by ``start`` as the row
-    #: offset); ``None`` under the segment engine.
-    index: PointerIndex | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -178,22 +175,16 @@ def _setup_devices(
         plan = plan_batches(local_indptr, num_batches, resident=resident)
 
         # Device-resident allocations (§III-C trade-off: global pointers
-        # and mate arrays live on every device).
-        pointers = dev.alloc_array("pointers", n, np.int64)
-        mate = dev.alloc_array("mate", n, np.int64)
+        # and mate arrays live on every device; the host holds one copy).
+        dev.reserve("pointers", n * 8)
+        dev.reserve("mate", n * 8)
         dev.register_view("indptr", local_indptr)
         if plan.resident:
             dev.reserve("edges", edge_bytes)
         else:
             dev.reserve("batch_buffer_0", plan.max_batch_edges * bpa)
             dev.reserve("batch_buffer_1", plan.max_batch_edges * bpa)
-
-        pointers.fill(UNMATCHED)
-        mate.fill(UNMATCHED)
-        parts.append(
-            _DevicePartition(dev, start, stop, local_indptr, plan,
-                             pointers, mate)
-        )
+        parts.append(_DevicePartition(dev, start, stop, plan))
     return parts
 
 
@@ -231,19 +222,20 @@ def ld_gpu(
         ``"edge"`` (default, §III-A's edge-balanced contiguous split) or
         ``"vertex"`` (naive equal-#vertices ablation baseline).
     allreduce:
-        Collective override: ``callable(buffers) -> seconds`` combining
-        the per-device arrays in place (default: NCCL ring over
-        ``platform.gpu_link``).  The multi-node extension injects a
-        hierarchical NVLink+InfiniBand collective here.
+        Collective cost override: ``callable(nbytes) -> seconds``, the
+        modeled time of one MAX allreduce of an ``nbytes`` array across
+        the devices (default: NCCL ring over ``platform.gpu_link``).
+        The multi-node extension injects a hierarchical
+        NVLink+InfiniBand cost here.  The combine itself is the owner
+        write on the host's one global array.
     engine:
-        Host-side engine for both phases: ``"index"`` gives each device
-        partition a :class:`~repro.matching.pointer_index.PointerIndex`
-        (per-run cursors over its slice of the graph's rows, which are
-        sorted once per graph) plus a global
-        :class:`~repro.matching.pointer_index.MutualIndex` (pointer-
-        delta mutual checks), amortized O(m) host work; ``"segment"``
-        re-scans via :func:`~repro.matching.ld_seq.compute_pointers`
-        and an unrestricted
+        Host-side engine for both phases: ``"index"`` uses one
+        :class:`~repro.matching.pointer_index.PointerIndex` (per-run
+        cursors over the graph's rows, which are sorted once per graph)
+        plus a :class:`~repro.matching.pointer_index.MutualIndex`
+        (pointer-delta mutual checks), amortized O(m) host work;
+        ``"segment"`` re-scans via
+        :func:`~repro.matching.ld_seq.compute_pointers` and an unrestricted
         :func:`~repro.matching.ld_seq.find_mutual_pairs` sweep (the
         reference oracle, mirroring the modeled kernels).  ``None``
         consults ``REPRO_POINTING_ENGINE`` (default ``"index"``).
@@ -273,28 +265,27 @@ def ld_gpu(
     nb = parts[0].plan.num_batches
 
     if allreduce is None:
-        def allreduce(buffers):
-            return allreduce_max(buffers, platform.gpu_link)
+        def allreduce(nbytes):
+            return ring_allreduce_time(nbytes, num_devices,
+                                       platform.gpu_link)
 
-    eids = graph.canonical_edge_ids()
-    if engine == "index":
-        # Per device partition, cursors over its slice of the graph's
-        # sorted rows (sorted once per graph, sliced here per run),
-        # reused across iterations and batches (§III-B's monotone
-        # availability makes cursors safe).
-        for p in parts:
-            p.index = PointerIndex(graph, p.start, p.stop)
-    # The mutual check runs on the host over the *merged* pointers (one
-    # check per iteration, not per device), so one delta index suffices.
+    # One index over every row: pointing reads only ``mate``, which does
+    # not change while pointing, so one call serves every (device,
+    # batch).  §III-B's monotone availability makes reused cursors safe.
+    index = PointerIndex(graph) if engine == "index" else None
     mutual = MutualIndex(n) if engine == "index" else None
     timeline = Timeline()
     # Component spans feed the timeline AND (when a metrics registry is
     # active, e.g. under the engine's MetricsSink) the telemetry
     # registry — from the same floats, so exports reconcile exactly.
     tel = SpanEmitter(timeline, algorithm="ld_gpu", device=spec.name)
-    # Host-side merged views (what every device holds after allreduce).
-    pointers_g = parts[0].pointers
-    mate_g = parts[0].mate
+    # The merged arrays every device holds after each allreduce.
+    pointers = np.full(n, UNMATCHED, dtype=np.int64)
+    mate = np.full(n, UNMATCHED, dtype=np.int64)
+    # Global first vertex of every (device, batch), then n: cutting the
+    # ascending frontier here yields each batch's slice.
+    bounds = np.concatenate(
+        [p.start + p.plan.offsets[:-1] for p in parts] + [[n]])
 
     frontier = np.arange(n, dtype=np.int64)
     occupancy_series: list[float] = []
@@ -312,26 +303,27 @@ def ld_gpu(
         timeline.begin_iteration()
 
         # ---------------- pointing phase (per device, batched) --------- #
+        if index is not None:
+            iter_scanned = index.point(mate, pointers, frontier)
+            iter_host = index.last_host_scanned
+        else:
+            iter_scanned = iter_host = compute_pointers(
+                graph.indptr, graph.indices, graph.weights,
+                graph.canonical_edge_ids(), mate, pointers, frontier,
+            )
+        cuts = np.searchsorted(frontier, bounds).tolist()
         makespans = []
         computes = []
-        iter_scanned = 0
-        iter_host = 0
         occ_accum = 0.0
         occ_weight = 0.0
         w_tot = w_max = 0
         w_sumsq = 0.0
         w_warps = 0
-        for p in parts:
-            dev_frontier = frontier[
-                (frontier >= p.start) & (frontier < p.stop)
-            ]
-            local = dev_frontier - p.start
-            boff = p.plan.offsets
-            which = np.searchsorted(boff, local, side="right") - 1
+        for i, p in enumerate(parts):
             load_times: list[float] = []
             comp_times: list[float] = []
             for b in range(nb):
-                sel = dev_frontier[which == b]
+                sel = frontier[cuts[i * nb + b]:cuts[i * nb + b + 1]]
                 if len(sel) == 0:
                     continue  # batch untouched: neither loaded nor launched
                 if p.plan.resident:
@@ -370,20 +362,6 @@ def ld_gpu(
                 w_max = max(w_max, ws.max_work)
                 w_sumsq += (ws.std_work**2 + ws.mean_work**2) * ws.num_warps
                 w_warps += ws.num_warps
-                # Exact arithmetic for this batch's frontier slice.
-                if p.index is not None:
-                    iter_scanned += p.index.point(mate_g, p.pointers, sel)
-                    iter_host += p.index.last_host_scanned
-                else:
-                    scanned = compute_pointers(
-                        p.local_indptr,
-                        graph.indices[graph.indptr[p.start]:],
-                        graph.weights[graph.indptr[p.start]:],
-                        eids[graph.indptr[p.start]:],
-                        mate_g, p.pointers, sel, row_offset=p.start,
-                    )
-                    iter_scanned += scanned
-                    iter_host += scanned
             pipe = dual_buffer_schedule(load_times, comp_times)
             makespans.append(pipe.makespan)
             computes.append(pipe.compute_time)
@@ -394,48 +372,37 @@ def ld_gpu(
         host_pointing += iter_host
 
         # ---------------- allreduce(pointers) -------------------------- #
-        # Each device contributes only its owned vertex range; everything
-        # else is the reduction identity (-1).  This is what makes the MAX
-        # reduction "unambiguous" in the paper's Lemma III.1 proof — a
-        # stale merged value for a re-pointed remote vertex must not win.
-        for p in parts:
-            p.pointers[: p.start] = UNMATCHED
-            p.pointers[p.stop :] = UNMATCHED
-        t = allreduce([p.pointers for p in parts])
-        tel.emit("allreduce_pointers", t)
-        pointers_g = parts[0].pointers  # all equal after allreduce
+        # Each device contributes its owned range and -1 elsewhere, so
+        # the MAX is the owner's write, already in the one array.
+        tel.emit("allreduce_pointers", allreduce(pointers.nbytes))
 
         # ---------------- matching phase ------------------------------- #
         # Pairs are discovered once from the merged pointers — the index
         # engine probes only pointers that changed this round (every
         # change lands inside the frontier), the segment oracle sweeps
-        # all vertices like the modeled kernel; each device's SetMates
-        # writes only the endpoints it owns, and the mate allreduce below
-        # reconstructs the global view, exactly as in Algorithm 2.
+        # all vertices like the modeled kernel.  Each device's SetMates
+        # writes the endpoints it owns; together they write every
+        # endpoint once.
         if mutual is not None:
-            lo, hi = mutual.find_pairs(pointers_g, frontier)
+            lo, hi = mutual.find_pairs(pointers, frontier)
             match_host = mutual.last_host_scanned
         else:
-            lo, hi = find_mutual_pairs(pointers_g, None)
+            lo, hi = find_mutual_pairs(pointers, None)
             match_host = n
         host_matching += match_host
         count(HOST_SCAN_COUNTER, iter_host + match_host, HOST_SCAN_HELP,
               algorithm="ld_gpu", engine=engine, device=spec.name)
+        mate[lo] = pointers[lo]
+        mate[hi] = pointers[hi]
         match_times = []
         for p in parts:
-            own_lo = lo[(lo >= p.start) & (lo < p.stop)]
-            p.mate[own_lo] = pointers_g[own_lo]
-            own_hi = hi[(hi >= p.start) & (hi < p.stop)]
-            p.mate[own_hi] = pointers_g[own_hi]
             prof = matching_kernel_cost(spec, p.num_vertices)
             match_times.append(prof.seconds)
             p.device.record_kernel()
         tel.emit("matching", max(match_times) if match_times else 0.0)
 
         # ---------------- allreduce(mate) + sync ----------------------- #
-        t = allreduce([p.mate for p in parts])
-        tel.emit("allreduce_mate", t)
-        mate_g = parts[0].mate
+        tel.emit("allreduce_mate", allreduce(mate.nbytes))
         sync_batches = max(0, nb - 2)
         tel.emit(
             "sync",
@@ -461,22 +428,17 @@ def ld_gpu(
         if len(lo) == 0:
             break
 
-        # Clear matched vertices' pointers on every device and advance the
-        # frontier (identical to LD-SEQ's rule).
-        for p in parts:
-            p.pointers[lo] = UNMATCHED
-            p.pointers[hi] = UNMATCHED
-        pointers_g = parts[0].pointers
-        live = np.nonzero((mate_g == UNMATCHED) & (pointers_g >= 0))[0]
-        frontier = live[mate_g[pointers_g[live]] != UNMATCHED]
+        # Clear matched vertices' pointers and advance the frontier
+        # (identical to LD-SEQ's rule).
+        pointers[lo] = UNMATCHED
+        pointers[hi] = UNMATCHED
+        live = np.nonzero((mate == UNMATCHED) & (pointers >= 0))[0]
+        frontier = live[mate[pointers[live]] != UNMATCHED]
 
-    if engine == "index":
-        # Each vertex's matched edge, read under the cursor of the
-        # partition that owns it (partitions tile [0, n) in order).
-        weight = matched_vertex_weight(mate_g, np.concatenate(
-            [p.index.matched_weights(mate_g) for p in parts]))
+    if index is not None:
+        weight = matched_vertex_weight(mate, index.matched_weights(mate))
     else:
-        weight = matching_weight(graph, mate_g)
+        weight = matching_weight(graph, mate)
     stats: dict = {
         "config": LdGpuRun(platform.name, num_devices, nb,
                            vertices_per_warp, engine),
@@ -499,7 +461,7 @@ def ld_gpu(
             new_matches=np.asarray(new_matches_series, dtype=np.int64),
         )
     return MatchResult(
-        mate=mate_g.copy(),
+        mate=mate,
         weight=weight,
         algorithm="ld_gpu",
         iterations=iterations,

@@ -4,8 +4,8 @@ Each round has a *pointing* phase (every live vertex points at its heaviest
 available neighbour) and a *matching* phase (mutually pointing pairs are
 committed and their edges removed).  The module also exposes the two phase
 kernels — :func:`compute_pointers` and :func:`find_mutual_pairs` — which
-LD-GPU reuses per simulated device so the two implementations are
-arithmetically identical (the paper's Lemma III.1 as code reuse).
+LD-GPU reuses so the two implementations are arithmetically identical
+(the paper's Lemma III.1 as code reuse).
 
 Tie-breaking
 ------------

@@ -13,9 +13,9 @@ total work.
 :class:`PointerIndex` is the *index* engine.  Each graph's rows are
 sorted once, descending by the shared lexicographic key ``(w, eid)``
 (:meth:`~repro.graph.csr.CSRGraph.sorted_row_order`, memoised on the
-graph); each run — and, in LD-GPU, each device partition, keyed by its
-row offset — only gathers its slice of that layout and keeps its own
-per-vertex cursors into it.  Pointing then just advances each frontier
+graph); each run only gathers its rows of that layout (optionally a
+row range, keyed by its row offset) and keeps its own per-vertex
+cursors into it.  Pointing then just advances each frontier
 vertex's cursor past neighbours whose ``mate`` is set and takes the
 first live entry.  Because the key is a strict total order within a
 row (canonical edge ids are distinct across a vertex's neighbours), the
@@ -121,9 +121,9 @@ class PointerIndex:
         layout (the first index over a graph fills that memo — the one
         sort — and every later one only slices it).
     start / stop:
-        Global vertex range ``[start, stop)`` served — a device
-        partition in LD-GPU; ``stop=None`` means every row.  Local row
-        0 is global vertex ``start`` (:attr:`row_offset`).
+        Global vertex range ``[start, stop)`` served (e.g. one device
+        partition); ``stop=None`` means every row.  Local row 0 is
+        global vertex ``start`` (:attr:`row_offset`).
 
     Notes
     -----

@@ -1,6 +1,7 @@
 """Unit tests for Matrix Market and binary snapshot I/O."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,39 @@ class TestMatrixMarketRead:
         g = read_matrix_market(io.StringIO(text))
         assert g.num_vertices == 3
         assert g.num_edges == 0
+
+    @staticmethod
+    def _bad_file(tmp_path, body, error):
+        """Write ``body`` after a header and a comment line; reading it
+        must raise ``GraphFormatError`` starting with ``path`` then
+        ``error``."""
+        path = tmp_path / "bad.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "% a comment\n" + body)
+        with pytest.raises(GraphFormatError,
+                           match="^" + re.escape(f"{path}{error}")):
+            read_matrix_market(path)
+
+    def test_truncated_entry_names_line(self, tmp_path):
+        self._bad_file(tmp_path, "3 3 3\n2 1 1.0\n3 1\n3 2 0.5\n",
+                       ":5: entry has 2 fields, expected 3")
+
+    def test_non_numeric_entry_names_line(self, tmp_path):
+        self._bad_file(tmp_path, "3 3 2\n2 1 1.0\n3 x 0.5\n",
+                       ":5: non-numeric entry")
+
+    def test_short_entry_count_names_path(self, tmp_path):
+        self._bad_file(tmp_path, "3 3 3\n2 1 1.0\n3 2 0.5\n",
+                       ": expected 3 entries, found 2")
+
+    def test_bad_size_line_names_line(self, tmp_path):
+        self._bad_file(tmp_path, "3 3\n2 1 1.0\n", ":3: bad size line")
+
+    def test_missing_size_line(self):
+        text = "%%MatrixMarket matrix coordinate real symmetric\n% only\n"
+        with pytest.raises(GraphFormatError, match="missing size line"):
+            read_matrix_market(io.StringIO(text))
 
 
 class TestRoundTrips:

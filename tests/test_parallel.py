@@ -175,6 +175,35 @@ class TestGraphCache:
         with pytest.raises(ValueError, match="corrupt"):
             cache.load(path, "sha256:" + "0" * 16)
 
+    @pytest.mark.parametrize("damage", ["truncate", "other_content"])
+    def test_corrupt_entry_replaced_once(self, medium_graph, tmp_path,
+                                         damage):
+        """A corrupt entry is rebuilt once and replaced on disk: the
+        next load is a verified hit, not another rebuild."""
+        from repro.graph.io import save_npz
+        from repro.harness.cache import _VERIFIED
+
+        cache = GraphCache(tmp_path)
+        path, fp = cache.store(medium_graph)
+        if damage == "truncate":
+            path.write_bytes(path.read_bytes()[:100])
+        else:
+            save_npz(medium_graph.reweighted(medium_graph.weights * 2.0),
+                     path)
+        builds = []
+
+        def build():
+            builds.append(1)
+            return medium_graph
+
+        assert cache.get_or_build("medium", build, expect=fp) \
+            is medium_graph
+        assert (len(builds), cache.misses, cache.hits) == (1, 1, 0)
+        g = cache.get_or_build("medium", build, expect=fp)
+        assert (len(builds), cache.misses, cache.hits) == (1, 1, 1)
+        assert (os.path.realpath(path), fp) in _VERIFIED
+        assert np.array_equal(g.weights, medium_graph.weights)
+
     def test_get_or_build_hit_and_miss(self, medium_graph, tmp_path):
         cache = GraphCache(tmp_path)
         builds = {"n": 0}

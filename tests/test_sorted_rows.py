@@ -1,12 +1,12 @@
 """One sorted-row layout per graph, and the matchers that share it.
 
 ``CSRGraph.sorted_row_order`` is the graph's only per-row ``(w, eid)``
-sort; ``PointerIndex`` (LD-SEQ, every LD-GPU partition), ``suitor_seq``,
+sort; ``PointerIndex`` (LD-SEQ, LD-GPU), ``suitor_seq``,
 ``b_suitor`` and ``IncrementalLD`` all read it.
 ``CSRGraph.sorted_edge_order`` is its only global edge sort;
 ``greedy_matching`` (in chunked vectorised rounds) and
-``greedy_b_matching`` scan it.  LD on the index engine and
-``suitor_seq`` read their matched weight in O(n) off their own state.
+``greedy_b_matching`` scan it.  LD on the index engine, ``suitor_seq``
+and greedy read their matched weight in O(n) off their own state.
 The reference oracles below are the implementations those replaced — a
 fresh lexsort per build or run, Suitor's full-row scan per proposal,
 greedy's per-edge loop, the O(m) ``matching_weight`` — and every test
@@ -27,6 +27,11 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
 from repro.matching import greedy as greedy_mod
 from repro.matching.b_matching import b_suitor, greedy_b_matching
+from repro.matching.coreset import (
+    coreset_matching,
+    coreset_shard,
+    extract_shard,
+)
 from repro.matching.greedy import greedy_matching, sorted_edges
 from repro.matching.ld_gpu import ld_gpu
 from repro.matching.ld_multinode import ld_multinode
@@ -118,18 +123,16 @@ def lexsort_edges(g: CSRGraph):
     return u[order], v[order], w[order]
 
 
-def greedy_per_edge(g: CSRGraph) -> tuple[np.ndarray, float]:
-    """Greedy's former one-Python-step-per-edge scan."""
+def greedy_per_edge(g: CSRGraph) -> np.ndarray:
+    """Greedy's former one-Python-step-per-edge scan; returns ``mate``."""
     n = g.num_vertices
     mate = np.full(n, UNMATCHED, dtype=np.int64)
     u, v, w = lexsort_edges(g)
-    weight = 0.0
     for k in range(len(w)):
         a, b = int(u[k]), int(v[k])
         if mate[a] == UNMATCHED and mate[b] == UNMATCHED:
             mate[a], mate[b] = b, a
-            weight += float(w[k])
-    return mate, weight
+    return mate
 
 
 def greedy_b_per_run_sort(g: CSRGraph, b: int):
@@ -426,10 +429,10 @@ def test_b_suitor_on_shared_order_equals_greedy_b(medium_graph, b):
 
 def assert_greedy_identical(g: CSRGraph) -> None:
     r = greedy_matching(g)
-    mate, weight = greedy_per_edge(g)
+    mate = greedy_per_edge(g)
     assert np.array_equal(r.mate, mate)
-    # Bit for bit: the same left-to-right sum over the same edges.
-    assert r.weight.hex() == weight.hex()
+    # Bit for bit: the matching's weight, summed as matching_weight does.
+    assert r.weight.hex() == matching_weight(g, mate).hex()
 
 
 @pytest.fixture(params=[4, 64, None], ids=["chunk4", "chunk64", "default"])
@@ -515,7 +518,9 @@ LD_GPU_SHAPES = [
 
 
 def assert_weight_exact(g: CSRGraph, shapes=LD_GPU_SHAPES) -> None:
-    runs = [ld_seq(g), suitor_seq(g),
+    runs = [ld_seq(g), suitor_seq(g), greedy_matching(g),
+            coreset_matching(g, num_shards=3),
+            coreset_matching(g, num_shards=3, base="ld"),
             ld_multinode(g, num_nodes=2, devices_per_node=2)]
     runs += [ld_gpu(g, **shape) for shape in shapes]
     for r in runs:
@@ -540,6 +545,18 @@ def test_weight_exact(g):
 
 def test_weight_exact_fixed(fixed_graph):
     assert_weight_exact(fixed_graph)
+
+
+def test_weight_exact_medium(medium_graph):
+    assert_weight_exact(medium_graph, SOME_SHAPES)
+
+
+@pytest.mark.parametrize("base", ["greedy", "ld"])
+def test_coreset_shard_weight_exact(medium_graph, base):
+    for i in range(4):
+        r = coreset_shard(medium_graph, i, 4, base=base)
+        sub, _ = extract_shard(medium_graph, i, 4)
+        assert r.weight == matching_weight(sub, r.mate)
 
 
 def test_weight_exact_medium(medium_graph):
