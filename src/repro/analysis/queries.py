@@ -3,8 +3,8 @@
 The store (:mod:`repro.store`) holds every :class:`~repro.engine.record.
 RunRecord` ever produced; this module is how anything *reads* it
 analytically.  A :class:`RunQuery` names the slice (algorithm, dataset,
-platform, devices, batches, pointing engine, status, git sha, label
-prefix, time window); a :class:`ResultSet` binds a query to a store and
+platform, devices, batches, status, git sha, label prefix, time
+window); a :class:`ResultSet` binds a query to a store and
 computes everything else lazily, FuzzBench-style — rows are fetched
 once, records parsed once, aggregates memoised per metric — so a
 template that only renders two sections only pays for two sections.
@@ -13,7 +13,7 @@ Filter split: the indexed columns (``algorithm``/``dataset``/
 ``status``/``created_at``) narrow in SQLite via
 :meth:`~repro.store.db.RunStore.select`; everything that lives inside
 the normalised cell config or the stored record (platform name,
-devices, batches, pointing engine, label, git sha) refines in Python.
+devices, batches, label, git sha) refines in Python.
 
 Replicates: bench repeats (and any deliberately re-measured cell)
 differ only in their ``replicate`` index and derived seed.
@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields as _dc_fields
 from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
-from repro.store.fingerprint import config_digest
+from repro.store.fingerprint import config_digest, upgrade_config
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.record import RunRecord
@@ -121,7 +121,6 @@ class RunQuery:
     platform: str | None = None
     num_devices: tuple[int, ...] | None = None
     num_batches: int | None = None
-    pointing_engine: str | None = None
     git: str | None = None
     label_prefix: str | None = None
     since: float | None = None
@@ -159,9 +158,6 @@ class RunQuery:
             return False
         if self.num_batches is not None \
                 and cfg.get("num_batches") != self.num_batches:
-            return False
-        if self.pointing_engine is not None \
-                and cfg.get("pointing_engine") != self.pointing_engine:
             return False
         if self.label_prefix is not None:
             label = cfg.get("label") or ""
@@ -287,9 +283,11 @@ class ResultSet:
         same configuration: ``replicate`` (the repeat index) and
         ``seed`` (derived per cell index, so it tracks the repeat) are
         dropped; everything else — algorithm, graph source, platform,
-        devices, batches, engine, overrides, label — must agree.
+        devices, batches, overrides, label — must agree.  Configs are
+        upgraded first (:func:`~repro.store.fingerprint.upgrade_config`),
+        so rows stored before a config-shape change group with new ones.
         """
-        cfg = {k: v for k, v in row.config.items()
+        cfg = {k: v for k, v in upgrade_config(row.config).items()
                if k not in ("replicate", "seed")}
         return config_digest(cfg)
 

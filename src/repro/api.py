@@ -17,7 +17,7 @@ Five job verbs plus two synchronous conveniences::
     api.status(fp, store="runs.db").state        # "pending" ... "done"
     record = api.result(fp, store="runs.db", wait=True)
 
-    # synchronous, in-process (the modern ``run_algorithm``)
+    # synchronous, in-process
     record = api.run("ld_gpu", dataset="mouse_gene", devices=4)
 
 Every verb takes ``store=`` naming where the jobs live:
@@ -199,7 +199,6 @@ def _build_cell(
     platform: Any = None,
     devices: int = 1,
     batches: int | None = None,
-    pointing_engine: str | None = None,
     seed: int | None = None,
     overrides: dict[str, Any] | None = None,
     label: str | None = None,
@@ -214,10 +213,7 @@ def _build_cell(
     from repro.engine.context import RunContext
     from repro.engine.spec import get_spec
 
-    spec = get_spec(algorithm)  # raises UnknownAlgorithmError
-    if pointing_engine is not None and not spec.accepts_pointing_engine:
-        raise ValueError(f"pointing_engine does not apply to "
-                         f"algorithm {algorithm!r}")
+    get_spec(algorithm)  # raises UnknownAlgorithmError
     if dataset is not None and builder is not None:
         raise ValueError("pass dataset or builder, not both")
     platform_spec = _resolve_platform(platform)
@@ -235,8 +231,7 @@ def _build_cell(
         g = quality_instance(dataset) if quality else load_dataset(dataset)
         ctx_kwargs: dict[str, Any] = dict(
             graph=g, num_devices=int(devices), num_batches=batches,
-            seed=seed, pointing_engine=pointing_engine,
-            sinks=tuple(sinks))
+            seed=seed, sinks=tuple(sinks))
         if platform_spec is not None:
             ctx_kwargs["platform"] = platform_spec
         ctx = RunContext.for_dataset(dataset, **ctx_kwargs)
@@ -244,8 +239,7 @@ def _build_cell(
         g = build()
         ctx = RunContext(platform=platform_spec,
                          num_devices=int(devices), num_batches=batches,
-                         seed=seed, pointing_engine=pointing_engine,
-                         sinks=tuple(sinks))
+                         seed=seed, sinks=tuple(sinks))
     else:
         raise ValueError("a job needs a graph source: pass dataset=NAME "
                          "or builder=module-level-callable")
@@ -451,7 +445,6 @@ def submit(
     platform: Any = None,
     devices: int = 1,
     batches: int | None = None,
-    pointing_engine: str | None = None,
     seed: int | None = None,
     overrides: dict[str, Any] | None = None,
     label: str | None = None,
@@ -473,9 +466,8 @@ def submit(
     return _backend(store).submit(dict(
         algorithm=algorithm, dataset=dataset, builder=builder,
         quality=quality, platform=platform, devices=devices,
-        batches=batches, pointing_engine=pointing_engine, seed=seed,
-        overrides=overrides, label=label, replicate=replicate,
-        priority=priority, client=client))
+        batches=batches, seed=seed, overrides=overrides, label=label,
+        replicate=replicate, priority=priority, client=client))
 
 
 def status(fingerprint: str, *, store: Any = None) -> JobStatus:
@@ -549,7 +541,6 @@ def run(
     platform: Any = None,
     devices: int = 1,
     batches: int | None = None,
-    pointing_engine: str | None = None,
     seed: int | None = None,
     overrides: dict[str, Any] | None = None,
     label: str | None = None,
@@ -559,13 +550,12 @@ def run(
     """Execute one job synchronously in this process and return its
     :class:`~repro.engine.record.RunRecord`.
 
-    The modern replacement for the deprecated
-    ``repro.harness.run_algorithm``: same validation and cell shape as
-    :func:`submit`, executed immediately.  With ``store=`` (a path or
-    RunStore — not a daemon URL) the run is durable: a previously
-    stored result is served without recompute and a fresh one is
-    persisted.  Exceptions propagate (no error-record swallowing —
-    this is the interactive path).
+    Same validation and cell shape as :func:`submit`, executed
+    immediately.  With ``store=`` (a path or RunStore — not a daemon
+    URL) the run is durable: a previously stored result is served
+    without recompute and a fresh one is persisted.  Exceptions
+    propagate (no error-record swallowing — this is the interactive
+    path).
     """
     if _is_url(store):
         raise ValueError("run() executes locally; submit() the job to "
@@ -575,8 +565,7 @@ def run(
     mc, g = _build_cell(
         algorithm, dataset, builder=builder, quality=quality,
         platform=platform, devices=devices, batches=batches,
-        pointing_engine=pointing_engine, seed=seed,
-        overrides=overrides, label=label, sinks=sinks)
+        seed=seed, overrides=overrides, label=label, sinks=sinks)
     if store is None:
         import os
 
@@ -597,7 +586,6 @@ def sweep(
     batches: tuple[int | None, ...] = (None,),
     parallel: int = 0,
     seed: int | None = None,
-    pointing_engine: str | None = None,
     collect_metrics: bool = False,
     store: Any = None,
 ):
@@ -615,14 +603,11 @@ def sweep(
     if platform_spec is None:
         platform_spec = _resolve_platform("DGX-A100")
     g = load_dataset(dataset)
-    kwargs: dict[str, Any] = {}
-    if pointing_engine is not None:
-        kwargs["engine"] = pointing_engine
     return sweep_ld_gpu(
         g, platforms=(platform_spec,), device_counts=tuple(devices),
         batch_counts=tuple(batches), parallel=parallel,
         collect_metrics=collect_metrics, seed=seed,
-        store=resolve_store(store), dataset=dataset, **kwargs)
+        store=resolve_store(store), dataset=dataset)
 
 
 def process(

@@ -124,17 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="base RNG seed for randomised algorithms "
                              "(grids derive per-cell seeds from it)")
-    from repro.matching.pointer_index import POINTING_ENGINES
-
-    common.add_argument("--pointing-engine", choices=POINTING_ENGINES,
-                        default=None, dest="pointing_engine",
-                        help="host pointing engine for the locally "
-                             "dominant algorithms: 'index' (sorted-"
-                             "adjacency cursors, amortised O(m)) or "
-                             "'segment' (per-round segmented arg-max); "
-                             "default follows REPRO_POINTING_ENGINE, "
-                             "then 'index'.  Bit-identical matchings "
-                             "either way")
     common.add_argument("--json", action="store_true",
                         help="machine-readable JSON instead of the "
                              "human-readable rendering")
@@ -335,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, metavar="N")
     aquery.add_argument("--batches", "-b", type=int, default=None,
                         metavar="B")
-    aquery.add_argument("--pointing-engine", dest="pointing_engine",
-                        default=None)
     aquery.add_argument("--since", metavar="SHA|DATE", default=None,
                         help="ISO date (created_at) or provenance git "
                              "describe prefix")
@@ -561,10 +548,6 @@ def _cmd_run(parser: argparse.ArgumentParser,
     from repro.engine import get_spec
 
     spec = get_spec(args.algorithm)
-    if args.pointing_engine is not None and \
-            not spec.accepts_pointing_engine:
-        parser.error(f"--pointing-engine does not apply to "
-                     f"algorithm '{args.algorithm}'")
     overrides = None
     if "coreset" in spec.tags and "internal" not in spec.tags:
         # The coordinator passes the dataset ref down to its shard
@@ -597,8 +580,7 @@ def _cmd_run(parser: argparse.ArgumentParser,
     record = api.run(
         args.algorithm, args.dataset, quality=args.quality,
         platform=args.platform, devices=devices, batches=batches,
-        pointing_engine=args.pointing_engine, seed=args.seed,
-        overrides=overrides, sinks=tuple(sinks),
+        seed=args.seed, overrides=overrides, sinks=tuple(sinks),
         store=_store_from(args))
     fmt = None
     if metrics_sink is not None and \
@@ -661,8 +643,7 @@ def _cmd_sweep(parser: argparse.ArgumentParser,
         batches=tuple(args.batches) if args.batches else (None,),
         parallel=args.parallel,
         collect_metrics=args.metrics_out is not None,
-        seed=args.seed, pointing_engine=args.pointing_engine,
-        store=_store_from(args),
+        seed=args.seed, store=_store_from(args),
     )
     if args.metrics_out:
         from repro.telemetry import write_metrics
@@ -701,7 +682,7 @@ def _cmd_stream(parser: argparse.ArgumentParser,
                 args: argparse.Namespace) -> int:
     _reject_flags(parser, args, "stream", platform="--platform",
                   devices="--devices", batches="--batches",
-                  pointing_engine="--pointing-engine", store="--store")
+                  store="--store")
     import numpy as np
 
     from repro.engine import RunContext, execute
@@ -804,8 +785,7 @@ def _cmd_bench(parser: argparse.ArgumentParser,
                args: argparse.Namespace) -> int:
     _reject_flags(parser, args, "bench", platform="--platform",
                   devices="--devices", batches="--batches",
-                  seed="--seed", metrics_out="--metrics-out",
-                  pointing_engine="--pointing-engine")
+                  seed="--seed", metrics_out="--metrics-out")
     from repro.harness.bench import (
         bench_report_path,
         compare_reports,
@@ -876,7 +856,6 @@ def _cmd_stats(parser: argparse.ArgumentParser,
     _reject_flags(parser, args, "stats", platform="--platform",
                   devices="--devices", batches="--batches",
                   seed="--seed", metrics_out="--metrics-out",
-                  pointing_engine="--pointing-engine",
                   store="--store")
     import numpy as np
 
@@ -1082,7 +1061,6 @@ def _cmd_analysis(parser: argparse.ArgumentParser,
         algorithm=args.algorithm, dataset=args.dataset,
         status=args.status, platform=args.platform,
         num_devices=args.devices, num_batches=args.batches,
-        pointing_engine=args.pointing_engine,
         label_prefix=args.label_prefix,
         since=when.get("since"), git=when.get("git"))
     rs = ResultSet(store, query)
@@ -1348,8 +1326,7 @@ def _cmd_submit(parser: argparse.ArgumentParser,
         fp = api.submit(
             args.algorithm, args.dataset, quality=args.quality,
             platform=args.platform, devices=devices, batches=batches,
-            pointing_engine=args.pointing_engine, seed=args.seed,
-            label=args.label, priority=args.priority,
+            seed=args.seed, label=args.label, priority=args.priority,
             client=args.client, store=store)
     except (api.JobError, ValueError) as exc:
         print(f"submission rejected: {exc}", file=sys.stderr)

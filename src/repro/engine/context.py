@@ -40,11 +40,6 @@ class RunContext:
     seed:
         Forwarded to randomised algorithms when set; ``None`` keeps each
         algorithm's own default.
-    pointing_engine:
-        Forwarded as ``engine=`` to algorithms whose spec declares
-        ``accepts_pointing_engine`` (``"index"``/``"segment"``, see
-        :mod:`repro.matching.pointer_index`); ``None`` keeps the
-        ``REPRO_POINTING_ENGINE``-then-``"index"`` default.
     dataset:
         Name of the dataset this context was derived for (recorded in
         every :class:`~repro.engine.record.RunRecord`).
@@ -58,7 +53,6 @@ class RunContext:
     num_devices: int = 1
     num_batches: int | None = None
     seed: int | None = None
-    pointing_engine: str | None = None
     dataset: str | None = None
     sinks: tuple["InstrumentationSink", ...] = field(default=())
 
@@ -76,7 +70,6 @@ class RunContext:
         num_devices: int = 1,
         num_batches: int | None = None,
         seed: int | None = None,
-        pointing_engine: str | None = None,
         sinks: tuple["InstrumentationSink", ...] = (),
     ) -> "RunContext":
         """Context with the platform/CPU *memory-scaled* for a registry
@@ -97,7 +90,6 @@ class RunContext:
             num_devices=num_devices,
             num_batches=num_batches,
             seed=seed,
-            pointing_engine=pointing_engine,
             dataset=name,
             sinks=tuple(sinks),
         )

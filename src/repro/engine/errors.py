@@ -16,8 +16,8 @@ class EngineError(RuntimeError):
 class UnknownAlgorithmError(EngineError, KeyError):
     """Lookup of a name absent from the algorithm registry.
 
-    Subclasses ``KeyError`` so pre-registry callers of
-    ``run_algorithm`` keep working unchanged.
+    Subclasses ``KeyError`` so callers that treat the registry as a
+    mapping (``except KeyError``) keep working.
     """
 
     def __init__(self, name: str, known: list[str]):

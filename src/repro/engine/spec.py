@@ -55,10 +55,6 @@ class AlgorithmSpec:
     accepts_seed:
         The callable is randomised and takes ``seed=``; a context seed is
         forwarded when set.
-    accepts_pointing_engine:
-        The callable takes ``engine=`` (``"index"``/``"segment"``, see
-        :mod:`repro.matching.pointer_index`); a context
-        ``pointing_engine`` is forwarded when set.
     simulator_backed:
         Runs under a cost model and reports ``sim_time`` (and usually a
         component :class:`~repro.gpusim.timeline.Timeline`).
@@ -93,7 +89,6 @@ class AlgorithmSpec:
     needs_cpu: bool = False
     needs_device_spec: bool = False
     accepts_seed: bool = False
-    accepts_pointing_engine: bool = False
     simulator_backed: bool = False
     exact: bool = False
     approx_ratio: str | None = None
@@ -132,9 +127,6 @@ class AlgorithmSpec:
             kwargs["cpu"] = ctx.resolved_cpu()
         if self.accepts_seed and ctx.seed is not None:
             kwargs["seed"] = ctx.seed
-        if self.accepts_pointing_engine and \
-                ctx.pointing_engine is not None:
-            kwargs["engine"] = ctx.pointing_engine
         return kwargs
 
 

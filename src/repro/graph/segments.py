@@ -14,9 +14,6 @@ import numpy as np
 __all__ = [
     "row_ids",
     "segment_max",
-    "segment_sum",
-    "segment_count",
-    "segment_argmax",
     "segment_argmax_lex",
     "gather_rows",
 ]
@@ -37,22 +34,6 @@ def _nonempty(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, indptr[:-1][rows]
 
 
-def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-row sum; empty rows get 0."""
-    n = len(indptr) - 1
-    out = np.zeros(n, dtype=np.result_type(values.dtype, np.float64)
-                   if values.dtype.kind == "f" else values.dtype)
-    rows, starts = _nonempty(indptr)
-    if len(rows):
-        out[rows] = np.add.reduceat(values, starts)
-    return out
-
-
-def segment_count(mask: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-row count of ``True`` entries."""
-    return segment_sum(mask.astype(np.int64), indptr)
-
-
 def segment_max(
     values: np.ndarray, indptr: np.ndarray, fill: float | None = None
 ) -> np.ndarray:
@@ -69,27 +50,6 @@ def segment_max(
     rows, starts = _nonempty(indptr)
     if len(rows):
         out[rows] = np.maximum.reduceat(values, starts)
-    return out
-
-
-def segment_argmax(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Global position of each row's first maximal element; -1 when the row
-    is empty or its max is ``-inf`` (fully masked)."""
-    n = len(indptr) - 1
-    m = len(values)
-    out = np.full(n, -1, dtype=np.int64)
-    rows, starts = _nonempty(indptr)
-    if not len(rows):
-        return out
-    seg = np.maximum.reduceat(values, starts)
-    rmax = np.full(n, _NEG_INF)
-    rmax[rows] = seg
-    rid = row_ids(indptr)
-    at_max = values == rmax[rid]
-    pos = np.where(at_max, np.arange(m, dtype=np.int64), np.int64(m))
-    first = np.minimum.reduceat(pos, starts)
-    valid = seg > _NEG_INF
-    out[rows[valid]] = first[valid]
     return out
 
 

@@ -40,7 +40,7 @@ from repro.harness.datasets import (
     quality_instance,
     warm_graph_cache,
 )
-from repro.harness.runners import ALGORITHMS, run_algorithm, best_ld_gpu
+from repro.harness.runners import best_ld_gpu
 from repro.harness.sweep import (
     TABLE1_BATCH_COUNTS,
     TABLE1_DEVICE_COUNTS,
@@ -60,8 +60,6 @@ __all__ = [
     "large_datasets",
     "quality_instance",
     "warm_graph_cache",
-    "ALGORITHMS",
-    "run_algorithm",
     "best_ld_gpu",
     "TABLE1_DEVICE_COUNTS",
     "TABLE1_BATCH_COUNTS",

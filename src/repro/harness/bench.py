@@ -145,12 +145,12 @@ def _coreset_overrides(dataset: str, shards: int) -> dict[str, Any]:
             "dataset": dataset, "quality": True}
 
 
-def _dynamic_overrides(engine: str, num_batches: int,
+def _dynamic_overrides(stream_engine: str, num_batches: int,
                        batch_size: int) -> dict[str, Any]:
     """Batch-dynamic workload kwargs.  The stream seed rides in
     overrides so every replicate applies the identical update stream
     (the matching itself is deterministic either way)."""
-    return {"stream_engine": engine, "num_batches": num_batches,
+    return {"stream_engine": stream_engine, "num_batches": num_batches,
             "batch_size": batch_size, "seed": 5}
 
 

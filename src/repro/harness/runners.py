@@ -1,28 +1,22 @@
-"""Uniform adapters for running any algorithm on any dataset.
+"""``best_ld_gpu`` — the paper's best-over-sweep reporting protocol.
 
-Dispatch is backed by the :mod:`repro.engine` registry: ``ALGORITHMS``
-is a live read-only view of the registered
-:class:`~repro.engine.spec.AlgorithmSpec` callables, so a newly
-registered algorithm shows up here (and in the CLI) with no edits.
-
-``best_ld_gpu`` — the paper's best-over-sweep reporting protocol — is a
-:func:`~repro.engine.cells.run_cells` grid underneath, which is what
-gives it the ``parallel=N`` fan-out for free.
+It is a :func:`~repro.engine.cells.run_cells` grid underneath, which is
+what gives it the ``parallel=N`` fan-out for free.  Dispatch by name
+goes through the :mod:`repro.engine` registry
+(``get_spec(name).fn``) or :func:`repro.api.run`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from collections.abc import Mapping
-from typing import Any, Callable, Iterator
+from typing import Any
 
 import numpy as np
 
 from repro.engine.cells import Cell, run_cells
 from repro.engine.errors import ConfigurationDivergenceError
 from repro.engine.record import RunRecord
-from repro.engine.spec import algorithm_names, get_spec
+from repro.engine.spec import get_spec
 from repro.graph.csr import CSRGraph
 from repro.gpusim.memory import DeviceOOMError
 from repro.gpusim.spec import DGX_A100, PlatformSpec
@@ -33,47 +27,7 @@ from repro.harness.sweep import (
 )
 from repro.matching.types import MatchResult
 
-__all__ = ["ALGORITHMS", "run_algorithm", "best_ld_gpu"]
-
-
-class _RegistryView(Mapping):
-    """Name → callable view over the engine registry (always current)."""
-
-    def __getitem__(self, name: str) -> Callable[..., MatchResult]:
-        return get_spec(name).fn
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(algorithm_names())
-
-    def __len__(self) -> int:
-        return len(algorithm_names())
-
-
-#: Name → callable(graph, **kwargs) for every registered algorithm.
-ALGORITHMS: Mapping[str, Callable[..., MatchResult]] = _RegistryView()
-
-
-def run_algorithm(name: str, graph: CSRGraph, **kwargs: Any) -> MatchResult:
-    """Run algorithm ``name`` on ``graph``.
-
-    .. deprecated::
-        Use :mod:`repro.api` — :func:`repro.api.run` for a synchronous
-        record in this process, :func:`repro.api.submit` to queue the
-        job for a worker fleet or a ``repro serve`` daemon.  This thin
-        dispatcher stays for scripts that want the bare
-        :class:`MatchResult`.
-
-    Raises ``KeyError`` for unknown names; algorithm-specific errors
-    (e.g. :class:`DeviceOOMError`) propagate so callers can render the
-    paper's '-' entries.
-    """
-    warnings.warn(
-        "run_algorithm() is deprecated; use repro.api.run() "
-        "(synchronous record) or repro.api.submit() (queued job) "
-        "instead",
-        DeprecationWarning, stacklevel=2,
-    )
-    return get_spec(name).fn(graph, **kwargs)
+__all__ = ["best_ld_gpu"]
 
 
 def _ld_gpu_current(graph: CSRGraph, **kwargs: Any) -> MatchResult:

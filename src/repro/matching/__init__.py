@@ -24,10 +24,7 @@ from repro.matching.validate import (
     matched_edge_count,
     verify_result,
 )
-from repro.matching.pointer_index import (
-    PointerIndex,
-    resolve_pointing_engine,
-)
+from repro.matching.pointer_index import PointerIndex
 from repro.matching.ld_seq import ld_seq
 from repro.matching.ld_gpu import ld_gpu
 from repro.matching.ld_multinode import ld_multinode
@@ -67,7 +64,6 @@ __all__ = [
     "matched_edge_count",
     "verify_result",
     "PointerIndex",
-    "resolve_pointing_engine",
     "ld_seq",
     "ld_gpu",
     "ld_multinode",

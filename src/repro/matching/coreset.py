@@ -135,12 +135,11 @@ def _base_fn(base: str):
     if base in ("greedy", "coreset_greedy"):
         from repro.matching.greedy import greedy_matching
 
-        return lambda g, engine=None: greedy_matching(g)
+        return greedy_matching
     if base in ("ld", "ld_seq", "coreset_ld"):
         from repro.matching.ld_seq import ld_seq
 
-        return lambda g, engine=None: ld_seq(
-            g, collect_stats=False, engine=engine)
+        return lambda g: ld_seq(g, collect_stats=False)
     raise ValueError(
         f"unknown coreset base {base!r}; have {CORESET_BASES}")
 
@@ -151,7 +150,6 @@ def coreset_shard(
     num_shards: int = 1,
     partition_seed: int = 0,
     base: str = "greedy",
-    engine: str | None = None,
 ) -> MatchResult:
     """Round 1 on one shard: extract, match, emit the coreset.
 
@@ -165,7 +163,7 @@ def coreset_shard(
     """
     sub, _ = extract_shard(graph, shard_index, num_shards,
                            partition_seed)
-    result = _base_fn(base)(sub, engine=engine)
+    result = _base_fn(base)(sub)
     pairs = result.matched_pairs()
     cu, cv = pairs[:, 0], pairs[:, 1]
     # Vectorised weight lookup: the shard's edge_array is (u, v)-lex
@@ -219,7 +217,6 @@ def coreset_matching(
     store: Any = None,
     dataset: str | None = None,
     quality: bool = False,
-    engine: str | None = None,
 ) -> MatchResult:
     """Rounds 1+2: shard cells through ``run_cells``, merge, re-match.
 
@@ -263,9 +260,6 @@ def coreset_matching(
         because a fleet worker rebuilds a shard cell from its stored
         config and needs a graph source that exists outside the
         coordinator process.
-    engine:
-        Pointing engine forwarded to LD shard/merge runs
-        (``base="ld"`` only).
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
@@ -278,8 +272,6 @@ def coreset_matching(
         "partition_seed": pseed,
         "base": base,
     }
-    if engine is not None:
-        overrides["engine"] = engine
     cells = [
         Cell("coreset_shard", dataset=dataset, quality=quality,
              overrides={**overrides, "shard_index": i},
@@ -308,7 +300,7 @@ def coreset_matching(
                       name=f"{graph.name}-coreset-union")
     count(_MERGE_COUNTER, merged.num_edges,
           help="edges in merged coreset unions")
-    final = _base_fn(base)(merged, engine=engine)
+    final = _base_fn(base)(merged)
 
     shard_edges = [int(p["shard_edges"]) for p in payloads]
     name = "coreset_greedy" if base in ("greedy", "coreset_greedy") \
@@ -362,13 +354,12 @@ def coreset_ld(
     store: Any = None,
     dataset: str | None = None,
     quality: bool = False,
-    engine: str | None = None,
 ) -> MatchResult:
     """Composable-coreset matching with locally dominant shards."""
     return coreset_matching(
         graph, num_shards=num_shards, base="ld", seed=seed,
         shard_parallel=shard_parallel, store=store, dataset=dataset,
-        quality=quality, engine=engine)
+        quality=quality)
 
 
 #: Stats keys every coordinator record must surface (store-safe).
@@ -404,7 +395,6 @@ register(AlgorithmSpec(
     summary="2-round composable-coreset matching, locally dominant "
             "shards",
     accepts_seed=True,
-    accepts_pointing_engine=True,
     approx_ratio="3/8",
     record_stats=_COORD_RECORD_STATS,
     tags=("coreset", "distributed"),

@@ -14,7 +14,8 @@ blames for the order-of-magnitude gap in Table V:
   memory so oversized graphs OOM like the real thing).
 
 The matching produced is identical to LD-GPU's (same rounds, same total
-order); only the cost model differs.
+order, the same sorted-row :class:`~repro.matching.pointer_index.
+PointerIndex` on the host); only the cost model differs.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from repro.gpusim.kernels import matching_kernel_cost, pointing_kernel_cost
 from repro.gpusim.spec import DGX_A100, PlatformSpec
 from repro.gpusim.timeline import Timeline
 from repro.graph.csr import CSRGraph
-from repro.matching.ld_seq import compute_pointers, find_mutual_pairs
+from repro.matching.ld_seq import find_mutual_pairs
+from repro.matching.pointer_index import PointerIndex
 from repro.matching.types import UNMATCHED, MatchResult
-from repro.matching.validate import matching_weight
+from repro.matching.validate import matched_vertex_weight
 from repro.partition.vertex import edge_balanced_partition
 
 __all__ = ["cugraph_mg_sim"]
@@ -68,7 +70,7 @@ def cugraph_mg_sim(
                              spec.memory_bytes)
 
     offsets = edge_balanced_partition(graph.indptr, num_devices)
-    eids = graph.canonical_edge_ids()
+    index = PointerIndex(graph)
     mate = np.full(n, UNMATCHED, dtype=np.int64)
     pointer = np.full(n, UNMATCHED, dtype=np.int64)
     degrees = graph.degrees
@@ -78,21 +80,16 @@ def cugraph_mg_sim(
     iterations = 0
     while max_iterations is None or iterations < max_iterations:
         timeline.begin_iteration()
+        index.point(mate, pointer, frontier)
         point_times = []
-        scanned = 0
         unmatched = np.nonzero(mate == UNMATCHED)[0]
         for i in range(num_devices):
             start, stop = int(offsets[i]), int(offsets[i + 1])
-            sel = frontier[(frontier >= start) & (frontier < stop)]
             # Cost model: cuGraph re-scans every live vertex with several
             # generic passes per iteration — no frontier optimisation.
             live = unmatched[(unmatched >= start) & (unmatched < stop)]
             prof = pointing_kernel_cost(spec, degrees[live])
             point_times.append(prof.seconds * _PASSES_PER_ITERATION)
-            scanned += compute_pointers(
-                graph.indptr, graph.indices, graph.weights, eids,
-                mate, pointer, sel,
-            )
         timeline.add("pointing", max(point_times))
 
         # Host-staged allgather of the pointers: D2H, P×(P−1) MPI
@@ -132,7 +129,7 @@ def cugraph_mg_sim(
 
     return MatchResult(
         mate=mate,
-        weight=matching_weight(graph, mate),
+        weight=matched_vertex_weight(mate, index.matched_weights(mate)),
         algorithm="cugraph_mg",
         iterations=iterations,
         sim_time=timeline.total,

@@ -45,16 +45,10 @@ from repro.gpusim.memory import DeviceOOMError
 from repro.gpusim.spec import DGX_A100, PlatformSpec
 from repro.gpusim.stream import dual_buffer_schedule
 from repro.gpusim.timeline import Timeline
-from repro.matching.ld_seq import compute_pointers, find_mutual_pairs
-from repro.matching.pointer_index import (
-    HOST_SCAN_COUNTER,
-    HOST_SCAN_HELP,
-    MutualIndex,
-    PointerIndex,
-    resolve_pointing_engine,
-)
+from repro.matching.ld_seq import pointing_pair
+from repro.matching.pointer_index import HOST_SCAN_COUNTER, HOST_SCAN_HELP
 from repro.matching.types import UNMATCHED, MatchResult
-from repro.matching.validate import matched_vertex_weight, matching_weight
+from repro.matching.validate import matched_vertex_weight
 from repro.partition.batch import BatchPlan, auto_batch_count, plan_batches
 from repro.partition.vertex import (
     edge_balanced_partition,
@@ -199,7 +193,7 @@ def ld_gpu(
     force_streaming: bool = False,
     partition: str = "edge",
     allreduce=None,
-    engine: str | None = None,
+    engine: str = "index",
 ) -> MatchResult:
     """Run LD-GPU on ``num_devices`` simulated GPUs of ``platform``.
 
@@ -229,20 +223,9 @@ def ld_gpu(
         NVLink+InfiniBand cost here.  The combine itself is the owner
         write on the host's one global array.
     engine:
-        Host-side engine for both phases: ``"index"`` uses one
-        :class:`~repro.matching.pointer_index.PointerIndex` (per-run
-        cursors over the graph's rows, which are sorted once per graph)
-        plus a :class:`~repro.matching.pointer_index.MutualIndex`
-        (pointer-delta mutual checks), amortized O(m) host work;
-        ``"segment"`` re-scans via
-        :func:`~repro.matching.ld_seq.compute_pointers` and an unrestricted
-        :func:`~repro.matching.ld_seq.find_mutual_pairs` sweep (the
-        reference oracle, mirroring the modeled kernels).  ``None``
-        consults ``REPRO_POINTING_ENGINE`` (default ``"index"``).
-        ``mate``, ``edges_scanned`` and ``sim_time`` are bit-identical
-        across engines — the choice only moves actual host work
-        (``stats["host_entries_scanned"]`` and its per-phase
-        breakdown).
+        ``"index"`` or the ``"segment"`` reference, as for
+        :func:`~repro.matching.ld_seq.ld_seq`; ``mate``,
+        ``edges_scanned`` and ``sim_time`` do not depend on it.
 
     Returns
     -------
@@ -257,7 +240,6 @@ def ld_gpu(
         raise ValueError(
             f"{platform.name} has only {platform.max_devices} devices"
         )
-    engine = resolve_pointing_engine(engine)
     n = graph.num_vertices
     spec = platform.device
     parts = _setup_devices(graph, platform, num_devices, num_batches,
@@ -269,11 +251,11 @@ def ld_gpu(
             return ring_allreduce_time(nbytes, num_devices,
                                        platform.gpu_link)
 
-    # One index over every row: pointing reads only ``mate``, which does
-    # not change while pointing, so one call serves every (device,
-    # batch).  §III-B's monotone availability makes reused cursors safe.
-    index = PointerIndex(graph) if engine == "index" else None
-    mutual = MutualIndex(n) if engine == "index" else None
+    # One pointing pair over every row: pointing reads only ``mate``,
+    # which does not change while pointing, so one call serves every
+    # (device, batch).  §III-B's monotone availability makes reused
+    # cursors safe.
+    pointing, mutual = pointing_pair(graph, engine)
     timeline = Timeline()
     # Component spans feed the timeline AND (when a metrics registry is
     # active, e.g. under the engine's MetricsSink) the telemetry
@@ -303,14 +285,8 @@ def ld_gpu(
         timeline.begin_iteration()
 
         # ---------------- pointing phase (per device, batched) --------- #
-        if index is not None:
-            iter_scanned = index.point(mate, pointers, frontier)
-            iter_host = index.last_host_scanned
-        else:
-            iter_scanned = iter_host = compute_pointers(
-                graph.indptr, graph.indices, graph.weights,
-                graph.canonical_edge_ids(), mate, pointers, frontier,
-            )
+        iter_scanned = pointing.point(mate, pointers, frontier)
+        iter_host = pointing.last_host_scanned
         cuts = np.searchsorted(frontier, bounds).tolist()
         makespans = []
         computes = []
@@ -377,18 +353,12 @@ def ld_gpu(
         tel.emit("allreduce_pointers", allreduce(pointers.nbytes))
 
         # ---------------- matching phase ------------------------------- #
-        # Pairs are discovered once from the merged pointers — the index
-        # engine probes only pointers that changed this round (every
-        # change lands inside the frontier), the segment oracle sweeps
-        # all vertices like the modeled kernel.  Each device's SetMates
-        # writes the endpoints it owns; together they write every
-        # endpoint once.
-        if mutual is not None:
-            lo, hi = mutual.find_pairs(pointers, frontier)
-            match_host = mutual.last_host_scanned
-        else:
-            lo, hi = find_mutual_pairs(pointers, None)
-            match_host = n
+        # Pairs are discovered once from the merged pointers (every
+        # pointer change lands inside the frontier).  Each device's
+        # SetMates writes the endpoints it owns; together they write
+        # every endpoint once.
+        lo, hi = mutual.find_pairs(pointers, frontier)
+        match_host = mutual.last_host_scanned
         host_matching += match_host
         count(HOST_SCAN_COUNTER, iter_host + match_host, HOST_SCAN_HELP,
               algorithm="ld_gpu", engine=engine, device=spec.name)
@@ -435,10 +405,7 @@ def ld_gpu(
         live = np.nonzero((mate == UNMATCHED) & (pointers >= 0))[0]
         frontier = live[mate[pointers[live]] != UNMATCHED]
 
-    if index is not None:
-        weight = matched_vertex_weight(mate, index.matched_weights(mate))
-    else:
-        weight = matching_weight(graph, mate)
+    weight = matched_vertex_weight(mate, pointing.matched_weights(mate))
     stats: dict = {
         "config": LdGpuRun(platform.name, num_devices, nb,
                            vertices_per_warp, engine),
@@ -480,5 +447,4 @@ register(AlgorithmSpec(
     needs_batches=True,
     simulator_backed=True,
     approx_ratio="1/2",
-    accepts_pointing_engine=True,
 ))

@@ -2,10 +2,9 @@
 
 Each round has a *pointing* phase (every live vertex points at its heaviest
 available neighbour) and a *matching* phase (mutually pointing pairs are
-committed and their edges removed).  The module also exposes the two phase
-kernels — :func:`compute_pointers` and :func:`find_mutual_pairs` — which
-LD-GPU reuses so the two implementations are arithmetically identical
-(the paper's Lemma III.1 as code reuse).
+committed and their edges removed).  LD-GPU runs its rounds through the
+same :func:`pointing_pair`, so the two implementations are
+arithmetically identical (the paper's Lemma III.1 as code reuse).
 
 Tie-breaking
 ------------
@@ -18,17 +17,16 @@ commits at least one edge.
 
 Pointing engines
 ----------------
-Two interchangeable engines drive *both* phases (selected by the
-``engine`` parameter, default ``REPRO_POINTING_ENGINE`` then ``index``):
-the *segment* engine is the reference oracle — it re-scans each
-frontier vertex's whole adjacency every pointing round
-(:func:`compute_pointers`) and re-probes every vertex's pointer every
-matching round (:func:`find_mutual_pairs` unrestricted, mirroring the
-modeled full-sweep SetMates kernel) — while the *index* engine pairs
+``engine="index"`` (the default) drives both phases through
 :class:`~repro.matching.pointer_index.PointerIndex` (cursors over the
-graph's memoised sorted rows) with :class:`~repro.matching.pointer_index.MutualIndex`
-(pointer-delta mutual checks), making both phases amortized O(m) host
-work over a run with bit-identical ``mate``/``edges_scanned``.
+graph's memoised sorted rows) and
+:class:`~repro.matching.pointer_index.MutualIndex` (pointer-delta mutual
+checks), amortized O(m) host work over a run.  ``engine="segment"`` is
+the reference oracle tests and the ``pointing`` bench suite compare it
+with: :func:`compute_pointers` re-scans each frontier vertex's whole
+adjacency every round and :func:`find_mutual_pairs` re-probes every
+pointer, mirroring the modeled kernels.  Both give bit-identical
+``mate``/``weight``/``edges_scanned``; only host work differs.
 """
 
 from __future__ import annotations
@@ -37,16 +35,15 @@ import numpy as np
 
 from repro.engine.spec import AlgorithmSpec, register
 from repro.graph.csr import CSRGraph
-from repro.graph.segments import gather_rows, segment_argmax_lex
+from repro.graph.segments import gather_rows, row_ids, segment_argmax_lex
 from repro.matching.pointer_index import (
     HOST_SCAN_COUNTER,
     HOST_SCAN_HELP,
     MutualIndex,
     PointerIndex,
-    resolve_pointing_engine,
 )
 from repro.matching.types import UNMATCHED, MatchResult
-from repro.matching.validate import matched_vertex_weight, matching_weight
+from repro.matching.validate import matched_vertex_weight
 from repro.telemetry.spans import count
 
 __all__ = ["ld_seq", "compute_pointers", "find_mutual_pairs"]
@@ -119,12 +116,65 @@ def find_mutual_pairs(
     return lo[first], hi[first]
 
 
+class _RescanPointer:
+    """Reference pointing phase with :class:`PointerIndex`'s surface:
+    :func:`compute_pointers` over each frontier row, every round."""
+
+    def __init__(self, graph: CSRGraph) -> None:
+        self._graph = graph
+        self._eids = graph.canonical_edge_ids()
+        self.last_host_scanned = 0
+
+    def point(self, mate: np.ndarray, pointer: np.ndarray,
+              frontier: np.ndarray) -> int:
+        g = self._graph
+        self.last_host_scanned = compute_pointers(
+            g.indptr, g.indices, g.weights, self._eids,
+            mate, pointer, frontier)
+        return self.last_host_scanned
+
+    def matched_weights(self, mate: np.ndarray) -> np.ndarray:
+        """Per vertex, its row entry's weight for its mate (0 where
+        unmatched), by the O(m) row scan of
+        :func:`~repro.matching.validate.matching_weight`."""
+        g = self._graph
+        rid = row_ids(g.indptr)
+        hit = mate[rid] == g.indices
+        mw = np.zeros(g.num_vertices)
+        mw[rid[hit]] = g.weights[hit]
+        return mw
+
+
+class _RescanMutual:
+    """Reference matching phase with :class:`MutualIndex`'s surface:
+    the full :func:`find_mutual_pairs` sweep, ``n`` probes a round."""
+
+    def __init__(self, num_vertices: int) -> None:
+        self.last_host_scanned = num_vertices
+
+    def find_pairs(self, pointer: np.ndarray, candidates=None):
+        """Ignores ``candidates``: the reference re-probes every
+        pointer, like the modeled SetMates kernel."""
+        return find_mutual_pairs(pointer, None)
+
+
+def pointing_pair(graph: CSRGraph, name: str):
+    """The ``(pointing, mutual)`` pair that runs one run's two phases
+    under engine ``name``: ``"index"`` or the ``"segment"`` reference."""
+    if name == "index":
+        return PointerIndex(graph), MutualIndex(graph.num_vertices)
+    if name == "segment":
+        return _RescanPointer(graph), _RescanMutual(graph.num_vertices)
+    raise ValueError(f"unknown pointing engine {name!r}; "
+                     "expected 'index' or 'segment'")
+
+
 def ld_seq(
     graph: CSRGraph,
     max_iterations: int | None = None,
     full_rescan: bool = False,
     collect_stats: bool = True,
-    engine: str | None = None,
+    engine: str = "index",
 ) -> MatchResult:
     """Run Algorithm 1 to completion.
 
@@ -140,21 +190,14 @@ def ld_seq(
         remain arg-maxima) and matches the per-iteration edge-traffic decay
         the paper measures in Fig. 8.
     engine:
-        Host engine for both phases: ``"index"`` (sorted-adjacency
-        cursors + pointer-delta mutual checks, amortized O(m) host work)
-        or ``"segment"`` (full re-scan reference oracle, both phases).
-        ``None`` consults ``REPRO_POINTING_ENGINE``, defaulting to
-        ``"index"``.  The engines produce bit-identical results; only
-        the host-side work differs (``stats["host_entries_scanned"]``
-        and its per-phase breakdown).
+        ``"index"`` or the ``"segment"`` reference (see the module
+        docstring); only ``stats["host_entries_scanned"]`` and its
+        per-phase breakdown depend on it.
     """
-    engine = resolve_pointing_engine(engine)
+    pointing, mutual = pointing_pair(graph, engine)
     n = graph.num_vertices
     mate = np.full(n, UNMATCHED, dtype=np.int64)
     pointer = np.full(n, UNMATCHED, dtype=np.int64)
-    eids = graph.canonical_edge_ids()
-    index = PointerIndex(graph) if engine == "index" else None
-    mutual = MutualIndex(n) if engine == "index" else None
 
     frontier = np.arange(n, dtype=np.int64)
     edges_scanned: list[int] = []
@@ -165,26 +208,13 @@ def ld_seq(
 
     iterations = 0
     while max_iterations is None or iterations < max_iterations:
-        if index is not None:
-            scanned = index.point(mate, pointer, frontier)
-            iter_host = index.last_host_scanned
-        else:
-            scanned = compute_pointers(
-                graph.indptr, graph.indices, graph.weights, eids,
-                mate, pointer, frontier,
-            )
-            iter_host = scanned
+        scanned = pointing.point(mate, pointer, frontier)
+        iter_host = pointing.last_host_scanned
         host_pointing += iter_host
-        # Matching phase.  The index engine probes only vertices whose
-        # pointer changed this round (every change happens inside the
-        # frontier, so passing it is exhaustive); the segment oracle
-        # re-probes everything, like the modeled SetMates sweep.
-        if mutual is not None:
-            matched_lo, matched_hi = mutual.find_pairs(pointer, frontier)
-            match_host = mutual.last_host_scanned
-        else:
-            matched_lo, matched_hi = find_mutual_pairs(pointer, None)
-            match_host = n
+        # Matching phase: every pointer change happens inside the
+        # frontier, so it is an exhaustive candidate set.
+        matched_lo, matched_hi = mutual.find_pairs(pointer, frontier)
+        match_host = mutual.last_host_scanned
         host_matching += match_host
         count(HOST_SCAN_COUNTER, iter_host + match_host, HOST_SCAN_HELP,
               algorithm="ld_seq", engine=engine)
@@ -207,10 +237,7 @@ def ld_seq(
             live = np.nonzero((mate == UNMATCHED) & (pointer >= 0))[0]
             frontier = live[mate[pointer[live]] != UNMATCHED]
 
-    if index is not None:
-        weight = matched_vertex_weight(mate, index.matched_weights(mate))
-    else:
-        weight = matching_weight(graph, mate)
+    weight = matched_vertex_weight(mate, pointing.matched_weights(mate))
     stats = {}
     if collect_stats:
         stats = {
@@ -236,5 +263,4 @@ register(AlgorithmSpec(
     fn=ld_seq,
     summary="Algorithm 1 — sequential locally dominant matching",
     approx_ratio="1/2",
-    accepts_pointing_engine=True,
 ))

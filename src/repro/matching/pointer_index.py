@@ -54,33 +54,17 @@ modeled vs. host work can be compared (``repro-matching stats``).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.matching.types import UNMATCHED
 
 __all__ = [
-    "POINTING_ENGINES",
-    "POINTING_ENGINE_ENV",
-    "DEFAULT_POINTING_ENGINE",
     "HOST_SCAN_COUNTER",
     "HOST_SCAN_HELP",
-    "resolve_pointing_engine",
     "PointerIndex",
     "MutualIndex",
 ]
-
-#: Recognised pointing engines: the sorted-adjacency cursor index and the
-#: legacy full-rescan segment arg-max (kept as the reference oracle).
-POINTING_ENGINES: tuple[str, ...] = ("index", "segment")
-
-#: Environment knob consulted when an algorithm is called with
-#: ``engine=None``.
-POINTING_ENGINE_ENV = "REPRO_POINTING_ENGINE"
-
-DEFAULT_POINTING_ENGINE = "index"
 
 #: Telemetry counter for actual host-side adjacency entries examined —
 #: the quantity the index engine shrinks while ``edges_scanned`` (the
@@ -91,23 +75,6 @@ HOST_SCAN_HELP = (
     "engines (modeled edges_scanned is the sum of frontier degrees; "
     "the modeled matching kernel sweeps every owned vertex)."
 )
-
-
-def resolve_pointing_engine(engine: str | None = None) -> str:
-    """The effective pointing engine for an algorithm call.
-
-    ``None`` falls back to the ``REPRO_POINTING_ENGINE`` environment
-    variable, then to ``"index"``.  Unknown names raise ``ValueError``.
-    """
-    if engine is None:
-        engine = os.environ.get(POINTING_ENGINE_ENV) \
-            or DEFAULT_POINTING_ENGINE
-    if engine not in POINTING_ENGINES:
-        raise ValueError(
-            f"unknown pointing engine {engine!r}; "
-            f"expected one of {POINTING_ENGINES}"
-        )
-    return engine
 
 
 class PointerIndex:

@@ -129,8 +129,8 @@ class ServiceState:
         if not algorithm:
             raise ValueError("submission needs an 'algorithm'")
         allowed = {"dataset", "builder", "quality", "platform",
-                   "devices", "batches", "pointing_engine", "seed",
-                   "overrides", "label", "replicate"}
+                   "devices", "batches", "seed", "overrides", "label",
+                   "replicate"}
         unknown = set(spec) - allowed
         if unknown:
             raise ValueError(

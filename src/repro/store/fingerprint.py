@@ -39,6 +39,7 @@ __all__ = [
     "cell_from_config",
     "config_digest",
     "fingerprint_for",
+    "upgrade_config",
 ]
 
 
@@ -83,7 +84,6 @@ def cell_config(cell: "Cell", ctx: "RunContext") -> dict[str, Any]:
         "cpu": dataclasses.asdict(ctx.resolved_cpu()),
         "num_devices": ctx.num_devices,
         "num_batches": ctx.num_batches,
-        "pointing_engine": ctx.pointing_engine,
         "seed": ctx.seed,
         "overrides": _coerce(dict(cell.overrides)),
         "label": cell.label,
@@ -134,6 +134,24 @@ def fingerprint_for(cell: "Cell", ctx: "RunContext",
     return cell_fingerprint(config, gfp), config, gfp
 
 
+def upgrade_config(config: dict[str, Any]) -> dict[str, Any]:
+    """A stored config in the current :func:`cell_config` shape.
+
+    Older rows carry a ``pointing_engine`` field: ``null`` is dropped
+    and a set engine moves to ``overrides["engine"]``, where a cell
+    names it now.  Such rows still fingerprint differently, so they
+    are recomputed on request, never served.
+    """
+    if "pointing_engine" not in config:
+        return config
+    config = dict(config)
+    engine = config.pop("pointing_engine")
+    if engine is not None:
+        config["overrides"] = {**(config.get("overrides") or {}),
+                               "engine": engine}
+    return config
+
+
 def _platform_from(d: dict[str, Any]):
     from repro.comm.topology import Interconnect
     from repro.gpusim.spec import DeviceSpec, PlatformSpec
@@ -181,6 +199,7 @@ def cell_from_config(config: dict[str, Any]) -> "Cell":
     from repro.engine.cells import Cell
     from repro.engine.context import RunContext
 
+    config = upgrade_config(config)
     build = None
     if config.get("builder"):
         try:
@@ -203,7 +222,6 @@ def cell_from_config(config: dict[str, Any]) -> "Cell":
         num_devices=config["num_devices"],
         num_batches=config["num_batches"],
         seed=config["seed"],
-        pointing_engine=config["pointing_engine"],
         dataset=config["ctx_dataset"],
     )
     return Cell(

@@ -22,7 +22,7 @@ from repro.engine import (
 from repro.cli import main
 from repro.gpusim.spec import CPU_EPYC_7742_2S, DGX_2, DGX_A100
 from repro.harness.datasets import quality_instance, scaled_platform
-from repro.harness.runners import ALGORITHMS, best_ld_gpu
+from repro.harness.runners import best_ld_gpu
 from repro.harness.sweep import TABLE1_BATCH_COUNTS, TABLE1_DEVICE_COUNTS
 
 ALL_NAMES = algorithm_names()
@@ -46,13 +46,16 @@ class TestRegistry:
             "dynamic_ld",
         }
 
-    def test_algorithms_view_tracks_registry(self):
-        assert sorted(ALGORITHMS) == ALL_NAMES
-        assert "ld_gpu" in ALGORITHMS
-        assert len(ALGORITHMS) == len(ALL_NAMES)
+    def test_algorithms_view_tracks_registry(self, monkeypatch):
+        from repro.engine import spec as spec_module
         from repro.matching.ld_gpu import ld_gpu
 
-        assert ALGORITHMS["ld_gpu"] is ld_gpu
+        assert [s.name for s in algorithm_specs()] == ALL_NAMES
+        assert get_spec("ld_gpu").fn is ld_gpu
+        monkeypatch.setitem(spec_module._REGISTRY, "zz_probe",
+                            AlgorithmSpec("zz_probe", fn=ld_gpu))
+        assert algorithm_names() == sorted(ALL_NAMES + ["zz_probe"])
+        assert get_spec("zz_probe").fn is ld_gpu
 
     def test_unknown_name_is_keyerror(self):
         with pytest.raises(KeyError, match="unknown algorithm"):

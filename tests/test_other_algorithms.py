@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import build_graph, random_graphs
 from repro.gpusim.memory import DeviceOOMError
 from repro.gpusim.spec import DGX_A100
+from repro.harness.datasets import DATASETS, quality_instance
 from repro.matching.auction import auction_matching
 from repro.matching.cugraph_sim import cugraph_mg_sim
 from repro.matching.greedy import greedy_matching
@@ -112,6 +113,14 @@ class TestCuGraphSim:
     def test_bad_devices(self, medium_graph):
         with pytest.raises(ValueError):
             cugraph_mg_sim(medium_graph, num_devices=0)
+
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_quality_instances_match_ld_seq(self, name):
+        g = quality_instance(name)
+        ref = ld_seq(g).mate
+        for nd in (1, 2, 4, 8):
+            assert np.array_equal(cugraph_mg_sim(g, num_devices=nd).mate,
+                                  ref), nd
 
     @given(random_graphs(max_vertices=16, max_edges=40),
            st.integers(1, 4))

@@ -7,7 +7,7 @@ reports through ``host_entries_scanned``.  These tests pit the engines
 against each other across random graphs (plain and tie-prone), the
 dataset generators under both weight schemes, and the LD-GPU
 (devices, batches, partition) grid, plus unit coverage for cursor reuse,
-``row_offset``, engine resolution and the satellite fast paths.
+``row_offset``, engine selection and the satellite fast paths.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ from repro.graph.segments import gather_rows
 from repro.matching import ld_gpu, ld_seq
 from repro.matching.ld_seq import compute_pointers, find_mutual_pairs
 from repro.matching.pointer_index import (
-    DEFAULT_POINTING_ENGINE,
     HOST_SCAN_COUNTER,
-    POINTING_ENGINE_ENV,
     MutualIndex,
     PointerIndex,
-    resolve_pointing_engine,
 )
 from repro.matching.types import UNMATCHED
 
@@ -57,29 +54,30 @@ def assert_same_run(a, b):
 
 
 # ------------------------------------------------------------------ #
-# engine resolution
+# engine selection: the ``engine`` keyword of ld_seq / ld_gpu only
 # ------------------------------------------------------------------ #
 
 
-def test_resolve_default(monkeypatch):
-    monkeypatch.delenv(POINTING_ENGINE_ENV, raising=False)
-    assert resolve_pointing_engine() == DEFAULT_POINTING_ENGINE
-    assert resolve_pointing_engine("segment") == "segment"
+def test_resolve_default(tie_graph):
+    assert ld_seq(tie_graph).stats["pointing_engine"] == "index"
+    assert ld_gpu(tie_graph).stats["pointing_engine"] == "index"
+    assert ld_seq(tie_graph, engine="segment").stats["pointing_engine"] \
+        == "segment"
 
 
-def test_resolve_env(monkeypatch):
-    monkeypatch.setenv(POINTING_ENGINE_ENV, "segment")
-    assert resolve_pointing_engine() == "segment"
-    # An explicit argument still wins over the environment.
-    assert resolve_pointing_engine("index") == "index"
+def test_resolve_env(tie_graph, monkeypatch):
+    """The retired ``REPRO_POINTING_ENGINE`` variable selects nothing."""
+    monkeypatch.setenv("REPRO_POINTING_ENGINE", "segment")
+    assert ld_seq(tie_graph).stats["pointing_engine"] == "index"
+    r = ld_gpu(tie_graph, num_devices=2)
+    assert r.stats["pointing_engine"] == "index"
+    assert r.stats["config"].pointing_engine == "index"
 
 
-def test_resolve_unknown(monkeypatch):
-    with pytest.raises(ValueError, match="unknown pointing engine"):
-        resolve_pointing_engine("radix")
-    monkeypatch.setenv(POINTING_ENGINE_ENV, "bogus")
-    with pytest.raises(ValueError, match="unknown pointing engine"):
-        resolve_pointing_engine()
+def test_resolve_unknown(tie_graph):
+    for fn in (ld_seq, ld_gpu):
+        with pytest.raises(ValueError, match="unknown pointing engine"):
+            fn(tie_graph, engine="radix")
 
 
 def test_ld_seq_reports_engine(tie_graph):

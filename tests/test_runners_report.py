@@ -1,4 +1,4 @@
-"""Tests for the harness runners and report rendering."""
+"""Tests for registry dispatch, ``best_ld_gpu`` and report rendering."""
 
 import numpy as np
 import pytest
@@ -6,30 +6,33 @@ import pytest
 from repro.gpusim.memory import DeviceOOMError
 from repro.gpusim.spec import DGX_A100
 from repro.harness.report import format_table, format_value, render_series
-from repro.harness.runners import ALGORITHMS, best_ld_gpu, run_algorithm
+from repro.engine.spec import algorithm_names, get_spec
+from repro.harness.runners import best_ld_gpu
 from repro.matching.ld_seq import ld_seq
 
 
 class TestRunAlgorithm:
+    """Dispatch by name through the registry: ``get_spec(name).fn``."""
+
     def test_dispatch_all(self, medium_graph):
         from repro.matching.validate import is_valid_matching
 
         for name in ("ld_seq", "greedy", "local_max", "suitor_seq",
                      "auction", "sr_omp"):
-            r = run_algorithm(name, medium_graph)
+            r = get_spec(name).fn(medium_graph)
             assert is_valid_matching(medium_graph, r.mate), name
 
-    def test_unknown(self, medium_graph):
+    def test_unknown(self):
         with pytest.raises(KeyError, match="unknown algorithm"):
-            run_algorithm("bogus", medium_graph)
+            get_spec("bogus")
 
     def test_kwargs_forwarded(self, medium_graph):
-        r = run_algorithm("ld_gpu", medium_graph, num_devices=3)
+        r = get_spec("ld_gpu").fn(medium_graph, num_devices=3)
         assert r.stats["config"].num_devices == 3
 
     def test_registry_covers_paper_baselines(self):
         for name in ("ld_gpu", "sr_omp", "sr_gpu", "blossom", "cugraph"):
-            assert name in ALGORITHMS
+            assert name in algorithm_names()
 
 
 class TestBestLdGpu:

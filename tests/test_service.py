@@ -290,9 +290,9 @@ class TestApiLocal:
         with pytest.raises(ValueError, match="not importable by workers"
                                              "|lambdas and closures"):
             api.submit("ld_gpu", builder=lambda: None, store=db)
-        with pytest.raises(ValueError, match="pointing_engine"):
-            api.submit("greedy", DATASET,
-                       pointing_engine="index", store=db)
+        with pytest.raises(TypeError, match="pointing_engine"):
+            api.submit("ld_seq", DATASET,
+                       pointing_engine="segment", store=db)
         assert RunStore(db).counts()["pending"] == 0  # nothing landed
 
     def test_cancel_and_query(self, tmp_path):
@@ -329,12 +329,6 @@ class TestApiSurface:
     def test_api_exported_from_package_root(self):
         assert "api" in repro.__all__
         assert repro.api.submit is api.submit
-
-    def test_run_algorithm_points_at_api(self, medium_graph):
-        from repro.harness import run_algorithm
-
-        with pytest.warns(DeprecationWarning, match=r"repro\.api"):
-            run_algorithm("greedy", medium_graph)
 
 
 # ------------------------------------------------------------------ #
@@ -552,6 +546,43 @@ class TestWorkerLoop:
 # ------------------------------------------------------------------ #
 # CLI verb surface (exit codes 0/1/2, flag rejection)
 # ------------------------------------------------------------------ #
+
+
+class TestRetiredPointingEngine:
+    """The pointing engine is an ``engine=`` keyword of ld_seq/ld_gpu
+    only; the CLI, the daemon and the api no longer take it."""
+
+    def test_cli_flag_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        for argv in (["run", "-a", "ld_seq", "-d", DATASET,
+                      "--pointing-engine", "segment"],
+                     ["analysis", "query", "--store",
+                      str(tmp_path / "runs.db"),
+                      "--pointing-engine", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "--pointing-engine" in capsys.readouterr().err
+
+    def test_daemon_field_400(self, daemon):
+        url, db = daemon
+        body = json.dumps({"algorithm": "ld_seq", "dataset": DATASET,
+                           "pointing_engine": "segment"}).encode()
+        resp = _raw_submit(url, f"Content-Length: {len(body)}\r\n"
+                                "Connection: close\r\n", body)
+        assert _status(resp) == 400
+        assert b"pointing_engine" in resp
+        assert api.query(store=db) == []
+
+    def test_api_keyword_is_typeerror(self, tmp_path):
+        db = tmp_path / "runs.db"
+        for verb in (api.submit, api.run):
+            with pytest.raises(TypeError, match="pointing_engine"):
+                verb("ld_seq", DATASET, pointing_engine="segment",
+                     store=db)
+        with pytest.raises(TypeError, match="pointing_engine"):
+            api.sweep(DATASET, pointing_engine="segment")
 
 
 class TestCliServiceVerbs:

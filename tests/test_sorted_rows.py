@@ -32,6 +32,7 @@ from repro.matching.coreset import (
     coreset_shard,
     extract_shard,
 )
+from repro.matching.cugraph_sim import cugraph_mg_sim
 from repro.matching.greedy import greedy_matching, sorted_edges
 from repro.matching.ld_gpu import ld_gpu
 from repro.matching.ld_multinode import ld_multinode
@@ -518,7 +519,8 @@ LD_GPU_SHAPES = [
 
 
 def assert_weight_exact(g: CSRGraph, shapes=LD_GPU_SHAPES) -> None:
-    runs = [ld_seq(g), suitor_seq(g), greedy_matching(g),
+    runs = [ld_seq(g), ld_seq(g, engine="segment"), suitor_seq(g),
+            greedy_matching(g), cugraph_mg_sim(g, num_devices=3),
             coreset_matching(g, num_shards=3),
             coreset_matching(g, num_shards=3, base="ld"),
             ld_multinode(g, num_nodes=2, devices_per_node=2)]

@@ -111,6 +111,22 @@ class TestFingerprint:
         rebuilt = materialise_cells([cell_from_config(thawed)])[0]
         assert cell_config(rebuilt.cell, rebuilt.ctx) == config
 
+    def test_pre_change_config_upgrades(self):
+        """Configs stored while cells carried ``pointing_engine``
+        rebuild: ``null`` is dropped, and a set engine becomes the
+        ``engine`` override."""
+        mc = self._bound(Cell("ld_seq", dataset="mouse_gene",
+                              quality=True, label="x"))
+        config = cell_config(mc.cell, mc.ctx)
+        assert "pointing_engine" not in config
+        old = json.loads(json.dumps({**config, "pointing_engine": None}))
+        rebuilt = materialise_cells([cell_from_config(old)])[0]
+        assert cell_config(rebuilt.cell, rebuilt.ctx) == config
+        cell = cell_from_config({**config, "pointing_engine": "segment"})
+        assert cell.overrides == {"engine": "segment"}
+        record = run_cells([cell], on_error="raise")[0]
+        assert record.extra["pointing_engine"] == "segment"
+
     def test_in_process_graph_not_resumable(self, medium_graph):
         mc = self._bound(Cell("ld_gpu", config={"num_devices": 1}))
         config = cell_config(mc.cell, mc.ctx)
