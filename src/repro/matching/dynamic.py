@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.graph.builders import from_coo
 from repro.graph.csr import CSRGraph
-from repro.graph.transform import edge_subgraph
+from repro.graph.overlay import OverlayGraph
 from repro.matching.ld_seq import ld_seq
 from repro.matching.types import UNMATCHED
 from repro.matching.validate import matching_weight
@@ -35,132 +35,60 @@ __all__ = ["DynamicMatcher"]
 class DynamicMatcher:
     """Maintain a maximal matching over an edge-mutable graph.
 
-    The graph is held two ways, kept in sync by every update:
-
-    * a dict-of-dicts adjacency — mutation-friendly, drives the O(deg)
-      local repairs;
-    * a *base + overlay* snapshot plan — the CSR the matcher started
-      from (``_base``), a liveness mask over its undirected edges, and a
-      small dict of edges added or re-weighted since.  :meth:`to_graph`
-      turns that into a CSR via
-      :func:`~repro.graph.transform.edge_subgraph` (pure deletions) or
-      a vectorised masked-base + overlay rebuild — never the per-edge
-      Python loop this class used to run.
+    The graph is one :class:`~repro.graph.overlay.OverlayGraph`: repairs
+    read a vertex's current row with ``row_arrays``, and the edge list,
+    edge count and CSR snapshot come from the overlay.  An insert that
+    grows the vertex set re-bases onto a larger snapshot (the overlay's
+    vertex set is fixed); :meth:`rebuild` re-bases too.  Invalid updates
+    raise before anything changes: ``ValueError`` for self-loops,
+    negative ids and weights that are not positive and finite,
+    ``KeyError`` for deleting an absent edge.
     """
 
     def __init__(self, graph: CSRGraph | None = None,
                  num_vertices: int | None = None):
-        if graph is not None:
-            self._n = graph.num_vertices
-            self._adj: list[dict[int, float]] = [
-                dict(zip(graph.neighbors(v).tolist(),
-                         graph.neighbor_weights(v).tolist()))
-                for v in range(self._n)
-            ]
-            base = ld_seq(graph, collect_stats=False)
-            self.mate = base.mate.copy()
-        else:
-            self._n = int(num_vertices or 0)
-            self._adj = [dict() for _ in range(self._n)]
-            self.mate = np.full(self._n, UNMATCHED, dtype=np.int64)
-        self._rebase(graph)
+        if graph is None:
+            graph = CSRGraph.empty(int(num_vertices or 0))
+        self._overlay = OverlayGraph(graph)
+        self.mate = ld_seq(graph, collect_stats=False).mate.copy()
         self.updates = 0
-
-    def _rebase(self, graph: CSRGraph | None) -> None:
-        """Reset the snapshot plan: ``graph`` becomes the base, the
-        overlay empties."""
-        self._base = graph if graph is not None \
-            else CSRGraph.empty(self._n)
-        bu, bv, bw = self._base.edge_array()
-        self._base_uvw = (bu, bv, bw)
-        self._base_live = np.ones(len(bu), dtype=bool)
-        self._base_index = {
-            (int(a), int(b)): k
-            for k, (a, b) in enumerate(zip(bu.tolist(), bv.tolist()))
-        }
-        self._extra: dict[tuple[int, int], float] = {}
 
     # -------------------------------------------------------------- #
     @property
     def num_vertices(self) -> int:
-        return self._n
+        return self._overlay.num_vertices
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self._adj) // 2
+        return self._overlay.num_edges
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if edge ``{u, v}`` is currently present."""
-        return 0 <= u < self._n and v in self._adj[u]
+        n = self.num_vertices
+        return u != v and 0 <= u < n and 0 <= v < n \
+            and self._overlay.has_edge(u, v)
 
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Current undirected edge list ``(u, v, w)`` with ``u < v``,
-        sorted lexicographically — the public face of the adjacency
-        (callers should not reach into the private ``_adj``)."""
-        us: list[int] = []
-        vs: list[int] = []
-        ws: list[float] = []
-        for u in range(self._n):
-            for v, w in self._adj[u].items():
-                if u < v:
-                    us.append(u)
-                    vs.append(v)
-                    ws.append(w)
-        u_arr = np.asarray(us, dtype=np.int64)
-        v_arr = np.asarray(vs, dtype=np.int64)
-        w_arr = np.asarray(ws, dtype=np.float64)
-        order = np.lexsort((v_arr, u_arr))
-        return u_arr[order], v_arr[order], w_arr[order]
+        sorted lexicographically."""
+        return self._overlay.edges()
 
     @property
     def weight(self) -> float:
-        """Current matching weight."""
-        total = 0.0
-        for v in range(self._n):
-            u = int(self.mate[v])
-            if u != UNMATCHED and v < u:
-                total += self._adj[v][u]
-        return total
+        """Current matching weight: matched edges summed in ascending
+        order of their lower endpoint, as
+        :func:`~repro.matching.validate.matching_weight` sums them."""
+        v = np.flatnonzero(np.arange(self.num_vertices) < self.mate)
+        return float(self._overlay.edge_weights(v, self.mate[v]).sum())
 
     def to_graph(self, name: str = "dynamic") -> CSRGraph:
-        """CSR snapshot of the current graph.
-
-        Pure deletions reduce to one :func:`edge_subgraph` extraction of
-        the base (vertex set unchanged, overlay empty); otherwise the
-        live base edges and the overlay are merged vectorised through
-        :func:`from_coo`.
-        """
-        if not self._extra and self._n == self._base.num_vertices:
-            sub, _ = edge_subgraph(self._base, self._base_live,
-                                   name=name)
-            return sub
-        bu, bv, bw = self._base_uvw
-        live = self._base_live
-        if self._extra:
-            keys = np.array(sorted(self._extra), dtype=np.int64)
-            eu, ev = keys[:, 0], keys[:, 1]
-            ew = np.array([self._extra[(int(a), int(b))]
-                           for a, b in keys], dtype=np.float64)
-        else:
-            eu = ev = np.empty(0, dtype=np.int64)
-            ew = np.empty(0, dtype=np.float64)
-        return from_coo(np.concatenate([bu[live], eu]),
-                        np.concatenate([bv[live], ev]),
-                        np.concatenate([bw[live], ew]),
-                        num_vertices=self._n, name=name)
+        """CSR snapshot of the current graph."""
+        return self._overlay.to_csr(name=name)
 
     # -------------------------------------------------------------- #
-    def _ensure_vertex(self, v: int) -> None:
-        if v < 0:
-            raise ValueError("negative vertex id")
-        while v >= self._n:
-            self._adj.append(dict())
-            self.mate = np.append(self.mate, UNMATCHED)
-            self._n += 1
-
     def _matched_weight_at(self, v: int) -> float:
         u = int(self.mate[v])
-        return self._adj[v][u] if u != UNMATCHED else 0.0
+        return self._overlay.edge_weight(v, u) if u != UNMATCHED else 0.0
 
     def _unmatch(self, v: int) -> int:
         u = int(self.mate[v])
@@ -170,36 +98,37 @@ class DynamicMatcher:
         return u
 
     def _greedy_match(self, v: int) -> None:
-        """Match ``v`` to its heaviest free neighbour, if any."""
+        """Match ``v`` to its heaviest free neighbour, if any; weight
+        ties go to the larger canonical edge id, which within one row
+        is the larger neighbour id."""
         if self.mate[v] != UNMATCHED:
             return
-        best_u, best_w = UNMATCHED, 0.0
-        for u, w in self._adj[v].items():
-            if self.mate[u] == UNMATCHED and w > best_w:
-                best_u, best_w = u, w
-        if best_u != UNMATCHED:
-            self.mate[v] = best_u
-            self.mate[best_u] = v
+        nbrs, ws = self._overlay.row_arrays(v)
+        free = self.mate[nbrs] == UNMATCHED
+        if not free.any():
+            return
+        nbrs, ws = nbrs[free], ws[free]
+        u = int(nbrs[ws == ws.max()].max())
+        self.mate[v] = u
+        self.mate[u] = v
 
     # -------------------------------------------------------------- #
     def insert(self, u: int, v: int, w: float) -> None:
         """Insert (or re-weight) edge ``{u, v}`` and repair locally."""
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        if w <= 0:
-            raise ValueError("weights must be positive")
-        self._ensure_vertex(max(u, v))
-        self._adj[u][v] = w
-        self._adj[v][u] = w
-        lo, hi = (u, v) if u < v else (v, u)
-        k = self._base_index.get((lo, hi))
-        if k is not None and self._base_live[k] and \
-                float(self._base_uvw[2][k]) == w:
-            pass  # identical to the live base edge — nothing to overlay
+        overlay = self._overlay
+        n = max(u, v) + 1
+        if n > overlay.num_vertices:
+            eu, ev, ew = overlay.edges()
+            overlay = OverlayGraph(from_coo(eu, ev, ew, num_vertices=n))
+        # The overlay validates the update; nothing is kept if it raises.
+        if overlay.has_edge(u, v):
+            overlay.reweight(u, v, w)
         else:
-            if k is not None:
-                self._base_live[k] = False
-            self._extra[(lo, hi)] = w
+            overlay.insert(u, v, w)
+        if overlay is not self._overlay:
+            grown = np.full(n - len(self.mate), UNMATCHED, dtype=np.int64)
+            self.mate = np.concatenate([self.mate, grown])
+            self._overlay = overlay
         self.updates += 1
 
         if self.mate[u] == v:
@@ -220,15 +149,9 @@ class DynamicMatcher:
 
     def delete(self, u: int, v: int) -> None:
         """Delete edge ``{u, v}`` and repair locally."""
-        if v not in self._adj[u]:
+        if not self.has_edge(u, v):
             raise KeyError(f"edge ({u}, {v}) not present")
-        del self._adj[u][v]
-        del self._adj[v][u]
-        lo, hi = (u, v) if u < v else (v, u)
-        if (lo, hi) in self._extra:
-            del self._extra[(lo, hi)]
-        else:
-            self._base_live[self._base_index[(lo, hi)]] = False
+        self._overlay.delete(u, v)
         self.updates += 1
         if self.mate[u] == v:
             self._unmatch(u)
@@ -238,14 +161,12 @@ class DynamicMatcher:
     def rebuild(self) -> None:
         """Re-run LD matching from scratch (the periodic drift reset).
 
-        Also re-bases the snapshot plan: the rebuilt CSR becomes the new
-        ``_base``, so a long mutation history collapses back to a clean
-        mask + empty overlay.
+        The snapshot also becomes the overlay's new base, so a long
+        mutation history collapses back to an empty overlay.
         """
         snapshot = self.to_graph()
-        result = ld_seq(snapshot, collect_stats=False)
-        self.mate = result.mate.copy()
-        self._rebase(snapshot)
+        self.mate = ld_seq(snapshot, collect_stats=False).mate.copy()
+        self._overlay = OverlayGraph(snapshot)
         self.updates = 0
 
     # -------------------------------------------------------------- #

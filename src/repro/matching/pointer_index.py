@@ -28,6 +28,8 @@ top of the graph's one O(m log m) sort, instead of O(m × rounds).
 
 Cursor advances are vectorised as repeated whole-frontier NumPy steps
 over a shrinking working set — there is no per-vertex Python loop.
+The walk itself is :func:`advance_cursors`, which the round-synchronous
+Suitor baselines (:mod:`repro.matching.suitor`) share.
 
 :class:`MutualIndex` applies the same delta discipline to the
 *matching* (SetMates) phase: the full-scan oracle
@@ -54,6 +56,8 @@ modeled vs. host work can be compared (``repro-matching stats``).
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.graph.csr import CSRGraph
@@ -64,6 +68,7 @@ __all__ = [
     "HOST_SCAN_HELP",
     "PointerIndex",
     "MutualIndex",
+    "advance_cursors",
 ]
 
 #: Telemetry counter for actual host-side adjacency entries examined —
@@ -75,6 +80,35 @@ HOST_SCAN_HELP = (
     "engines (modeled edges_scanned is the sum of frontier degrees; "
     "the modeled matching kernel sweeps every owned vertex)."
 )
+
+
+def advance_cursors(
+    cur: np.ndarray,
+    end: np.ndarray,
+    dead: Callable[[np.ndarray], np.ndarray],
+) -> int:
+    """Advance every cursor to its first live slot, in place.
+
+    ``cur[i]``/``end[i]`` bound one row of a sorted layout, and
+    ``dead(slots)`` flags the slots whose entry can never be chosen
+    again.  On return each cursor rests on its row's first live slot, or
+    on ``end`` when the row is exhausted.  The walk is vectorised as
+    whole-frontier steps: ``work`` holds the cursors whose current entry
+    is dead, and each pass advances all of them one slot and re-checks.
+    The working set only shrinks, and every pass retires at least one
+    entry per member, so a caller whose dead entries stay dead pays
+    amortised O(entries) over all its calls.  Returns the number of
+    entries examined.
+    """
+    work = np.nonzero(cur < end)[0]
+    host = len(work)
+    work = work[dead(cur[work])]
+    while len(work):
+        cur[work] += 1
+        work = work[cur[work] < end[work]]
+        host += len(work)
+        work = work[dead(cur[work])]
+    return int(host)
 
 
 class PointerIndex:
@@ -153,20 +187,8 @@ class PointerIndex:
         cur = self.cursor[local]
         end = self.indptr[local + 1]
         nbrs = self.sorted_indices
-
-        # Whole-frontier vectorised cursor advance: ``work`` holds the
-        # positions (into ``frontier``) whose current entry is dead;
-        # each pass advances all of them one slot and re-checks.  The
-        # working set only shrinks, and every pass retires at least one
-        # adjacency entry per member permanently.
-        work = np.nonzero(cur < end)[0]
-        host = len(work)
-        work = work[mate[nbrs[cur[work]]] != UNMATCHED]
-        while len(work):
-            cur[work] += 1
-            work = work[cur[work] < end[work]]
-            host += len(work)
-            work = work[mate[nbrs[cur[work]]] != UNMATCHED]
+        host = advance_cursors(
+            cur, end, lambda slots: mate[nbrs[slots]] != UNMATCHED)
         self.cursor[local] = cur
 
         has = cur < end
@@ -174,7 +196,7 @@ class PointerIndex:
         live = frontier[has]
         pointer[live] = nbrs[cur[has]]
 
-        self.last_host_scanned = int(host)
+        self.last_host_scanned = host
         self.host_entries_scanned += self.last_host_scanned
         return int((end - self.indptr[local]).sum())
 

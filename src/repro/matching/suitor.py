@@ -34,9 +34,9 @@ from repro.gpusim.memory import DeviceOOMError
 from repro.gpusim.spec import A100, CPU_EPYC_7742_2S, CpuSpec, DeviceSpec
 from repro.gpusim.timeline import Timeline
 from repro.graph.csr import CSRGraph
-from repro.graph.segments import gather_rows, segment_argmax_lex
+from repro.matching.pointer_index import advance_cursors
 from repro.matching.types import UNMATCHED, MatchResult
-from repro.matching.validate import matched_vertex_weight, matching_weight
+from repro.matching.validate import matched_vertex_weight
 
 __all__ = ["suitor_seq", "suitor_omp_sim", "suitor_gpu_sim"]
 
@@ -116,20 +116,35 @@ def _suitor_to_mate(suitor: np.ndarray) -> np.ndarray:
 
 def _suitor_rounds(
     graph: CSRGraph,
-) -> tuple[np.ndarray, list[np.ndarray], int]:
+) -> tuple[np.ndarray, float, list[np.ndarray], int]:
     """Round-synchronous Suitor.
 
     Every active vertex bids in parallel; per target the best bid wins,
     displacing the previous suitor; losers and displaced vertices re-enter
-    the active set.  Returns the final mate array, the per-round active
+    the active set.  A vertex's best eligible bid is the first entry of
+    its sorted row that beats the target's standing proposal, found by
+    the same monotone cursor walk as :func:`suitor_seq`: standing keys
+    only rise, so an entry passed once, or bid once (it won and was
+    later displaced, or lost to a heavier bid), never beats its target
+    again.  Host work is amortised O(m) on top of the graph's one sort.
+    Returns the final mate array, its weight, the per-round active
     frontiers (for the cost models), and the round count.
     """
     n = graph.num_vertices
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+    order = graph.sorted_row_order()
+    indices, weights = graph.indices, graph.weights
     eids = graph.canonical_edge_ids()
+    cursor = graph.indptr[:-1].copy()
+    row_end = graph.indptr[1:]
     suitor = np.full(n, UNMATCHED, dtype=np.int64)
     ws_w = np.full(n, _NEG_INF)
     ws_e = np.full(n, -1, dtype=np.int64)
+
+    def beaten(slots: np.ndarray) -> np.ndarray:
+        # The entry no longer beats its target's standing proposal.
+        k = order[slots]
+        v, w, e = indices[k], weights[k], eids[k]
+        return ~((w > ws_w[v]) | ((w == ws_w[v]) & (e > ws_e[v])))
 
     active = np.arange(n, dtype=np.int64)
     frontiers: list[np.ndarray] = []
@@ -137,25 +152,22 @@ def _suitor_rounds(
     while len(active):
         frontiers.append(active)
         rounds += 1
-        sub_indptr, pos = gather_rows(indptr, active)
-        nbrs = indices[pos]
-        w = weights[pos]
-        e = eids[pos]
-        beats = (w > ws_w[nbrs]) | ((w == ws_w[nbrs]) & (e > ws_e[nbrs]))
-        primary = np.where(beats, w, _NEG_INF)
-        win = segment_argmax_lex(primary, e, sub_indptr)
-        has = win >= 0
+        cur = cursor[active]
+        end = row_end[active]
+        advance_cursors(cur, end, beaten)
+        has = cur < end
+        # Whether it wins or loses, a bid's entry is spent.
+        cursor[active] = cur + has
         proposers = active[has]
-        targets = nbrs[win[has]]
-        pw = w[win[has]]
-        pe = e[win[has]]
+        k = order[cur[has]]
+        targets, pw, pe = indices[k], weights[k], eids[k]
 
         # Resolve per-target conflicts: best (w, eid) bid wins.
-        order = np.lexsort((pe, pw, targets))
-        targets_s = targets[order]
+        rank = np.lexsort((pe, pw, targets))
+        targets_s = targets[rank]
         last = np.ones(len(targets_s), dtype=bool)
         last[:-1] = targets_s[1:] != targets_s[:-1]
-        winners_idx = order[last]
+        winners_idx = rank[last]
         tgt = targets[winners_idx]
         src = proposers[winners_idx]
 
@@ -164,11 +176,16 @@ def _suitor_rounds(
         ws_w[tgt] = pw[winners_idx]
         ws_e[tgt] = pe[winners_idx]
 
-        lost = proposers[~np.isin(np.arange(len(proposers)), winners_idx)]
+        lost = np.ones(len(proposers), dtype=bool)
+        lost[winners_idx] = False
         redo = displaced[displaced != UNMATCHED]
-        active = np.unique(np.concatenate([lost, redo]))
+        active = np.unique(np.concatenate([proposers[lost], redo]))
 
-    return _suitor_to_mate(suitor), frontiers, rounds
+    mate = _suitor_to_mate(suitor)
+    # As in suitor_seq: ``ws_w[mate[u]]`` is u's own row entry for its
+    # mate, the entry ``matching_weight`` sums for u.
+    return (mate, matched_vertex_weight(mate, ws_w[mate]), frontiers,
+            rounds)
 
 
 def suitor_omp_sim(
@@ -180,7 +197,7 @@ def suitor_omp_sim(
     host's effective irregular bandwidth across ``cpu.threads`` threads,
     plus one OpenMP barrier.
     """
-    mate, frontiers, rounds = _suitor_rounds(graph)
+    mate, weight, frontiers, rounds = _suitor_rounds(graph)
     degrees = graph.degrees
     t = 0.0
     bpa = 8 + 8  # SR-OMP uses the 64-bit CSR the paper feeds it
@@ -195,7 +212,7 @@ def suitor_omp_sim(
         t += max(stream, straggler) + cpu.barrier_us * 1e-6
     return MatchResult(
         mate=mate,
-        weight=matching_weight(graph, mate),
+        weight=weight,
         algorithm="suitor_omp",
         iterations=rounds,
         sim_time=t,
@@ -233,7 +250,7 @@ def suitor_gpu_sim(
         raise DeviceOOMError(f"SR-GPU/{spec.name}", need, 0,
                              spec32.memory_bytes)
 
-    mate, frontiers, rounds = _suitor_rounds(graph)
+    mate, weight, frontiers, rounds = _suitor_rounds(graph)
     degrees = graph.degrees
     timeline = Timeline()
     for f in frontiers:
@@ -242,7 +259,7 @@ def suitor_gpu_sim(
         timeline.add("sync", spec32.kernel_launch_us * 1e-6)
     return MatchResult(
         mate=mate,
-        weight=matching_weight(graph, mate),
+        weight=weight,
         algorithm="suitor_gpu",
         iterations=rounds,
         sim_time=timeline.total,

@@ -164,6 +164,65 @@ class TestDynamicMatcher:
         with pytest.raises(ValueError):
             dm.insert(0, 1, 0.0)
 
+    @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, w):
+        dm = DynamicMatcher(num_vertices=3)
+        dm.insert(0, 1, 1.0)
+        for u, v in ((1, 2), (0, 1), (0, 9)):  # new, re-weight, growing
+            with pytest.raises(ValueError):
+                dm.insert(u, v, w)
+        assert dm.num_vertices == 3 and dm.updates == 1
+        assert dm.weight == 1.0
+        assert dm.edges()[2].tolist() == [1.0]
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (0, 5), (5, 0),
+                                      (0, 1), (2, 2)])
+    def test_bad_delete_leaves_matcher_unchanged(self, pair):
+        dm = DynamicMatcher(num_vertices=3)
+        dm.insert(2, 0, 1.0)
+        with pytest.raises(KeyError):
+            dm.delete(*pair)
+        assert dm.has_edge(2, 0) and dm.num_edges == 1
+        eu, ev, ew = dm.edges()
+        assert (eu.tolist(), ev.tolist(), ew.tolist()) == ([0], [2], [1.0])
+        assert dm.to_graph().num_edges == 1
+        assert dm.mate.tolist() == [2, UNMATCHED, 0]
+        assert dm.updates == 1
+
+    def test_greedy_repair_tie_rule(self):
+        """Repairs take the heaviest free neighbour; weight ties go to
+        the larger canonical edge id (within a row, the larger id)."""
+        dm = DynamicMatcher(num_vertices=7)
+        dm.insert(5, 6, 9.0)
+        dm.insert(2, 5, 3.0)  # 5 is taken by a heavier edge
+        dm.insert(2, 0, 2.0)
+        for u in (3, 4, 1):  # tied, inserted out of id order
+            dm.insert(2, u, 1.0)
+        assert dm.mate[2] == 0
+        dm.delete(2, 0)  # 2 re-matches among free {1, 3, 4}
+        assert dm.mate[2] == 4 and dm.mate[4] == 2
+        dm.delete(2, 4)  # ties across the row's pivot: eid(2,3) > eid(1,2)
+        assert dm.mate[2] == 3
+        dm.insert(2, 1, 1.5)  # a heavier edge beats a larger id
+        dm.delete(2, 3)
+        assert dm.mate[2] == 1
+
+    def test_weight_exact(self, tie_graph):
+        from repro.graph.generators.uniform import uniform_random_graph
+        from repro.harness.datasets import quality_instance
+        from repro.matching.validate import matching_weight
+
+        for g in (uniform_random_graph(400, 1600, seed=17),
+                  quality_instance("GAP-kron"),
+                  quality_instance("mouse_gene"), tie_graph):
+            dm = DynamicMatcher(g)
+            assert dm.weight == matching_weight(dm.to_graph(), dm.mate)
+            u, v, w = g.edge_array()
+            for k in range(0, len(u), 5):
+                dm.delete(int(u[k]), int(v[k]))
+                dm.insert(int(v[k]), int(u[k]), float(w[k]) * 1.1)
+            assert dm.weight == matching_weight(dm.to_graph(), dm.mate)
+
     def test_rebuild_resets(self):
         dm = DynamicMatcher(num_vertices=6)
         for k in range(5):
@@ -220,59 +279,78 @@ class TestDynamicMatcher:
 
 
 class TestDynamicSnapshot:
-    """The base+overlay snapshot plan must always agree with the
-    dict-of-dicts adjacency (the repair-path source of truth)."""
+    """``to_graph()`` and ``edges()`` must always agree with an edge
+    model kept by the test, ``{(lo, hi): w}``."""
 
     @staticmethod
-    def _adj_edges(dm):
-        return {(v, u): w for v in range(dm.num_vertices)
-                for u, w in dm._adj[v].items() if v < u}
-
-    @staticmethod
-    def _snap_edges(g):
+    def _model(g):
         u, v, w = g.edge_array()
-        return {(int(a), int(b)): float(c)
-                for a, b, c in zip(u, v, w)}
+        return {(int(a), int(b)): float(c) for a, b, c in zip(u, v, w)}
+
+    @classmethod
+    def _assert_matches(cls, dm, model):
+        snap = dm.to_graph()
+        snap.validate()
+        assert snap.num_vertices == dm.num_vertices
+        assert cls._model(snap) == model
+        keys = sorted(model)
+        eu, ev, ew = dm.edges()
+        assert eu.tolist() == [a for a, _ in keys]
+        assert ev.tolist() == [b for _, b in keys]
+        assert ew.tolist() == [model[k] for k in keys]
+        assert dm.num_edges == len(model)
+        assert all(dm.has_edge(b, a) for a, b in keys)
 
     def test_pure_deletions_use_edge_subgraph_path(self, medium_graph):
         dm = DynamicMatcher(medium_graph)
+        model = self._model(medium_graph)
         u, v, _ = medium_graph.edge_array()
         for k in range(0, len(u), 7):
             dm.delete(int(u[k]), int(v[k]))
-        snap = dm.to_graph()
-        assert snap.num_vertices == medium_graph.num_vertices
-        assert self._snap_edges(snap) == self._adj_edges(dm)
-        snap.validate()
+            del model[(int(u[k]), int(v[k]))]
+        assert dm.num_vertices == medium_graph.num_vertices
+        self._assert_matches(dm, model)
 
     def test_mixed_mutations_snapshot(self, medium_graph):
         dm = DynamicMatcher(medium_graph)
-        u, v, w = medium_graph.edge_array()
-        dm.delete(int(u[0]), int(v[0]))
-        dm.insert(int(u[1]), int(v[1]), float(w[1]) + 1.0)  # re-weight
-        dm.insert(int(u[0]), int(v[0]), float(w[0]))  # re-insert
+        model = self._model(medium_graph)
+        u, v, w = (a.tolist() for a in medium_graph.edge_array())
+        dm.delete(u[0], v[0])
+        del model[(u[0], v[0])]
+        dm.insert(u[1], v[1], w[1] + 1.0)  # re-weight
+        model[(u[1], v[1])] = w[1] + 1.0
+        dm.insert(u[0], v[0], w[0])  # re-insert
+        model[(u[0], v[0])] = w[0]
         big = medium_graph.num_vertices + 3  # grow the vertex set
         dm.insert(0, big, 0.5)
-        snap = dm.to_graph()
-        assert snap.num_vertices == big + 1
-        assert self._snap_edges(snap) == self._adj_edges(dm)
-        snap.validate()
+        model[(0, big)] = 0.5
+        assert dm.num_vertices == big + 1
+        self._assert_matches(dm, model)
 
     def test_noop_reinsert_stays_on_fast_path(self, medium_graph):
         dm = DynamicMatcher(medium_graph)
         u, v, w = medium_graph.edge_array()
         dm.insert(int(u[2]), int(v[2]), float(w[2]))  # identical edge
-        assert not dm._extra
-        assert self._snap_edges(dm.to_graph()) == self._adj_edges(dm)
+        self._assert_matches(dm, self._model(medium_graph))
+        snap = dm.to_graph()
+        assert np.array_equal(snap.indptr, medium_graph.indptr)
+        assert np.array_equal(snap.indices, medium_graph.indices)
+        assert np.array_equal(snap.weights, medium_graph.weights)
 
     def test_rebuild_rebases(self, medium_graph):
         dm = DynamicMatcher(medium_graph)
+        model = self._model(medium_graph)
         u, v, _ = medium_graph.edge_array()
         dm.delete(int(u[0]), int(v[0]))
+        del model[(int(u[0]), int(v[0]))]
         dm.insert(0, medium_graph.num_vertices + 1, 2.0)
+        model[(0, medium_graph.num_vertices + 1)] = 2.0
         dm.rebuild()
-        assert not dm._extra
-        assert bool(dm._base_live.all())
-        assert self._snap_edges(dm.to_graph()) == self._adj_edges(dm)
+        assert dm.updates == 0
+        self._assert_matches(dm, model)
+        fresh = ld_seq(dm.to_graph())
+        assert np.array_equal(dm.mate, fresh.mate)
+        assert dm.weight == fresh.weight
 
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
                               st.floats(0.01, 1.0)),
@@ -280,16 +358,14 @@ class TestDynamicSnapshot:
     def test_snapshot_equivalence_property(self, inserts, data):
         dm = DynamicMatcher(build_graph(10, [(0, 1, 1.0), (2, 3, 0.5),
                                              (4, 5, 0.25)]))
-        live = {(0, 1), (2, 3), (4, 5)}
+        model = {(0, 1): 1.0, (2, 3): 0.5, (4, 5): 0.25}
         for a, b, w in inserts:
             if a == b:
                 continue
             dm.insert(a, b, w)
-            live.add((min(a, b), max(a, b)))
-            if live and data.draw(st.booleans()):
-                pair = data.draw(st.sampled_from(sorted(live)))
+            model[(min(a, b), max(a, b))] = w
+            if model and data.draw(st.booleans()):
+                pair = data.draw(st.sampled_from(sorted(model)))
                 dm.delete(*pair)
-                live.discard(pair)
-        snap = dm.to_graph()
-        assert self._snap_edges(snap) == self._adj_edges(dm)
-        snap.validate()
+                del model[pair]
+        self._assert_matches(dm, model)

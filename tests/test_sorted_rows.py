@@ -1,22 +1,24 @@
 """One sorted-row layout per graph, and the matchers that share it.
 
 ``CSRGraph.sorted_row_order`` is the graph's only per-row ``(w, eid)``
-sort; ``PointerIndex`` (LD-SEQ, LD-GPU), ``suitor_seq``,
-``b_suitor`` and ``IncrementalLD`` all read it.
+sort; ``PointerIndex`` (LD-SEQ, LD-GPU), ``suitor_seq``, the SR-OMP /
+SR-GPU rounds, ``b_suitor`` and ``IncrementalLD`` all read it.
 ``CSRGraph.sorted_edge_order`` is its only global edge sort;
 ``greedy_matching`` (in chunked vectorised rounds) and
-``greedy_b_matching`` scan it.  LD on the index engine, ``suitor_seq``
-and greedy read their matched weight in O(n) off their own state.
-The reference oracles below are the implementations those replaced — a
-fresh lexsort per build or run, Suitor's full-row scan per proposal,
-greedy's per-edge loop, the O(m) ``matching_weight`` — and every test
-pits the shared-layout code against them bit for bit.
+``greedy_b_matching`` scan it.  LD on the index engine, the Suitor
+variants and greedy read their matched weight in O(n) off their own
+state.  The reference oracles below are the implementations those
+replaced — a fresh lexsort per build or run, Suitor's full-row scan per
+proposal, the SR rounds' re-scan of every active row, greedy's per-edge
+loop, the O(m) ``matching_weight`` — and every test pits the
+shared-layout code against them bit for bit.
 """
 
 from __future__ import annotations
 
 import copy
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +27,9 @@ from hypothesis import given
 from conftest import build_graph, random_graphs
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
+from repro.graph.segments import gather_rows, segment_argmax_lex
 from repro.matching import greedy as greedy_mod
+from repro.matching import suitor as suitor_mod
 from repro.matching.b_matching import b_suitor, greedy_b_matching
 from repro.matching.coreset import (
     coreset_matching,
@@ -33,12 +37,13 @@ from repro.matching.coreset import (
     extract_shard,
 )
 from repro.matching.cugraph_sim import cugraph_mg_sim
+from repro.matching.dynamic import DynamicMatcher
 from repro.matching.greedy import greedy_matching, sorted_edges
 from repro.matching.ld_gpu import ld_gpu
 from repro.matching.ld_multinode import ld_multinode
 from repro.matching.ld_seq import ld_seq
 from repro.matching.pointer_index import PointerIndex
-from repro.matching.suitor import suitor_seq
+from repro.matching.suitor import suitor_gpu_sim, suitor_omp_sim, suitor_seq
 from repro.matching.types import UNMATCHED
 from repro.matching.validate import matching_weight
 from repro.partition.vertex import (
@@ -114,6 +119,56 @@ def suitor_full_scan(g: CSRGraph) -> np.ndarray:
     mutual = has[suitor[suitor[has]] == has]
     mate[mutual] = suitor[mutual]
     return mate
+
+
+def suitor_rounds_rescan(g: CSRGraph):
+    """SR-OMP/SR-GPU's former rounds: every active row is re-gathered
+    and re-scanned by a masked lexicographic arg-max each round.  Same
+    return shape as ``suitor._suitor_rounds``; the weight is the O(m)
+    ``matching_weight``."""
+    n = g.num_vertices
+    indptr, indices, weights = g.indptr, g.indices, g.weights
+    eids = g.canonical_edge_ids()
+    suitor = np.full(n, UNMATCHED, dtype=np.int64)
+    ws_w = np.full(n, -np.inf)
+    ws_e = np.full(n, -1, dtype=np.int64)
+    active = np.arange(n, dtype=np.int64)
+    frontiers = []
+    rounds = 0
+    while len(active):
+        frontiers.append(active)
+        rounds += 1
+        sub_indptr, pos = gather_rows(indptr, active)
+        nbrs = indices[pos]
+        w = weights[pos]
+        e = eids[pos]
+        beats = (w > ws_w[nbrs]) | ((w == ws_w[nbrs]) & (e > ws_e[nbrs]))
+        primary = np.where(beats, w, -np.inf)
+        win = segment_argmax_lex(primary, e, sub_indptr)
+        has = win >= 0
+        proposers = active[has]
+        targets = nbrs[win[has]]
+        pw = w[win[has]]
+        pe = e[win[has]]
+        order = np.lexsort((pe, pw, targets))
+        targets_s = targets[order]
+        last = np.ones(len(targets_s), dtype=bool)
+        last[:-1] = targets_s[1:] != targets_s[:-1]
+        winners_idx = order[last]
+        tgt = targets[winners_idx]
+        src = proposers[winners_idx]
+        displaced = suitor[tgt]
+        suitor[tgt] = src
+        ws_w[tgt] = pw[winners_idx]
+        ws_e[tgt] = pe[winners_idx]
+        lost = proposers[~np.isin(np.arange(len(proposers)), winners_idx)]
+        redo = displaced[displaced != UNMATCHED]
+        active = np.unique(np.concatenate([lost, redo]))
+    mate = np.full(n, UNMATCHED, dtype=np.int64)
+    has = np.nonzero(suitor != UNMATCHED)[0]
+    mutual = has[suitor[suitor[has]] == has]
+    mate[mutual] = suitor[mutual]
+    return mate, matching_weight(g, mate), frontiers, rounds
 
 
 def lexsort_edges(g: CSRGraph):
@@ -416,6 +471,57 @@ def test_suitor_cursor_equals_full_scan_fixed(fixed_graph):
                           suitor_full_scan(fixed_graph))
 
 
+# ------------------------------------------------------------------ #
+# SR-OMP / SR-GPU: cursor rounds vs the per-round re-scan
+# ------------------------------------------------------------------ #
+
+
+def assert_sr_identical(g: CSRGraph) -> None:
+    mate, weight, frontiers, rounds = suitor_mod._suitor_rounds(g)
+    o_mate, o_weight, o_frontiers, o_rounds = suitor_rounds_rescan(g)
+    assert mate.tobytes() == o_mate.tobytes()
+    assert weight.hex() == o_weight.hex()
+    assert rounds == o_rounds
+    assert len(frontiers) == len(o_frontiers)
+    for f, o in zip(frontiers, o_frontiers):
+        assert f.dtype == o.dtype and np.array_equal(f, o)
+    # The modeled times see only the frontiers, so they match bit for bit.
+    for fn in (suitor_omp_sim, suitor_gpu_sim):
+        r = fn(g)
+        with mock.patch.object(suitor_mod, "_suitor_rounds",
+                               suitor_rounds_rescan):
+            o = fn(g)
+        assert r.mate.tobytes() == o.mate.tobytes()
+        assert r.weight.hex() == o.weight.hex()
+        assert r.iterations == o.iterations
+        assert r.sim_time.hex() == o.sim_time.hex()
+        assert r.stats == o.stats
+        if o.timeline is None:
+            assert r.timeline is None
+        else:
+            assert r.timeline.totals == o.timeline.totals
+
+
+@given(g=random_graphs(tie_prone=True))
+def test_sr_cursor_rounds_equal_rescan_tie_prone(g):
+    for h in (g, tie_heavy(g)):
+        assert_sr_identical(h)
+
+
+@given(g=random_graphs())
+def test_sr_cursor_rounds_equal_rescan(g):
+    assert_sr_identical(g)
+
+
+def test_sr_cursor_rounds_equal_rescan_fixed(fixed_graph):
+    assert_sr_identical(fixed_graph)
+
+
+def test_sr_cursor_rounds_equal_rescan_medium(medium_graph):
+    assert_sr_identical(medium_graph)
+    assert_sr_identical(tie_heavy(medium_graph))
+
+
 @pytest.mark.parametrize("b", [1, 2, 3])
 def test_b_suitor_on_shared_order_equals_greedy_b(medium_graph, b):
     for g in (medium_graph, tie_heavy(medium_graph)):
@@ -523,11 +629,14 @@ def assert_weight_exact(g: CSRGraph, shapes=LD_GPU_SHAPES) -> None:
             greedy_matching(g), cugraph_mg_sim(g, num_devices=3),
             coreset_matching(g, num_shards=3),
             coreset_matching(g, num_shards=3, base="ld"),
-            ld_multinode(g, num_nodes=2, devices_per_node=2)]
+            ld_multinode(g, num_nodes=2, devices_per_node=2),
+            suitor_omp_sim(g), suitor_gpu_sim(g)]
     runs += [ld_gpu(g, **shape) for shape in shapes]
     for r in runs:
         # ``==``, not isclose: the same elements summed in the same order.
         assert r.weight == matching_weight(g, r.mate), r.algorithm
+    dm = DynamicMatcher(g)
+    assert dm.weight == matching_weight(dm.to_graph(), dm.mate)
 
 
 #: A spread of the shapes for the many small hypothesis examples.
