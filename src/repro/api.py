@@ -300,15 +300,24 @@ class _LocalBackend:
     def status(self, fingerprint: str) -> JobStatus:
         return JobStatus.from_stored(self._row(fingerprint))
 
-    def result(self, fingerprint: str) -> "RunRecord | None":
-        """The stored record when terminal, None while in flight;
-        raises :class:`JobCancelled` for cancelled jobs."""
+    def result_json(self, fingerprint: str) -> tuple[str, str | None]:
+        """``(state, record_json)`` from one read of the row: the
+        stored record text when terminal, None while in flight; raises
+        :class:`JobCancelled` for cancelled jobs."""
         row = self._row(fingerprint)
         if row.state == "cancelled":
             raise JobCancelled(fingerprint)
-        if row.status in ("done", "error"):
-            return row.record()
-        return None
+        text = row.record_json if row.status in ("done", "error") else None
+        return row.state, text
+
+    def result(self, fingerprint: str) -> "RunRecord | None":
+        """:meth:`result_json`'s record, parsed."""
+        _state, text = self.result_json(fingerprint)
+        if text is None:
+            return None
+        from repro.engine.record import RunRecord
+
+        return RunRecord.from_json(text)
 
     def cancel(self, fingerprint: str) -> bool:
         self._row(fingerprint)
@@ -411,7 +420,7 @@ class _HttpBackend:
             return None
         from repro.engine.record import RunRecord
 
-        return RunRecord.from_json(json.dumps(doc["record"]))
+        return RunRecord.from_dict(doc["record"])
 
     def cancel(self, fingerprint: str) -> bool:
         doc = self._call("POST", f"/api/v1/jobs/{fingerprint}/cancel")
@@ -624,14 +633,21 @@ def process(
     heartbeats, cancellation honoured between rounds — and returns the
     number of cells executed.  ``idle_exit_s=0`` returns as soon as
     the queue is empty, which makes this the programmatic way to drain
-    a store you just submitted to.
+    a store you just submitted to.  Unlike ``repro worker`` it
+    publishes no graph to shared memory (it still attaches segments a
+    long-lived worker published), and it closes a store it opened.
     """
     if _is_url(store):
         raise ValueError("process() drains a local store; workers "
                          "attach to the database, not the daemon")
     from repro.service.worker import worker_loop
 
-    summary = worker_loop(_local_store(store), max_cells=max_cells,
-                          idle_exit_s=idle_exit_s, poll_s=poll_s,
-                          algorithm=algorithm)
+    local = _local_store(store)
+    try:
+        summary = worker_loop(local, max_cells=max_cells,
+                              idle_exit_s=idle_exit_s, poll_s=poll_s,
+                              algorithm=algorithm, publish=False)
+    finally:
+        if local is not store:
+            local.close()
     return summary.executed

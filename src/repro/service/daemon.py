@@ -33,10 +33,14 @@ stalls for :data:`REQUEST_TIMEOUT_S`, ``500`` anything else.  Bodies
 carry ``{"error": "..."}``; a 400 for the length, 408 or 413 also
 closes the connection.
 
-Threading: :class:`ThreadingHTTPServer` handles each request on its
-own thread, and SQLite connections are not shareable across threads,
-so the daemon opens one :class:`RunStore` per handler thread
-(thread-local).  The metrics registry *is* shared — counter children
+Threading: :class:`ThreadingHTTPServer` handles each request on a new
+thread.  A request that reads or writes the store borrows one
+:class:`RunStore` from a pool of at most :data:`STORE_POOL_SIZE` and
+returns it when the response is written, so a daemon holds that many
+SQLite connections however many requests it serves; a borrower waits
+while all are lent out.  Each pooled connection is used by one thread
+at a time, and :meth:`_Server.server_close` closes them all.  The
+metrics registry *is* shared — counter children
 take a lock-free ``+=`` on floats, which CPython keeps atomic enough
 for scrape-grade accuracy — and every handler activates it with
 :func:`~repro.telemetry.record_into` so store-level counters
@@ -46,11 +50,13 @@ for scrape-grade accuracy — and every handler activates it with
 from __future__ import annotations
 
 import json
+import queue
 import threading
 import time
 import urllib.parse
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.telemetry import MetricsRegistry, record_into, to_prometheus
 
@@ -75,16 +81,59 @@ JOBS_GAUGE = "repro_service_jobs"
 MAX_BODY_BYTES = 1 << 20
 #: Seconds a connection may stall mid-request before it is dropped.
 REQUEST_TIMEOUT_S = 30.0
+#: Most stores (one SQLite connection each) the daemon keeps open.
+STORE_POOL_SIZE = 4
 
 
 class _BodyTooLarge(ValueError):
     """The declared request body exceeds :data:`MAX_BODY_BYTES`."""
 
 
+class _StorePool:
+    """:data:`STORE_POOL_SIZE` :class:`RunStore` instances, each lent
+    to one handler thread at a time; a store connects on first use."""
+
+    def __init__(self, path: Any, lease_seconds: float | None) -> None:
+        from repro.store.db import RunStore
+
+        # LIFO: serial traffic keeps reusing the one warm connection.
+        self._idle: queue.LifoQueue = queue.LifoQueue()
+        for _ in range(STORE_POOL_SIZE):
+            self._idle.put(RunStore(path, lease_seconds=lease_seconds))
+        self._lock = threading.Lock()
+        self._closed = False
+
+    @contextmanager
+    def borrow(self) -> Iterator["RunStore"]:
+        store = self._idle.get()
+        try:
+            yield store
+        finally:
+            with self._lock:
+                if self._closed:
+                    store.close()
+                self._idle.put(store)
+
+    def close(self) -> None:
+        """Close every idle connection now, and each lent one when it
+        comes back."""
+        with self._lock:
+            self._closed = True
+            idle = []
+            try:
+                while True:
+                    idle.append(self._idle.get_nowait())
+            except queue.Empty:
+                pass
+            for store in idle:
+                store.close()
+                self._idle.put(store)
+
+
 class ServiceState:
-    """Everything the handler threads share: the store path (each
-    thread opens its own connection), the per-client pending quota,
-    and the daemon-lifetime metrics registry."""
+    """Everything the handler threads share: the store pool, the
+    per-client pending quota, and the daemon-lifetime metrics
+    registry."""
 
     def __init__(self, store_path: Any, *,
                  quota: int | None = None,
@@ -96,22 +145,12 @@ class ServiceState:
         self.lease_seconds = lease_seconds
         self.registry = MetricsRegistry()
         self.started_at = time.time()
-        self._local = threading.local()
-
-    def store(self) -> "RunStore":
-        """This handler thread's own RunStore connection."""
-        store = getattr(self._local, "store", None)
-        if store is None:
-            from repro.store.db import RunStore
-
-            store = RunStore(self.store_path,
-                             lease_seconds=self.lease_seconds)
-            self._local.store = store
-        return store
+        self.stores = _StorePool(self.store_path, lease_seconds)
 
     # ---------------------------------------------------------- #
 
-    def submit(self, body: dict[str, Any]) -> dict[str, Any]:
+    def submit(self, store: "RunStore",
+               body: dict[str, Any]) -> dict[str, Any]:
         """Validate, quota-check and register one submission.
 
         Same construction path as :meth:`repro.api._LocalBackend.
@@ -139,18 +178,16 @@ class ServiceState:
         dataset = kwargs.pop("dataset", None)
         mc, g = _build_cell(algorithm, dataset, **kwargs)
         fp, config, gfp = fingerprint_for(mc.cell, mc.ctx, g)
-        store = self.store()
         if self.quota is not None and store.get(fp) is None:
-            backlog = [r for r in store.select(client=client)
-                       if r.status in ("pending", "leased")
-                       and not r.cancel_requested]
-            if len(backlog) >= self.quota:
+            backlog = store.count(status=("pending", "leased"),
+                                  client=client, cancel_requested=False)
+            if backlog >= self.quota:
                 self.registry.counter(
                     REJECTS_COUNTER,
                     "Submissions refused by the daemon.",
                     reason="quota").inc()
                 raise QuotaExceeded(
-                    f"client {client!r} has {len(backlog)} unfinished "
+                    f"client {client!r} has {backlog} unfinished "
                     f"jobs (quota {self.quota}); wait or cancel some")
         store.register(
             fp, algorithm=mc.cell.algorithm_name, config=config,
@@ -163,13 +200,11 @@ class ServiceState:
         return {"fingerprint": fp,
                 "state": row.state if row is not None else "pending"}
 
-    def metrics_text(self) -> str:
+    def metrics_text(self, store: "RunStore") -> str:
         """Prometheus exposition: daemon counters + live queue gauges."""
-        store = self.store()
         counts = store.counts()
-        cancelled = sum(
-            1 for r in store.select(status=("pending", "error"))
-            if r.cancel_requested)
+        cancelled = store.count(status=("pending", "error"),
+                                cancel_requested=True)
         for state, n in counts.items():
             self.registry.gauge(
                 JOBS_GAUGE, "Jobs per lifecycle state.",
@@ -273,21 +308,27 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------ #
 
     def _route(self, method: str, route: str, query: str) -> None:
-        from repro.api import JobNotFound, _LocalBackend
-
         state = self.server.state
-        backend = _LocalBackend(state.store())
         if method == "GET" and route == "/healthz":
             self._send(200, {"ok": True, "store": str(state.store_path),
                              "uptime_s": time.time() - state.started_at})
             return
+        with state.stores.borrow() as store:
+            self._store_route(store, method, route, query)
+
+    def _store_route(self, store: "RunStore", method: str, route: str,
+                     query: str) -> None:
+        from repro.api import JobNotFound, _LocalBackend
+
+        state = self.server.state
+        backend = _LocalBackend(store)
         if method == "GET" and route == "/metrics":
-            self._send(200, state.metrics_text().encode(),
+            self._send(200, state.metrics_text(store).encode(),
                        content_type="text/plain; version=0.0.4")
             return
         if route == "/api/v1/jobs":
             if method == "POST":
-                self._send(201, state.submit(self._body()))
+                self._send(201, state.submit(store, self._body()))
                 return
             if method == "GET":
                 params = urllib.parse.parse_qs(query)
@@ -309,14 +350,12 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(200, backend.status(fp).to_dict())
                 return
             if method == "GET" and tail == "result":
-                status = backend.status(fp)  # 404/derived state first
-                record = backend.result(fp)  # raises 409 when cancelled
-                self._send(200, {
-                    "fingerprint": fp,
-                    "state": status.state,
-                    "record": None if record is None
-                    else json.loads(record.to_json()),
-                })
+                # One read: the state and the record come from the same
+                # row, and the stored record text is embedded as is.
+                job_state, text = backend.result_json(fp)
+                head = json.dumps({"fingerprint": fp, "state": job_state})
+                self._send(200, (f'{head[:-1]}, "record": '
+                                 f'{text or "null"}}}').encode())
                 return
             if method == "POST" and tail == "cancel":
                 self._send(200, {"cancelled": backend.cancel(fp)})
@@ -341,6 +380,10 @@ class _Server(ThreadingHTTPServer):
         self.state = state
         self.quiet = quiet
         super().__init__(address, _Handler)
+
+    def server_close(self) -> None:
+        super().server_close()
+        self.state.stores.close()
 
 
 def build_server(store_path: Any, *,

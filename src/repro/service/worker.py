@@ -33,12 +33,15 @@ siblings attach the segment read-only instead of regenerating the
 dataset analog.  Dead segments (owner exited) fall back to a normal
 build and the stale descriptor is dropped.  ``REPRO_SHM=off`` disables
 the plane; records are identical either way (the staged bytes are, by
-fingerprint, the same graph).
+fingerprint, the same graph).  Only a long-lived worker publishes:
+an inline drain (:func:`repro.api.process`) would unlink its segments
+on return, before any sibling could attach them, so it only attaches.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
@@ -118,9 +121,10 @@ class _Heartbeat:
 
 
 def _stage_graph(store: "RunStore", cell: Any, config: dict[str, Any],
-                 graph_fp: str | None, registry: Any):
+                 graph_fp: str | None, registry: Any, publish: bool):
     """The cell's input graph: shared-memory plane first, then the
-    normal build path (dataset registry / builder / context dataset)."""
+    normal build path (dataset registry / builder / context dataset).
+    A built graph is published for siblings only when ``publish``."""
     meta_key = f"shm:{graph_fp}" if graph_fp else None
     if registry is not None and meta_key is not None:
         doc = store.meta_get(meta_key)
@@ -142,7 +146,7 @@ def _stage_graph(store: "RunStore", cell: Any, config: dict[str, Any],
         from repro.harness.datasets import load_dataset
 
         g = load_dataset(config["ctx_dataset"])
-    if registry is not None and meta_key is not None:
+    if publish and registry is not None and meta_key is not None:
         import dataclasses
 
         seg = registry.publish(g, graph_fp)
@@ -151,7 +155,8 @@ def _stage_graph(store: "RunStore", cell: Any, config: dict[str, Any],
 
 
 def run_claimed_cell(store: "RunStore", row: "StoredRun",
-                     registry: Any = None) -> "RunRecord":
+                     registry: Any = None,
+                     publish: bool = True) -> "RunRecord":
     """Execute one already-claimed row and persist its outcome.
 
     Mirrors :func:`~repro.engine.cells.run_stored_cell`'s inner
@@ -161,7 +166,8 @@ def run_claimed_cell(store: "RunStore", row: "StoredRun",
     graph lived only in the submitting process) is completed as an
     ``error`` record — visible in ``store ls`` and still directly
     claimable by the owning grid, which re-runs it with the in-process
-    graph.
+    graph.  ``registry`` is the shared-memory plane to attach from and,
+    with ``publish``, to publish a freshly built graph into.
     """
     from repro.engine.cells import (
         error_record,
@@ -176,7 +182,7 @@ def run_claimed_cell(store: "RunStore", row: "StoredRun",
         cell = cell_from_config(row.config)
         mc = materialise_cells([cell])[0]
         g = _stage_graph(store, cell, row.config,
-                         row.graph_fingerprint, registry)
+                         row.graph_fingerprint, registry, publish)
     except Exception as exc:
         from repro.engine.cells import Cell
         from repro.engine.context import RunContext
@@ -212,6 +218,7 @@ def worker_loop(
     algorithm: str | Iterable[str] | None = None,
     lease_seconds: float | None = None,
     on_cell: Callable[[str, "RunRecord"], None] | None = None,
+    publish: bool = True,
 ) -> WorkerSummary:
     """Claim and execute cells until the exit condition is met.
 
@@ -233,6 +240,13 @@ def worker_loop(
     on_cell:
         Callback ``(fingerprint, record)`` after each persisted cell
         (the CLI's per-cell log line).
+    publish:
+        Publish each built graph to shared memory for co-located
+        siblings (the long-lived ``repro worker``).  An inline drain
+        (:func:`repro.api.process`) passes False: it unlinks its
+        segments on return, before any other process could attach
+        them.  Segments other workers published are attached either
+        way.
 
     Returns a :class:`WorkerSummary`.  ``KeyboardInterrupt`` mid-cell
     releases the lease (the cell returns to ``pending``) and the
@@ -269,7 +283,7 @@ def worker_loop(
                 store.release(row.fingerprint)
                 summary.cancelled += 1
                 continue
-            record = run_claimed_cell(store, row, registry)
+            record = run_claimed_cell(store, row, registry, publish)
             summary.executed += 1
             summary.fingerprints.append(row.fingerprint)
             if record.ok:
@@ -288,11 +302,11 @@ def worker_loop(
     finally:
         summary.stale_reclaims = store.stale_reclaims - stale_before
         summary.wall_s = time.monotonic() - t0
-        if registry is not None:
+        if publish and registry is not None:
             for seg in registry.segments():
                 try:
                     store.meta_delete(f"shm:{seg.fingerprint}")
-                except Exception:
+                except sqlite3.Error:
                     pass
             registry.unlink_all()
     return summary

@@ -169,6 +169,19 @@ def _enable_wal(conn: sqlite3.Connection) -> None:
         delay = min(2 * delay, 0.05)
 
 
+def _is_current(conn: sqlite3.Connection) -> bool:
+    """Whether ``conn``'s database is already a current-schema WAL
+    store, in one probe — the common case for every connection after
+    the first, which then skips the schema script and migration."""
+    try:
+        row = conn.execute(
+            "SELECT (SELECT value FROM store_meta WHERE key='schema'), "
+            "(SELECT journal_mode FROM pragma_journal_mode)").fetchone()
+    except sqlite3.OperationalError:  # no store_meta table yet
+        return False
+    return row[0] == str(STORE_SCHEMA_VERSION) and row[1] == "wal"
+
+
 @dataclass(frozen=True)
 class StoredRun:
     """One ``runs`` row, as Python data."""
@@ -244,6 +257,31 @@ def _row_to_run(row: sqlite3.Row) -> StoredRun:
     )
 
 
+def _where(columns: Iterable[tuple[str, Any]], *,
+           created_after: float | None = None,
+           created_before: float | None = None
+           ) -> tuple[str, list[Any]]:
+    """The ``WHERE`` clause and parameters of a row filter: each
+    ``(column, value)`` with a non-None value narrows to ``column IN
+    (value...)``; a plain string is one value."""
+    clauses: list[str] = []
+    params: list[Any] = []
+    for column, value in columns:
+        if value is None:
+            continue
+        wanted = [value] if isinstance(value, str) else list(value)
+        marks = ",".join("?" for _ in wanted)
+        clauses.append(f"{column} IN ({marks})")
+        params.extend(wanted)
+    if created_after is not None:
+        clauses.append("created_at >= ?")
+        params.append(float(created_after))
+    if created_before is not None:
+        clauses.append("created_at <= ?")
+        params.append(float(created_before))
+    return (f" WHERE {' AND '.join(clauses)}" if clauses else ""), params
+
+
 class RunStore:
     """SQLite-backed, multi-process-safe store of grid-cell runs.
 
@@ -298,12 +336,23 @@ class RunStore:
         if conn is not None:
             return conn
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        # ``check_same_thread=False``: the daemon's pooled stores move
+        # between handler threads, one holder at a time.
         conn = sqlite3.connect(str(self.path), timeout=_BUSY_TIMEOUT_S,
-                               isolation_level=None)
+                               isolation_level=None,
+                               check_same_thread=False)
         conn.row_factory = sqlite3.Row
-        _enable_wal(conn)
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_S * 1000)}")
+        if not _is_current(conn):
+            self._initialise(conn)
+        self._conn = conn
+        return conn
+
+    def _initialise(self, conn: sqlite3.Connection) -> None:
+        """Create, switch to WAL or migrate a store that is not a
+        current-schema WAL store yet (fresh, v1, or newer: refused)."""
+        _enable_wal(conn)
         conn.executescript(_SCHEMA_SQL)
         conn.execute(
             "INSERT OR IGNORE INTO store_meta (key, value) VALUES "
@@ -319,8 +368,6 @@ class RunStore:
         if stored < STORE_SCHEMA_VERSION:
             self._migrate(conn, stored)
         conn.execute(_CLAIM_INDEX_SQL)
-        self._conn = conn
-        return conn
 
     @staticmethod
     def _migrate(conn: sqlite3.Connection, stored: int) -> None:
@@ -676,29 +723,32 @@ class RunStore:
         caller's Python-side refinement.  Every filter accepts one
         value or an iterable of values; ``None`` means "any".
         """
-        clauses: list[str] = []
-        params: list[Any] = []
-        for column, value in (("algorithm", algorithm),
-                              ("dataset", dataset),
-                              ("status", status),
-                              ("client", client)):
-            if value is None:
-                continue
-            wanted = [value] if isinstance(value, str) else list(value)
-            marks = ",".join("?" for _ in wanted)
-            clauses.append(f"{column} IN ({marks})")
-            params.extend(wanted)
-        if created_after is not None:
-            clauses.append("created_at >= ?")
-            params.append(float(created_after))
-        if created_before is not None:
-            clauses.append("created_at <= ?")
-            params.append(float(created_before))
-        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
+        where, params = _where(
+            (("algorithm", algorithm), ("dataset", dataset),
+             ("status", status), ("client", client)),
+            created_after=created_after, created_before=created_before)
         rows = self._connect().execute(
             f"SELECT * FROM runs{where} "
             "ORDER BY created_at, fingerprint", params).fetchall()
         return [_row_to_run(r) for r in rows]
+
+    def count(
+        self,
+        *,
+        status: str | Iterable[str] | None = None,
+        client: str | Iterable[str] | None = None,
+        cancel_requested: bool | None = None,
+    ) -> int:
+        """One SQL ``COUNT(*)`` over the rows :meth:`select` would
+        return for the same filters, optionally narrowed on the
+        ``cancel_requested`` flag — no row is read into Python."""
+        columns: list[tuple[str, Any]] = [("status", status),
+                                          ("client", client)]
+        if cancel_requested is not None:
+            columns.append(("cancel_requested", [int(cancel_requested)]))
+        where, params = _where(columns)
+        return self._connect().execute(
+            f"SELECT COUNT(*) FROM runs{where}", params).fetchone()[0]
 
     def counts(self) -> dict[str, int]:
         """Row counts per lifecycle status (absent statuses → 0)."""

@@ -325,6 +325,83 @@ class TestApiLocal:
                        poll_s=0.05)
 
 
+class TestInlineDrainShm:
+    """`api.process` drains without publishing to shared memory; a
+    segment a long-lived worker published is still attached."""
+
+    def test_process_publishes_no_segment(self, tmp_path, monkeypatch):
+        from repro.harness.shm import (
+            SharedGraphRegistry,
+            list_orphan_segments,
+        )
+
+        published = []
+        monkeypatch.setattr(SharedGraphRegistry, "publish",
+                            lambda self, *a, **kw: published.append(a))
+        db = tmp_path / "runs.db"
+        fps = [api.submit("ld_gpu", DATASET, devices=d, seed=14,
+                          store=db) for d in (1, 2)]
+        assert api.process(store=db) == 2
+        assert all(api.result(fp, store=db).ok for fp in fps)
+        assert published == []
+        conn = sqlite3.connect(str(db))
+        keys = [r[0] for r in conn.execute(
+            "SELECT key FROM store_meta WHERE key LIKE 'shm:%'")]
+        conn.close()
+        assert keys == []
+        assert list_orphan_segments() == []
+
+    def test_process_attaches_published_segment(self, tmp_path):
+        import dataclasses
+
+        from repro.harness.datasets import load_dataset
+        from repro.harness.shm import (
+            SharedGraphRegistry,
+            default_registry,
+            shm_enabled,
+        )
+
+        if not shm_enabled():
+            pytest.skip("shared-memory plane unavailable")
+        db = tmp_path / "runs.db"
+        fp = api.submit("ld_gpu", DATASET, devices=2, seed=15, store=db)
+        store = RunStore(db)
+        gfp = store.get(fp).graph_fingerprint
+        owner = SharedGraphRegistry()  # stands in for a `repro worker`
+        try:
+            seg = owner.publish(load_dataset(DATASET), gfp)
+            store.meta_set(f"shm:{gfp}",
+                           json.dumps(dataclasses.asdict(seg)))
+            attaches = default_registry().attaches
+            assert api.process(store=db) == 1
+            assert default_registry().attaches == attaches + 1
+            # the published descriptor is the owner's to drop
+            assert store.meta_get(f"shm:{gfp}") is not None
+        finally:
+            owner.unlink_all()
+        assert _canon(api.result(fp, store=db)) == _canon(
+            api.run("ld_gpu", DATASET, devices=2, seed=15))
+
+    def test_process_closes_the_store_it_opened(self, tmp_path,
+                                                 monkeypatch):
+        opened = []
+        real = sqlite3.connect
+
+        def spy(*args, **kwargs):
+            conn = real(*args, **kwargs)
+            opened.append(conn)
+            return conn
+
+        db = tmp_path / "runs.db"
+        api.submit("ld_gpu", DATASET, seed=16, store=db)
+        monkeypatch.setattr(sqlite3, "connect", spy)
+        assert api.process(store=db) == 1
+        assert opened
+        for conn in opened:
+            with pytest.raises(sqlite3.ProgrammingError):
+                conn.execute("SELECT 1")
+
+
 class TestApiSurface:
     def test_api_exported_from_package_root(self):
         assert "api" in repro.__all__
@@ -423,6 +500,131 @@ class TestDaemon:
         assert validate_prometheus_text(text) > 0
         assert "repro_service_submissions_total 1" in text
         assert 'repro_service_jobs{state="pending"} 1' in text
+
+
+def _start_daemon(db):
+    server = build_server(db, port=0, quiet=True)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server, f"http://127.0.0.1:{server.server_address[1]}"
+
+
+def _stop_daemon(server):
+    server.shutdown()
+    server.server_close()
+
+
+class TestDaemonStorePool:
+    def test_connections_bounded_and_closed(self, tmp_path, monkeypatch):
+        opened = []
+        real = sqlite3.connect
+
+        def spy(*args, **kwargs):
+            conn = real(*args, **kwargs)
+            opened.append(conn)
+            return conn
+
+        db = tmp_path / "runs.db"
+        RunStore(db).counts()
+        monkeypatch.setattr(sqlite3, "connect", spy)
+        server, url = _start_daemon(db)
+        errors = []
+
+        def client(seed):
+            try:
+                fp = api.submit("ld_gpu", DATASET, seed=seed, store=url)
+                assert api.status(fp, store=url).state == "pending"
+                assert api.result(fp, store=url) is None
+                api.query(store=url)
+                with urllib.request.urlopen(f"{url}/metrics") as resp:
+                    resp.read()
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        try:
+            client(0)  # serial requests first
+            threads = [threading.Thread(target=client, args=(seed,))
+                       for seed in range(1, 13)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            _stop_daemon(server)
+        assert errors == []
+        assert 1 <= len(opened) <= daemon_mod.STORE_POOL_SIZE
+        for conn in opened:
+            with pytest.raises(sqlite3.ProgrammingError):
+                conn.execute("SELECT 1")
+
+    def test_result_state_agrees_with_record(self, daemon, monkeypatch):
+        """A job that completes while /result is being served is
+        reported from one row: leased with no record, or done with
+        one — never leased with a record."""
+        url, db = daemon
+        fp = api.submit("ld_gpu", DATASET, seed=17, store=url)
+        assert RunStore(db).claim_next().fingerprint == fp
+        record = api.run("ld_gpu", DATASET, seed=17)
+        real_get = RunStore.get
+        armed = [True]
+
+        def get_then_complete(self, fingerprint):
+            row = real_get(self, fingerprint)
+            if armed and fingerprint == fp:
+                armed.clear()
+                with RunStore(db) as other:  # lands right after the read
+                    other.complete(fp, record)
+            return row
+
+        monkeypatch.setattr(RunStore, "get", get_then_complete)
+        docs = []
+        for _ in range(2):
+            with urllib.request.urlopen(
+                    f"{url}/api/v1/jobs/{fp}/result") as resp:
+                docs.append(json.loads(resp.read()))
+        assert [d["state"] for d in docs] == ["leased", "done"]
+        for doc in docs:
+            assert (doc["state"] == "done") == (doc["record"] is not None)
+
+    def test_http_result_bytes_equal_stored_record(self, daemon):
+        url, db = daemon
+        fp = api.submit("ld_gpu", DATASET, devices=4, batches=2,
+                        seed=18, store=url)
+        api.process(store=db)
+        stored = RunStore(db).get(fp).record_json
+        assert api.result(fp, store=url).to_json() == stored
+        assert api.result(fp, store=db).to_json() == stored
+
+    def test_restart_with_leased_job(self, tmp_path):
+        """Failure drill: the daemon restarts while a job is leased."""
+        db = tmp_path / "runs.db"
+        RunStore(db).counts()
+        server, url = _start_daemon(db)
+        try:
+            fp = api.submit("ld_gpu", DATASET, devices=2, seed=19,
+                            store=url)
+            doomed = RunStore(db, lease_seconds=0.5,
+                              worker_id="doomed:1")
+            assert doomed.claim_next().fingerprint == fp
+            doomed.close()
+        finally:
+            _stop_daemon(server)
+        server, url = _start_daemon(db)
+        try:
+            assert api.status(fp, store=url).state == "leased"
+            assert api.result(fp, store=url) is None
+            expires = RunStore(db).get(fp).lease_expires_at
+            time.sleep(max(expires - time.time(), 0.0) + 0.05)
+            assert api.process(store=db) == 1
+            assert api.status(fp, store=url).state == "done"
+            served = api.result(fp, store=url)
+        finally:
+            _stop_daemon(server)
+        row = RunStore(db).get(fp)
+        assert row.attempts == 2
+        assert served.to_json() == row.record_json
+        assert _canon(served) == _canon(
+            api.run("ld_gpu", DATASET, devices=2, seed=19))
 
 
 def _raw_submit(url: str, headers: str, body: bytes = b"") -> bytes:

@@ -10,6 +10,7 @@ heartbeat, the to_json round-trip stability contract, and the
 import json
 import multiprocessing
 import os
+import sqlite3
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -29,6 +30,7 @@ from repro.store import (
     fingerprint_for,
     resolve_store,
 )
+from repro.store.db import STORE_SCHEMA_VERSION
 
 
 def _grid(devices=(1, 2, 4), batches=(None, 2)):
@@ -245,6 +247,60 @@ class TestStoreLifecycle:
         monkeypatch.setenv("REPRO_RUN_STORE", str(tmp_path / "env.db"))
         assert resolve_store(None).path == tmp_path / "env.db"
         assert resolve_store(None, use_env=False) is None
+
+
+class TestStoreConnect:
+    """Each connection probes the schema once; only a store that is not
+    a current-schema WAL store runs the schema script."""
+
+    def test_current_store_skips_initialisation(self, tmp_path,
+                                                monkeypatch):
+        db = tmp_path / "runs.db"
+        calls = []
+        real = RunStore._initialise
+        monkeypatch.setattr(
+            RunStore, "_initialise",
+            lambda self, conn: calls.append(1) or real(self, conn))
+        RunStore(db).counts()
+        assert calls == [1]  # fresh file: schema, WAL, claim index
+        store = RunStore(db)
+        store.register("cell:" + "c" * 40, algorithm="x", config={})
+        assert calls == [1]  # current WAL store: the probe suffices
+        assert store.claim_next().fingerprint == "cell:" + "c" * 40
+
+    def test_recreated_file_gets_schema_again(self, tmp_path):
+        db = tmp_path / "runs.db"
+        with RunStore(db) as store:
+            store.register("cell:" + "d" * 40, algorithm="x", config={})
+        for suffix in ("", "-wal", "-shm"):
+            if os.path.exists(f"{db}{suffix}"):
+                os.remove(f"{db}{suffix}")
+        sqlite3.connect(str(db)).close()  # an empty file, same path
+        store = RunStore(db)
+        assert store.counts() == {"pending": 0, "leased": 0,
+                                  "done": 0, "error": 0}
+        assert store.register("cell:" + "d" * 40, algorithm="x",
+                              config={})
+        assert store.meta_get("schema") == str(STORE_SCHEMA_VERSION)
+        mode = store._connect().execute("PRAGMA journal_mode").fetchone()
+        assert mode[0] == "wal"
+
+    def test_count_matches_select(self, tmp_path):
+        store = RunStore(tmp_path / "runs.db")
+        for i, client in enumerate(("a", "a", "b", None, "a")):
+            store.register(f"cell:{i:040d}", algorithm="x", config={},
+                           client=client)
+        store.claim(f"cell:{0:040d}")
+        store.request_cancel(f"cell:{1:040d}")
+        store.request_cancel(f"cell:{2:040d}")
+        for status in (None, "pending", ("pending", "leased")):
+            for client in (None, "a", ("a", "b")):
+                for flag in (None, True, False):
+                    rows = [r for r in store.select(status=status,
+                                                    client=client)
+                            if flag is None or r.cancel_requested == flag]
+                    assert store.count(status=status, client=client,
+                                       cancel_requested=flag) == len(rows)
 
 
 class _KillAfter(InstrumentationSink):
