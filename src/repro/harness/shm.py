@@ -291,11 +291,17 @@ class SharedGraphRegistry:
             self._unlink(entry[0])
             n += 1
         self._published.clear()
+        self.detach_all()
+        return n
+
+    def detach_all(self) -> None:
+        """Quiet-close every attach-side handle and forget the attach
+        memo; owned segments stay published.  Graphs handed out by
+        :meth:`attach` stay valid — their views pin the mapping."""
         for keep, _graph in self._attached.values():
             if keep is not None:
                 _quiet_close(keep)
         self._attached.clear()
-        return n
 
     # -------------------------------------------------------------- #
     # attacher side

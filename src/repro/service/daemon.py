@@ -33,16 +33,17 @@ stalls for :data:`REQUEST_TIMEOUT_S`, ``500`` anything else.  Bodies
 carry ``{"error": "..."}``; a 400 for the length, 408 or 413 also
 closes the connection.
 
-Threading: :class:`ThreadingHTTPServer` handles each request on a new
-thread.  A request that reads or writes the store borrows one
-:class:`RunStore` from a pool of at most :data:`STORE_POOL_SIZE` and
-returns it when the response is written, so a daemon holds that many
-SQLite connections however many requests it serves; a borrower waits
-while all are lent out.  Each pooled connection is used by one thread
-at a time, and :meth:`_Server.server_close` closes them all.  The
-metrics registry *is* shared — counter children
-take a lock-free ``+=`` on floats, which CPython keeps atomic enough
-for scrape-grade accuracy — and every handler activates it with
+Threading: :class:`ThreadingHTTPServer` handles each connection on a
+new thread.  A request borrows one :class:`RunStore` from a pool of at
+most :data:`STORE_POOL_SIZE` for its SQL calls only: the body is read
+and the cell built before the borrow, and the response is written
+after the return, so a client that stalls its body or its reads holds
+no store.  A borrower waits only while every store runs SQL.  Each
+pooled connection is used by one thread at a time, and
+:meth:`_Server.server_close` closes them all.  The metrics registry
+*is* shared — counter children take a lock-free ``+=`` on floats,
+which CPython keeps atomic enough for scrape-grade accuracy — and
+every handler activates it with
 :func:`~repro.telemetry.record_into` so store-level counters
 (hits/claims/cancels) emitted during handling land on ``/metrics``.
 """
@@ -56,12 +57,10 @@ import time
 import urllib.parse
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import Any, Iterator
 
+from repro.store.db import RunStore
 from repro.telemetry import MetricsRegistry, record_into, to_prometheus
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.store.db import RunStore
 
 __all__ = ["ServiceState", "build_server", "serve",
            "DEFAULT_HOST", "DEFAULT_PORT"]
@@ -84,27 +83,34 @@ REQUEST_TIMEOUT_S = 30.0
 #: Most stores (one SQLite connection each) the daemon keeps open.
 STORE_POOL_SIZE = 4
 
+_JSON = "application/json"
+
 
 class _BodyTooLarge(ValueError):
     """The declared request body exceeds :data:`MAX_BODY_BYTES`."""
 
 
+class _PooledStore(RunStore):
+    """A store whose connection moves between handler threads, one
+    holder at a time."""
+
+    _thread_bound = False
+
+
 class _StorePool:
-    """:data:`STORE_POOL_SIZE` :class:`RunStore` instances, each lent
-    to one handler thread at a time; a store connects on first use."""
+    """:data:`STORE_POOL_SIZE` stores, each lent to one handler thread
+    at a time; a store connects on first use."""
 
     def __init__(self, path: Any, lease_seconds: float | None) -> None:
-        from repro.store.db import RunStore
-
         # LIFO: serial traffic keeps reusing the one warm connection.
         self._idle: queue.LifoQueue = queue.LifoQueue()
         for _ in range(STORE_POOL_SIZE):
-            self._idle.put(RunStore(path, lease_seconds=lease_seconds))
+            self._idle.put(_PooledStore(path, lease_seconds=lease_seconds))
         self._lock = threading.Lock()
         self._closed = False
 
     @contextmanager
-    def borrow(self) -> Iterator["RunStore"]:
+    def borrow(self) -> Iterator[RunStore]:
         store = self._idle.get()
         try:
             yield store
@@ -149,14 +155,14 @@ class ServiceState:
 
     # ---------------------------------------------------------- #
 
-    def submit(self, store: "RunStore",
-               body: dict[str, Any]) -> dict[str, Any]:
+    def submit(self, body: dict[str, Any]) -> dict[str, Any]:
         """Validate, quota-check and register one submission.
 
         Same construction path as :meth:`repro.api._LocalBackend.
         submit`, split around the fingerprint so the quota check can
         let idempotent resubmissions of an already-registered job
-        through even for clients at their limit.
+        through even for clients at their limit.  The cell is built
+        before a store is borrowed.
         """
         from repro.api import QuotaExceeded, _build_cell
         from repro.store.fingerprint import fingerprint_for
@@ -178,29 +184,30 @@ class ServiceState:
         dataset = kwargs.pop("dataset", None)
         mc, g = _build_cell(algorithm, dataset, **kwargs)
         fp, config, gfp = fingerprint_for(mc.cell, mc.ctx, g)
-        if self.quota is not None and store.get(fp) is None:
-            backlog = store.count(status=("pending", "leased"),
-                                  client=client, cancel_requested=False)
-            if backlog >= self.quota:
-                self.registry.counter(
-                    REJECTS_COUNTER,
-                    "Submissions refused by the daemon.",
-                    reason="quota").inc()
-                raise QuotaExceeded(
-                    f"client {client!r} has {backlog} unfinished "
-                    f"jobs (quota {self.quota}); wait or cancel some")
-        store.register(
-            fp, algorithm=mc.cell.algorithm_name, config=config,
-            seed=mc.ctx.seed, graph_fingerprint=gfp,
-            dataset=mc.cell.dataset or mc.ctx.dataset,
-            priority=priority, client=client)
+        with self.stores.borrow() as store:
+            if self.quota is not None and store.get(fp) is None:
+                backlog = store.count(status=("pending", "leased"),
+                                      client=client, cancel_requested=False)
+                if backlog >= self.quota:
+                    self.registry.counter(
+                        REJECTS_COUNTER,
+                        "Submissions refused by the daemon.",
+                        reason="quota").inc()
+                    raise QuotaExceeded(
+                        f"client {client!r} has {backlog} unfinished "
+                        f"jobs (quota {self.quota}); wait or cancel some")
+            store.register(
+                fp, algorithm=mc.cell.algorithm_name, config=config,
+                seed=mc.ctx.seed, graph_fingerprint=gfp,
+                dataset=mc.cell.dataset or mc.ctx.dataset,
+                priority=priority, client=client)
+            row = store.get(fp)
         self.registry.counter(
             SUBMITS_COUNTER, "Jobs accepted over HTTP.").inc()
-        row = store.get(fp)
         return {"fingerprint": fp,
                 "state": row.state if row is not None else "pending"}
 
-    def metrics_text(self, store: "RunStore") -> str:
+    def metrics_text(self, store: RunStore) -> str:
         """Prometheus exposition: daemon counters + live queue gauges."""
         counts = store.counts()
         cancelled = store.count(status=("pending", "error"),
@@ -233,7 +240,7 @@ class _Handler(BaseHTTPRequestHandler):
             BaseHTTPRequestHandler.log_message(self, fmt, *args)
 
     def _send(self, code: int, payload: Any,
-              content_type: str = "application/json") -> None:
+              content_type: str = _JSON) -> None:
         body = (payload if isinstance(payload, bytes)
                 else json.dumps(payload).encode())
         self.send_response(code)
@@ -313,53 +320,50 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, {"ok": True, "store": str(state.store_path),
                              "uptime_s": time.time() - state.started_at})
             return
+        if method == "POST" and route == "/api/v1/jobs":
+            self._send(201, state.submit(self._body()))
+            return
         with state.stores.borrow() as store:
-            self._store_route(store, method, route, query)
+            code, payload, content_type = self._answer(
+                store, method, route, query)
+        self._send(code, payload, content_type)
 
-    def _store_route(self, store: "RunStore", method: str, route: str,
-                     query: str) -> None:
+    def _answer(self, store: RunStore, method: str, route: str,
+                query: str) -> tuple[int, Any, str]:
+        """``(code, payload, content type)`` of a route that needs
+        only the store; the caller writes it once the store is back."""
         from repro.api import JobNotFound, _LocalBackend
 
-        state = self.server.state
         backend = _LocalBackend(store)
         if method == "GET" and route == "/metrics":
-            self._send(200, state.metrics_text(store).encode(),
-                       content_type="text/plain; version=0.0.4")
-            return
-        if route == "/api/v1/jobs":
-            if method == "POST":
-                self._send(201, state.submit(store, self._body()))
-                return
-            if method == "GET":
-                params = urllib.parse.parse_qs(query)
+            return (200, self.server.state.metrics_text(store).encode(),
+                    "text/plain; version=0.0.4")
+        if method == "GET" and route == "/api/v1/jobs":
+            params = urllib.parse.parse_qs(query)
 
-                def many(key: str) -> list[str] | None:
-                    return params.get(key) or None
+            def many(key: str) -> list[str] | None:
+                return params.get(key) or None
 
-                jobs = backend.query(
-                    algorithm=many("algorithm"), dataset=many("dataset"),
-                    state=many("state"), client=many("client"))
-                self._send(200, {"jobs": [j.to_dict() for j in jobs]})
-                return
+            jobs = backend.query(
+                algorithm=many("algorithm"), dataset=many("dataset"),
+                state=many("state"), client=many("client"))
+            return 200, {"jobs": [j.to_dict() for j in jobs]}, _JSON
         if route.startswith("/api/v1/jobs/"):
             rest = route[len("/api/v1/jobs/"):]
             parts = rest.split("/")
             fp = parts[0]
             tail = "/".join(parts[1:])
             if method == "GET" and not tail:
-                self._send(200, backend.status(fp).to_dict())
-                return
+                return 200, backend.status(fp).to_dict(), _JSON
             if method == "GET" and tail == "result":
                 # One read: the state and the record come from the same
                 # row, and the stored record text is embedded as is.
                 job_state, text = backend.result_json(fp)
                 head = json.dumps({"fingerprint": fp, "state": job_state})
-                self._send(200, (f'{head[:-1]}, "record": '
-                                 f'{text or "null"}}}').encode())
-                return
+                return (200, (f'{head[:-1]}, "record": '
+                              f'{text or "null"}}}').encode(), _JSON)
             if method == "POST" and tail == "cancel":
-                self._send(200, {"cancelled": backend.cancel(fp)})
-                return
+                return 200, {"cancelled": backend.cancel(fp)}, _JSON
         raise JobNotFound(f"no route {method} {route}")
 
     # ------------------------------------------------------------ #

@@ -243,10 +243,11 @@ def worker_loop(
     publish:
         Publish each built graph to shared memory for co-located
         siblings (the long-lived ``repro worker``).  An inline drain
-        (:func:`repro.api.process`) passes False: it unlinks its
-        segments on return, before any other process could attach
-        them.  Segments other workers published are attached either
-        way.
+        (:func:`repro.api.process`) passes False: segments it
+        published would be unlinked on its return, before any other
+        process could attach them.  Segments other workers published
+        are attached either way; without ``publish`` their handles
+        are closed on return.
 
     Returns a :class:`WorkerSummary`.  ``KeyboardInterrupt`` mid-cell
     releases the lease (the cell returns to ``pending``) and the
@@ -309,4 +310,6 @@ def worker_loop(
                 except sqlite3.Error:
                     pass
             registry.unlink_all()
+        elif registry is not None:
+            registry.detach_all()
     return summary

@@ -304,6 +304,10 @@ class RunStore:
         Identity recorded on claimed rows (default ``host:pid``).
     """
 
+    #: Keep SQLite's guard that a connection is used only by the
+    #: thread that opened it (off for the daemon's pooled stores).
+    _thread_bound = True
+
     def __init__(self, path: "Path | str",
                  lease_seconds: float | None = None,
                  clock: Callable[[], float] = time.time,
@@ -336,11 +340,9 @@ class RunStore:
         if conn is not None:
             return conn
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # ``check_same_thread=False``: the daemon's pooled stores move
-        # between handler threads, one holder at a time.
         conn = sqlite3.connect(str(self.path), timeout=_BUSY_TIMEOUT_S,
                                isolation_level=None,
-                               check_same_thread=False)
+                               check_same_thread=self._thread_bound)
         conn.row_factory = sqlite3.Row
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_S * 1000)}")

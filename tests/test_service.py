@@ -375,6 +375,8 @@ class TestInlineDrainShm:
             attaches = default_registry().attaches
             assert api.process(store=db) == 1
             assert default_registry().attaches == attaches + 1
+            # the attach-side handle is closed on return
+            assert default_registry()._attached == {}
             # the published descriptor is the owner's to drop
             assert store.meta_get(f"shm:{gfp}") is not None
         finally:
@@ -556,6 +558,53 @@ class TestDaemonStorePool:
         for conn in opened:
             with pytest.raises(sqlite3.ProgrammingError):
                 conn.execute("SELECT 1")
+
+    def test_stalled_bodies_hold_no_store(self, daemon):
+        """More clients than the pool has stores send a POST's headers
+        and stall the body; a status read still answers at once."""
+        url, _ = daemon
+        fp = api.submit("ld_gpu", DATASET, seed=19, store=url)
+        host, port = url.rsplit("/", 1)[-1].split(":")
+        stalled = []
+        try:
+            for _ in range(2 * daemon_mod.STORE_POOL_SIZE):
+                sock = socket.create_connection((host, int(port)),
+                                                timeout=10)
+                stalled.append(sock)
+                sock.sendall(f"POST /api/v1/jobs HTTP/1.1\r\n"
+                             f"Host: {host}\r\n"
+                             "Content-Length: 100\r\n\r\n{".encode())
+            time.sleep(0.2)  # every stalled request is being read
+            t0 = time.monotonic()
+            assert api.status(fp, store=url).state == "pending"
+            assert api.result(fp, store=url) is None
+            assert time.monotonic() - t0 < 5
+        finally:
+            for sock in stalled:  # end each body; the daemon answers 400
+                sock.shutdown(socket.SHUT_WR)
+                while sock.recv(65536):
+                    pass
+                sock.close()
+
+    def test_only_pooled_connections_cross_threads(self, tmp_path):
+        db = tmp_path / "runs.db"
+        plain = RunStore(db)
+        pooled = daemon_mod._PooledStore(db)
+        plain.counts()
+        pooled.counts()
+        errors = []
+
+        def use(store):
+            try:
+                store.counts()
+            except sqlite3.ProgrammingError as exc:
+                errors.append((store, exc))
+
+        for store in (plain, pooled):
+            t = threading.Thread(target=use, args=(store,))
+            t.start()
+            t.join()
+        assert [store for store, _ in errors] == [plain]
 
     def test_result_state_agrees_with_record(self, daemon, monkeypatch):
         """A job that completes while /result is being served is
