@@ -19,9 +19,10 @@ the committed baseline sorts first as the series anchor).
 
 :func:`flag_regressions` then applies the bench gate's rule along the
 series: the latest point is compared against its predecessor on the
-deterministic gated metrics (``median_sim_time_s``,
-``host_entries_scanned``) with the same relative tolerance the CI gate
-uses, so the report's trend lines carry the same verdict CI would.
+gate's own metric table (:data:`repro.harness.bench.GATED_METRICS`,
+each in its regression direction) with the same relative tolerance the
+CI gate uses, so the report's trend lines carry the same verdict CI
+would.
 """
 
 from __future__ import annotations
@@ -32,11 +33,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, TYPE_CHECKING
 
+from repro.harness.bench import (
+    GATED_METRICS,
+    SUITES,
+    baseline_report_path,
+    regressed,
+)
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.db import RunStore
 
 __all__ = [
-    "GATED_METRICS",
     "TrajectoryPoint",
     "RegressionFlag",
     "load_baselines",
@@ -45,16 +52,9 @@ __all__ = [
     "flag_regressions",
 ]
 
-#: The metrics the bench gate holds against tolerance — deterministic
-#: by construction (modeled seconds; counted host work), so a drift is
-#: a code change, not machine noise.  Trajectories track these plus the
-#: informational wall-clock median.
-GATED_METRICS = ("median_sim_time_s", "host_entries_scanned")
-
-_METRICS = GATED_METRICS + ("median_wall_time_s",)
-
-#: Default location of the committed baseline documents.
-DEFAULT_BENCH_DIR = "benchmarks"
+#: Trajectories track the gated metrics plus the informational
+#: wall-clock median.
+_METRICS = tuple(m for m, _ in GATED_METRICS) + ("median_wall_time_s",)
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,12 @@ class TrajectoryPoint:
 class RegressionFlag:
     """The gate's verdict on the latest point of one series.
 
-    ``flagged`` is True when ``latest > reference * (1 + tolerance)``
-    — the exact rule :func:`repro.harness.bench.compare_reports`
-    applies, evaluated along the trajectory instead of against a
-    single file.  ``ratio`` is ``latest / reference`` (1.0 = flat).
+    ``flagged`` is True when ``latest`` moved past ``reference`` in the
+    metric's regression direction by more than the tolerance — the
+    exact rule :func:`repro.harness.bench.compare_reports` applies
+    (:func:`~repro.harness.bench.regressed`), evaluated along the
+    trajectory instead of against a single file.  ``ratio`` is
+    ``latest / reference`` (1.0 = flat).
     """
 
     suite: str
@@ -114,17 +116,18 @@ def _median(values: list[Any]) -> float | None:
 
 def load_baselines(bench_dir: "Path | str | None" = None
                    ) -> dict[str, dict[str, Any]]:
-    """The committed ``baseline_<suite>.json`` documents by suite.
+    """The committed baseline document of every bench suite, by suite
+    (:func:`~repro.harness.bench.baseline_report_path` under
+    ``bench_dir``).
 
-    Unparseable files are skipped (a half-written baseline must not
-    take the whole report down); a missing directory is simply empty.
+    Missing and unparseable files are skipped (a half-written baseline
+    must not take the whole report down).
     """
-    root = Path(bench_dir if bench_dir is not None else DEFAULT_BENCH_DIR)
     out: dict[str, dict[str, Any]] = {}
-    if not root.is_dir():
-        return out
-    for path in sorted(root.glob("baseline_*.json")):
-        suite = path.stem[len("baseline_"):]
+    for suite in sorted(SUITES):
+        path = baseline_report_path(suite, bench_dir)
+        if not path.is_file():
+            continue
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -177,18 +180,16 @@ def store_trajectories(store: "RunStore",
     out: dict[str, dict[str, list[TrajectoryPoint]]] = {}
     for (suite, entry, git), members in groups.items():
         recs = [m[0] for m in members]
+        # Sim and wall time are record fields; every other tracked
+        # metric is a record extra under the report's key.
+        metrics = {m: _median([(r.extra or {}).get(m) for r in recs])
+                   for m in _METRICS}
+        metrics["median_sim_time_s"] = _median([r.sim_time for r in recs])
+        metrics["median_wall_time_s"] = _median(
+            [r.wall_time_s for r in recs])
         point = TrajectoryPoint(
             git=git, source="store", n=len(recs),
-            started_at=min(m[1] for m in members),
-            metrics={
-                "median_sim_time_s": _median(
-                    [r.sim_time for r in recs]),
-                "host_entries_scanned": _median(
-                    [(r.extra or {}).get("host_entries_scanned")
-                     for r in recs]),
-                "median_wall_time_s": _median(
-                    [r.wall_time_s for r in recs]),
-            })
+            started_at=min(m[1] for m in members), metrics=metrics)
         out.setdefault(suite, {}).setdefault(entry, []).append(point)
     for entries in out.values():
         for points in entries.values():
@@ -234,7 +235,9 @@ def flag_regressions(
     ``flagged`` saying whether it did — the report renders flat series
     green and tripped ones with the critical marker.  Metrics missing
     on either side (e.g. ``host_entries_scanned`` under
-    ``collect_stats=False``) are skipped, matching the file gate.
+    ``collect_stats=False``, or ``approx_ratio_vs_blossom``, which
+    only a whole coreset suite run computes) are skipped, matching the
+    file gate.
     """
     flags: list[RegressionFlag] = []
     for suite in sorted(trajectories):
@@ -243,7 +246,7 @@ def flag_regressions(
             if len(points) < 2:
                 continue
             latest, reference = points[-1], points[-2]
-            for metric in GATED_METRICS:
+            for metric, direction in GATED_METRICS:
                 cur = latest.metrics.get(metric)
                 ref = reference.metrics.get(metric)
                 if cur is None or ref is None or ref <= 0:
@@ -254,5 +257,6 @@ def flag_regressions(
                     latest=cur, reference=ref,
                     reference_source=reference.source,
                     ratio=ratio,
-                    flagged=cur > ref * (1.0 + tolerance)))
+                    flagged=regressed(cur, ref, direction,
+                                      tolerance)))
     return flags

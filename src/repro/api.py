@@ -42,6 +42,7 @@ returns the same id and never recomputes a finished result.
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -190,6 +191,12 @@ def _resolve_builder(builder: Any) -> Callable[[], Any] | None:
     return builder
 
 
+def _is_coreset_coordinator(spec: Any) -> bool:
+    """Whether ``spec`` is a coreset coordinator (``coreset_greedy``,
+    ``coreset_ld``) rather than the internal per-shard cell."""
+    return "coreset" in spec.tags and "internal" not in spec.tags
+
+
 def _build_cell(
     algorithm: str,
     dataset: str | None,
@@ -208,12 +215,21 @@ def _build_cell(
     """Validate one job spec against the registry and bind it into a
     ``(MaterialisedCell, CSRGraph)`` pair — the exact first cell of a
     one-cell :func:`~repro.engine.cells.run_cells` grid, which is what
-    makes submitted jobs bit-identical to locally executed ones."""
+    makes submitted jobs bit-identical to locally executed ones.
+
+    A coreset coordinator on a registry dataset gets that dataset and
+    ``quality`` as overrides (an explicit override wins), so its
+    fingerprint is the same whichever verb or daemon built it."""
     from repro.engine.cells import Cell, materialise_cells
     from repro.engine.context import RunContext
     from repro.engine.spec import get_spec
 
-    get_spec(algorithm)  # raises UnknownAlgorithmError
+    spec = get_spec(algorithm)  # raises UnknownAlgorithmError
+    if dataset is not None and _is_coreset_coordinator(spec):
+        # The coordinator hands the dataset ref down to its shard
+        # cells so another process can rebuild them from the store.
+        overrides = {"dataset": dataset, "quality": quality,
+                     **(overrides or {})}
     if dataset is not None and builder is not None:
         raise ValueError("pass dataset or builder, not both")
     platform_spec = _resolve_platform(platform)
@@ -380,7 +396,8 @@ class _HttpBackend:
             detail = ""
             try:
                 detail = json.loads(exc.read() or b"{}").get("error", "")
-            except Exception:
+            except (OSError, ValueError, AttributeError,
+                    http.client.HTTPException):
                 pass
             if exc.code == 404:
                 raise JobNotFound(detail or path) from None

@@ -18,12 +18,14 @@ Fifteen subcommands::
     repro-matching cache ls|clear|evict
     repro-matching list [datasets|algorithms|experiments]
 
-``run``/``sweep``/``bench``/``stats``/``submit`` share one parent
-parser, so the common flags — ``--platform``, ``--devices/-n``,
-``--batches/-b``, ``--seed``, ``--json``, ``--metrics-out``,
-``--store`` — spell and behave the same everywhere they apply (a flag
-that cannot apply to a subcommand is a usage error, not silently
-ignored).  Exit codes are uniform: **0** success, **1** runtime
+Each flag is defined once and attached only where it applies:
+``--platform``, ``--seed``, ``--json``, ``--metrics-out``, ``--store``
+and the rest spell and behave the same on every subcommand that takes
+them, ``run``/``submit`` take one ``--devices/-n`` and
+``--batches/-b`` value and ``sweep`` a grid, and a flag a subcommand
+cannot honour is not on it (argparse's usage error).  Subcommands only
+parse and format; the rules live in :mod:`repro.api` and the modules
+it calls.  Exit codes are uniform: **0** success, **1** runtime
 failure or benchmark regression, **2** usage error (argparse's own
 convention).
 
@@ -103,40 +105,84 @@ EXPERIMENTS: dict[str, Callable[..., "exp.ExperimentResult"]] = {
 }
 
 
+def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag; subcommands that honour the
+    flag attach it with ``parents=[...]``."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for tests)."""
-    # One parent for every execution-facing subcommand: same spelling,
-    # same help, same defaults.  Subcommands that cannot honour a flag
-    # reject it explicitly in their handler (exit 2), never ignore it.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--platform", choices=sorted(PLATFORMS),
-                        default=None,
-                        help="simulated platform (default: the "
-                             "dataset's bandwidth-scaled DGX-A100)")
-    common.add_argument("--devices", "-n", type=int, nargs="+",
+    # Each flag is defined once here and attached only where it
+    # applies, so a flag a subcommand cannot honour is argparse's own
+    # usage error (exit 2).
+    platform = _flag("--platform", choices=sorted(PLATFORMS),
+                     default=None,
+                     help="simulated platform (default: the dataset's "
+                          "bandwidth-scaled DGX-A100)")
+    devices = _flag("--devices", "-n", type=int, default=1, metavar="N",
+                    help="simulated GPU count (default 1)")
+    batches = _flag("--batches", "-b", type=int, default=None,
+                    metavar="B", help="batches per device (default auto)")
+    device_grid = _flag("--devices", "-n", type=int, nargs="+",
                         default=None, metavar="N",
-                        help="simulated GPU count(s); run takes one, "
-                             "sweep a grid")
-    common.add_argument("--batches", "-b", type=int, nargs="+",
-                        default=None, metavar="B",
-                        help="batches per device (default auto); run "
-                             "takes one, sweep a grid")
-    common.add_argument("--seed", type=int, default=None,
-                        help="base RNG seed for randomised algorithms "
-                             "(grids derive per-cell seeds from it)")
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable JSON instead of the "
-                             "human-readable rendering")
-    common.add_argument("--metrics-out", metavar="PATH", default=None,
+                        help="simulated GPU counts (default 1 2 4 8)")
+    batch_grid = _flag("--batches", "-b", type=int, nargs="+",
+                       default=None, metavar="B",
+                       help="batches per device (default auto)")
+    seed = _flag("--seed", type=int, default=None,
+                 help="base RNG seed for randomised algorithms (grids "
+                      "derive per-cell seeds from it)")
+    json_ = _flag("--json", action="store_true",
+                  help="machine-readable JSON instead of the "
+                       "human-readable rendering")
+    metrics_out = _flag("--metrics-out", metavar="PATH", default=None,
                         help="export telemetry; .prom writes Prometheus "
                              "text, anything else a JSON metrics "
                              "document")
-    common.add_argument("--store", metavar="PATH", default=None,
-                        help="persistent run store (SQLite): finished "
-                             "cells are served from it with zero "
-                             "recompute and every new record is "
-                             "persisted; default $REPRO_RUN_STORE "
-                             "when set, else no store")
+    store = _flag("--store", metavar="PATH", default=None,
+                  help="persistent run store (SQLite; default "
+                       "$REPRO_RUN_STORE when set): finished cells are "
+                       "served from it with zero recompute and new "
+                       "records are persisted; submit and job also "
+                       "take an http:// daemon URL")
+    algorithm = _flag("--algorithm", "-a", required=True,
+                      choices=algorithm_names())
+    dataset = _flag("--dataset", "-d", required=True,
+                    choices=sorted(DATASETS))
+    quality = _flag("--quality", action="store_true",
+                    help="use the dataset's tiny blossom-tractable "
+                         "quality instance instead of the full analog")
+    parallel = _flag("--parallel", type=int, default=0, metavar="N",
+                     help="worker processes for the command's cells, "
+                          "bit-identical to serial (run: coreset shard "
+                          "cells only; experiment: grid-shaped "
+                          "experiments only)")
+    tolerance = _flag("--tolerance", type=float, default=0.05,
+                      help="relative regression allowed before a gated "
+                           "bench metric fails (default 0.05)")
+    since = _flag("--since", metavar="SHA|DATE", default=None,
+                  help="only runs since an ISO date (YYYY-MM-DD, on "
+                       "created_at) or whose provenance git describe "
+                       "starts with SHA")
+    run_filters = (
+        _flag("--algorithm", "-a", nargs="+", default=None,
+              help="only cells of these algorithm(s)"),
+        _flag("--dataset", "-d", nargs="+", default=None,
+              help="only cells on these dataset(s)"),
+    )
+    lease_seconds = _flag("--lease-seconds", type=float, default=None,
+                          metavar="S",
+                          help="lease duration of claims made through "
+                               "this store connection (default "
+                               "$REPRO_RUN_STORE_LEASE_S, else 300)")
+    wait = _flag("--wait", action="store_true",
+                 help="block until the job is terminal and print its "
+                      "result")
+    timeout = _flag("--timeout", type=float, default=None, metavar="S",
+                    help="give up --wait after S seconds (exit 1)")
 
     p = argparse.ArgumentParser(
         prog="repro-matching",
@@ -145,15 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    runp = sub.add_parser("run", parents=[common],
-                          help="run one algorithm on one dataset")
-    runp.add_argument("--algorithm", "-a", required=True,
-                      choices=algorithm_names())
-    runp.add_argument("--dataset", "-d", required=True,
-                      choices=sorted(DATASETS))
-    runp.add_argument("--quality", action="store_true",
-                      help="run on the dataset's tiny blossom-tractable "
-                           "quality instance instead of the full analog")
+    runp = sub.add_parser(
+        "run", help="run one algorithm on one dataset",
+        parents=[algorithm, dataset, quality, platform, devices, batches,
+                 seed, json_, metrics_out, store, parallel])
     runp.add_argument("--profile", action="store_true",
                       help="print the per-iteration profiler table "
                            "(simulator-backed algorithms)")
@@ -162,34 +203,19 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--shards", type=int, default=None, metavar="K",
                       help="coreset algorithms only: partition edges "
                            "across K shards (default 4)")
-    runp.add_argument("--parallel", type=int, default=0, metavar="N",
-                      help="coreset algorithms only: execute shard "
-                           "cells in N worker processes "
-                           "(bit-identical to serial)")
 
-    sweepp = sub.add_parser(
-        "sweep", parents=[common],
-        help="sweep LD-GPU over device/batch configurations",
-    )
-    sweepp.add_argument("--dataset", "-d", required=True,
-                        choices=sorted(DATASETS))
-    sweepp.add_argument("--parallel", type=int, default=0, metavar="N",
-                        help="fan the grid out to N worker processes "
-                             "(bit-identical to serial)")
+    sub.add_parser(
+        "sweep", help="sweep LD-GPU over device/batch configurations",
+        parents=[dataset, platform, device_grid, batch_grid, seed, json_,
+                 metrics_out, store, parallel])
 
     from repro.streaming.engine import STREAM_ENGINES
 
     streamp = sub.add_parser(
-        "stream", parents=[common],
+        "stream",
         help="stream update batches into a dataset and repair the "
              "matching incrementally",
-    )
-    streamp.add_argument("--dataset", "-d", required=True,
-                         choices=sorted(DATASETS))
-    streamp.add_argument("--quality", action="store_true",
-                         help="stream against the dataset's tiny "
-                              "quality instance instead of the full "
-                              "analog")
+        parents=[dataset, quality, seed, json_, metrics_out])
     streamp.add_argument("--num-batches", type=int, default=8,
                          metavar="K", dest="num_batches",
                          help="generated update batches (default 8; "
@@ -216,18 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
                               "against from-scratch ld_seq on the "
                               "mutated graph")
 
-    benchp = sub.add_parser(
-        "bench", parents=[common],
-        help="run a benchmark suite and gate against a baseline",
-    )
     from repro.harness.bench import SUITES
 
+    benchp = sub.add_parser(
+        "bench", help="run a benchmark suite and gate against a baseline",
+        parents=[json_, store, parallel, tolerance])
     benchp.add_argument("--suite", choices=sorted(SUITES),
                         default="smoke")
     benchp.add_argument("--repeats", type=int, default=3,
                         help="runs per workload; medians are reported")
-    benchp.add_argument("--parallel", type=int, default=0, metavar="N",
-                        help="worker processes for the workload grid")
     benchp.add_argument("--out", metavar="PATH", default=None,
                         help="report path (default BENCH_<suite>.json "
                              "in the current directory)")
@@ -235,14 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="baseline report to gate against (default "
                              "benchmarks/baseline_<suite>.json when "
                              "present)")
-    benchp.add_argument("--tolerance", type=float, default=0.05,
-                        help="relative slowdown allowed before the gate "
-                             "fails (default 0.05)")
 
     statp = sub.add_parser(
-        "stats", parents=[common],
-        help="print paper-claim metrics of a stored RunRecord",
-    )
+        "stats", help="print paper-claim metrics of a stored RunRecord",
+        parents=[json_])
     statp.add_argument("record", metavar="RECORD_JSON",
                        help="path to a RunRecord written by run --json")
     statp.add_argument("--threshold", type=float, default=0.2,
@@ -250,32 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "iteration fraction (default 0.2)")
 
     expp = sub.add_parser("experiment",
-                          help="regenerate a paper table/figure")
+                          help="regenerate a paper table/figure",
+                          parents=[json_, store, parallel])
     expp.add_argument("name", choices=sorted(EXPERIMENTS))
     expp.add_argument("--quick", action="store_true",
                       help="reduced sweep (seconds instead of minutes)")
-    expp.add_argument("--parallel", type=int, default=0, metavar="N",
-                      help="worker processes for grid-shaped "
-                           "experiments (ignored by the others)")
-    expp.add_argument("--json", action="store_true",
-                      help="print the table as a JSON document")
-    expp.add_argument("--store", metavar="PATH", default=None,
-                      help="run store for grid-shaped experiments "
-                           "(ignored by the others); default "
-                           "$REPRO_RUN_STORE")
-
-    # store: inspect/resume the persistent run store.  --store rides on
-    # each action (after the action word) via a tiny parent parser.
-    storecommon = argparse.ArgumentParser(add_help=False)
-    storecommon.add_argument("--store", metavar="PATH", default=None,
-                             help="store database path (default "
-                                  "$REPRO_RUN_STORE)")
 
     reportp = sub.add_parser(
-        "report", parents=[storecommon],
+        "report",
         help="render the analysis report (paper tables, significance, "
              "bench trajectories, provenance) from a run store",
-    )
+        parents=[store, since, tolerance])
     reportp.add_argument("--out", metavar="DIR", default="report",
                          help="output directory (default report/)")
     reportp.add_argument("--format", choices=["html", "md", "json"],
@@ -283,10 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="html: standalone no-JS page "
                               "(index.html); md/json: the same data "
                               "for terminals/machines")
-    reportp.add_argument("--since", metavar="SHA|DATE", default=None,
-                         help="only analyse runs since an ISO date "
-                              "(YYYY-MM-DD, on created_at) or whose "
-                              "provenance git describe starts with SHA")
     reportp.add_argument("--suite", action="append", default=None,
                          metavar="NAME",
                          help="restrict bench trajectories to this "
@@ -294,10 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     reportp.add_argument("--bench-dir", metavar="DIR", default=None,
                          help="committed baseline directory (default "
                               "benchmarks/)")
-    reportp.add_argument("--tolerance", type=float, default=0.05,
-                         help="relative slowdown allowed before a "
-                              "trajectory point is flagged (default "
-                              "0.05, the bench gate's)")
     reportp.add_argument("--gate", action="store_true",
                          help="exit 1 when any gated bench metric "
                               "regressed (CI mode)")
@@ -310,12 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     asub = analysisp.add_subparsers(dest="analysis_action",
                                     required=True)
     aquery = asub.add_parser(
-        "query", parents=[storecommon],
+        "query",
         help="filter stored runs; optionally aggregate a metric by "
              "group keys",
-    )
-    aquery.add_argument("--algorithm", "-a", nargs="+", default=None)
-    aquery.add_argument("--dataset", "-d", nargs="+", default=None)
+        parents=[store, *run_filters, since, json_])
     aquery.add_argument("--status", nargs="+", default=None,
                         choices=["pending", "leased", "done", "error"])
     aquery.add_argument("--platform", default=None,
@@ -324,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, metavar="N")
     aquery.add_argument("--batches", "-b", type=int, default=None,
                         metavar="B")
-    aquery.add_argument("--since", metavar="SHA|DATE", default=None,
-                        help="ISO date (created_at) or provenance git "
-                             "describe prefix")
     aquery.add_argument("--label-prefix", default=None,
                         help="cell label prefix (bench cells are "
                              "'<suite>:<workload>')")
@@ -340,47 +331,35 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="KEY",
                         help="grouping keys for --metric (default "
                              "algorithm dataset)")
-    aquery.add_argument("--json", action="store_true",
-                        help="machine-readable JSON")
 
     storep = sub.add_parser(
         "store",
         help="inspect, resume and maintain the persistent run store",
     )
     ssub = storep.add_subparsers(dest="store_action", required=True)
-    sls = ssub.add_parser("ls", parents=[storecommon],
+    sls = ssub.add_parser("ls", parents=[store, *run_filters, json_],
                           help="list stored cells and their lifecycle "
                                "status")
     sls.add_argument("--status", default=None,
                      choices=["pending", "leased", "done", "error"],
                      help="only cells in this state")
-    sls.add_argument("--algorithm", "-a", nargs="+", default=None,
-                     help="only cells of these algorithm(s)")
-    sls.add_argument("--dataset", "-d", nargs="+", default=None,
-                     help="only cells on these dataset(s)")
-    sls.add_argument("--json", action="store_true",
-                     help="machine-readable JSON")
-    sshow = ssub.add_parser("show", parents=[storecommon],
+    sshow = ssub.add_parser("show", parents=[store],
                             help="full config + stored record of one "
                                  "cell")
     sshow.add_argument("fingerprint", metavar="FINGERPRINT",
                        help="cell fingerprint (unique prefix accepted; "
                             "the 'cell:' prefix may be omitted)")
-    sresume = ssub.add_parser(
-        "resume", parents=[storecommon],
+    ssub.add_parser(
+        "resume", parents=[store, parallel],
         help="re-run every pending/failed/stale cell; finished cells "
              "are never recomputed",
     )
-    sresume.add_argument("--parallel", type=int, default=0, metavar="N",
-                         help="worker processes for the resumed cells")
-    sexport = ssub.add_parser("export", parents=[storecommon],
-                              help="dump the whole store as JSON")
-    sexport.add_argument("--json", action="store_true",
-                         help="accepted for symmetry; export is always "
-                              "JSON")
+    sexport = ssub.add_parser("export", parents=[store, json_],
+                              help="dump the whole store as JSON (it "
+                                   "always is; --json is accepted)")
     sexport.add_argument("--out", metavar="PATH", default=None,
                          help="write to PATH instead of stdout")
-    sgc = ssub.add_parser("gc", parents=[storecommon],
+    sgc = ssub.add_parser("gc", parents=[store],
                           help="reclaim stale leases (and optionally "
                                "drop error rows)")
     sgc.add_argument("--prune-errors", action="store_true",
@@ -389,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # service plane: daemon, worker fleet, remote-capable job verbs.
     servep = sub.add_parser(
-        "serve", parents=[storecommon],
+        "serve", parents=[store, lease_seconds],
         help="run the matching-as-a-service HTTP daemon over a store",
     )
     servep.add_argument("--host", default=None,
@@ -400,17 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-client cap on unfinished jobs; over "
                              "it new submissions get HTTP 429 "
                              "(default: unlimited)")
-    servep.add_argument("--lease-seconds", type=float, default=None,
-                        metavar="S",
-                        help="lease duration stamped on claims made "
-                             "through this daemon's store connections "
-                             "(default $REPRO_RUN_STORE_LEASE_S, "
-                             "else 300)")
     servep.add_argument("--quiet", action="store_true",
                         help="suppress per-request access log lines")
 
     workerp = sub.add_parser(
-        "worker", parents=[storecommon],
+        "worker", parents=[store, lease_seconds, json_],
         help="claim and execute store cells priority-first (run any "
              "number of these against one store)",
     )
@@ -429,25 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     workerp.add_argument("--algorithm", "-a", nargs="+", default=None,
                          choices=algorithm_names(),
                          help="only claim cells of these algorithm(s)")
-    workerp.add_argument("--lease-seconds", type=float, default=None,
-                         metavar="S",
-                         help="per-claim lease duration (default "
-                              "$REPRO_RUN_STORE_LEASE_S, else 300)")
-    workerp.add_argument("--json", action="store_true",
-                         help="print the worker summary as JSON")
 
     submitp = sub.add_parser(
-        "submit", parents=[common],
+        "submit",
         help="register a job for the worker fleet (no local execution; "
              "--store takes a path or an http:// daemon URL)",
-    )
-    submitp.add_argument("--algorithm", "-a", required=True,
-                         choices=algorithm_names())
-    submitp.add_argument("--dataset", "-d", required=True,
-                         choices=sorted(DATASETS))
-    submitp.add_argument("--quality", action="store_true",
-                         help="submit the dataset's tiny "
-                              "blossom-tractable quality instance")
+        parents=[algorithm, dataset, quality, platform, devices, batches,
+                 seed, json_, store, wait, timeout])
     submitp.add_argument("--priority", type=int, default=0,
                          help="queue priority; higher claims first "
                               "(default 0)")
@@ -456,13 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "attribution)")
     submitp.add_argument("--label", default=None,
                          help="free-form tag recorded on the record")
-    submitp.add_argument("--wait", action="store_true",
-                         help="block until the job finishes and print "
-                              "its result")
-    submitp.add_argument("--timeout", type=float, default=None,
-                         metavar="S",
-                         help="give up --wait after S seconds "
-                              "(exit 1)")
 
     jobp = sub.add_parser(
         "job",
@@ -474,25 +428,18 @@ def build_parser() -> argparse.ArgumentParser:
                           ("result", "stored RunRecord of one job"),
                           ("cancel", "request cancellation of one "
                                      "job")):
-        ap = jsub.add_parser(action, parents=[storecommon], help=blurb)
+        waits = [wait, timeout] if action == "result" else []
+        ap = jsub.add_parser(action, parents=[store, json_, *waits],
+                             help=blurb)
         ap.add_argument("fingerprint", metavar="FINGERPRINT")
-        ap.add_argument("--json", action="store_true",
-                        help="machine-readable JSON")
-        if action == "result":
-            ap.add_argument("--wait", action="store_true",
-                            help="poll until the job is terminal")
-            ap.add_argument("--timeout", type=float, default=None,
-                            metavar="S",
-                            help="give up --wait after S seconds")
 
     cachep = sub.add_parser(
         "cache",
         help="inspect the on-disk graph cache (REPRO_GRAPH_CACHE*)",
     )
     csub = cachep.add_subparsers(dest="cache_action", required=True)
-    cls_ = csub.add_parser("ls", help="list cached graph snapshots")
-    cls_.add_argument("--json", action="store_true",
-                      help="machine-readable JSON")
+    csub.add_parser("ls", parents=[json_],
+                    help="list cached graph snapshots")
     csub.add_parser("clear", help="remove every cached snapshot")
     cevict = csub.add_parser(
         "evict",
@@ -509,59 +456,41 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _reject_flags(parser: argparse.ArgumentParser,
-                  args: argparse.Namespace, command: str,
-                  **flags: str) -> None:
-    """Exit 2 for shared flags a subcommand cannot honour.
-
-    ``flags`` maps attribute name -> rendered flag; a non-default value
-    is a usage error, not something to ignore silently.
-    """
-    for attr, flag in flags.items():
-        if getattr(args, attr) not in (None, False):
-            parser.error(f"{flag} does not apply to '{command}'")
-
-
 def _store_from(args: argparse.Namespace):
     """The :class:`~repro.store.db.RunStore` named by ``--store`` or
     ``REPRO_RUN_STORE`` (None when neither is set)."""
     from repro.store import resolve_store
 
-    return resolve_store(getattr(args, "store", None))
+    return resolve_store(args.store)
 
 
-def _single(parser: argparse.ArgumentParser, values: list | None,
-            flag: str, default: int | None) -> int | None:
-    """The one value 'run' accepts for a grid-capable shared flag."""
-    if values is None:
-        return default
-    if len(values) != 1:
-        parser.error(f"'run' takes a single {flag} value "
-                     f"(got {len(values)}); use 'sweep' for grids")
-    return values[0]
+def _record_summary(record) -> str:
+    """``weight=…, matched_edges=…, iterations=…[, sim_time=…]`` of a
+    record whose in-memory result is gone (store-served or remote)."""
+    bits = [f"weight={record.weight:.6g}",
+            f"matched_edges={record.matched_edges}",
+            f"iterations={record.iterations}"]
+    if record.sim_time is not None:
+        bits.append(f"sim_time={record.sim_time:.4g}s")
+    return ", ".join(bits)
 
 
 def _cmd_run(parser: argparse.ArgumentParser,
              args: argparse.Namespace) -> int:
-    devices = _single(parser, args.devices, "--devices", 1)
-    batches = _single(parser, args.batches, "--batches", None)
+    import repro.api as api
     from repro.engine import get_spec
 
-    spec = get_spec(args.algorithm)
-    overrides = None
-    if "coreset" in spec.tags and "internal" not in spec.tags:
-        # The coordinator passes the dataset ref down to its shard
-        # cells so they are store-resumable / fleet-claimable.
-        overrides = {"dataset": args.dataset, "quality": args.quality}
-        if args.shards is not None:
-            if args.shards < 1:
-                parser.error("--shards must be >= 1")
-            overrides["num_shards"] = args.shards
-        if args.parallel:
-            overrides["shard_parallel"] = args.parallel
-    elif args.shards is not None or args.parallel:
+    overrides = {}
+    if args.shards is not None:
+        overrides["num_shards"] = args.shards
+    if args.parallel:
+        overrides["shard_parallel"] = args.parallel
+    if overrides and not api._is_coreset_coordinator(
+            get_spec(args.algorithm)):
         parser.error("--shards/--parallel apply only to coreset "
                      "algorithms (coreset_greedy, coreset_ld)")
+    if args.shards is not None and args.shards < 1:
+        parser.error("--shards must be >= 1")
     g = quality_instance(args.dataset) if args.quality \
         else load_dataset(args.dataset)
     sinks: list = []
@@ -575,13 +504,11 @@ def _cmd_run(parser: argparse.ArgumentParser,
     # Through the facade: with a store a previously stored run is
     # served without recompute (its record is bit-identical to a fresh
     # one, minus the never-serialised in-memory result).
-    import repro.api as api
-
     record = api.run(
         args.algorithm, args.dataset, quality=args.quality,
-        platform=args.platform, devices=devices, batches=batches,
-        seed=args.seed, overrides=overrides, sinks=tuple(sinks),
-        store=_store_from(args))
+        platform=args.platform, devices=args.devices,
+        batches=args.batches, seed=args.seed, overrides=overrides,
+        sinks=tuple(sinks), store=_store_from(args))
     fmt = None
     if metrics_sink is not None and \
             metrics_sink.last_snapshot is not None:
@@ -597,13 +524,8 @@ def _cmd_run(parser: argparse.ArgumentParser,
     if result is not None:
         print(result.summary())
     else:
-        bits = [f"weight={record.weight:.6g}",
-                f"matched_edges={record.matched_edges}",
-                f"iterations={record.iterations}"]
-        if record.sim_time is not None:
-            bits.append(f"sim_time={record.sim_time:.4g}s")
         print(f"{record.algorithm} (served from store): "
-              + ", ".join(bits))
+              + _record_summary(record))
     if record.extra.get("peak_shard_edges") is not None:
         print(f"coreset: shards={len(record.extra['shard_edges'])}, "
               f"peak_shard_edges={record.extra['peak_shard_edges']}, "
@@ -680,9 +602,6 @@ def _cmd_sweep(parser: argparse.ArgumentParser,
 
 def _cmd_stream(parser: argparse.ArgumentParser,
                 args: argparse.Namespace) -> int:
-    _reject_flags(parser, args, "stream", platform="--platform",
-                  devices="--devices", batches="--batches",
-                  store="--store")
     import numpy as np
 
     from repro.engine import RunContext, execute
@@ -783,10 +702,8 @@ def _cmd_stream(parser: argparse.ArgumentParser,
 
 def _cmd_bench(parser: argparse.ArgumentParser,
                args: argparse.Namespace) -> int:
-    _reject_flags(parser, args, "bench", platform="--platform",
-                  devices="--devices", batches="--batches",
-                  seed="--seed", metrics_out="--metrics-out")
     from repro.harness.bench import (
+        baseline_report_path,
         bench_report_path,
         compare_reports,
         run_bench,
@@ -827,10 +744,8 @@ def _cmd_bench(parser: argparse.ArgumentParser,
 
     baseline_path = args.baseline
     if baseline_path is None:
-        default = f"benchmarks/baseline_{args.suite}.json"
-        import os
-
-        baseline_path = default if os.path.isfile(default) else None
+        default = baseline_report_path(args.suite)
+        baseline_path = default if default.is_file() else None
     if baseline_path is None:
         print("no baseline to compare against "
               "(--baseline to provide one)")
@@ -853,14 +768,14 @@ def _cmd_stats(parser: argparse.ArgumentParser,
                args: argparse.Namespace) -> int:
     """Paper-claim metrics of a stored RunRecord (``run --json``
     output)."""
-    _reject_flags(parser, args, "stats", platform="--platform",
-                  devices="--devices", batches="--batches",
-                  seed="--seed", metrics_out="--metrics-out",
-                  store="--store")
     import numpy as np
 
     from repro.engine import RunRecord
-    from repro.gpusim.timeline import COMPONENTS
+    from repro.gpusim.timeline import (
+        COMPONENTS,
+        comm_fraction_from_totals,
+        fractions_from_totals,
+    )
     from repro.metrics.workstats import (
         edges_accessed_fraction,
         iterations_below_fraction,
@@ -873,10 +788,7 @@ def _cmd_stats(parser: argparse.ArgumentParser,
                  "status": record.status}
     totals = record.timeline_totals
     if totals:
-        t = sum(totals.values())
-        comm = sum(totals.get(c, 0.0) for c in COMPONENTS
-                   if c not in ("pointing", "matching"))
-        doc["communication_fraction"] = comm / t if t else 0.0
+        doc["communication_fraction"] = comm_fraction_from_totals(totals)
     scanned = record.extra.get("edges_scanned")
     host_scanned = record.extra.get("host_entries_scanned")
     if host_scanned is not None and \
@@ -940,8 +852,8 @@ def _cmd_stats(parser: argparse.ArgumentParser,
         print("provenance: " + ", ".join(bits))
 
     if totals:
-        t = sum(totals.values())
-        rows = [[c, 1e3 * totals[c], 100.0 * totals[c] / t if t else 0.0]
+        frac = fractions_from_totals(totals)
+        rows = [[c, 1e3 * totals[c], 100.0 * frac[c]]
                 for c in COMPONENTS if c in totals]
         print(format_table(["component", "time (ms)", "% time"], rows,
                            floatfmt=".3f"))
@@ -1024,6 +936,18 @@ def _require_store(parser: argparse.ArgumentParser,
     return store
 
 
+def _print_runs(rs, as_json: bool, title: str) -> None:
+    """A :class:`~repro.analysis.queries.ResultSet` as JSON documents
+    or as the one-row-per-cell listing table."""
+    if as_json:
+        print(json.dumps(rs.to_documents(), indent=1))
+        return
+    print(format_table(
+        ["fingerprint", "algorithm", "dataset", "status", "attempts",
+         "worker"],
+        rs.summary_rows(), title=title))
+
+
 def _cmd_report(parser: argparse.ArgumentParser,
                 args: argparse.Namespace) -> int:
     store = _require_store(parser, args)
@@ -1091,14 +1015,8 @@ def _cmd_analysis(parser: argparse.ArgumentParser,
             title=f"{args.metric} ({query.describe()})"))
         return EXIT_OK
 
-    if args.json:
-        print(json.dumps(rs.to_documents(), indent=1))
-        return EXIT_OK
-    print(format_table(
-        ["fingerprint", "algorithm", "dataset", "status", "attempts",
-         "worker"],
-        rs.summary_rows(),
-        title=f"{len(rs.rows)} run(s) matching {query.describe()}"))
+    _print_runs(rs, args.json,
+                f"{len(rs.rows)} run(s) matching {query.describe()}")
     return EXIT_OK
 
 
@@ -1115,17 +1033,10 @@ def _cmd_store(parser: argparse.ArgumentParser,
         rs = ResultSet(store, RunQuery(algorithm=args.algorithm,
                                        dataset=args.dataset,
                                        status=args.status))
-        if args.json:
-            print(json.dumps(rs.to_documents(), indent=1))
-            return EXIT_OK
-        rows = rs.summary_rows()
-        print(format_table(
-            ["fingerprint", "algorithm", "dataset", "status",
-             "attempts", "worker"],
-            rows, title=f"run store {store.path}",
-        ))
-        counts = store.counts()
-        print(", ".join(f"{s}: {n}" for s, n in counts.items()))
+        _print_runs(rs, args.json, f"run store {store.path}")
+        if not args.json:
+            print(", ".join(f"{s}: {n}"
+                            for s, n in store.counts().items()))
         return EXIT_OK
 
     if action == "show":
@@ -1180,12 +1091,13 @@ def _cmd_store(parser: argparse.ArgumentParser,
     # resume: reclaim dead leases, rebuild every unfinished cell from
     # its stored config, and run them back through the same store —
     # cells that finished in the meantime are served, not recomputed.
-    # Cells are grouped by graph source: self-contained cells (own
-    # dataset or builder) run as one batch; cells whose graph was
-    # passed in-process by a ``sweep -d NAME`` run under the dataset
-    # named by their context, reloaded here as the shared graph.
+    # Cells are grouped by the shared graph they need (None for cells
+    # with their own dataset or builder).
     from repro.engine.cells import run_cells
-    from repro.store import cell_from_config
+    from repro.store.fingerprint import (
+        cell_from_config,
+        shared_graph_dataset,
+    )
 
     reclaimed = store.reclaim_stale()
     todo = store.runs(("pending", "error"))
@@ -1197,9 +1109,7 @@ def _cmd_store(parser: argparse.ArgumentParser,
         except ValueError as exc:
             skipped.append((row.fingerprint, str(exc)))
             continue
-        key = None if (cell.dataset or cell.build) \
-            else row.config["ctx_dataset"]
-        groups.setdefault(key, []).append(cell)
+        groups.setdefault(shared_graph_dataset(cell), []).append(cell)
     if reclaimed:
         print(f"reclaimed {reclaimed} stale lease(s)")
     if not groups and not skipped:
@@ -1231,25 +1141,19 @@ def _cmd_store(parser: argparse.ArgumentParser,
     return EXIT_FAILURE if skipped or ok < len(records) else EXIT_OK
 
 
-def _service_store_arg(parser: argparse.ArgumentParser,
-                       args: argparse.Namespace):
-    """The raw ``--store`` value for the remote-capable job verbs:
-    an ``http://`` URL passes through to :mod:`repro.api` untouched,
-    anything else resolves like every other subcommand (path or
-    ``REPRO_RUN_STORE``)."""
-    raw = getattr(args, "store", None)
-    if isinstance(raw, str) and raw.startswith(("http://", "https://")):
-        return raw
-    return _require_store(parser, args)
+def _service_store(parser: argparse.ArgumentParser,
+                   args: argparse.Namespace, url_ok: bool = True):
+    """``--store`` for the service verbs: an ``http://`` daemon URL
+    passes through to :mod:`repro.api` untouched for ``submit``/``job``
+    (``url_ok``); ``serve``/``worker`` attach to the database itself.
+    Anything else resolves like every other subcommand."""
+    from repro.api import _is_url
 
-
-def _local_store_path(parser: argparse.ArgumentParser,
-                      args: argparse.Namespace, command: str):
-    """serve/worker attach to the database itself, never a daemon."""
-    raw = getattr(args, "store", None)
-    if isinstance(raw, str) and raw.startswith(("http://", "https://")):
-        parser.error(f"'{command}' attaches to the store database, "
-                     "not a daemon URL")
+    if _is_url(args.store):
+        if not url_ok:
+            parser.error(f"'{args.command}' attaches to the store "
+                         "database, not a daemon URL")
+        return args.store
     return _require_store(parser, args)
 
 
@@ -1257,20 +1161,15 @@ def _render_job_record(record, as_json: bool) -> None:
     if as_json:
         print(record.to_json(indent=1), end="")
         return
-    bits = [f"weight={record.weight:.6g}",
-            f"matched_edges={record.matched_edges}",
-            f"iterations={record.iterations}"]
-    if record.sim_time is not None:
-        bits.append(f"sim_time={record.sim_time:.4g}s")
     state = "ok" if record.ok else (
         f"error ({record.error['type']}: {record.error['message']})")
     print(f"{record.algorithm} on {record.graph}: {state}")
-    print(", ".join(bits))
+    print(_record_summary(record))
 
 
 def _cmd_serve(parser: argparse.ArgumentParser,
                args: argparse.Namespace) -> int:
-    store = _local_store_path(parser, args, "serve")
+    store = _service_store(parser, args, url_ok=False)
     from repro.service.daemon import DEFAULT_HOST, DEFAULT_PORT, serve
 
     def ready(host: str, port: int) -> None:
@@ -1289,7 +1188,7 @@ def _cmd_serve(parser: argparse.ArgumentParser,
 
 def _cmd_worker(parser: argparse.ArgumentParser,
                 args: argparse.Namespace) -> int:
-    store = _local_store_path(parser, args, "worker")
+    store = _service_store(parser, args, url_ok=False)
     if args.lease_seconds is not None:
         store.lease_seconds = float(args.lease_seconds)
     from repro.service.worker import worker_loop
@@ -1316,18 +1215,15 @@ def _cmd_worker(parser: argparse.ArgumentParser,
 
 def _cmd_submit(parser: argparse.ArgumentParser,
                 args: argparse.Namespace) -> int:
-    devices = _single(parser, args.devices, "--devices", 1)
-    batches = _single(parser, args.batches, "--batches", None)
-    _reject_flags(parser, args, "submit", metrics_out="--metrics-out")
     import repro.api as api
 
-    store = _service_store_arg(parser, args)
+    store = _service_store(parser, args)
     try:
         fp = api.submit(
             args.algorithm, args.dataset, quality=args.quality,
-            platform=args.platform, devices=devices, batches=batches,
-            seed=args.seed, label=args.label, priority=args.priority,
-            client=args.client, store=store)
+            platform=args.platform, devices=args.devices,
+            batches=args.batches, seed=args.seed, label=args.label,
+            priority=args.priority, client=args.client, store=store)
     except (api.JobError, ValueError) as exc:
         print(f"submission rejected: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -1356,7 +1252,7 @@ def _cmd_job(parser: argparse.ArgumentParser,
              args: argparse.Namespace) -> int:
     import repro.api as api
 
-    store = _service_store_arg(parser, args)
+    store = _service_store(parser, args)
     fp = args.fingerprint
     if not fp.startswith("cell:"):
         fp = f"cell:{fp}"

@@ -28,16 +28,34 @@ from repro.engine.cells import Cell, run_cells
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
+    "GATED_METRICS",
     "Workload",
     "SUITES",
     "run_bench",
     "write_bench_report",
     "validate_bench_report",
     "compare_reports",
+    "regressed",
     "bench_report_path",
+    "baseline_report_path",
 ]
 
 BENCH_SCHEMA_VERSION = 1
+
+#: The metrics the gate holds against tolerance, each with the
+#: direction a regression moves it.  All are deterministic by
+#: construction (modeled seconds, counted host work, coreset shard
+#: footprint and quality ratio, streaming repair frontier), so a drift
+#: is a code change, not machine noise.  :func:`compare_reports` and
+#: the report's trajectories (:mod:`repro.analysis.trajectory`) both
+#: read this table.
+GATED_METRICS: tuple[tuple[str, str], ...] = (
+    ("median_sim_time_s", "up"),
+    ("host_entries_scanned", "up"),
+    ("peak_shard_edges", "up"),
+    ("approx_ratio_vs_blossom", "down"),
+    ("affected_vertices", "up"),
+)
 
 
 @dataclass(frozen=True)
@@ -497,6 +515,25 @@ def bench_report_path(suite: str, root: "Path | str | None" = None) -> Path:
     return base / f"BENCH_{suite}.json"
 
 
+def baseline_report_path(suite: str,
+                         root: "Path | str | None" = None) -> Path:
+    """The committed baseline a suite gates against:
+    ``baseline_<suite>.json`` under ``root`` (default ``benchmarks/``
+    in the current directory, i.e. the repo root)."""
+    base = Path(root if root is not None else "benchmarks")
+    return base / f"baseline_{suite}.json"
+
+
+def regressed(current: float, reference: float, direction: str,
+              tolerance: float) -> bool:
+    """Whether ``current`` moved past ``reference`` in the regression
+    ``direction`` (``"up"`` or ``"down"``) by more than the relative
+    ``tolerance``."""
+    if direction == "up":
+        return current > reference * (1.0 + tolerance)
+    return current < reference * (1.0 - tolerance)
+
+
 def write_bench_report(report: dict[str, Any],
                        path: "Path | str | None" = None) -> Path:
     """Write ``report`` to ``path`` (default
@@ -543,11 +580,10 @@ def compare_reports(
     """Regressions of ``current`` against ``baseline``.
 
     Returns human-readable problem strings (empty list = gate passes):
-    a workload whose gated metric (``median_sim_time_s``,
-    ``host_entries_scanned``, ``affected_vertices``,
-    ``peak_shard_edges`` up, or ``approx_ratio_vs_blossom`` down —
-    each only where the baseline recorded one) moves beyond the
-    baseline by more than ``tolerance`` (relative), went from ok to
+    a workload whose gated metric (:data:`GATED_METRICS`, each only
+    where the baseline recorded one) moves beyond the baseline in its
+    regression direction by more than ``tolerance`` (relative,
+    :func:`regressed`), went from ok to
     error, or disappeared.  Faster-than-baseline and wall-clock changes
     never fail the gate; new workloads without a baseline entry are
     reported as advisory ``"new workload"`` lines only when the
@@ -580,48 +616,25 @@ def compare_reports(
                 f"{name}: now failing ({err.get('type', 'unknown')}: "
                 f"{err.get('message', '')})")
             continue
-        bt, ct = b["median_sim_time_s"], c["median_sim_time_s"]
-        if bt is not None and ct is not None \
-                and ct > bt * (1.0 + tolerance):
-            problems.append(
-                f"{name}: median_sim_time_s {ct:.6g}s exceeds baseline "
-                f"{bt:.6g}s by more than {100 * tolerance:.1f}%")
-        bh = b.get("host_entries_scanned")
-        ch = c.get("host_entries_scanned")
-        if bh is not None and ch is not None \
-                and ch > bh * (1.0 + tolerance):
-            problems.append(
-                f"{name}: host_entries_scanned {ch:.6g} exceeds "
-                f"baseline {bh:.6g} by more than "
-                f"{100 * tolerance:.1f}%")
-        # Coreset gates: the per-machine memory budget may not grow,
-        # the quality ratio may not shrink (both deterministic).
-        bp = b.get("peak_shard_edges")
-        cp = c.get("peak_shard_edges")
-        if bp is not None and cp is not None \
-                and cp > bp * (1.0 + tolerance):
-            problems.append(
-                f"{name}: peak_shard_edges {cp:.6g} exceeds baseline "
-                f"{bp:.6g} by more than {100 * tolerance:.1f}%")
-        br = b.get("approx_ratio_vs_blossom")
-        cr = c.get("approx_ratio_vs_blossom")
-        if br is not None and cr is not None \
-                and cr < br * (1.0 - tolerance):
-            problems.append(
-                f"{name}: approx_ratio_vs_blossom {cr:.4g} fell below "
-                f"baseline {br:.4g} by more than "
-                f"{100 * tolerance:.1f}%")
-        # Batch-dynamic gates: affected_vertices is deterministic (up-
-        # gated); the update-latency speedup floor is machine-relative
-        # like the staging gate — incremental repair may never lose to
-        # from-scratch recompute on the machine it runs on.
-        bav = b.get("affected_vertices")
-        cav = c.get("affected_vertices")
-        if bav is not None and cav is not None \
-                and cav > bav * (1.0 + tolerance):
-            problems.append(
-                f"{name}: affected_vertices {cav:.6g} exceeds baseline "
-                f"{bav:.6g} by more than {100 * tolerance:.1f}%")
+        for metric, direction in GATED_METRICS:
+            bv, cv = b.get(metric), c.get(metric)
+            if bv is None or cv is None \
+                    or not regressed(cv, bv, direction, tolerance):
+                continue
+            if direction == "up":
+                unit = "s" if metric.endswith("_s") else ""
+                problems.append(
+                    f"{name}: {metric} {cv:.6g}{unit} exceeds baseline "
+                    f"{bv:.6g}{unit} by more than "
+                    f"{100 * tolerance:.1f}%")
+            else:
+                problems.append(
+                    f"{name}: {metric} {cv:.4g} fell below baseline "
+                    f"{bv:.4g} by more than {100 * tolerance:.1f}%")
+        # The dynamic suite's update-latency speedup floor is
+        # machine-relative like the staging gate: incremental repair
+        # may never lose to from-scratch recompute on the machine it
+        # runs on.
         if b.get("speedup_vs_recompute") is not None:
             cs = c.get("speedup_vs_recompute")
             if not isinstance(cs, (int, float)):

@@ -305,7 +305,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(408, "request timed out")
         except (ValueError, KeyError, TypeError, JobError) as exc:
             self._error(400, str(exc) or type(exc).__name__)
-        except BrokenPipeError:  # client went away mid-response
+        except ConnectionError:  # client reset or went away mid-response
             pass
         except Exception as exc:  # pragma: no cover - defensive
             self._error(500, f"{type(exc).__name__}: {exc}")

@@ -120,8 +120,8 @@ class _Heartbeat:
         self._store.close()
 
 
-def _stage_graph(store: "RunStore", cell: Any, config: dict[str, Any],
-                 graph_fp: str | None, registry: Any, publish: bool):
+def _stage_graph(store: "RunStore", cell: Any, graph_fp: str | None,
+                 registry: Any, publish: bool):
     """The cell's input graph: shared-memory plane first, then the
     normal build path (dataset registry / builder / context dataset).
     A built graph is published for siblings only when ``publish``."""
@@ -138,14 +138,13 @@ def _stage_graph(store: "RunStore", cell: Any, config: dict[str, Any],
                 # Owner exited (or a stale/garbled descriptor): build
                 # normally and drop the dead pointer.
                 store.meta_delete(meta_key)
-    if cell.dataset is not None or cell.build is not None:
-        from repro.engine.cells import _resolve_graph
+    from repro.engine.cells import _resolve_graph
+    from repro.harness.datasets import load_dataset
+    from repro.store.fingerprint import shared_graph_dataset
 
-        g = _resolve_graph(cell, None)
-    else:
-        from repro.harness.datasets import load_dataset
-
-        g = load_dataset(config["ctx_dataset"])
+    shared = shared_graph_dataset(cell)
+    g = _resolve_graph(cell, None if shared is None
+                       else load_dataset(shared))
     if publish and registry is not None and meta_key is not None:
         import dataclasses
 
@@ -181,8 +180,8 @@ def run_claimed_cell(store: "RunStore", row: "StoredRun",
     try:
         cell = cell_from_config(row.config)
         mc = materialise_cells([cell])[0]
-        g = _stage_graph(store, cell, row.config,
-                         row.graph_fingerprint, registry, publish)
+        g = _stage_graph(store, cell, row.graph_fingerprint, registry,
+                         publish)
     except Exception as exc:
         from repro.engine.cells import Cell
         from repro.engine.context import RunContext

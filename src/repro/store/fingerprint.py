@@ -39,6 +39,7 @@ __all__ = [
     "cell_from_config",
     "config_digest",
     "fingerprint_for",
+    "shared_graph_dataset",
     "upgrade_config",
 ]
 
@@ -184,10 +185,11 @@ def cell_from_config(config: dict[str, Any]) -> "Cell":
     A cell may name no graph source of its own and still resume: when
     its *context* was derived for a dataset (``ctx_dataset``, e.g. a
     ``sweep -d NAME`` grid, which passes the loaded graph in-process),
-    the caller is expected to reload that dataset and pass it as the
-    shared ``graph`` to :func:`~repro.engine.cells.run_cells` — the
-    rebuilt cell keeps ``dataset=None`` so its config digest (and thus
-    its fingerprint) is unchanged.
+    the caller reloads that dataset (:func:`shared_graph_dataset`
+    names it) and passes it as the shared ``graph`` to
+    :func:`~repro.engine.cells.run_cells` — the rebuilt cell keeps
+    ``dataset=None`` so its config digest (and thus its fingerprint) is
+    unchanged.
 
     Raises
     ------
@@ -235,3 +237,12 @@ def cell_from_config(config: dict[str, Any]) -> "Cell":
         label=config["label"],
         replicate=config.get("replicate"),
     )
+
+
+def shared_graph_dataset(cell: "Cell") -> str | None:
+    """The dataset to reload as the shared graph of a cell rebuilt by
+    :func:`cell_from_config`: None when the cell names its own dataset
+    or builder, else its context dataset (``ctx_dataset``)."""
+    if cell.dataset is not None or cell.build is not None:
+        return None
+    return cell.ctx.dataset

@@ -301,6 +301,45 @@ class TestTrajectory:
         assert slow.ratio == pytest.approx(1.2)
         assert slow.reference_source == "baseline"
 
+    def test_coreset_metrics_gated_like_ci(self):
+        # compare_reports fails a 10% peak_shard_edges growth; the
+        # report's trajectory must give the same verdict.
+        from repro.analysis.trajectory import _baseline_points
+
+        doc = {"provenance": {"git": "base"}, "repeats": 1,
+               "workloads": [{"name": "w", "status": "ok",
+                              "median_sim_time_s": None,
+                              "peak_shard_edges": 100,
+                              "approx_ratio_vs_blossom": 0.8}]}
+        base = _baseline_points(doc)["w"]
+        later = TrajectoryPoint(
+            git="later", source="store", n=1,
+            metrics={"peak_shard_edges": 110,
+                     "approx_ratio_vs_blossom": 0.7})
+        flags = {f.metric: f for f in flag_regressions(
+            {"coreset": {"w": [base, later]}}, tolerance=0.05)}
+        assert flags["peak_shard_edges"].flagged
+        assert flags["peak_shard_edges"].ratio == pytest.approx(1.1)
+        # approx_ratio_vs_blossom regresses downwards
+        assert flags["approx_ratio_vs_blossom"].flagged
+        steady = TrajectoryPoint(
+            git="later", source="store", n=1,
+            metrics={"peak_shard_edges": 100,
+                     "approx_ratio_vs_blossom": 0.9})
+        assert not any(f.flagged for f in flag_regressions(
+            {"coreset": {"w": [base, steady]}}))
+
+    def test_store_points_carry_coreset_metrics(self, tmp_path):
+        from repro.analysis.trajectory import store_trajectories
+        from repro.harness.bench import SUITES
+
+        w = next(w for w in SUITES["coreset"]
+                 if w.algorithm == "coreset_greedy")
+        store = RunStore(tmp_path / "runs.db")
+        run_cells([w.cell(replicate=0, suite="coreset")], store=store)
+        point = store_trajectories(store)["coreset"][w.name][0]
+        assert point.metrics["peak_shard_edges"] > 0
+
     def test_single_point_series_never_flag(self):
         trajs = {"s": {"only": [TrajectoryPoint(
             git=None, source="baseline", n=1,

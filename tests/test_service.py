@@ -3,6 +3,7 @@ and HTTP), the daemon, the worker fleet, and the end-to-end
 daemon + workers + kill + cancel drill asserting bit-identity with
 serial `run_cells`."""
 
+import io
 import json
 import os
 import signal
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -488,6 +490,43 @@ class TestDaemon:
         api.submit("ld_gpu", DATASET, seed=4, client="other",
                    store=url)
 
+    def test_client_reset_writes_no_500(self, tmp_path, monkeypatch,
+                                        capsys):
+        sent = []
+
+        def reset(self, method, route, query):
+            raise ConnectionResetError("peer reset")
+
+        monkeypatch.setattr(daemon_mod._Handler, "_route", reset)
+        monkeypatch.setattr(
+            daemon_mod._Handler, "_send",
+            lambda self, code, payload, content_type=None:
+                sent.append(code))
+        server, _url = _start_daemon(tmp_path / "runs.db")
+        try:
+            with socket.create_connection(server.server_address[:2],
+                                          timeout=10) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                             b"Connection: close\r\n\r\n")
+                # the handler finished once the server closes on us
+                assert sock.recv(1024) == b""
+        finally:
+            _stop_daemon(server)
+        assert sent == []
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("body", [b"<html>gone</html>", b"[1, 2]",
+                                      b"\xff\xfe", b""])
+    def test_404_with_odd_body_is_job_not_found(self, monkeypatch,
+                                                body):
+        def not_found(req, timeout=None):
+            raise urllib.error.HTTPError(req.full_url, 404, "Not Found",
+                                         {}, io.BytesIO(body))
+
+        monkeypatch.setattr(urllib.request, "urlopen", not_found)
+        with pytest.raises(api.JobNotFound):
+            api.status("cell:" + "e" * 40, store="http://127.0.0.1:1")
+
     def test_metrics_and_healthz(self, daemon):
         url, _ = daemon
         from repro.telemetry import validate_prometheus_text
@@ -877,6 +916,31 @@ class TestCliServiceVerbs:
         # cancelling a finished job reports failure (exit 1)
         assert main(["job", "cancel", fp,
                      "--store", db]) == EXIT_FAILURE
+
+    def test_coreset_job_one_fingerprint_everywhere(self, tmp_path,
+                                                    capsys):
+        # The coordinator's dataset ref is part of its cell config, so
+        # the CLI, api.run and api.submit (path and HTTP) must all
+        # register the one row the CLI run completed.
+        from repro.cli import main
+
+        db = tmp_path / "runs.db"
+        assert main(["run", "-a", "coreset_greedy", "-d", DATASET,
+                     "--quality", "--store", str(db), "--json"]) == 0
+        capsys.readouterr()
+        [job] = api.query(store=db)
+        fp = job.fingerprint
+        api.run("coreset_greedy", DATASET, quality=True, store=db)
+        assert api.submit("coreset_greedy", DATASET, quality=True,
+                          store=db) == fp
+        server, url = _start_daemon(db)
+        try:
+            assert api.submit("coreset_greedy", DATASET, quality=True,
+                              store=url) == fp
+        finally:
+            _stop_daemon(server)
+        assert [(j.fingerprint, j.state) for j in api.query(store=db)] \
+            == [(fp, "done")]
 
     def test_job_unknown_fingerprint_exit_1(self, tmp_path, capsys):
         from repro.cli import EXIT_FAILURE, main
