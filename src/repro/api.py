@@ -24,10 +24,10 @@ Every verb takes ``store=`` naming where the jobs live:
 
 * a :class:`~repro.store.db.RunStore`, a path, or ``None`` (which
   falls back to ``$REPRO_RUN_STORE``) — **local mode**: the store is
-  opened directly;
+  opened directly, and each thread reuses one connection per path;
 * an ``http://host:port`` URL — **client mode**: the verb becomes an
-  HTTP call against a ``repro serve`` daemon; no SQLite file is
-  touched from this process.
+  HTTP call against a ``repro serve`` daemon over one keep-alive
+  connection per thread; no SQLite file is touched from this process.
 
 The two modes are interchangeable by construction: the daemon's
 handlers call the exact local functions below, so a job submitted over
@@ -42,12 +42,13 @@ returns the same id and never recomputes a finished result.
 
 from __future__ import annotations
 
+import atexit
 import http.client
 import json
+import os
+import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
@@ -276,14 +277,96 @@ def _is_url(store: Any) -> bool:
         store.startswith(("http://", "https://"))
 
 
-def _local_store(store: Any) -> "RunStore":
-    from repro.store.db import resolve_store
+class _ThreadSlot(threading.local):
+    """This thread's one open connection, filed under a key whose first
+    item is the pid.  Asking for any other key closes it, so the caller
+    opens its replacement with the old one already gone.
 
-    resolved = resolve_store(store)
-    if resolved is None:
+    That includes a connection a forked child inherited: closing it
+    never writes to the parent's socket (the parent still holds it
+    open, so no FIN is sent), and closing an inherited SQLite
+    connection first is what lets the child's own connection take
+    real file locks — the parent's lock keeps that close from
+    checkpointing or deleting the WAL.
+    """
+
+    key: tuple = ()
+    conn: Any = None
+
+    def get(self, key: tuple) -> Any:
+        if self.key == key:
+            return self.conn
+        self.discard()
+        return None
+
+    def put(self, key: tuple, conn: Any) -> None:
+        self.key, self.conn = key, conn
+
+    def discard(self) -> None:
+        if self.conn is not None:
+            self.conn.close()
+        self.key, self.conn = (), None
+
+
+_STORES = _ThreadSlot()
+_DAEMONS = _ThreadSlot()
+
+
+def _close_kept() -> None:
+    _STORES.discard()
+    _DAEMONS.discard()
+
+
+# The main thread's connections close at exit, not in interpreter
+# teardown (a socket left to the collector warns).  A forked child
+# closes the forking thread's at once, not at its first api call: a
+# pool worker that opens the same store by path would otherwise share
+# the inherited connection's lock bookkeeping and take no file lock.
+atexit.register(_close_kept)
+os.register_at_fork(after_in_child=_close_kept)
+
+
+def _file_id(path: str) -> tuple[int, int] | None:
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
+def _local_store(store: Any) -> "RunStore":
+    """The store behind a local-mode ``store=``: a RunStore is used as
+    given (never cached, never closed); a path, or
+    ``$REPRO_RUN_STORE``, gets this thread's reused store.
+
+    The reused store is checked on every borrow against the process,
+    the absolute path, the file's identity (device, inode) and the
+    lease, so a forked child, a replaced or recreated file, or a new
+    ``REPRO_RUN_STORE_LEASE_S`` gets a fresh connection.  A thread
+    keeps one store; switching paths closes the old one.
+    """
+    from repro.store.db import (
+        RUN_STORE_ENV,
+        RunStore,
+        default_lease_seconds,
+    )
+
+    if isinstance(store, RunStore):
+        return store
+    if store is None:
+        store = os.environ.get(RUN_STORE_ENV) or None
+    if store is None:
         raise ValueError("no run store: pass store=PATH (or an "
                          "http:// daemon URL) or set REPRO_RUN_STORE")
-    return resolved
+    path = os.path.abspath(os.fspath(store))
+    lease = default_lease_seconds()
+    cached = _STORES.get((os.getpid(), path, _file_id(path), lease))
+    if cached is not None:
+        return cached
+    fresh = RunStore(path, lease_seconds=lease)
+    fresh._connect()  # creates the file, so its identity can be read
+    _STORES.put((os.getpid(), path, _file_id(path), lease), fresh)
+    return fresh
 
 
 class _LocalBackend:
@@ -363,16 +446,73 @@ class _LocalBackend:
         return out
 
 
+#: Seconds a daemon call waits on its socket.
+_HTTP_TIMEOUT_S = 60
+#: How a reused keep-alive connection fails before its response when
+#: the daemon closed it while idle or restarted.
+_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError,
+                     BrokenPipeError)
+
+
 class _HttpBackend:
-    """The same verbs as JSON calls against a ``repro serve`` daemon."""
+    """The same verbs as JSON calls against a ``repro serve`` daemon.
+
+    Each thread keeps one keep-alive connection, to the daemon it
+    called last; calling another daemon closes it, and a forked child
+    opens its own.  A request that fails on a *reused* connection
+    before any response arrives is re-sent once on a fresh one: that
+    is how a daemon that closed an idle connection, or restarted,
+    looks.  Re-sending is safe for every verb: ``submit`` is
+    content-addressed, ``cancel`` sets a flag, and the rest are GETs.
+    A failure on a fresh connection is never retried.
+    """
 
     def __init__(self, base_url: str) -> None:
-        self.base = base_url.rstrip("/")
+        parts = urllib.parse.urlsplit(base_url.rstrip("/"))
+        self.scheme, self.netloc, self.prefix = (
+            parts.scheme, parts.netloc, parts.path)
+
+    def _connection(self) -> tuple[http.client.HTTPConnection, bool]:
+        """This thread's connection to the daemon, and whether it has
+        carried a request before."""
+        key = (os.getpid(), self.scheme, self.netloc)
+        conn = _DAEMONS.get(key)
+        if conn is not None:
+            return conn, True
+        cls = (http.client.HTTPSConnection if self.scheme == "https"
+               else http.client.HTTPConnection)
+        conn = cls(self.netloc, timeout=_HTTP_TIMEOUT_S)
+        _DAEMONS.put(key, conn)
+        return conn, False
+
+    def _exchange(self, method: str, target: str, data: bytes | None,
+                  headers: dict[str, str]) -> tuple[int, str, bytes]:
+        """``(status, reason, body)`` of one request; the body is
+        always read whole, so the connection can carry the next."""
+        conn, reused = self._connection()
+        try:
+            try:
+                conn.request(method, target, body=data, headers=headers)
+                resp = conn.getresponse()
+            except _STALE_CONNECTION:
+                if not reused:
+                    raise
+                _DAEMONS.discard()
+                conn, _ = self._connection()
+                conn.request(method, target, body=data, headers=headers)
+                resp = conn.getresponse()
+            payload = resp.read()
+        except BaseException:
+            _DAEMONS.discard()
+            raise
+        if resp.will_close:  # the daemon sent Connection: close
+            _DAEMONS.discard()
+        return resp.status, resp.reason, payload
 
     def _call(self, method: str, path: str,
               body: dict[str, Any] | None = None,
               params: dict[str, Any] | None = None) -> Any:
-        url = f"{self.base}{path}"
+        target = f"{self.prefix}{path}"
         if params:
             pairs = []
             for k, v in params.items():
@@ -381,33 +521,29 @@ class _HttpBackend:
                 vals = v if isinstance(v, (list, tuple)) else [v]
                 pairs.extend((k, str(x)) for x in vals)
             if pairs:
-                url += "?" + urllib.parse.urlencode(pairs)
+                target += "?" + urllib.parse.urlencode(pairs)
         data = None
         headers = {"Accept": "application/json"}
         if body is not None:
             data = json.dumps(body).encode()
             headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(url, data=data, headers=headers,
-                                     method=method)
-        try:
-            with urllib.request.urlopen(req, timeout=60) as resp:
-                payload = resp.read()
-        except urllib.error.HTTPError as exc:
+        code, reason, payload = self._exchange(method, target, data,
+                                               headers)
+        if not 200 <= code < 300:
             detail = ""
             try:
-                detail = json.loads(exc.read() or b"{}").get("error", "")
-            except (OSError, ValueError, AttributeError,
-                    http.client.HTTPException):
+                detail = json.loads(payload or b"{}").get("error", "")
+            except (ValueError, AttributeError):
                 pass
-            if exc.code == 404:
-                raise JobNotFound(detail or path) from None
-            if exc.code == 409:
-                raise JobCancelled(detail or path) from None
-            if exc.code == 429:
-                raise QuotaExceeded(detail or path) from None
+            if code == 404:
+                raise JobNotFound(detail or path)
+            if code == 409:
+                raise JobCancelled(detail or path)
+            if code == 429:
+                raise QuotaExceeded(detail or path)
             raise ValueError(
                 f"daemon rejected {method} {path}: "
-                f"{detail or exc.reason} (HTTP {exc.code})") from None
+                f"{detail or reason} (HTTP {code})")
         return json.loads(payload) if payload else None
 
     def submit(self, spec: dict[str, Any]) -> str:
@@ -593,8 +729,6 @@ def run(
         platform=platform, devices=devices, batches=batches,
         seed=seed, overrides=overrides, label=label, sinks=sinks)
     if store is None:
-        import os
-
         from repro.store.db import RUN_STORE_ENV
 
         store = os.environ.get(RUN_STORE_ENV) or None
@@ -652,19 +786,16 @@ def process(
     the queue is empty, which makes this the programmatic way to drain
     a store you just submitted to.  Unlike ``repro worker`` it
     publishes no graph to shared memory (it still attaches segments a
-    long-lived worker published), and it closes a store it opened.
+    long-lived worker published).  A store given as a path stays open
+    for this thread's next call, like every local-mode verb's (see
+    :func:`_local_store`); a ``RunStore`` passed in is used as given.
     """
     if _is_url(store):
         raise ValueError("process() drains a local store; workers "
                          "attach to the database, not the daemon")
     from repro.service.worker import worker_loop
 
-    local = _local_store(store)
-    try:
-        summary = worker_loop(local, max_cells=max_cells,
-                              idle_exit_s=idle_exit_s, poll_s=poll_s,
-                              algorithm=algorithm, publish=False)
-    finally:
-        if local is not store:
-            local.close()
+    summary = worker_loop(_local_store(store), max_cells=max_cells,
+                          idle_exit_s=idle_exit_s, poll_s=poll_s,
+                          algorithm=algorithm, publish=False)
     return summary.executed

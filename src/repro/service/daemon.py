@@ -31,10 +31,20 @@ negative or non-integer ``Content-Length``, ``413`` a body over
 :data:`MAX_BODY_BYTES` (refused unread), ``408`` a request that
 stalls for :data:`REQUEST_TIMEOUT_S`, ``500`` anything else.  Bodies
 carry ``{"error": "..."}``; a 400 for the length, 408 or 413 also
-closes the connection.
+closes the connection and says so with ``Connection: close``.
 
-Threading: :class:`ThreadingHTTPServer` handles each connection on a
-new thread.  A request borrows one :class:`RunStore` from a pool of at
+Connections: the daemon speaks HTTP/1.1 keep-alive, so a client may
+send any number of requests over one connection (the
+:mod:`repro.api` client keeps one per thread).  It sets
+``TCP_NODELAY``: with Nagle's algorithm on, the response's second
+segment waits for the client's delayed ACK, about 40 ms per request
+on a kept connection.  :meth:`_Server.server_close` also closes every
+open client connection, so no handler outlives the server.
+
+Threading: :class:`ThreadingHTTPServer` runs one handler thread per
+client connection, for as long as the connection stays open (an idle
+one is dropped after :data:`REQUEST_TIMEOUT_S`).  A request borrows
+one :class:`RunStore` from a pool of at
 most :data:`STORE_POOL_SIZE` for its SQL calls only: the body is read
 and the cell built before the borrow, and the response is written
 after the return, so a client that stalls its body or its reads holds
@@ -52,6 +62,7 @@ from __future__ import annotations
 
 import json
 import queue
+import socket
 import threading
 import time
 import urllib.parse
@@ -228,8 +239,9 @@ class ServiceState:
 class _Handler(BaseHTTPRequestHandler):
     server: "_Server"  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"
-    # Socket timeout set by ``StreamRequestHandler.setup``.
+    # Socket timeout and TCP_NODELAY, set by ``StreamRequestHandler.setup``.
     timeout = REQUEST_TIMEOUT_S
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------ #
     # plumbing
@@ -246,6 +258,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -383,10 +397,32 @@ class _Server(ThreadingHTTPServer):
                  quiet: bool = False) -> None:
         self.state = state
         self.quiet = quiet
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
         super().__init__(address, _Handler)
 
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
     def server_close(self) -> None:
+        """Stop listening, end every open client connection (a kept
+        one would otherwise still be served by this stopped server),
+        and close the store pool."""
         super().server_close()
+        with self._open_lock:
+            conns = list(self._open)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its handler
+                pass
         self.state.stores.close()
 
 

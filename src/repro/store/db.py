@@ -145,8 +145,15 @@ def _count(name: str) -> None:
     emit_event(name, "Run-store lifecycle events.")
 
 
-#: How long a connection waits on another process's lock.
+#: How long a connection waits on another process's lock (the
+#: ``timeout`` of :func:`sqlite3.connect` sets SQLite's busy timeout).
 _BUSY_TIMEOUT_S = 30.0
+
+
+def default_lease_seconds() -> float:
+    """The lease a store gets when none is passed:
+    ``REPRO_RUN_STORE_LEASE_S`` or 300 s."""
+    return float(os.environ.get(_ENV_LEASE, _DEFAULT_LEASE_S))
 
 
 def _enable_wal(conn: sqlite3.Connection) -> None:
@@ -314,8 +321,7 @@ class RunStore:
                  worker_id: str | None = None) -> None:
         self.path = Path(path)
         if lease_seconds is None:
-            lease_seconds = float(os.environ.get(_ENV_LEASE,
-                                                 _DEFAULT_LEASE_S))
+            lease_seconds = default_lease_seconds()
         self.lease_seconds = float(lease_seconds)
         self.clock = clock
         self._worker_id = worker_id
@@ -345,7 +351,6 @@ class RunStore:
                                check_same_thread=self._thread_bound)
         conn.row_factory = sqlite3.Row
         conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_S * 1000)}")
         if not _is_current(conn):
             self._initialise(conn)
         self._conn = conn

@@ -3,7 +3,7 @@ and HTTP), the daemon, the worker fleet, and the end-to-end
 daemon + workers + kill + cancel drill asserting bit-identity with
 serial `run_cells`."""
 
-import io
+import http.client
 import json
 import os
 import signal
@@ -13,14 +13,14 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.error
 import urllib.request
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 import repro
 import repro.api as api
-from repro.engine.cells import run_cells
+from repro.engine.cells import Cell, run_cells
 import repro.service.daemon as daemon_mod
 from repro.service.daemon import MAX_BODY_BYTES, build_server
 from repro.service.worker import worker_loop
@@ -386,8 +386,8 @@ class TestInlineDrainShm:
         assert _canon(api.result(fp, store=db)) == _canon(
             api.run("ld_gpu", DATASET, devices=2, seed=15))
 
-    def test_process_closes_the_store_it_opened(self, tmp_path,
-                                                 monkeypatch):
+    def test_process_reuses_the_store_it_opened(self, tmp_path,
+                                                monkeypatch):
         opened = []
         real = sqlite3.connect
 
@@ -400,10 +400,10 @@ class TestInlineDrainShm:
         api.submit("ld_gpu", DATASET, seed=16, store=db)
         monkeypatch.setattr(sqlite3, "connect", spy)
         assert api.process(store=db) == 1
-        assert opened
-        for conn in opened:
-            with pytest.raises(sqlite3.ProgrammingError):
-                conn.execute("SELECT 1")
+        fp = api.submit("ld_gpu", DATASET, seed=17, store=db)
+        assert api.process(store=db) == 1
+        assert api.result(fp, store=db).ok
+        assert opened == []  # every call ran on the submit's connection
 
 
 class TestApiSurface:
@@ -517,15 +517,26 @@ class TestDaemon:
 
     @pytest.mark.parametrize("body", [b"<html>gone</html>", b"[1, 2]",
                                       b"\xff\xfe", b""])
-    def test_404_with_odd_body_is_job_not_found(self, monkeypatch,
-                                                body):
-        def not_found(req, timeout=None):
-            raise urllib.error.HTTPError(req.full_url, 404, "Not Found",
-                                         {}, io.BytesIO(body))
+    def test_404_with_odd_body_is_job_not_found(self, body):
+        class NotFound(BaseHTTPRequestHandler):
+            def do_GET(self):  # noqa: N802
+                self.send_response(404)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
 
-        monkeypatch.setattr(urllib.request, "urlopen", not_found)
-        with pytest.raises(api.JobNotFound):
-            api.status("cell:" + "e" * 40, store="http://127.0.0.1:1")
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), NotFound)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            with pytest.raises(api.JobNotFound):
+                api.status("cell:" + "e" * 40, store="http://127.0.0.1:"
+                           f"{server.server_address[1]}")
+        finally:
+            server.shutdown()
+            server.server_close()
 
     def test_metrics_and_healthz(self, daemon):
         url, _ = daemon
@@ -541,6 +552,25 @@ class TestDaemon:
         assert validate_prometheus_text(text) > 0
         assert "repro_service_submissions_total 1" in text
         assert 'repro_service_jobs{state="pending"} 1' in text
+
+    def test_keep_alive_requests_do_not_stall(self, daemon):
+        """50 requests on one connection: with Nagle's algorithm on,
+        each waits out the client's delayed ACK (~40 ms)."""
+        url, _ = daemon
+        host, port = url.rsplit("/", 1)[-1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            t0 = time.monotonic()
+            for _ in range(50):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                resp.read()
+                assert not resp.will_close
+            elapsed = time.monotonic() - t0
+        finally:
+            conn.close()
+        assert elapsed < 1.0, f"50 keep-alive requests took {elapsed:.2f}s"
 
 
 def _start_daemon(db):
@@ -597,6 +627,56 @@ class TestDaemonStorePool:
         for conn in opened:
             with pytest.raises(sqlite3.ProgrammingError):
                 conn.execute("SELECT 1")
+
+    def test_keep_alive_clients_share_the_bounded_pool(self, tmp_path,
+                                                       monkeypatch):
+        """8 client threads, one keep-alive connection each, 10
+        submit + status calls per thread."""
+        opened, accepted = [], []
+        real_connect = daemon_mod._PooledStore._connect
+        real_accept = daemon_mod._Server.process_request
+
+        def connect(self):
+            if self._conn is None:
+                opened.append(self)
+            return real_connect(self)
+
+        def accept(self, request, client_address):
+            accepted.append(client_address)
+            real_accept(self, request, client_address)
+
+        monkeypatch.setattr(daemon_mod._PooledStore, "_connect", connect)
+        monkeypatch.setattr(daemon_mod._Server, "process_request", accept)
+        server, url = _start_daemon(tmp_path / "runs.db")
+        done, errors = [], []
+
+        def client(worker):
+            try:
+                for i in range(10):
+                    fp = api.submit("ld_gpu", DATASET,
+                                    seed=100 * worker + i, store=url)
+                    assert api.status(fp, store=url).state == "pending"
+                    done.append(fp)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(w,))
+                       for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            _stop_daemon(server)
+        assert errors == []
+        assert len(set(done)) == 80
+        assert len(accepted) == 8  # one connection per client thread
+        assert 1 <= len(opened) <= daemon_mod.STORE_POOL_SIZE
 
     def test_stalled_bodies_hold_no_store(self, daemon):
         """More clients than the pool has stores send a POST's headers
@@ -769,6 +849,175 @@ class TestDaemonBody:
         assert time.monotonic() - t0 < 5
 
 
+def _wait_child(pid, timeout=60.0):
+    """A forked child's exit code; kills it on timeout."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail("forked child hung")
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestConnectionReuse:
+    """Each thread keeps one daemon connection and one store
+    connection; these are the cases where the kept one must go."""
+
+    def test_daemon_restart_between_calls(self, tmp_path):
+        db = tmp_path / "runs.db"
+        RunStore(db).counts()
+        server, url = _start_daemon(db)
+        port = server.server_address[1]
+        try:
+            fp = api.submit("ld_gpu", DATASET, seed=20, store=url)
+            assert api.status(fp, store=url).state == "pending"
+        finally:
+            _stop_daemon(server)
+        server = build_server(db, port=port, quiet=True)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            # the kept connection died with the old daemon: re-sent once
+            assert api.status(fp, store=url).state == "pending"
+        finally:
+            _stop_daemon(server)
+
+    def test_server_close_ends_kept_connections(self, tmp_path):
+        server, url = _start_daemon(tmp_path / "runs.db")
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            _stop_daemon(server)
+            assert conn.sock.recv(1) == b""  # no handler outlives it
+        finally:
+            conn.close()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_opens_its_own_connections(self, tmp_path,
+                                                    monkeypatch):
+        db = tmp_path / "runs.db"
+        RunStore(db).counts()
+        peers = []
+        real_dispatch = daemon_mod._Handler._dispatch
+
+        def dispatch(self, method):
+            peers.append(self.client_address[1])
+            real_dispatch(self, method)
+
+        monkeypatch.setattr(daemon_mod._Handler, "_dispatch", dispatch)
+        server, url = _start_daemon(db)
+        try:
+            fp = api.submit("ld_gpu", DATASET, seed=21, store=url)
+            assert api.process(store=db) == 1
+            assert api.status(fp, store=url).state == "done"
+            fp2 = api.submit("ld_gpu", DATASET, seed=22, store=url)
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - runs in the child
+                code = 1
+                try:
+                    claimed_by = []
+                    real_claim = RunStore.claim_next
+
+                    def claim_next(store, *args, **kwargs):
+                        claimed_by.append(store.worker_id)
+                        return real_claim(store, *args, **kwargs)
+
+                    RunStore.claim_next = claim_next
+                    me = f":{os.getpid()}"
+                    if (api.status(fp, store=url).state == "done"
+                            and api.process(store=db) == 1
+                            and claimed_by
+                            and all(w.endswith(me) for w in claimed_by)):
+                        code = 0
+                finally:
+                    os._exit(code)
+            assert _wait_child(pid) == 0
+            # the parent's kept connections still work
+            assert api.status(fp2, store=url).state == "done"
+            assert api.process(store=db) == 0
+        finally:
+            _stop_daemon(server)
+        parent, child = peers[0], peers[3]
+        assert child != parent
+        assert peers == [parent] * 3 + [child, parent]
+
+    @pytest.mark.skipif(not (hasattr(os, "fork")
+                             and os.path.exists("/proc/locks")),
+                        reason="needs fork and /proc/locks")
+    def test_forked_pool_workers_lock_the_store(self, tmp_path,
+                                                monkeypatch):
+        """A fork pool started after an api call on the same path: each
+        worker's store connection must hold its own file lock."""
+        db = tmp_path / "runs.db"
+        api.query(store=db)  # this thread now keeps a store on db
+        inode = f":{os.stat(db).st_ino}"
+        log = tmp_path / "locks.txt"
+        real_complete = RunStore.complete
+
+        def complete(self, fingerprint, record):
+            real_complete(self, fingerprint, record)
+            pid = str(os.getpid())
+            with open("/proc/locks") as f:
+                held = [p[3] for p in map(str.split, f)
+                        if "->" not in p and p[4] == pid
+                        and p[5].endswith(inode)]
+            with open(log, "a") as f:
+                f.write(f"{held}\n")
+
+        monkeypatch.setattr(RunStore, "complete", complete)
+        monkeypatch.setenv("REPRO_PARALLEL_START_METHOD", "fork")
+        cells = [Cell("ld_gpu", dataset=DATASET,
+                      config={"num_devices": n}) for n in (1, 2)]
+        run_cells(cells, parallel=2, store=RunStore(db))
+        assert log.read_text().splitlines() == ["['READ']"] * 2
+
+    def test_recreated_store_file_is_reopened(self, tmp_path):
+        db = tmp_path / "runs.db"
+        api.submit("ld_gpu", DATASET, seed=23, store=db)
+        assert api.process(store=db) == 1
+        for suffix in ("", "-wal", "-shm"):
+            os.remove(f"{db}{suffix}")
+        with RunStore(db) as other:
+            fp = api.submit("ld_gpu", DATASET, seed=24, store=other)
+        assert api.process(store=db) == 1
+        assert api.result(fp, store=db).ok
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_distinct_stores_do_not_grow_open_files(self, tmp_path):
+        def drain(i):
+            db = tmp_path / f"s{i}" / "runs.db"
+            api.submit("ld_gpu", DATASET, seed=25, store=db)
+            assert api.process(store=db) == 1
+
+        drain(0)
+        before = _open_fds()
+        for i in range(1, 21):
+            drain(i)
+        assert _open_fds() <= before
+
+    def test_idle_cached_store_holds_no_read_transaction(self, tmp_path):
+        db = tmp_path / "runs.db"
+        fp = api.submit("ld_gpu", DATASET, seed=26, store=db)
+        assert api.process(store=db) == 1
+        assert api.result(fp, store=db).ok
+        conn = sqlite3.connect(str(db))
+        try:
+            busy, _, _ = conn.execute(
+                "PRAGMA wal_checkpoint(TRUNCATE)").fetchone()
+        finally:
+            conn.close()
+        assert busy == 0
+
+
 # ------------------------------------------------------------------ #
 # the worker loop
 # ------------------------------------------------------------------ #
@@ -815,6 +1064,27 @@ class TestWorkerLoop:
                               poll_s=0.01)
         assert summary.executed == 0
         assert api.status(fp, store=db).state == "cancelled"
+
+    def test_cancel_after_claim_releases_the_lease(self, tmp_path):
+        db = tmp_path / "runs.db"
+        fp = api.submit("ld_gpu", DATASET, seed=27, store=db)
+        store = RunStore(db)
+        real_claim = store.claim_next
+
+        def claim_then_cancel(*args, **kwargs):
+            row = real_claim(*args, **kwargs)
+            if row is not None:
+                store.request_cancel(row.fingerprint)
+            return row
+
+        store.claim_next = claim_then_cancel
+        summary = worker_loop(store, idle_exit_s=0.0, poll_s=0.01)
+        assert (summary.executed, summary.cancelled) == (0, 1)
+        assert api.status(fp, store=db).state == "cancelled"
+        row = store.get(fp)
+        assert (row.status, row.worker, row.lease_expires_at) == (
+            "pending", None, None)
+        assert store.counts()["leased"] == 0
 
     def test_shm_metadata_cleaned_up(self, tmp_path):
         from repro.harness.shm import list_orphan_segments, shm_enabled

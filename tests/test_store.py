@@ -285,6 +285,11 @@ class TestStoreConnect:
         mode = store._connect().execute("PRAGMA journal_mode").fetchone()
         assert mode[0] == "wal"
 
+    def test_busy_timeout_is_thirty_seconds(self, tmp_path):
+        store = RunStore(tmp_path / "runs.db")
+        timeout = store._connect().execute("PRAGMA busy_timeout").fetchone()
+        assert timeout[0] == 30000
+
     def test_count_matches_select(self, tmp_path):
         store = RunStore(tmp_path / "runs.db")
         for i, client in enumerate(("a", "a", "b", None, "a")):
