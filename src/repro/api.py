@@ -284,10 +284,9 @@ class _ThreadSlot(threading.local):
 
     That includes a connection a forked child inherited: closing it
     never writes to the parent's socket (the parent still holds it
-    open, so no FIN is sent), and closing an inherited SQLite
-    connection first is what lets the child's own connection take
-    real file locks — the parent's lock keeps that close from
-    checkpointing or deleting the WAL.
+    open, so no FIN is sent).  A kept store's inherited SQLite
+    connection is already closed by :mod:`repro.store.db`'s own fork
+    hook.
     """
 
     key: tuple = ()
@@ -319,11 +318,10 @@ def _close_kept() -> None:
 
 # The main thread's connections close at exit, not in interpreter
 # teardown (a socket left to the collector warns).  A forked child
-# closes the forking thread's at once, not at its first api call: a
-# pool worker that opens the same store by path would otherwise share
-# the inherited connection's lock bookkeeping and take no file lock.
+# drops the forking thread's daemon connection at once; store
+# connections are closed by repro.store.db's fork hook.
 atexit.register(_close_kept)
-os.register_at_fork(after_in_child=_close_kept)
+os.register_at_fork(after_in_child=_DAEMONS.discard)
 
 
 def _file_id(path: str) -> tuple[int, int] | None:

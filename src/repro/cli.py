@@ -87,24 +87,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-EXPERIMENTS: dict[str, Callable[..., "exp.ExperimentResult"]] = {
-    "table1": exp.table1_execution_times,
-    "table2": exp.table2_quality,
-    "table3": exp.table3_a100_vs_v100,
-    "table4": exp.table4_single_gpu,
-    "table5": exp.table5_cugraph,
-    "table6": exp.table6_fom,
-    "fig4": exp.fig4_strong_scaling,
-    "fig5": exp.fig5_components,
-    "fig6": exp.fig6_batch_scaling,
-    "fig7": exp.fig7_kmer_components,
-    "fig8": exp.fig8_warp_work,
-    "fig9": exp.fig9_interconnect,
-    "fig10": exp.fig10_platforms,
-    "fig11": exp.fig11_occupancy,
-}
-
-
 def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
     """A parent parser holding one flag; subcommands that honour the
     flag attach it with ``parents=[...]``."""
@@ -158,8 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     parallel = _flag("--parallel", type=int, default=0, metavar="N",
                      help="worker processes for the command's cells, "
                           "bit-identical to serial (run: coreset shard "
-                          "cells only; experiment: grid-shaped "
-                          "experiments only)")
+                          "cells only)")
     tolerance = _flag("--tolerance", type=float, default=0.05,
                       help="relative regression allowed before a gated "
                            "bench metric fails (default 0.05)")
@@ -271,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     expp = sub.add_parser("experiment",
                           help="regenerate a paper table/figure",
                           parents=[json_, store, parallel])
-    expp.add_argument("name", choices=sorted(EXPERIMENTS))
+    expp.add_argument("name", choices=sorted(exp.EXPERIMENTS))
     expp.add_argument("--quick", action="store_true",
                       help="reduced sweep (seconds instead of minutes)")
 
@@ -910,16 +891,9 @@ def _cmd_stats(parser: argparse.ArgumentParser,
 
 def _cmd_experiment(parser: argparse.ArgumentParser,
                     args: argparse.Namespace) -> int:
-    import inspect
-
-    fn = EXPERIMENTS[args.name]
-    params = inspect.signature(fn).parameters
-    kwargs = {"quick": args.quick}
-    if "parallel" in params:
-        kwargs["parallel"] = args.parallel
-    if "store" in params:
-        kwargs["store"] = _store_from(args)
-    result = fn(**kwargs)
+    result = exp.run_experiment(args.name, quick=args.quick,
+                                parallel=args.parallel,
+                                store=_store_from(args))
     if args.json:
         print(json.dumps(result.to_json(), indent=1))
     else:
@@ -1396,7 +1370,7 @@ def _cmd_list(parser: argparse.ArgumentParser,
         print(format_table(["algorithm", "capabilities", "summary"],
                            rows))
     else:
-        for name in sorted(EXPERIMENTS):
+        for name in sorted(exp.EXPERIMENTS):
             print(name)
     return EXIT_OK
 

@@ -27,11 +27,12 @@ failure-isolated unit (cf. Assadi et al., arXiv:1906.01993) is what the
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 import traceback as _traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.engine.context import RunContext
 from repro.engine.executor import execute
@@ -47,6 +48,7 @@ __all__ = [
     "MaterialisedCell",
     "run_cells",
     "run_materialised_cell",
+    "run_one",
     "run_stored_cell",
     "materialise_cells",
     "derive_cell_seed",
@@ -245,8 +247,9 @@ def error_record(
 
 
 def _resolve_graph(cell: Cell, shared: "CSRGraph | None") -> "CSRGraph":
-    """The input graph for a cell (serial path: in-process memo via the
-    dataset registry's ``lru_cache``)."""
+    """The input graph for a cell, built in this process (the serial
+    loop, or the parent staging a parallel grid; registry datasets are
+    memoised by their ``lru_cache``)."""
     if cell.dataset is not None:
         from repro.harness.datasets import load_dataset, quality_instance
 
@@ -300,8 +303,9 @@ def run_stored_cell(mc: MaterialisedCell, graph: "CSRGraph",
     The cell is registered under its content fingerprint, then resolved
     by a claim-or-wait loop:
 
-    * ``done`` row → the stored record is returned bit-identically
-      (zero recompute; counted as a store hit);
+    * ``done`` row, or an out-of-memory ``error`` row
+      (:data:`~repro.store.db.FINAL_ERRORS`) → the stored record is
+      returned bit-identically (zero recompute; counted as a store hit);
     * claimable row (``pending``, previous ``error``, or a stale lease
       left by a dead worker) → this process takes the lease, runs the
       cell, persists the outcome and returns it;
@@ -346,16 +350,20 @@ def run_stored_cell(mc: MaterialisedCell, graph: "CSRGraph",
         time.sleep(STORE_POLL_S)
 
 
-def _run_one(mc: MaterialisedCell, graph: "CSRGraph | None",
-             on_error: str) -> RunRecord:
-    """Resolve the cell's graph, then execute with failure isolation."""
+def run_one(mc: MaterialisedCell, load: "Callable[[], CSRGraph]",
+            on_error: str, store: "RunStore | None") -> RunRecord:
+    """Load the cell's graph, then execute it (through ``store`` when
+    given) with failure isolation; the serial loop and the process-pool
+    workers differ only in ``load``."""
     try:
-        g = _resolve_graph(mc.cell, graph)
+        graph = load()
     except Exception as exc:
         if on_error == "raise":
             raise
         return error_record(mc.cell, mc.ctx, None, exc)
-    return run_materialised_cell(mc, g, on_error)
+    if store is not None:
+        return run_stored_cell(mc, graph, store, on_error)
+    return run_materialised_cell(mc, graph, on_error)
 
 
 def run_cells(
@@ -405,9 +413,9 @@ def run_cells(
         A :class:`~repro.store.db.RunStore` (or a database path) making
         the grid *durable*: every cell is registered under its content
         fingerprint, cells already ``done`` are served from the store
-        bit-identically (no recompute), only ``pending``/failed/stale
-        cells execute, and every completed record is persisted
-        (:func:`run_stored_cell`).  ``None`` keeps the grid ephemeral.
+        bit-identically (no recompute, and so are out-of-memory
+        outcomes), only ``pending``/failed/stale cells execute, and
+        every completed record is persisted (:func:`run_stored_cell`).  ``None`` keeps the grid ephemeral.
         Store-served records have ``result=None`` — the in-memory
         :class:`~repro.engine.record.MatchResult` is never serialised —
         so consumers needing per-component numbers read
@@ -434,16 +442,5 @@ def run_cells(
             materialised, graph=graph, max_workers=int(parallel),
             on_error=on_error, cache=cache, store=store, shm=shm,
         )
-    if store is None:
-        return [_run_one(mc, graph, on_error) for mc in materialised]
-    out: list[RunRecord] = []
-    for mc in materialised:
-        try:
-            g = _resolve_graph(mc.cell, graph)
-        except Exception as exc:
-            if on_error == "raise":
-                raise
-            out.append(error_record(mc.cell, mc.ctx, None, exc))
-            continue
-        out.append(run_stored_cell(mc, g, store, on_error))
-    return out
+    return [run_one(mc, functools.partial(_resolve_graph, mc.cell, graph),
+                    on_error, store) for mc in materialised]

@@ -1,46 +1,43 @@
 """One entry point per table/figure of the paper's evaluation (§IV).
 
-Every function returns an :class:`ExperimentResult` whose rows mirror the
-corresponding table's columns (or the figure's series).  ``quick=True``
-shrinks the dataset/configuration sweep for use in the test suite; the
-benchmarks run the full versions.
+Each is an :class:`Experiment`: ``cells(quick)`` lists its cell grid and
+``reduce(cells, records)`` renders the records into an
+:class:`ExperimentResult` whose rows mirror the table's columns (or the
+figure's series).  Reducers read only record fields, so a store-served
+grid renders identically.  :func:`run_experiment` is the one driver.
 
-Times reported here are the simulator's modeled seconds (see DESIGN.md §2);
-the *shapes* — who wins, scaling curves, crossovers — are the reproduction
-targets, not the absolute values.
+``quick=True`` shrinks the dataset/configuration sweep for use in the
+test suite; the benchmarks run the full versions.  Times reported here
+are the simulator's modeled seconds (see DESIGN.md §2); the *shapes* —
+who wins, scaling curves, crossovers — are the reproduction targets,
+not the absolute values.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.engine import RunContext, execute
+from repro.engine import RunContext
 from repro.engine.cells import Cell, run_cells
-from repro.gpusim.memory import DeviceOOMError
+from repro.engine.record import RunRecord, _coerce
 from repro.gpusim.spec import DGX_2, DGX_A100, DGX_A100_PCIE
 from repro.gpusim.timeline import COMPONENTS, fractions_from_totals
-from repro.harness.datasets import (
-    DATASETS,
-    large_datasets,
-    load_dataset,
-    quality_instance,
-    scale_factor,
-    small_datasets,
-)
+from repro.harness.datasets import large_datasets, scale_factor, \
+    small_datasets
 from repro.harness.report import format_table
-from repro.harness.runners import best_ld_gpu
+from repro.harness.runners import checked, fastest
 from repro.harness.sweep import TABLE1_BATCH_COUNTS, TABLE1_DEVICE_COUNTS
-from repro.matching.blossom import blossom_mwm
-from repro.metrics.fom import mmeps
 from repro.metrics.quality import geometric_mean, percent_below_optimal
 from repro.metrics.workstats import iterations_below_fraction
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentResult",
+    "run_experiment",
     "table1_execution_times",
     "table2_quality",
     "table3_a100_vs_v100",
@@ -75,19 +72,11 @@ class ExperimentResult:
 
     def to_json(self) -> dict:
         """Machine-readable form (numpy values coerced to Python)."""
-
-        def coerce(v):
-            if isinstance(v, np.generic):
-                return v.item()
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            return v
-
         return {
             "name": self.name,
             "title": self.title,
             "headers": list(self.headers),
-            "rows": [[coerce(c) for c in row] for row in self.rows],
+            "rows": [[_coerce(c) for c in row] for row in self.rows],
         }
 
     def save_json(self, path) -> None:
@@ -98,54 +87,114 @@ class ExperimentResult:
             json.dump(self.to_json(), fh, indent=1)
 
 
-# Reduced sweeps used when quick=True (test suite); the full grids are
-# the paper's Table I protocol (see repro.harness.sweep).
-_QUICK_DEVICES = (1, 2, 4)
-_QUICK_BATCHES = (None, 3)
-_FULL_DEVICES = TABLE1_DEVICE_COUNTS
-_FULL_BATCHES = TABLE1_BATCH_COUNTS
+Records = list["RunRecord | None"]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A paper table or figure: which cells to run, how to reduce them.
+
+    ``reduce`` receives the cells and their records in grid order, with
+    ``None`` for an out-of-memory cell.  Calling the experiment runs it
+    through :func:`run_experiment`.
+    """
+
+    name: str
+    cells: Callable[[bool], list[Cell]]
+    reduce: Callable[[list[Cell], Records], ExperimentResult]
+
+    def __call__(self, quick: bool = False, parallel: int = 0,
+                 store: Any = None) -> ExperimentResult:
+        return run_experiment(self.name, quick, parallel, store)
+
+
+def run_experiment(name: str, quick: bool = False, parallel: int = 0,
+                   store: Any = None) -> ExperimentResult:
+    """Run experiment ``name``'s grid through :func:`run_cells`
+    (``parallel``/``store`` as there: a second run on the same store
+    executes no cell) and reduce the :func:`checked` records."""
+    exp = EXPERIMENTS[name]
+    cells = exp.cells(quick)
+    records = run_cells(cells, parallel=parallel, store=store)
+    return exp.reduce(cells, checked(records))
+
+
+_NO_STATS = {"collect_stats": False}
 
 
 def _sweeps(quick: bool):
-    return (_QUICK_DEVICES, _QUICK_BATCHES) if quick else \
-        (_FULL_DEVICES, _FULL_BATCHES)
+    """(devices, batches) of a best-over-grid experiment: the paper's
+    Table I protocol (see repro.harness.sweep), reduced when quick."""
+    return ((1, 2, 4), (None, 3)) if quick else \
+        (TABLE1_DEVICE_COUNTS, TABLE1_BATCH_COUNTS)
 
 
 def _pick(names: list[str], quick: bool, k: int = 3) -> list[str]:
     return names[:k] if quick else names
 
 
-# ------------------------------------------------------------------ #
-# Table I — best execution times and speedups
-# ------------------------------------------------------------------ #
-def table1_execution_times(quick: bool = False, parallel: int = 0,
-                           store: Any = None) -> ExperimentResult:
+def _ld_grid(name: str, devices: Iterable[int],
+             batches: Iterable[int | None], **overrides: Any) -> list[Cell]:
+    """LD-GPU cells of dataset ``name`` over devices × batches."""
+    ctx = RunContext.for_dataset(name)
+    return [Cell("ld_gpu", dataset=name, ctx=ctx,
+                 config={"num_devices": nd, "num_batches": nb},
+                 overrides={**_NO_STATS, **overrides})
+            for nd in devices for nb in batches]
+
+
+def _group(cells: list[Cell], records: Records,
+           key: Callable[[Cell], Any] = lambda c: c.dataset,
+           ) -> dict[Any, Records]:
+    """Records grouped by ``key(cell)``, groups and members in grid
+    order."""
+    out: dict[Any, Records] = {}
+    for cell, record in zip(cells, records):
+        out.setdefault(key(cell), []).append(record)
+    return out
+
+
+def _unique(values: Iterable[Any]) -> list[Any]:
+    return list(dict.fromkeys(values))
+
+
+def _time(r: RunRecord | None) -> float | None:
+    return r.sim_time if r is not None else None
+
+
+def _ratio(a: float | None, b: float | None) -> float | None:
+    return a / b if a is not None and b is not None else None
+
+
+def _percentages(r: RunRecord) -> list[float]:
+    # Serialised totals, not r.result — store-served records carry no
+    # in-memory result and must render identically.
+    f = fractions_from_totals(r.timeline_totals or {})
+    return [100.0 * f[c] for c in COMPONENTS]
+
+
+def _table1_cells(quick: bool) -> list[Cell]:
+    devices, batches = _sweeps(quick)
+    cells: list[Cell] = []
+    for name in _pick(large_datasets(), quick, 2) + \
+            _pick(small_datasets(), quick, 2):
+        ctx = RunContext.for_dataset(name)
+        cells += [Cell("sr_omp", dataset=name, ctx=ctx),
+                  Cell("sr_gpu", dataset=name, ctx=ctx)]
+        cells += _ld_grid(name, devices, batches)
+    return cells
+
+
+def _table1_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
     """Table I (right): best times for SR-OMP / SR-GPU / LD-GPU and the
     LD-GPU speedups.  '-' marks out-of-memory, as in the paper."""
-    names = _pick(large_datasets(), quick, 2) + \
-        _pick(small_datasets(), quick, 2)
-    devices, batches = _sweeps(quick)
     rows = []
-    for name in names:
-        g = load_dataset(name)
-        ctx = RunContext.for_dataset(name)
-        omp = execute("sr_omp", g, ctx).result
-        try:
-            sr_time: float | None = execute("sr_gpu", g, ctx).sim_time
-        except DeviceOOMError:
-            sr_time = None
-        ld, nd, nb = best_ld_gpu(g, ctx.platform, device_counts=devices,
-                                 batch_counts=batches, parallel=parallel,
-                                 store=store)
+    for name, (omp, sr, *grid) in _group(cells, records).items():
+        ld = fastest(grid)
         rows.append([
-            name,
-            omp.sim_time,
-            sr_time,
-            ld.sim_time,
-            nd,
-            nb,
-            omp.sim_time / ld.sim_time,
-            (sr_time / ld.sim_time) if sr_time is not None else None,
+            name, _time(omp), _time(sr), _time(ld),
+            ld.num_devices if ld else None, ld.num_batches if ld else None,
+            _ratio(_time(omp), _time(ld)), _ratio(_time(sr), _time(ld)),
         ])
     return ExperimentResult(
         "table1",
@@ -156,31 +205,26 @@ def table1_execution_times(quick: bool = False, parallel: int = 0,
     )
 
 
-# ------------------------------------------------------------------ #
-# Table II — quality vs the exact optimum
-# ------------------------------------------------------------------ #
-def table2_quality(quick: bool = False) -> ExperimentResult:
+def _table2_cells(quick: bool) -> list[Cell]:
+    ctx = RunContext(platform=DGX_A100, num_devices=1)
+    return [Cell(alg, dataset=name, quality=True, ctx=ctx,
+                 overrides=_NO_STATS if alg == "ld_gpu" else {})
+            for name in _pick(small_datasets(), quick)
+            for alg in ("blossom", "ld_gpu", "sr_omp")]
+
+
+def _table2_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
     """Table II: %-difference of LD-GPU and SR-OMP weights from the exact
-    blossom (LEMON) optimum on the SMALL quality instances."""
-    names = _pick(small_datasets(), quick)
+    blossom (LEMON) optimum on the SMALL quality instances.  The blossom
+    cells' wall times land in ``extra["lemon_seconds"]``."""
     rows = []
-    ld_diffs, sr_diffs = [], []
     lemon_seconds = {}
-    for name in names:
-        g = quality_instance(name)
-        t0 = time.perf_counter()
-        opt = blossom_mwm(g)
-        lemon_seconds[name] = time.perf_counter() - t0
-        ctx = RunContext(platform=DGX_A100, num_devices=1)
-        ld = execute("ld_gpu", g, ctx, collect_stats=False).result
-        sr = execute("sr_omp", g, ctx).result
-        dl = percent_below_optimal(ld.weight, opt.weight)
-        ds = percent_below_optimal(sr.weight, opt.weight)
-        ld_diffs.append(dl)
-        sr_diffs.append(ds)
-        rows.append([name, dl, ds])
-    rows.append(["Geo. Mean", geometric_mean(ld_diffs),
-                 geometric_mean(sr_diffs)])
+    for name, (opt, ld, sr) in _group(cells, records).items():
+        lemon_seconds[name] = opt.wall_time_s
+        rows.append([name, percent_below_optimal(ld.weight, opt.weight),
+                     percent_below_optimal(sr.weight, opt.weight)])
+    rows.append(["Geo. Mean", geometric_mean(r[1] for r in rows),
+                 geometric_mean(r[2] for r in rows)])
     return ExperimentResult(
         "table2",
         "Table II: % weight below optimal (lower is better)",
@@ -190,28 +234,23 @@ def table2_quality(quick: bool = False) -> ExperimentResult:
     )
 
 
-# ------------------------------------------------------------------ #
-# Table III — A100 vs V100, single device
-# ------------------------------------------------------------------ #
 _TABLE3_GRAPHS = ["Queen_4147", "mycielskian18", "com-Orkut", "kmer_U1a",
                   "kmer_V2a", "mouse_gene"]
 
 
-def table3_a100_vs_v100(quick: bool = False) -> ExperimentResult:
+def _table3_cells(quick: bool) -> list[Cell]:
+    return [Cell("ld_gpu", dataset=name,
+                 ctx=RunContext.for_dataset(name, platform=plat),
+                 overrides=_NO_STATS)
+            for name in _pick(_TABLE3_GRAPHS, quick)
+            for plat in (DGX_A100, DGX_2)]
+
+
+def _table3_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
     """Table III: single-GPU LD-GPU speedup of A100 over V100."""
-    names = _pick(_TABLE3_GRAPHS, quick)
-    rows = []
-    speedups = []
-    for name in names:
-        g = load_dataset(name)
-        actx = RunContext.for_dataset(name, platform=DGX_A100)
-        vctx = RunContext.for_dataset(name, platform=DGX_2)
-        a = execute("ld_gpu", g, actx, collect_stats=False).result
-        v = execute("ld_gpu", g, vctx, collect_stats=False).result
-        s = v.sim_time / a.sim_time
-        speedups.append(s)
-        rows.append([name, s])
-    rows.append(["Geo. Mean", geometric_mean(speedups)])
+    rows = [[name, _ratio(_time(v), _time(a))]
+            for name, (a, v) in _group(cells, records).items()]
+    rows.append(["Geo. Mean", geometric_mean(r[1] for r in rows)])
     return ExperimentResult(
         "table3",
         "Table III: LD-GPU speedup on a single A100 vs V100",
@@ -220,71 +259,77 @@ def table3_a100_vs_v100(quick: bool = False) -> ExperimentResult:
     )
 
 
-# ------------------------------------------------------------------ #
-# Table IV — single-GPU LD-GPU vs SR-GPU
-# ------------------------------------------------------------------ #
 _TABLE4_GRAPHS = ["com-Friendster", "Queen_4147", "mycielskian18", "HV15R",
                   "com-Orkut", "kmer_U1a", "kmer_V2a", "mouse_gene"]
 
 
-def table4_single_gpu(quick: bool = False) -> ExperimentResult:
+def _table4_cells(quick: bool) -> list[Cell]:
+    cells: list[Cell] = []
+    for name in _pick(_TABLE4_GRAPHS, quick):
+        ctx = RunContext.for_dataset(name)
+        cells += [Cell("ld_gpu", dataset=name, ctx=ctx, overrides=_NO_STATS),
+                  Cell("sr_gpu", dataset=name, ctx=ctx)]
+    return cells
+
+
+def _table4_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
     """Table IV: single-GPU runtimes; SR-GPU's vertex-per-warp tuning wins
     on regular graphs, LD-GPU stays competitive on irregular ones."""
-    names = _pick(_TABLE4_GRAPHS, quick)
-    rows = []
-    for name in names:
-        g = load_dataset(name)
-        ctx = RunContext.for_dataset(name)
-        ld = execute("ld_gpu", g, ctx, collect_stats=False).result
-        try:
-            sr_t: float | None = execute("sr_gpu", g, ctx).sim_time
-        except DeviceOOMError:
-            sr_t = None
-        rows.append([name, ld.sim_time, sr_t])
     return ExperimentResult(
         "table4",
         "Table IV: single-GPU runtime (modeled s)",
         ["graph", "LD-GPU", "SR-GPU"],
-        rows,
+        [[name, _time(ld), _time(sr)]
+         for name, (ld, sr) in _group(cells, records).items()],
     )
 
 
-# ------------------------------------------------------------------ #
-# Table V — LD-GPU vs cuGraph on 4 GPUs
-# ------------------------------------------------------------------ #
 _TABLE5_GRAPHS = ["Queen_4147", "mycielskian18", "com-Orkut", "kmer_U1a",
                   "kmer_V2a"]
 
 
-def table5_cugraph(quick: bool = False) -> ExperimentResult:
-    """Table V: 4-GPU LD-GPU (single batch) vs the cuGraph MG model."""
-    names = _pick(_TABLE5_GRAPHS, quick)
-    rows = []
-    for name in names:
-        g = load_dataset(name)
+def _table5_cells(quick: bool) -> list[Cell]:
+    cells: list[Cell] = []
+    for name in _pick(_TABLE5_GRAPHS, quick):
         ctx = RunContext.for_dataset(name, num_devices=4)
-        ld = execute("ld_gpu", g, ctx.with_config(num_batches=1),
-                     collect_stats=False).result
-        cu = execute("cugraph", g, ctx).result
-        rows.append([name, ld.sim_time, cu.sim_time,
-                     cu.sim_time / ld.sim_time])
+        cells += [Cell("ld_gpu", dataset=name, ctx=ctx,
+                       config={"num_batches": 1}, overrides=_NO_STATS),
+                  Cell("cugraph", dataset=name, ctx=ctx)]
+    return cells
+
+
+def _table5_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
+    """Table V: 4-GPU LD-GPU (single batch) vs the cuGraph MG model."""
     return ExperimentResult(
         "table5",
         "Table V: LD-GPU vs cuGraph on 4 GPUs (modeled s)",
         ["graph", "LD-GPU", "cuGraph", "cuGraph/LD"],
-        rows,
+        [[name, _time(ld), _time(cu), _ratio(_time(cu), _time(ld))]
+         for name, (ld, cu) in _group(cells, records).items()],
     )
 
 
-# ------------------------------------------------------------------ #
-# Table VI — MMEPS figure of merit
-# ------------------------------------------------------------------ #
 _TABLE6_GRAPHS = ["AGATHA-2015", "MOLIERE_2016", "GAP-urand", "GAP-kron",
                   "com-Friendster", "kmer_U1a"]
 
 
-def table6_fom(quick: bool = False, parallel: int = 0,
-               store: Any = None) -> ExperimentResult:
+def _table6_cells(quick: bool) -> list[Cell]:
+    devices, batches = _sweeps(quick)
+    cells: list[Cell] = []
+    for name in _pick(_TABLE6_GRAPHS, quick):
+        cells += _ld_grid(name, devices, batches)
+        cells.append(Cell("sr_omp", dataset=name,
+                          ctx=RunContext.for_dataset(name)))
+    return cells
+
+
+def _mmeps(r: RunRecord | None) -> float | None:
+    """Mega-Matching-Edges-per-Second of a record (see
+    :func:`repro.metrics.fom.mmeps`)."""
+    return (r.matched_edges / 1e6) / r.sim_time if r is not None else None
+
+
+def _table6_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
     """Table VI: Mega-Matching-Edges-per-Second (higher is better).
 
     Times are paper-scale (bandwidth-scaled platforms), so matched edges
@@ -292,18 +337,11 @@ def table6_fom(quick: bool = False, parallel: int = 0,
     ``1/scale_factor`` original edges — keeping MMEPS magnitudes
     comparable with the paper's.
     """
-    names = _pick(_TABLE6_GRAPHS, quick)
-    devices, batches = _sweeps(quick)
     rows = []
-    for name in names:
-        g = load_dataset(name)
-        ctx = RunContext.for_dataset(name)
+    for name, (*grid, omp) in _group(cells, records).items():
         s = scale_factor(name)
-        ld, _, _ = best_ld_gpu(g, ctx.platform, device_counts=devices,
-                               batch_counts=batches, parallel=parallel,
-                               store=store)
-        omp = execute("sr_omp", g, ctx).result
-        rows.append([name, mmeps(ld) / s, mmeps(omp) / s])
+        rows.append([name, _ratio(_mmeps(fastest(grid)), s),
+                     _ratio(_mmeps(omp), s)])
     return ExperimentResult(
         "table6",
         "Table VI: MMEPS figure of merit (higher is better)",
@@ -312,41 +350,24 @@ def table6_fom(quick: bool = False, parallel: int = 0,
     )
 
 
-# ------------------------------------------------------------------ #
-# Fig. 4 — strong scaling on LARGE inputs
-# ------------------------------------------------------------------ #
-def fig4_strong_scaling(quick: bool = False, parallel: int = 0,
-                        store: Any = None) -> ExperimentResult:
-    """Fig. 4: LD-GPU time on 1–8 A100s (best over batch counts <15)."""
-    names = _pick(large_datasets(), quick, 2)
+def _fig4_cells(quick: bool) -> list[Cell]:
     devices = (1, 2, 4) if quick else (1, 2, 3, 4, 5, 6, 7, 8)
     _, batches = _sweeps(quick)
-    cells, keys = [], []
-    for name in names:
-        ctx = RunContext.for_dataset(name)
-        for nd in devices:
-            for nb in batches:
-                cells.append(Cell(
-                    "ld_gpu", dataset=name, ctx=ctx,
-                    config={"num_devices": nd, "num_batches": nb},
-                    overrides={"collect_stats": False},
-                ))
-                keys.append((name, nd))
-    records = run_cells(cells, parallel=parallel, store=store)
-    best: dict[tuple, float] = {}
-    for key, r in zip(keys, records):
-        if r.ok and (key not in best or r.sim_time < best[key]):
-            best[key] = r.sim_time
+    return [cell for name in _pick(large_datasets(), quick, 2)
+            for cell in _ld_grid(name, devices, batches)]
+
+
+def _fig4_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
+    """Fig. 4: LD-GPU time on 1–8 A100s (best over batch counts <15)."""
+    devices = _unique(c.config["num_devices"] for c in cells)
+    best = _group(cells, records,
+                  lambda c: (c.dataset, c.config["num_devices"]))
     rows = []
-    series: dict[str, list[float]] = {}
-    for name in names:
-        times = [best.get((name, nd)) for nd in devices]
+    series: dict[str, list[float | None]] = {}
+    for name in _unique(c.dataset for c in cells):
+        times = [_time(fastest(best[name, nd])) for nd in devices]
         series[name] = times
-        base = times[0]
-        rows.append([name] + [
-            (base / t) if (t is not None and base is not None) else None
-            for t in times
-        ])
+        rows.append([name] + [_ratio(times[0], t) for t in times])
     return ExperimentResult(
         "fig4",
         "Fig. 4: strong-scaling speedup vs 1 GPU "
@@ -357,63 +378,48 @@ def fig4_strong_scaling(quick: bool = False, parallel: int = 0,
     )
 
 
-# ------------------------------------------------------------------ #
-# Fig. 5 — component-wise timing
-# ------------------------------------------------------------------ #
-def fig5_components(quick: bool = False, parallel: int = 0,
-                    store: Any = None) -> ExperimentResult:
-    """Fig. 5: % of total time per component across devices."""
-    names = _pick(large_datasets(), quick, 1) + \
-        _pick(small_datasets(), quick, 1)
+def _fig5_cells(quick: bool) -> list[Cell]:
     devices = (1, 4) if quick else (1, 2, 4, 8)
-    cells = [
-        Cell("ld_gpu", dataset=name, ctx=RunContext.for_dataset(name),
-             config={"num_devices": nd},
-             overrides={"collect_stats": False})
-        for name in names for nd in devices
-    ]
-    rows = []
-    for cell, rec in zip(cells,
-                         run_cells(cells, parallel=parallel, store=store)):
-        if not rec.ok:
-            continue
-        # Serialised totals, not rec.result — store-served records
-        # carry no in-memory result and must render identically.
-        f = fractions_from_totals(rec.timeline_totals or {})
-        rows.append([cell.dataset, cell.config["num_devices"]] +
-                    [100.0 * f[c] for c in COMPONENTS])
+    return [cell for name in _pick(large_datasets(), quick, 1) +
+            _pick(small_datasets(), quick, 1)
+            for cell in _ld_grid(name, devices, (None,))]
+
+
+def _fig5_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
+    """Fig. 5: % of total time per component across devices."""
     return ExperimentResult(
         "fig5",
         "Fig. 5: component-wise % of execution time",
         ["graph", "#GPUs"] + list(COMPONENTS),
-        rows,
+        [[cell.dataset, cell.config["num_devices"]] + _percentages(r)
+         for cell, r in zip(cells, records) if r is not None],
     )
 
 
-# ------------------------------------------------------------------ #
-# Fig. 6 / Fig. 7 — batch-count scalability
-# ------------------------------------------------------------------ #
 _BATCH_STUDY_GRAPHS = ["kmer_U1a", "mycielskian18", "kmer_V2a"]
 
 
-def fig6_batch_scaling(quick: bool = False, parallel: int = 0,
-                       store: Any = None) -> ExperimentResult:
-    """Fig. 6: forcing 1/3/5/10 batches on SMALL inputs across devices."""
-    names = _pick(_BATCH_STUDY_GRAPHS, quick, 1)
-    devices = (1, 2, 4) if quick else (1, 2, 4, 8)
+def _forced_batches(names: list[str], devices: tuple[int, ...],
+                    quick: bool) -> list[Cell]:
+    """Forced-batching LD-GPU cells, batch count outer, devices inner."""
     batch_counts = (1, 3) if quick else (1, 3, 5, 10)
-    cells = [
-        Cell("ld_gpu", dataset=name, ctx=RunContext.for_dataset(name),
-             config={"num_devices": nd, "num_batches": nb},
-             overrides={"collect_stats": False, "force_streaming": True})
-        for name in names for nb in batch_counts for nd in devices
-    ]
-    records = iter(run_cells(cells, parallel=parallel, store=store))
-    rows = []
-    for name in names:
-        for nb in batch_counts:
-            times = [next(records).sim_time for _ in devices]
-            rows.append([name, nb] + times)
+    return [cell for name in names for nb in batch_counts
+            for cell in _ld_grid(name, devices, (nb,),
+                                 force_streaming=True)]
+
+
+def _fig6_cells(quick: bool) -> list[Cell]:
+    return _forced_batches(_pick(_BATCH_STUDY_GRAPHS, quick, 1),
+                           (1, 2, 4) if quick else (1, 2, 4, 8), quick)
+
+
+def _fig6_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
+    """Fig. 6: forcing 1/3/5/10 batches on SMALL inputs across devices."""
+    devices = _unique(c.config["num_devices"] for c in cells)
+    rows = [[name, nb] + [_time(r) for r in rs]
+            for (name, nb), rs in _group(
+                cells, records,
+                lambda c: (c.dataset, c.config["num_batches"])).items()]
     return ExperimentResult(
         "fig6",
         f"Fig. 6: LD-GPU time (modeled s) by #batches, devices "
@@ -424,59 +430,48 @@ def fig6_batch_scaling(quick: bool = False, parallel: int = 0,
     )
 
 
-def fig7_kmer_components(quick: bool = False, parallel: int = 0,
-                         store: Any = None) -> ExperimentResult:
+def _fig7_cells(quick: bool) -> list[Cell]:
+    return _forced_batches(["kmer_U1a"],
+                           (1, 4) if quick else (1, 2, 4, 8), quick)
+
+
+def _fig7_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
     """Fig. 7: kmer_U1a component breakdown under forced batching."""
-    ctx = RunContext.for_dataset("kmer_U1a")
-    devices = (1, 4) if quick else (1, 2, 4, 8)
-    batch_counts = (1, 3) if quick else (1, 3, 5, 10)
-    cells = [
-        Cell("ld_gpu", dataset="kmer_U1a", ctx=ctx,
-             config={"num_devices": nd, "num_batches": nb},
-             overrides={"collect_stats": False, "force_streaming": True})
-        for nb in batch_counts for nd in devices
-    ]
-    rows = []
-    for cell, rec in zip(cells,
-                         run_cells(cells, parallel=parallel, store=store)):
-        if not rec.ok:
-            continue
-        f = fractions_from_totals(rec.timeline_totals or {})
-        rows.append([cell.config["num_batches"],
-                     cell.config["num_devices"]] +
-                    [100.0 * f[c] for c in COMPONENTS])
     return ExperimentResult(
         "fig7",
         "Fig. 7: kmer_U1a component-wise % by #batches / #GPUs",
         ["#batches", "#GPUs"] + list(COMPONENTS),
-        rows,
+        [[cell.config["num_batches"], cell.config["num_devices"]] +
+         _percentages(r) for cell, r in zip(cells, records)
+         if r is not None],
     )
 
 
-# ------------------------------------------------------------------ #
-# Fig. 8 — warp-edge work per iteration
-# ------------------------------------------------------------------ #
-def fig8_warp_work(quick: bool = False) -> ExperimentResult:
+def _fig8_cells(quick: bool) -> list[Cell]:
+    return [Cell("ld_gpu", dataset=name,
+                 ctx=RunContext.for_dataset(name, num_devices=4))
+            for name in _pick(large_datasets(), quick, 1) +
+            _pick(small_datasets(), quick, 2)]
+
+
+def _fig8_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
     """Fig. 8: per-iteration % of edges accessed; the paper's headline is
     that <20% of edges are touched in ≥90% of iterations."""
-    names = _pick(large_datasets(), quick, 1) + \
-        _pick(small_datasets(), quick, 2)
     rows = []
     series = {}
-    for name in names:
-        g = load_dataset(name)
-        ctx = RunContext.for_dataset(name, num_devices=4)
-        r = execute("ld_gpu", g, ctx).result
-        frac = r.stats["edges_scanned"] / g.num_directed_edges
-        series[name] = frac
+    for cell, r in zip(cells, records):
+        if r is None:
+            continue
+        scanned = np.asarray(r.extra["edges_scanned"])
+        frac = scanned / r.num_directed_edges
+        series[cell.dataset] = frac
         rows.append([
-            name,
+            cell.dataset,
             r.iterations,
             100.0 * float(frac.mean()),
             100.0 * float(frac.std()),
             100.0 * iterations_below_fraction(
-                r.stats["edges_scanned"], g.num_directed_edges, 0.2
-            ),
+                scanned, r.num_directed_edges, 0.2),
         ])
     return ExperimentResult(
         "fig8",
@@ -488,108 +483,88 @@ def fig8_warp_work(quick: bool = False) -> ExperimentResult:
     )
 
 
-# ------------------------------------------------------------------ #
-# Fig. 9 — NVLink vs PCIe
-# ------------------------------------------------------------------ #
-def fig9_interconnect(quick: bool = False, parallel: int = 0,
-                      store: Any = None) -> ExperimentResult:
+def _fig9_cells(quick: bool) -> list[Cell]:
+    return [Cell("ld_gpu", dataset=name,
+                 ctx=RunContext.for_dataset(name, platform=plat),
+                 config={"num_devices": nd}, overrides=_NO_STATS)
+            for name in _pick(large_datasets(), quick, 2) +
+            _pick(small_datasets(), quick, 1)
+            for nd in ((2, 4) if quick else (2, 4, 8))
+            for plat in (DGX_A100, DGX_A100_PCIE)]
+
+
+def _fig9_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
     """Fig. 9: execution-time speedup of NVLink over PCIe."""
-    names = _pick(large_datasets(), quick, 2) + \
-        _pick(small_datasets(), quick, 1)
-    devices = (2, 4) if quick else (2, 4, 8)
-    cells = []
-    for name in names:
-        nvctx = RunContext.for_dataset(name, platform=DGX_A100)
-        pcctx = RunContext.for_dataset(name, platform=DGX_A100_PCIE)
-        for nd in devices:
-            for ctx in (nvctx, pcctx):
-                cells.append(Cell(
-                    "ld_gpu", dataset=name, ctx=ctx,
-                    config={"num_devices": nd},
-                    overrides={"collect_stats": False},
-                ))
-    records = iter(run_cells(cells, parallel=parallel, store=store))
-    rows = []
+    devices = _unique(c.config["num_devices"] for c in cells)
+    rows: dict[str, list[Any]] = {}
     speedups = []
-    for name in names:
-        row: list[Any] = [name]
-        for nd in devices:
-            nv, pc = next(records), next(records)
-            if not (nv.ok and pc.ok):
-                row.append(None)
-                continue
-            s = pc.sim_time / nv.sim_time
+    for (name, _), (nv, pc) in _group(
+            cells, records,
+            lambda c: (c.dataset, c.config["num_devices"])).items():
+        s = _ratio(_time(pc), _time(nv))
+        if s is not None:
             speedups.append(s)
-            row.append(s)
-        rows.append(row)
+        rows.setdefault(name, [name]).append(s)
     return ExperimentResult(
         "fig9",
         "Fig. 9: NVLink-over-PCIe speedup",
         ["graph"] + [f"{d}GPU" for d in devices],
-        rows,
+        list(rows.values()),
         extra={"all_speedups": speedups},
     )
 
 
-# ------------------------------------------------------------------ #
-# Fig. 10 — DGX-A100 vs DGX-2
-# ------------------------------------------------------------------ #
 _FIG10_GRAPHS = ["GAP-kron", "com-Friendster"]
 
 
-def fig10_platforms(quick: bool = False, parallel: int = 0,
-                    store: Any = None) -> ExperimentResult:
-    """Fig. 10: LD-GPU scalability on DGX-A100 (8×A100) vs DGX-2
-    (16×V100)."""
-    names = _pick(_FIG10_GRAPHS, quick, 1)
+def _fig10_cells(quick: bool) -> list[Cell]:
     a_devices = (1, 4) if quick else (1, 2, 4, 8)
     v_devices = (1, 4) if quick else (1, 2, 4, 8, 16)
-    cells = []
-    for name in names:
-        for plat, devices in ((DGX_A100, a_devices), (DGX_2, v_devices)):
-            ctx = RunContext.for_dataset(name, platform=plat)
-            for nd in devices:
-                cells.append(Cell(
-                    "ld_gpu", dataset=name, ctx=ctx,
-                    config={"num_devices": nd},
-                    overrides={"collect_stats": False},
-                    label=plat.name,
-                ))
-    rows = []
-    for cell, rec in zip(cells,
-                         run_cells(cells, parallel=parallel, store=store)):
-        if not rec.ok:
-            continue
-        rows.append([cell.dataset, cell.label,
-                     cell.config["num_devices"], rec.num_batches,
-                     rec.sim_time])
+    return [Cell("ld_gpu", dataset=name,
+                 ctx=RunContext.for_dataset(name, platform=plat),
+                 config={"num_devices": nd}, overrides=_NO_STATS,
+                 label=plat.name)
+            for name in _pick(_FIG10_GRAPHS, quick, 1)
+            for plat, devices in ((DGX_A100, a_devices), (DGX_2, v_devices))
+            for nd in devices]
+
+
+def _fig10_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
+    """Fig. 10: LD-GPU scalability on DGX-A100 (8×A100) vs DGX-2
+    (16×V100)."""
     return ExperimentResult(
         "fig10",
         "Fig. 10: DGX-A100 vs DGX-2 scalability (modeled s)",
         ["graph", "platform", "#GPUs", "#batches", "time"],
-        rows,
+        [[cell.dataset, cell.label, cell.config["num_devices"],
+          r.num_batches, r.sim_time]
+         for cell, r in zip(cells, records) if r is not None],
     )
 
 
-# ------------------------------------------------------------------ #
-# Fig. 11 — SM occupancy per iteration
-# ------------------------------------------------------------------ #
-def fig11_occupancy(quick: bool = False) -> ExperimentResult:
+def _fig11_cells(quick: bool) -> list[Cell]:
+    # Naming the default keeps these cells' fingerprints apart from
+    # plain ld_gpu runs stored before their records carried occupancy.
+    return [Cell("ld_gpu", dataset=name, ctx=RunContext.for_dataset(name),
+                 overrides={"collect_stats": True})
+            for name in _pick(large_datasets(), quick, 1) +
+            _pick(small_datasets(), quick, 2)]
+
+
+def _fig11_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
     """Fig. 11: SM occupancy through the iteration progression; the
     outliers (mycielskian18, mouse_gene) collapse in the late
     iterations."""
-    names = _pick(large_datasets(), quick, 1) + \
-        _pick(small_datasets(), quick, 2)
     rows = []
     series = {}
-    for name in names:
-        g = load_dataset(name)
-        r = execute("ld_gpu", g, RunContext.for_dataset(name)).result
-        occ = r.stats["occupancy"]
-        series[name] = occ
+    for cell, r in zip(cells, records):
+        if r is None:
+            continue
+        occ = np.asarray(r.extra["occupancy"])
+        series[cell.dataset] = occ
         half = occ[len(occ) // 2 :]
         rows.append([
-            name,
+            cell.dataset,
             r.iterations,
             100.0 * float(occ.mean()),
             100.0 * float(occ[: max(1, len(occ) // 2)].mean()),
@@ -603,3 +578,28 @@ def fig11_occupancy(quick: bool = False) -> ExperimentResult:
         rows,
         extra={"series": series},
     )
+
+
+table1_execution_times = Experiment("table1", _table1_cells, _table1_reduce)
+table2_quality = Experiment("table2", _table2_cells, _table2_reduce)
+table3_a100_vs_v100 = Experiment("table3", _table3_cells, _table3_reduce)
+table4_single_gpu = Experiment("table4", _table4_cells, _table4_reduce)
+table5_cugraph = Experiment("table5", _table5_cells, _table5_reduce)
+table6_fom = Experiment("table6", _table6_cells, _table6_reduce)
+fig4_strong_scaling = Experiment("fig4", _fig4_cells, _fig4_reduce)
+fig5_components = Experiment("fig5", _fig5_cells, _fig5_reduce)
+fig6_batch_scaling = Experiment("fig6", _fig6_cells, _fig6_reduce)
+fig7_kmer_components = Experiment("fig7", _fig7_cells, _fig7_reduce)
+fig8_warp_work = Experiment("fig8", _fig8_cells, _fig8_reduce)
+fig9_interconnect = Experiment("fig9", _fig9_cells, _fig9_reduce)
+fig10_platforms = Experiment("fig10", _fig10_cells, _fig10_reduce)
+fig11_occupancy = Experiment("fig11", _fig11_cells, _fig11_reduce)
+
+#: Name → experiment: the one registry ``repro experiment`` and
+#: ``repro list experiments`` read.
+EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
+    table1_execution_times, table2_quality, table3_a100_vs_v100,
+    table4_single_gpu, table5_cugraph, table6_fom, fig4_strong_scaling,
+    fig5_components, fig6_batch_scaling, fig7_kmer_components,
+    fig8_warp_work, fig9_interconnect, fig10_platforms, fig11_occupancy,
+)}

@@ -37,17 +37,13 @@ returned records instead.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.engine.cells import (
-    MaterialisedCell,
-    error_record,
-    run_materialised_cell,
-    run_stored_cell,
-)
+from repro.engine.cells import MaterialisedCell, _resolve_graph, run_one
 from repro.engine.record import RunRecord
 from repro.harness.cache import GraphCache, cache_disabled
 from repro.harness.shm import (
@@ -108,44 +104,18 @@ def _load_ref(ref: _GraphRef) -> "CSRGraph":
 def _worker_run(
     payload: tuple[MaterialisedCell, _GraphRef, str, "RunStore | None"],
 ) -> tuple[int, RunRecord]:
-    """Executed in a worker process: resolve the graph, run the cell."""
+    """Executed in a worker process: load the graph, run the cell.  A
+    store unpickles connection-less in the worker and opens its own WAL
+    connection; claims are atomic across processes."""
     mc, ref, on_error, store = payload
-    try:
-        graph = _load_ref(ref)
-    except Exception as exc:
-        if on_error == "raise":
-            raise
-        return mc.index, error_record(mc.cell, mc.ctx, None, exc)
-    if store is not None:
-        # The store unpickles connection-less in the worker and opens
-        # its own WAL connection; claims are atomic across processes.
-        return mc.index, run_stored_cell(mc, graph, store, on_error)
-    return mc.index, run_materialised_cell(mc, graph, on_error)
+    return mc.index, run_one(mc, functools.partial(_load_ref, ref),
+                             on_error, store)
 
 
 def _graph_key(mc: MaterialisedCell) -> tuple:
     # Builder cells dedup on the callable's identity: same function
     # object -> same (deterministic) graph, built once per grid.
     return (mc.cell.dataset, mc.cell.quality, mc.cell.build)
-
-
-def _resolve_parent_graph(mc: MaterialisedCell,
-                          shared: "CSRGraph | None") -> "CSRGraph":
-    """Build/fetch a cell's graph in the parent (memoised registry)."""
-    cell = mc.cell
-    if cell.dataset is not None:
-        from repro.harness.datasets import load_dataset, quality_instance
-
-        return quality_instance(cell.dataset) if cell.quality \
-            else load_dataset(cell.dataset)
-    if cell.build is not None:
-        return cell.build()
-    if shared is None:
-        raise ValueError(
-            f"cell {cell.algorithm_name!r} names no dataset or builder "
-            "and run_cells received no graph"
-        )
-    return shared
 
 
 def _mp_context():
@@ -238,7 +208,7 @@ def run_cells_parallel(
             if key in refs:
                 continue
             _check_parallel_safe(mc)
-            g = _resolve_parent_graph(mc, graph)
+            g = _resolve_graph(mc.cell, graph)
             if use_cache is not None:
                 path, fingerprint = use_cache.store(g)
                 segment = None

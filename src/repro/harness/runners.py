@@ -1,15 +1,16 @@
-"""``best_ld_gpu`` — the paper's best-over-sweep reporting protocol.
+"""The paper's best-over-sweep reporting protocol.
 
-It is a :func:`~repro.engine.cells.run_cells` grid underneath, which is
-what gives it the ``parallel=N`` fan-out for free.  Dispatch by name
-goes through the :mod:`repro.engine` registry
-(``get_spec(name).fn``) or :func:`repro.api.run`.
+:func:`fastest` is the one best-over-grid reducer: Tables I and VI,
+Fig. 4 and :func:`best_ld_gpu` all pick their winner with it.
+:func:`checked` is the one failure rule of a reduced grid.  Both read
+only :class:`~repro.engine.record.RunRecord` fields, so store-served
+records reduce exactly like freshly executed ones.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -26,8 +27,37 @@ from repro.harness.sweep import (
     sweep_cells,
 )
 from repro.matching.types import MatchResult
+from repro.store.db import FINAL_ERRORS
 
-__all__ = ["best_ld_gpu"]
+__all__ = ["best_ld_gpu", "checked", "fastest"]
+
+
+def checked(records: Sequence[RunRecord]) -> list[RunRecord | None]:
+    """A grid's records ready to reduce: out-of-memory cells
+    (:data:`~repro.store.db.FINAL_ERRORS`) become ``None``, rendered "-"
+    like the runs the paper could not perform; any other error record
+    raises a ``RuntimeError`` naming its cell."""
+    out: list[RunRecord | None] = []
+    for r in records:
+        if not r.ok and r.error["type"] not in FINAL_ERRORS:
+            raise RuntimeError(
+                f"cell {r.algorithm} on {r.dataset or r.graph} (platform="
+                f"{r.platform}, num_devices={r.num_devices}, num_batches="
+                f"{r.num_batches}) crashed ({r.error['type']}: "
+                f"{r.error['message']})\n"
+                f"{r.error['traceback']}")
+        out.append(r if r.ok else None)
+    return out
+
+
+def fastest(records: Iterable[RunRecord | None]) -> RunRecord | None:
+    """The record with the least ``sim_time`` (the first on ties),
+    skipping ``None`` (out-of-memory) entries; ``None`` if all are."""
+    best = None
+    for r in records:
+        if r is not None and (best is None or r.sim_time < best.sim_time):
+            best = r
+    return best
 
 
 def _ld_gpu_current(graph: CSRGraph, **kwargs: Any) -> MatchResult:
@@ -83,44 +113,32 @@ def best_ld_gpu(
     spec = dataclasses.replace(get_spec("ld_gpu"), fn=_ld_gpu_current)
     cells = sweep_cells((platform,), device_counts, batch_counts,
                         algorithm=spec, collect_stats=collect_stats)
-    records = run_cells(cells, graph=graph, parallel=parallel,
-                        store=store)
+    records = checked(run_cells(cells, graph=graph, parallel=parallel,
+                                store=store))
 
-    best: tuple[RunRecord, int, int] | None = None
     mate_ref: np.ndarray | None = None
     ref_config = ""
     for cell, record in zip(cells, records):
-        if not record.ok:
-            if record.error["type"] == "DeviceOOMError":
-                continue
-            raise RuntimeError(
-                f"LD-GPU sweep cell crashed "
-                f"({record.error['type']}: {record.error['message']})\n"
-                f"{record.error['traceback']}"
-            )
-        r = record.result
-        nd = cell.config["num_devices"]
-        nb = cell.config["num_batches"]
-        config = f"{nd} devices x {nb or 'auto'} batches"
-        if r is not None:
-            if mate_ref is None:
-                mate_ref = r.mate
-                ref_config = config
-            elif not np.array_equal(mate_ref, r.mate):
-                raise ConfigurationDivergenceError("ld_gpu", ref_config,
-                                                   config)
-        if best is None or record.sim_time < best[0].sim_time:
-            best = (record, nd, record.num_batches)
+        if record is None or record.result is None:
+            continue
+        config = (f"{cell.config['num_devices']} devices x "
+                  f"{cell.config['num_batches'] or 'auto'} batches")
+        if mate_ref is None:
+            mate_ref, ref_config = record.result.mate, config
+        elif not np.array_equal(mate_ref, record.result.mate):
+            raise ConfigurationDivergenceError("ld_gpu", ref_config,
+                                               config)
+    best = fastest(records)
     if best is None:
         raise DeviceOOMError(platform.device.name, 0, 0,
                              platform.device.memory_bytes)
-    record, nd, nb = best
-    if record.result is None:
+    nd, nb = best.num_devices, best.num_batches
+    if best.result is None:
         # The winner came out of the store; one fresh execution yields
         # the in-memory MatchResult callers expect (mate array, stats).
         winner = Cell(spec, config={"platform": platform,
                                     "num_devices": nd,
                                     "num_batches": nb},
                       overrides={"collect_stats": collect_stats})
-        record = run_cells([winner], graph=graph, on_error="raise")[0]
-    return record.result, nd, nb
+        best = run_cells([winner], graph=graph, on_error="raise")[0]
+    return best.result, nd, nb

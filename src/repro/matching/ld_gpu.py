@@ -447,4 +447,5 @@ register(AlgorithmSpec(
     needs_batches=True,
     simulator_backed=True,
     approx_ratio="1/2",
+    record_stats=("occupancy",),
 ))

@@ -50,11 +50,13 @@ default lease duration (300 s).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import socket
 import sqlite3
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, TYPE_CHECKING
@@ -79,6 +81,11 @@ _DEFAULT_LEASE_S = 300.0
 
 #: Lifecycle states of a run row.
 STATUSES = ("pending", "leased", "done", "error")
+
+#: Error types that are a cell's outcome, reproduced by every run of its
+#: configuration (the simulated devices cannot hold the graph), so
+#: :meth:`RunStore.lookup` serves them like ``done`` rows.
+FINAL_ERRORS = ("DeviceOOMError",)
 
 HITS_COUNTER = "repro_store_hits_total"
 CLAIMS_COUNTER = "repro_store_claims_total"
@@ -289,6 +296,30 @@ def _where(columns: Iterable[tuple[str, Any]], *,
     return (f" WHERE {' AND '.join(clauses)}" if clauses else ""), params
 
 
+#: Every store that has opened a connection in this process.
+_CONNECTED: "weakref.WeakSet[RunStore]" = weakref.WeakSet()
+
+
+def _close_inherited() -> None:
+    """In a forked child, close every connection inherited from the
+    parent: a new connection to the same file would share its lock
+    bookkeeping and take no file lock.  The parent's lock keeps this
+    close from checkpointing or deleting the WAL."""
+    orphaned = False
+    for store in list(_CONNECTED):
+        try:
+            store.close()
+        except sqlite3.ProgrammingError:
+            # Opened by a parent thread the child does not have: drop it
+            # and let the collector close it (no thread check there).
+            store._conn, orphaned = None, True
+    if orphaned:
+        gc.collect()
+
+
+os.register_at_fork(after_in_child=_close_inherited)
+
+
 class RunStore:
     """SQLite-backed, multi-process-safe store of grid-cell runs.
 
@@ -354,6 +385,7 @@ class RunStore:
         if not _is_current(conn):
             self._initialise(conn)
         self._conn = conn
+        _CONNECTED.add(self)
         return conn
 
     def _initialise(self, conn: sqlite3.Connection) -> None:
@@ -480,11 +512,14 @@ class RunStore:
         return [_row_to_run(r) for r in rows]
 
     def lookup(self, fingerprint: str) -> "RunRecord | None":
-        """The stored record of a ``done`` row, served bit-identically
+        """The stored record of a ``done`` row, or of an ``error`` row
+        whose error is in :data:`FINAL_ERRORS`, served bit-identically
         via :meth:`RunRecord.from_json`; None for any other state."""
         row = self._connect().execute(
             "SELECT record_json FROM runs WHERE fingerprint = ? AND "
-            "status = 'done'", (fingerprint,)).fetchone()
+            "(status = 'done' OR (status = 'error' AND error_type IN "
+            f"({','.join('?' * len(FINAL_ERRORS))})))",
+            (fingerprint, *FINAL_ERRORS)).fetchone()
         if row is None or row["record_json"] is None:
             return None
         self.hits += 1

@@ -2,11 +2,20 @@
 sweeps).  These encode the qualitative claims DESIGN.md §6 lists; the
 full-size versions run under benchmarks/."""
 
+import inspect
+import json
+import sqlite3
+
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.engine import RunContext
+from repro.engine import cells as cells_mod
+from repro.engine.cells import Cell, run_cells
 from repro.harness import experiments as exp
 from repro.gpusim.timeline import COMPONENTS
+from repro.store.db import RunStore
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +202,99 @@ class TestFig11:
         # ...while the big graphs stay near-saturated
         assert by_name["GAP-urand"][mean_idx] > 85.0
         assert by_name["uk-2007-05"][mean_idx] > 85.0
+
+
+# ------------------------------------------------------------------ #
+# Every experiment is a stored cell grid run by one driver
+# ------------------------------------------------------------------ #
+@pytest.fixture(scope="module")
+def first_run(tmp_path_factory):
+    """``first_run(name)`` -> (store path, ``to_json()``) of a serial
+    quick run that filled a fresh store; computed once per name."""
+    root = tmp_path_factory.mktemp("experiment-stores")
+    done: dict[str, tuple] = {}
+
+    def get(name):
+        if name not in done:
+            db = root / f"{name}.db"
+            result = exp.run_experiment(name, quick=True, store=RunStore(db))
+            done[name] = (db, result.to_json())
+        return done[name]
+
+    return get
+
+
+class TestDriver:
+    @pytest.mark.parametrize("name", sorted(exp.EXPERIMENTS))
+    def test_second_run_executes_no_cell(self, name, first_run):
+        db, doc = first_run(name)
+        store = RunStore(db)
+        again = exp.run_experiment(name, quick=True, store=store)
+        assert store.claims == 0
+        assert store.hits > 0
+        assert again.to_json() == doc
+
+    @pytest.mark.parametrize("name", ["table2", "fig8"])
+    def test_parallel_equals_serial(self, name, first_run, tmp_path,
+                                    monkeypatch):
+        monkeypatch.setenv("REPRO_GRAPH_CACHE", str(tmp_path / "cache"))
+        _, doc = first_run(name)
+        assert exp.run_experiment(name, quick=True,
+                                  parallel=2).to_json() == doc
+
+    @pytest.mark.parametrize("name,algorithm,dataset,where", [
+        ("table5", "cugraph", "mycielskian18", r"\(platform="),
+        ("fig5", "ld_gpu", "AGATHA-2015", r"num_devices=4"),
+    ])
+    def test_crashed_cell_raises_naming_it(self, monkeypatch, name,
+                                           algorithm, dataset, where):
+        real = cells_mod.execute
+
+        def crash(alg, g, ctx, **kwargs):
+            if (alg, ctx.dataset) == (algorithm, dataset) and \
+                    ctx.num_devices == 4:
+                raise ValueError("injected crash")
+            return real(alg, g, ctx, **kwargs)
+
+        monkeypatch.setattr(cells_mod, "execute", crash)
+        with pytest.raises(RuntimeError,
+                           match=f"cell {algorithm} on {dataset} .*{where}"
+                                 r".*\(ValueError: injected crash\)"):
+            exp.run_experiment(name, quick=True)
+
+    def test_fig11_is_not_served_records_without_occupancy(self,
+                                                           tmp_path):
+        """A store filled before ld_gpu recorded occupancy holds plain
+        ld_gpu records without it; Fig. 11 must not be served them."""
+        db = tmp_path / "old.db"
+        run_cells([Cell("ld_gpu", dataset="AGATHA-2015",
+                        ctx=RunContext.for_dataset("AGATHA-2015"))],
+                  store=RunStore(db))
+        conn = sqlite3.connect(db)
+        (fp, text), = conn.execute("SELECT fingerprint, record_json "
+                                   "FROM runs")
+        doc = json.loads(text)
+        del doc["extra"]["occupancy"]
+        with conn:
+            conn.execute("UPDATE runs SET record_json=? WHERE "
+                         "fingerprint=?", (json.dumps(doc), fp))
+        conn.close()
+        result = exp.run_experiment("fig11", quick=True, store=db)
+        assert result.to_json() == \
+            exp.run_experiment("fig11", quick=True).to_json()
+
+    def test_public_names_are_the_registry(self):
+        public = [getattr(exp, n) for n in exp.__all__
+                  if n.startswith(("table", "fig"))]
+        assert public == list(exp.EXPERIMENTS.values())
+        for experiment in public:
+            assert list(inspect.signature(experiment).parameters) == \
+                ["quick", "parallel", "store"]
+
+    def test_cli_experiment_fills_the_store(self, tmp_path, capsys,
+                                            first_run):
+        db = tmp_path / "exp.db"
+        assert main(["experiment", "table2", "--quick", "--json",
+                     "--store", str(db)]) == 0
+        assert json.loads(capsys.readouterr().out) == first_run("table2")[1]
+        assert RunStore(db).counts()["done"] == 9  # 3 graphs x 3 algs

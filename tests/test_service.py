@@ -954,30 +954,44 @@ class TestConnectionReuse:
                         reason="needs fork and /proc/locks")
     def test_forked_pool_workers_lock_the_store(self, tmp_path,
                                                 monkeypatch):
-        """A fork pool started after an api call on the same path: each
-        worker's store connection must hold its own file lock."""
-        db = tmp_path / "runs.db"
-        api.query(store=db)  # this thread now keeps a store on db
-        inode = f":{os.stat(db).st_ino}"
+        """A fork pool started while this process holds a connection to
+        the same store, kept by an api call, the caller's own RunStore,
+        or one opened by another thread: each worker's store connection
+        must hold its own file lock."""
         log = tmp_path / "locks.txt"
         real_complete = RunStore.complete
 
         def complete(self, fingerprint, record):
             real_complete(self, fingerprint, record)
             pid = str(os.getpid())
+            inode = f":{os.stat(self.path).st_ino}"
             with open("/proc/locks") as f:
                 held = [p[3] for p in map(str.split, f)
                         if "->" not in p and p[4] == pid
                         and p[5].endswith(inode)]
             with open(log, "a") as f:
-                f.write(f"{held}\n")
+                f.write(f"{self.path.parent.name} {held}\n")
 
         monkeypatch.setattr(RunStore, "complete", complete)
         monkeypatch.setenv("REPRO_PARALLEL_START_METHOD", "fork")
         cells = [Cell("ld_gpu", dataset=DATASET,
                       config={"num_devices": n}) for n in (1, 2)]
-        run_cells(cells, parallel=2, store=RunStore(db))
-        assert log.read_text().splitlines() == ["['READ']"] * 2
+        kept = tmp_path / "api" / "runs.db"
+        api.query(store=kept)  # this thread now keeps a store on it
+        run_cells(cells, parallel=2, store=RunStore(kept))
+        own = RunStore(tmp_path / "own" / "runs.db")
+        own.counts()  # the caller's own store is now connected
+        run_cells(cells, parallel=2, store=own)
+        # connected by a thread that a forked child does not have
+        other = RunStore(tmp_path / "thread" / "runs.db")
+        opener = threading.Thread(target=other.counts)
+        opener.start()
+        opener.join(timeout=60)
+        assert not opener.is_alive()
+        run_cells(cells, parallel=2, store=other)
+        assert log.read_text().splitlines() == \
+            ["api ['READ']"] * 2 + ["own ['READ']"] * 2 + \
+            ["thread ['READ']"] * 2
 
     def test_recreated_store_file_is_reopened(self, tmp_path):
         db = tmp_path / "runs.db"
