@@ -79,6 +79,7 @@ from repro.harness.datasets import (
     quality_instance,
 )
 from repro.harness.report import format_table
+from repro.store.db import FINAL_ERROR
 
 __all__ = ["main", "build_parser", "EXIT_OK", "EXIT_FAILURE",
            "EXIT_USAGE"]
@@ -552,25 +553,22 @@ def _cmd_sweep(parser: argparse.ArgumentParser,
         from repro.telemetry import write_metrics
 
         fmt = write_metrics(args.metrics_out, result.metrics)
+    fits = any(p.ok for p in result.points)
     if args.json:
-        doc = {
+        print(json.dumps({
             "graph": result.graph_name,
             "points": [vars(p).copy() for p in result.points],
             "records": [r.to_dict() for r in result.records],
-        }
-        ok = [p for p in result.points if p.ok]
-        doc["best"] = vars(result.best).copy() if ok else None
-        print(json.dumps(doc, indent=1))
+            "best": vars(result.best).copy() if fits else None,
+        }, indent=1))
         return EXIT_OK
     print(result.render())
-    errors = [r for r in result.records if not r.ok]
-    for r in errors:
-        if r.error["type"] != "DeviceOOMError":
+    for r in result.records:
+        if not r.ok and r.error["type"] != FINAL_ERROR:
             print(f"cell error [{r.num_devices} GPUs x "
                   f"{r.num_batches or 'auto'} batches]: "
                   f"{r.error['type']}: {r.error['message']}")
-    ok = [p for p in result.points if p.ok]
-    if not ok:
+    if not fits:
         print("\nno configuration fit device memory")
         return EXIT_FAILURE
     best = result.best
@@ -891,9 +889,9 @@ def _cmd_stats(parser: argparse.ArgumentParser,
 
 def _cmd_experiment(parser: argparse.ArgumentParser,
                     args: argparse.Namespace) -> int:
-    result = exp.run_experiment(args.name, quick=args.quick,
-                                parallel=args.parallel,
-                                store=_store_from(args))
+    result = exp.EXPERIMENTS[args.name](quick=args.quick,
+                                        parallel=args.parallel,
+                                        store=_store_from(args))
     if args.json:
         print(json.dumps(result.to_json(), indent=1))
     else:

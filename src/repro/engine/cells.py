@@ -303,9 +303,9 @@ def run_stored_cell(mc: MaterialisedCell, graph: "CSRGraph",
     The cell is registered under its content fingerprint, then resolved
     by a claim-or-wait loop:
 
-    * ``done`` row, or an out-of-memory ``error`` row
-      (:data:`~repro.store.db.FINAL_ERRORS`) → the stored record is
-      returned bit-identically (zero recompute; counted as a store hit);
+    * ``done`` row, or under ``on_error="record"`` an out-of-memory
+      ``error`` row (:data:`~repro.store.db.FINAL_ERROR`) → the stored
+      record is returned bit-identically (zero recompute; a store hit);
     * claimable row (``pending``, previous ``error``, or a stale lease
       left by a dead worker) → this process takes the lease, runs the
       cell, persists the outcome and returns it;
@@ -327,7 +327,7 @@ def run_stored_cell(mc: MaterialisedCell, graph: "CSRGraph",
                    dataset=mc.cell.dataset or mc.ctx.dataset)
     while True:
         cached = store.lookup(fp)
-        if cached is not None:
+        if cached is not None and (cached.ok or on_error != "raise"):
             return cached
         if store.claim(fp):
             started_at = time.time()
@@ -413,9 +413,10 @@ def run_cells(
         A :class:`~repro.store.db.RunStore` (or a database path) making
         the grid *durable*: every cell is registered under its content
         fingerprint, cells already ``done`` are served from the store
-        bit-identically (no recompute, and so are out-of-memory
-        outcomes), only ``pending``/failed/stale cells execute, and
-        every completed record is persisted (:func:`run_stored_cell`).  ``None`` keeps the grid ephemeral.
+        bit-identically (so are out-of-memory outcomes under
+        ``on_error="record"``), only ``pending``/failed/stale cells
+        execute, and every completed record is persisted
+        (:func:`run_stored_cell`).  ``None`` keeps the grid ephemeral.
         Store-served records have ``result=None`` — the in-memory
         :class:`~repro.engine.record.MatchResult` is never serialised —
         so consumers needing per-component numbers read

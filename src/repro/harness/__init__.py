@@ -1,9 +1,9 @@
 """Benchmark harness: dataset registry, runners, experiments, reports.
 
 ``repro.harness.experiments`` holds one cell grid plus reducer per
-table/figure of the paper's evaluation section, all run by one driver
-(``run_experiment``) through ``run_cells``; the ``benchmarks/`` tree and
-the CLI both call into it.  See DESIGN.md §4 for the experiment index.
+table/figure of the paper's evaluation section, each run by calling it
+(or ``run_experiment(name)``) through ``run_cells``; the ``benchmarks/``
+tree and the CLI both call into it.  See DESIGN.md §4 for the index.
 
 Grid execution lives in :mod:`repro.engine.cells` (``Cell`` /
 ``run_cells``); this package adds the process-parallel executor

@@ -4,7 +4,8 @@ Each is an :class:`Experiment`: ``cells(quick)`` lists its cell grid and
 ``reduce(cells, records)`` renders the records into an
 :class:`ExperimentResult` whose rows mirror the table's columns (or the
 figure's series).  Reducers read only record fields, so a store-served
-grid renders identically.  :func:`run_experiment` is the one driver.
+grid renders identically.  Calling an experiment is the one driver;
+:func:`run_experiment` calls one by name.
 
 ``quick=True`` shrinks the dataset/configuration sweep for use in the
 test suite; the benchmarks run the full versions.  Times reported here
@@ -28,8 +29,9 @@ from repro.gpusim.timeline import COMPONENTS, fractions_from_totals
 from repro.harness.datasets import large_datasets, scale_factor, \
     small_datasets
 from repro.harness.report import format_table
-from repro.harness.runners import checked, fastest
+from repro.harness.runners import check_lemma, checked, fastest
 from repro.harness.sweep import TABLE1_BATCH_COUNTS, TABLE1_DEVICE_COUNTS
+from repro.metrics.fom import mmeps
 from repro.metrics.quality import geometric_mean, percent_below_optimal
 from repro.metrics.workstats import iterations_below_fraction
 
@@ -95,8 +97,7 @@ class Experiment:
     """A paper table or figure: which cells to run, how to reduce them.
 
     ``reduce`` receives the cells and their records in grid order, with
-    ``None`` for an out-of-memory cell.  Calling the experiment runs it
-    through :func:`run_experiment`.
+    ``None`` for an out-of-memory cell.  Calling the experiment runs it.
     """
 
     name: str
@@ -105,18 +106,18 @@ class Experiment:
 
     def __call__(self, quick: bool = False, parallel: int = 0,
                  store: Any = None) -> ExperimentResult:
-        return run_experiment(self.name, quick, parallel, store)
+        """Run the grid through :func:`run_cells` (``parallel``/``store``
+        as there), then :func:`checked`, :func:`check_lemma`, reduce."""
+        cells = self.cells(quick)
+        records = checked(run_cells(cells, parallel=parallel, store=store))
+        check_lemma(records)
+        return self.reduce(cells, records)
 
 
 def run_experiment(name: str, quick: bool = False, parallel: int = 0,
                    store: Any = None) -> ExperimentResult:
-    """Run experiment ``name``'s grid through :func:`run_cells`
-    (``parallel``/``store`` as there: a second run on the same store
-    executes no cell) and reduce the :func:`checked` records."""
-    exp = EXPERIMENTS[name]
-    cells = exp.cells(quick)
-    records = run_cells(cells, parallel=parallel, store=store)
-    return exp.reduce(cells, checked(records))
+    """Run the registered experiment ``name`` (:data:`EXPERIMENTS`)."""
+    return EXPERIMENTS[name](quick, parallel, store)
 
 
 _NO_STATS = {"collect_stats": False}
@@ -323,12 +324,6 @@ def _table6_cells(quick: bool) -> list[Cell]:
     return cells
 
 
-def _mmeps(r: RunRecord | None) -> float | None:
-    """Mega-Matching-Edges-per-Second of a record (see
-    :func:`repro.metrics.fom.mmeps`)."""
-    return (r.matched_edges / 1e6) / r.sim_time if r is not None else None
-
-
 def _table6_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
     """Table VI: Mega-Matching-Edges-per-Second (higher is better).
 
@@ -340,8 +335,9 @@ def _table6_reduce(cells: list[Cell], records: Records) -> ExperimentResult:
     rows = []
     for name, (*grid, omp) in _group(cells, records).items():
         s = scale_factor(name)
-        rows.append([name, _ratio(_mmeps(fastest(grid)), s),
-                     _ratio(_mmeps(omp), s)])
+        rows.append([name] + [
+            _ratio(mmeps(r), s) if r is not None else None
+            for r in (fastest(grid), omp)])
     return ExperimentResult(
         "table6",
         "Table VI: MMEPS figure of merit (higher is better)",
@@ -595,11 +591,8 @@ fig9_interconnect = Experiment("fig9", _fig9_cells, _fig9_reduce)
 fig10_platforms = Experiment("fig10", _fig10_cells, _fig10_reduce)
 fig11_occupancy = Experiment("fig11", _fig11_cells, _fig11_reduce)
 
-#: Name → experiment: the one registry ``repro experiment`` and
-#: ``repro list experiments`` read.
-EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
-    table1_execution_times, table2_quality, table3_a100_vs_v100,
-    table4_single_gpu, table5_cugraph, table6_fom, fig4_strong_scaling,
-    fig5_components, fig6_batch_scaling, fig7_kmer_components,
-    fig8_warp_work, fig9_interconnect, fig10_platforms, fig11_occupancy,
-)}
+#: Name → experiment, in ``__all__`` order: the one registry
+#: ``repro experiment`` and ``repro list experiments`` read.
+EXPERIMENTS: dict[str, Experiment] = {
+    e.name: e for e in map(globals().get, __all__)
+    if isinstance(e, Experiment)}

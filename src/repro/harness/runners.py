@@ -2,9 +2,10 @@
 
 :func:`fastest` is the one best-over-grid reducer: Tables I and VI,
 Fig. 4 and :func:`best_ld_gpu` all pick their winner with it.
-:func:`checked` is the one failure rule of a reduced grid.  Both read
-only :class:`~repro.engine.record.RunRecord` fields, so store-served
-records reduce exactly like freshly executed ones.
+:func:`checked` is the one failure rule of a reduced grid and
+:func:`check_lemma` its one Lemma III.1 check.  They read only
+:class:`~repro.engine.record.RunRecord` fields, so store-served records
+reduce exactly like freshly executed ones.
 """
 
 from __future__ import annotations
@@ -27,19 +28,19 @@ from repro.harness.sweep import (
     sweep_cells,
 )
 from repro.matching.types import MatchResult
-from repro.store.db import FINAL_ERRORS
+from repro.store.db import FINAL_ERROR
 
-__all__ = ["best_ld_gpu", "checked", "fastest"]
+__all__ = ["best_ld_gpu", "check_lemma", "checked", "fastest"]
 
 
 def checked(records: Sequence[RunRecord]) -> list[RunRecord | None]:
     """A grid's records ready to reduce: out-of-memory cells
-    (:data:`~repro.store.db.FINAL_ERRORS`) become ``None``, rendered "-"
+    (:data:`~repro.store.db.FINAL_ERROR`) become ``None``, rendered "-"
     like the runs the paper could not perform; any other error record
     raises a ``RuntimeError`` naming its cell."""
     out: list[RunRecord | None] = []
     for r in records:
-        if not r.ok and r.error["type"] not in FINAL_ERRORS:
+        if not r.ok and r.error["type"] != FINAL_ERROR:
             raise RuntimeError(
                 f"cell {r.algorithm} on {r.dataset or r.graph} (platform="
                 f"{r.platform}, num_devices={r.num_devices}, num_batches="
@@ -48,6 +49,24 @@ def checked(records: Sequence[RunRecord]) -> list[RunRecord | None]:
                 f"{r.error['traceback']}")
         out.append(r if r.ok else None)
     return out
+
+
+def check_lemma(records: Iterable[RunRecord | None]) -> None:
+    """Lemma III.1 over a grid: every freshly executed ``ld_gpu`` record
+    of one graph carries the same mate array, or this raises
+    :class:`ConfigurationDivergenceError` naming two configurations that
+    disagree.  Store-served and out-of-memory records carry none."""
+    first: dict[str, tuple[np.ndarray, str]] = {}
+    for r in records:
+        if r is None or r.result is None or r.algorithm != "ld_gpu":
+            continue
+        config = (f"{r.platform}: {r.num_devices} devices x "
+                  f"{r.num_batches or 'auto'} batches")
+        mate, ref_config = first.setdefault(r.graph,
+                                            (r.result.mate, config))
+        if not np.array_equal(mate, r.result.mate):
+            raise ConfigurationDivergenceError("ld_gpu", ref_config,
+                                               config)
 
 
 def fastest(records: Iterable[RunRecord | None]) -> RunRecord | None:
@@ -115,19 +134,7 @@ def best_ld_gpu(
                         algorithm=spec, collect_stats=collect_stats)
     records = checked(run_cells(cells, graph=graph, parallel=parallel,
                                 store=store))
-
-    mate_ref: np.ndarray | None = None
-    ref_config = ""
-    for cell, record in zip(cells, records):
-        if record is None or record.result is None:
-            continue
-        config = (f"{cell.config['num_devices']} devices x "
-                  f"{cell.config['num_batches'] or 'auto'} batches")
-        if mate_ref is None:
-            mate_ref, ref_config = record.result.mate, config
-        elif not np.array_equal(mate_ref, record.result.mate):
-            raise ConfigurationDivergenceError("ld_gpu", ref_config,
-                                               config)
+    check_lemma(records)
     best = fastest(records)
     if best is None:
         raise DeviceOOMError(platform.device.name, 0, 0,

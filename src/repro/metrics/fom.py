@@ -9,22 +9,27 @@ comparable.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.matching.types import MatchResult
 
 __all__ = ["mmeps"]
 
 
-def mmeps(result: MatchResult, seconds: float | None = None) -> float:
-    """MMEPS of a matching run.
+def mmeps(run: Any, seconds: float | None = None) -> float:
+    """MMEPS of a matching run: a :class:`MatchResult`, or a
+    :class:`~repro.engine.record.RunRecord` (its ``matched_edges``).
 
-    ``seconds`` defaults to the result's modeled ``sim_time``; pass a
+    ``seconds`` defaults to the run's modeled ``sim_time``; pass a
     measured wall time to rate a real execution instead.
     """
-    t = seconds if seconds is not None else result.sim_time
+    edges = run.num_matched_edges if isinstance(run, MatchResult) \
+        else run.matched_edges
+    t = seconds if seconds is not None else run.sim_time
     if t is None:
         raise ValueError(
             "result carries no sim_time; pass an explicit seconds value"
         )
     if t <= 0:
         raise ValueError("time must be positive")
-    return (result.num_matched_edges / 1e6) / t
+    return (edges / 1e6) / t

@@ -82,10 +82,11 @@ _DEFAULT_LEASE_S = 300.0
 #: Lifecycle states of a run row.
 STATUSES = ("pending", "leased", "done", "error")
 
-#: Error types that are a cell's outcome, reproduced by every run of its
-#: configuration (the simulated devices cannot hold the graph), so
-#: :meth:`RunStore.lookup` serves them like ``done`` rows.
-FINAL_ERRORS = ("DeviceOOMError",)
+#: The error that is a cell's outcome (the simulated devices cannot hold
+#: the graph), so :meth:`RunStore.lookup` serves its rows like ``done``
+#: rows; only record-mode grids take them (a table's "-"), ``"raise"``
+#: callers re-run them (:func:`~repro.engine.cells.run_stored_cell`).
+FINAL_ERROR = "DeviceOOMError"
 
 HITS_COUNTER = "repro_store_hits_total"
 CLAIMS_COUNTER = "repro_store_claims_total"
@@ -513,13 +514,12 @@ class RunStore:
 
     def lookup(self, fingerprint: str) -> "RunRecord | None":
         """The stored record of a ``done`` row, or of an ``error`` row
-        whose error is in :data:`FINAL_ERRORS`, served bit-identically
-        via :meth:`RunRecord.from_json`; None for any other state."""
+        whose error is :data:`FINAL_ERROR`, served bit-identically via
+        :meth:`RunRecord.from_json`; None for any other state."""
         row = self._connect().execute(
             "SELECT record_json FROM runs WHERE fingerprint = ? AND "
-            "(status = 'done' OR (status = 'error' AND error_type IN "
-            f"({','.join('?' * len(FINAL_ERRORS))})))",
-            (fingerprint, *FINAL_ERRORS)).fetchone()
+            "(status = 'done' OR (status = 'error' AND error_type = ?))",
+            (fingerprint, FINAL_ERROR)).fetchone()
         if row is None or row["record_json"] is None:
             return None
         self.hits += 1

@@ -13,6 +13,7 @@ from repro.cli import main
 from repro.engine import RunContext
 from repro.engine import cells as cells_mod
 from repro.engine.cells import Cell, run_cells
+from repro.engine.errors import ConfigurationDivergenceError
 from repro.harness import experiments as exp
 from repro.gpusim.timeline import COMPONENTS
 from repro.store.db import RunStore
@@ -261,6 +262,22 @@ class TestDriver:
                            match=f"cell {algorithm} on {dataset} .*{where}"
                                  r".*\(ValueError: injected crash\)"):
             exp.run_experiment(name, quick=True)
+
+    def test_divergent_ld_gpu_grid_raises(self, monkeypatch):
+        """Lemma III.1 holds on every experiment's freshly executed
+        LD-GPU records, not only inside best_ld_gpu."""
+        real = cells_mod.execute
+
+        def diverge(alg, g, ctx, **kwargs):
+            record = real(alg, g, ctx, **kwargs)
+            if alg == "ld_gpu" and ctx.num_devices == 2:
+                record.result.mate = np.roll(record.result.mate, 1)
+            return record
+
+        monkeypatch.setattr(cells_mod, "execute", diverge)
+        with pytest.raises(ConfigurationDivergenceError,
+                           match="2 devices .* disagrees with .*1 devices"):
+            exp.table1_execution_times(quick=True)
 
     def test_fig11_is_not_served_records_without_occupancy(self,
                                                            tmp_path):

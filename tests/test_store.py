@@ -16,11 +16,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro import api
 from repro.cli import main
 from repro.engine.cells import Cell, error_record, materialise_cells, run_cells
 from repro.engine.context import RunContext
 from repro.engine.record import SCHEMA_VERSION, RunRecord
 from repro.engine.sinks import InstrumentationSink
+from repro.gpusim.memory import DeviceOOMError
 from repro.gpusim.spec import DGX_2
 from repro.store import (
     RunStore,
@@ -372,6 +374,15 @@ class TestRunCellsStore:
             [_strip_wall(r) for r in ser]
         assert RunStore(tmp_path / "par.db").counts()["done"] == \
             len(cells)
+
+    def test_stored_oom_raises_again_under_raise(self, tmp_path):
+        """A stored out-of-memory row is served to record-mode grids
+        (a table's "-"), but api.run, which raises, raises every time."""
+        db = tmp_path / "runs.db"
+        for _ in range(2):
+            with pytest.raises(DeviceOOMError):
+                api.run("sr_gpu", "AGATHA-2015", store=db)
+        assert RunStore(db).counts()["error"] == 1
 
     def test_store_by_path(self, tmp_path, triangle):
         # run_cells accepts a bare path
