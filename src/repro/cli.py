@@ -584,8 +584,9 @@ def _cmd_stream(parser: argparse.ArgumentParser,
     import numpy as np
 
     from repro.engine import RunContext, execute
+    from repro.graph.overlay import OverlayGraph
     from repro.matching.ld_seq import ld_seq
-    from repro.streaming import EdgeStream, make_engine
+    from repro.streaming import EdgeStream
 
     g = quality_instance(args.dataset) if args.quality \
         else load_dataset(args.dataset)
@@ -600,6 +601,16 @@ def _cmd_stream(parser: argparse.ArgumentParser,
             g, num_batches=args.num_batches,
             batch_size=args.batch_size,
             seed=args.seed if args.seed is not None else 0)
+    # Replay the structural mutations alone: an op the graph cannot
+    # take (say, deleting an absent edge) is a usage error, reported
+    # before any engine runs, and the final graph is what the engine's
+    # mate array is verified against.
+    replay = OverlayGraph(g)
+    for i, batch in enumerate(stream):
+        try:
+            replay.apply_batch(batch.ops)
+        except (KeyError, ValueError) as exc:
+            parser.error(f"batch {i} {exc.args[0]}")
     if args.record:
         stream.save(args.record)
 
@@ -616,13 +627,9 @@ def _cmd_stream(parser: argparse.ArgumentParser,
 
     verified = None
     if not args.no_verify:
-        # Replay the structural mutations alone and re-match from
-        # scratch: the engine's mate array must be byte-for-byte the
-        # LD fixed point of the mutated graph.
-        oracle_eng = make_engine("recompute", g)
-        for batch in stream:
-            oracle_eng._apply_ops(batch)
-        oracle = ld_seq(oracle_eng.snapshot(), collect_stats=False)
+        # Re-match the replayed graph from scratch: the engine's mate
+        # array must be byte-for-byte its LD fixed point.
+        oracle = ld_seq(replay.to_csr(), collect_stats=False)
         verified = bool(np.array_equal(record.result.mate, oracle.mate))
 
     fmt = None

@@ -77,7 +77,9 @@ def matched_vertex_weight(mate: np.ndarray, mw: np.ndarray) -> float:
     :func:`matching_weight` — each matched edge at its lower endpoint,
     in ascending order of that endpoint — so the two are bit-equal.
     """
-    return float(mw[_vertex_ids(len(mate)) < mate].sum())
+    # ``compress`` gathers the same elements in the same order as a
+    # boolean index, without materialising the selected indices first.
+    return float(np.compress(_vertex_ids(len(mate)) < mate, mw).sum())
 
 
 @lru_cache(maxsize=8)

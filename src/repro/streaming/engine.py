@@ -11,27 +11,35 @@ the byte — any procedure that ends with no blocking edge *must* land
 on the same mate array as a from-scratch run on the mutated graph.
 
 :class:`IncrementalLD` exploits that.  A batch is applied to a
-base+overlay graph (:class:`~repro.graph.overlay.OverlayGraph`); then:
+base+overlay graph (:class:`~repro.graph.overlay.OverlayGraph`) in one
+all-or-nothing step: the overlay checks every op against the live
+graph first, so a rejected batch leaves graph, rows and matching as
+they were.  The overlay hands back each touched edge's old and new
+weight; then:
 
 1. every matched edge incident to a *changed* vertex (an endpoint of
    any op) is released — after this, every blocking edge of the new
    graph has at least one free endpoint, because an all-matched
    blocking pair would have had to be blocking before the batch too;
-2. only the changed vertices' sorted rows are patched, all in one
-   vectorised pass per batch: their rows (sorted descending by
-   ``(w, eid)``, the PointerIndex layout, in one pool shared by every
-   vertex) are gathered, every entry of an edge the batch touched is
-   dropped, and each touched edge's final state is merged back in at
-   its sorted position — the kept entries are still in order, so
-   nothing is re-sorted; everyone else keeps their row untouched;
+2. only the changed vertices' sorted rows are patched, in place: their
+   rows (sorted descending by ``(w, eid)``, the PointerIndex layout,
+   in one pool shared by every vertex) lose each touched edge's old
+   entry and gain its new one, each located by bisecting its row for
+   its key.  The entries between two changes keep their order, so they
+   move as whole runs, and a run already at its new position does not
+   move — per-batch work is the changed entries plus at most one move
+   of the changed rows; everyone else keeps their row untouched;
 3. pointing/matching rounds run from the affected frontier to the
    fixed point.  Pointing scans every free frontier vertex's sorted
    row at once for its first *dethronable* neighbour — free, or
-   matched through a smaller key than the connecting edge; matching
-   commits proposals in descending key order (the globally best
-   proposal always commits, so every round makes progress), freeing
-   dethroned partners into the next frontier.  When no free vertex can
-   point anywhere, no blocking edge is left.
+   matched through a smaller key than the connecting edge.  Matching
+   first commits every mutual pair of free vertices in one vectorised
+   step, as LD's matching phase does (this is exactly what committing
+   them in key order would do; the proof is at the commit), then
+   commits the remaining proposals in descending key order (the
+   globally best proposal always commits, so every round makes
+   progress), freeing dethroned partners into the next frontier.  When
+   no free vertex can point anywhere, no blocking edge is left.
 
 Host work is counted exactly as in
 :mod:`~repro.matching.pointer_index`: every adjacency entry examined
@@ -89,9 +97,6 @@ _CHUNK_GROWTH = 4
 # The row pool keeps 1/4 of its live capacity free as tail room for
 # rows that outgrow their slot.
 _POOL_SLACK = 4
-# Row order as one comparable key: ascending (owner, -w, -eid).
-_ROW_KEY = np.dtype([("owner", np.int64), ("w", np.float64),
-                     ("eid", np.int64)])
 
 
 def _ranges(starts: np.ndarray,
@@ -105,11 +110,20 @@ def _ranges(starts: np.ndarray,
     return offs, pos
 
 
-def _row_keys(owner: np.ndarray, w: np.ndarray,
-              eid: np.ndarray) -> np.ndarray:
-    keys = np.empty(len(owner), dtype=_ROW_KEY)
-    keys["owner"], keys["w"], keys["eid"] = owner, -w, -eid
-    return keys
+def _starts_run(a: np.ndarray) -> np.ndarray:
+    """Mask of the elements of ``a`` that differ from their
+    predecessor (the first always does)."""
+    out = np.empty(len(a), dtype=bool)
+    out[:1] = True
+    np.not_equal(a[1:], a[:-1], out=out[1:])
+    return out
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a small integer array, without its fixed cost
+    (several times the sort itself at one batch's sizes)."""
+    a = np.sort(a)
+    return a[_starts_run(a)]
 
 
 @dataclass(frozen=True)
@@ -177,19 +191,19 @@ class StreamingEngine:
     def matched_edges(self) -> int:
         return int((self.mate != UNMATCHED).sum()) // 2
 
+    def _apply_batch(self, batch: UpdateBatch) -> tuple[np.ndarray, tuple]:
+        """Apply ``batch`` to the overlay, all or nothing (see
+        :meth:`OverlayGraph.apply_batch`).  Returns the changed
+        vertices (every op's endpoints, ascending) and the overlay's
+        ``(keys, old_w, new_w)`` of the touched edges."""
+        edits = self._overlay.apply_batch(batch.ops)
+        keys = edits[0]
+        return _unique(np.concatenate([keys // self._n,
+                                       keys % self._n])), edits
+
     def _apply_ops(self, batch: UpdateBatch) -> set[int]:
-        """Mutate the overlay; returns the changed-vertex set."""
-        changed: set[int] = set()
-        for kind, u, v, w in batch.ops:
-            if kind == "insert":
-                self._overlay.insert(u, v, w)
-            elif kind == "delete":
-                self._overlay.delete(u, v)
-            else:
-                self._overlay.reweight(u, v, w)
-            changed.add(u)
-            changed.add(v)
-        return changed
+        """:meth:`_apply_batch`'s changed vertices as a set."""
+        return set(self._apply_batch(batch)[0].tolist())
 
     def _emit(self, result: BatchResult) -> None:
         count(STREAM_BATCH_COUNTER, 1,
@@ -230,7 +244,6 @@ class IncrementalLD(StreamingEngine):
         self._len = np.diff(base.indptr).astype(np.int64)
         self._cap = self._len.copy()
         self._tail = m2
-        self._mark = np.zeros(n, dtype=bool)
         # Matched key per vertex ((-inf, -1) = free), the O(1) side of
         # the dethronable test.
         self._mw = np.full(n, _NEG_INF, dtype=np.float64)
@@ -239,10 +252,15 @@ class IncrementalLD(StreamingEngine):
         u = self.mate[v]
         self._mw[v] = self._mw[u] = self._overlay.edge_weights(v, u)
         self._meid[v] = self._meid[u] = v * n + u
+        self._matched = len(v)
 
     @property
     def weight(self) -> float:
         return matched_vertex_weight(self.mate, self._mw)
+
+    @property
+    def matched_edges(self) -> int:
+        return self._matched
 
     # -------------------------------------------------------------- #
     def _release(self, v: int) -> int:
@@ -252,58 +270,70 @@ class IncrementalLD(StreamingEngine):
             self.mate[v] = self.mate[u] = UNMATCHED
             self._mw[v] = self._mw[u] = _NEG_INF
             self._meid[v] = self._meid[u] = -1
+            self._matched -= 1
         return u
 
     def _eids(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
         lo = np.minimum(v, u).astype(np.int64)
         return lo * self._n + np.maximum(v, u)
 
-    def _patch_rows(self, rows: np.ndarray, batch: UpdateBatch) -> None:
-        """Patch every changed row at once: drop each entry of ``rows``
-        (the changed vertices, ascending) whose edge the batch touched,
-        then merge each touched edge's final state back in at its
-        sorted position.  A row that outgrows its slot moves to the
-        pool tail with ``cap = 1.5 * len + 2``; a full tail compacts."""
+    def _rank(self, owner: np.ndarray, w: np.ndarray,
+              eid: np.ndarray) -> np.ndarray:
+        """Row-relative position of key ``(w, eid)`` in each ``owner``'s
+        row: the number of entries that sort before it.  All queries
+        bisect their rows together, one power-of-two step per pass."""
+        last = self._start[owner] - 1
+        lens = self._len[owner]
+        rank = np.zeros(len(owner), dtype=np.int64)
+        step = 1 << int(lens.max(initial=0)).bit_length()
+        while step > 1:
+            step >>= 1
+            probe = np.minimum(rank + step, lens)
+            at = last + probe
+            wm = self._w[at]
+            before = wm > w
+            tie = np.flatnonzero(wm == w)
+            if tie.size:
+                before[tie] = self._eids(owner[tie], self._nbr[at[tie]]) \
+                    > eid[tie]
+            # A probe clipped to the row end is past the answer or at
+            # an entry already counted; either way it must not move.
+            before &= probe > rank
+            rank[before] = probe[before]
+        return rank
+
+    def _patch_rows(self, rows: np.ndarray, edits: tuple) -> None:
+        """Patch every changed row in place of its old state.
+
+        ``rows`` are the changed vertices, ascending, and ``edits`` the
+        overlay's ``(keys, old_w, new_w)`` of the touched edges.  Each
+        touched edge's old entries (one per endpoint) leave their rows
+        and its new ones join, each found by bisecting its row for its
+        key, so per-entry work touches only the changed entries.  The
+        kept entries are then moved as whole runs: a run between two
+        changes keeps its order, and a run already at its new position
+        is not moved at all.  A row that outgrows its slot moves to the
+        pool tail with ``cap = 1.5 * len + 2``; a full tail compacts.
+        """
+        keys, old_w, new_w = edits
+        if not len(keys):
+            return
         n = self._n
-        final: dict[int, float | None] = {}
-        for _, u, v, w in batch.ops:  # the last op on an edge wins
-            final[min(u, v) * n + max(u, v)] = w
-        touched = np.fromiter(final, dtype=np.int64, count=len(final))
-        new_e = np.array([e for e, w in final.items() if w is not None],
-                         dtype=np.int64)
-        new_w = np.array([w for w in final.values() if w is not None],
-                         dtype=np.float64)
+        lo, hi = keys // n, keys % n
+        d, a = np.flatnonzero(old_w > 0), np.flatnonzero(new_w > 0)
+        owner = np.concatenate([lo[d], hi[d], lo[a], hi[a]])
+        nbr = np.concatenate([hi[d], lo[d], hi[a], lo[a]])
+        w = np.concatenate([old_w[d], old_w[d], new_w[a], new_w[a]])
+        eid = np.concatenate([keys[d], keys[d], keys[a], keys[a]])
+        at = self._rank(owner, w, eid)
+        row = np.searchsorted(rows, owner)
+        nd = 2 * len(d)
 
-        offs, pos = _ranges(self._start[rows], self._len[rows])
-        owner = np.repeat(np.arange(len(rows)), np.diff(offs))
-        nbr, w = self._nbr[pos], self._w[pos]
-        eid = self._eids(rows[owner], nbr)
-        # A touched edge joins two changed vertices, so only entries
-        # pointing into ``rows`` are tested against the touched eids.
-        self._mark[rows] = True
-        cand = np.flatnonzero(self._mark[nbr])
-        self._mark[rows] = False
-        keep = np.ones(len(eid), dtype=bool)
-        keep[cand[np.isin(eid[cand], touched)]] = False
-        owner, nbr, w, eid = owner[keep], nbr[keep], w[keep], eid[keep]
-
-        # Both directions of each surviving edge, ordered like the kept
-        # entries: by (owner, -w, -eid).
-        lo, hi = new_e // n, new_e % n
-        add_owner = np.searchsorted(rows, np.concatenate([lo, hi]))
-        add_nbr = np.concatenate([hi, lo])
-        add_w = np.concatenate([new_w, new_w])
-        add_e = np.concatenate([new_e, new_e])
-        order = np.lexsort((-add_e, -add_w, add_owner))
-        add_owner, add_nbr = add_owner[order], add_nbr[order]
-        add_w, add_e = add_w[order], add_e[order]
-        at = np.searchsorted(_row_keys(owner, w, eid),
-                             _row_keys(add_owner, add_w, add_e))
-        nbr = np.insert(nbr, at, add_nbr)
-        w = np.insert(w, at, add_w)
-        lens = (np.bincount(owner, minlength=len(rows))
-                + np.bincount(add_owner, minlength=len(rows)))
-
+        # Changed-row slots: grow or compact before anything is moved.
+        old_len = self._len[rows]
+        lens = (old_len - np.bincount(row[:nd], minlength=len(rows))
+                + np.bincount(row[nd:], minlength=len(rows)))
+        src_start = self._start[rows]
         grow = lens > self._cap[rows]
         if grow.any():
             moved = rows[grow]
@@ -312,13 +342,59 @@ class IncrementalLD(StreamingEngine):
             need = int(cap.sum())
             if self._tail + need > len(self._nbr):
                 self._compact()
+                src_start = self._start[rows]
             else:
                 self._start[moved] = self._tail + np.cumsum(cap) - cap
                 self._tail += need
         self._len[rows] = lens
-        _, dest = _ranges(self._start[rows], lens)
-        self._nbr[dest] = nbr
-        self._w[dest] = w
+        dest_start = self._start[rows]
+
+        # Row-major positions ``row * span + at``: the changes of all
+        # rows in one sorted order.  A new entry goes before the old
+        # entry at its position, new entries at one position by key.
+        span = int(old_len.max()) + 1
+        row_lo = np.arange(len(rows), dtype=np.int64) * span
+        drop_at = np.sort(row[:nd] * span + at[:nd])
+        add_at = row[nd:] * span + at[nd:]
+        order = np.lexsort((-eid[nd:], -w[nd:], add_at))
+        add_at, add_row = add_at[order], row[nd:][order]
+        drops0 = np.searchsorted(drop_at, row_lo)
+        adds0 = np.searchsorted(add_at, row_lo)
+
+        # Old position x of a row lands at x + (new entries at <= x) -
+        # (old entries dropped before x).
+        add_dest = (dest_start[add_row] + add_at - row_lo[add_row]
+                    - (np.searchsorted(drop_at, add_at) - drops0[add_row])
+                    + np.arange(len(add_at)) - adds0[add_row])
+        # Runs of kept entries: a row cut at every change.
+        # (A repeated cut only adds an empty run.)
+        cuts = np.sort(np.concatenate(
+            [row_lo, row_lo + old_len, drop_at, drop_at + 1, add_at]))
+        run_lo, run_hi = cuts[:-1], cuts[1:]
+        run_row = run_lo // span
+        x = run_lo - row_lo[run_row]
+        kept = x < old_len[run_row]
+        if len(drop_at):
+            k = np.minimum(np.searchsorted(drop_at, run_lo),
+                           len(drop_at) - 1)
+            kept &= drop_at[k] != run_lo
+        run_row, run_lo, run_hi, x = (run_row[kept], run_lo[kept],
+                                      run_hi[kept], x[kept])
+        src = src_start[run_row] + x
+        dest = (dest_start[run_row] + x
+                + np.searchsorted(add_at, run_lo, side="right")
+                - adds0[run_row]
+                - np.searchsorted(drop_at, run_lo) + drops0[run_row])
+        move = src != dest
+        run_len = (run_hi - run_lo)[move]
+        _, pos = _ranges(src[move], run_len)
+        shift = np.repeat((dest - src)[move], run_len)
+        moved_nbr, moved_w = self._nbr[pos], self._w[pos]
+        pos += shift
+        self._nbr[pos] = moved_nbr
+        self._w[pos] = moved_w
+        self._nbr[add_dest] = nbr[nd:][order]
+        self._w[add_dest] = w[nd:][order]
 
     def _compact(self) -> None:
         """Repack every row at its (preserved) cap in vertex order,
@@ -359,7 +435,7 @@ class IncrementalLD(StreamingEngine):
                              > self._meid[nn[tie]])
             at = np.flatnonzero(cond)
             seg = np.searchsorted(offs, at, side="right") - 1
-            first = np.flatnonzero(np.diff(seg, prepend=-1))
+            first = np.flatnonzero(_starts_run(seg))
             hit[active[seg[first]]] = off + at[first] - offs[seg[first]]
             off += chunk
             chunk *= _CHUNK_GROWTH
@@ -375,18 +451,19 @@ class IncrementalLD(StreamingEngine):
     # -------------------------------------------------------------- #
     def apply(self, batch: UpdateBatch) -> BatchResult:
         t0 = time.perf_counter()
-        rows = np.array(sorted(self._apply_ops(batch)), dtype=np.int64)
+        rows, edits = self._apply_batch(batch)
 
         # Release every matched edge at a changed endpoint: afterwards
         # each blocking edge of the mutated graph has a free endpoint.
         partners = self.mate[rows]
-        partners = partners[partners != UNMATCHED]
-        for x in (rows, partners):
-            self.mate[x] = UNMATCHED
-            self._mw[x] = _NEG_INF
-            self._meid[x] = -1
-        frontier = np.union1d(rows, partners)
-        self._patch_rows(rows, batch)
+        frontier = _unique(np.concatenate(
+            [rows, partners[partners != UNMATCHED]]))
+        self._matched -= int(np.count_nonzero(
+            self.mate[frontier] != UNMATCHED)) // 2
+        self.mate[frontier] = UNMATCHED
+        self._mw[frontier] = _NEG_INF
+        self._meid[frontier] = -1
+        self._patch_rows(rows, edits)
         affected = set(frontier.tolist())
 
         self._host_scanned = 0
@@ -399,49 +476,68 @@ class IncrementalLD(StreamingEngine):
             # row, so "first valid" is "max key").
             pv, pt, pw, pe = self._point(
                 frontier[self.mate[frontier] == UNMATCHED])
-            # Matching phase: commit in descending key order under the
-            # mutual-or-dethrone rule.  Dethroning a *matched* target
-            # only raises its matched key, so it can never create a
-            # blocking edge at the target; a *free* target may commit
-            # only mutually (its own pointer is its max dethronable
-            # key) — accepting a lower offer would strand the higher
-            # blocking edge it was still aspiring to.  A free target
-            # that did not point this round joins the next frontier
-            # instead, so it points before accepting.  The globally
+            # Mutual pairs commit first, in one step.  This is exactly
+            # what the ordered loop below would do with them: a free
+            # vertex points at its max dethronable key, and every
+            # proposer is free, so any y != t pointing at a pair's
+            # vertex v has key(y, v) < key(v, t).  Hence no proposal
+            # ordered before the pair touches v or t (the pair commits
+            # as soon as the loop reaches it), and every proposal at v
+            # or t is ordered after it and finds it matched through a
+            # larger key — it goes to the next frontier either way.
+            # ``pv`` ascends, so a target's own proposal is found by
+            # bisection.
+            k = np.minimum(np.searchsorted(pv, pt), max(len(pv) - 1, 0))
+            mutual = (pv[k] == pt) & (pt[k] == pv)
+            if mutual.any():
+                mv = pv[mutual]
+                self.mate[mv] = pt[mutual]
+                self._mw[mv] = pw[mutual]
+                self._meid[mv] = pe[mutual]
+                pairs = len(mv) // 2
+                repairs += pairs
+                self._matched += pairs
+                affected.update(mv.tolist())
+                rest = ~mutual
+                pv, pt, pw, pe = pv[rest], pt[rest], pw[rest], pe[rest]
+            # Matching phase for the rest: commit in descending key
+            # order under the dethrone rule.  Dethroning a *matched*
+            # target only raises its matched key, so it can never
+            # create a blocking edge at the target.  A *free* target
+            # did not point back (mutual pairs are gone), and may not
+            # accept a lower offer than its own max dethronable key —
+            # that would strand the higher blocking edge it aspires
+            # to — so both join the next frontier and point again.  A
+            # proposer stays free until its own proposal: only a
+            # mutual commit can match a free vertex.  The globally
             # maximal proposal whose target pointed is always mutual
             # (both sides' max dethronable key is the shared edge), so
             # rounds without a commit can only grow the pointed set —
             # termination is bounded by commits + frontier growth.
-            # lexsort is stable: a mutual pair's two proposals keep
-            # ascending-v order.
             order = np.lexsort((-pe, -pw))
-            pv, pt = pv[order].tolist(), pt[order].tolist()
-            pw, pe = pw[order].tolist(), pe[order].tolist()
-            pointed = dict(zip(pv, pt))
             next_frontier: set[int] = set()
-            for w, e, v, target in zip(pw, pe, pv, pt):
-                if self.mate[v] != UNMATCHED:
-                    # matched as someone else's mutual partner.
-                    continue
-                if self.mate[target] != UNMATCHED:
-                    tw, te = self._mw[target], self._meid[target]
-                    if w > tw or (w == tw and e > te):
-                        old = self._release(target)
-                        next_frontier.add(old)
-                        affected.add(old)
-                    else:
-                        next_frontier.add(v)
-                        continue
-                elif pointed.get(target) != v:
+            for w, e, v, target in zip(pw[order].tolist(),
+                                       pe[order].tolist(),
+                                       pv[order].tolist(),
+                                       pt[order].tolist()):
+                if self.mate[target] == UNMATCHED:
                     next_frontier.add(v)
                     next_frontier.add(target)
                     affected.add(target)
                     continue
+                tw, te = self._mw[target], self._meid[target]
+                if not (w > tw or (w == tw and e > te)):
+                    next_frontier.add(v)
+                    continue
+                old = self._release(target)
+                next_frontier.add(old)
+                affected.add(old)
                 self.mate[v] = target
                 self.mate[target] = v
                 self._mw[v] = self._mw[target] = w
                 self._meid[v] = self._meid[target] = e
                 repairs += 1
+                self._matched += 1
                 affected.add(target)
                 affected.add(v)
             frontier = np.array(sorted(next_frontier), dtype=np.int64)
@@ -458,7 +554,7 @@ class IncrementalLD(StreamingEngine):
             repairs=repairs,
             rounds=rounds,
             latency_s=time.perf_counter() - t0,
-            matched_edges=self.matched_edges,
+            matched_edges=self._matched,
             weight=self.weight,
         )
         self._emit(result)
@@ -472,7 +568,7 @@ class RecomputeLD(StreamingEngine):
 
     def apply(self, batch: UpdateBatch) -> BatchResult:
         t0 = time.perf_counter()
-        changed = self._apply_ops(batch)
+        rows, _ = self._apply_batch(batch)
         snap = self._overlay.to_csr()
         fresh = ld_seq(snap, collect_stats=True)
         self.mate = fresh.mate
@@ -481,7 +577,7 @@ class RecomputeLD(StreamingEngine):
             index=self._batches_applied - 1,
             num_ops=batch.num_ops,
             affected=tuple(range(self._n)),  # everything is re-pointed
-            cursors_rebuilt=tuple(sorted(changed)),
+            cursors_rebuilt=tuple(rows.tolist()),
             host_entries_scanned=int(
                 fresh.stats["host_entries_scanned"]),
             repairs=int(fresh.num_matched_edges),
