@@ -21,9 +21,7 @@ State is small structures over the untouched base CSR:
 * per-vertex row edits (neighbour -> weight, NaN once deleted)
   recording how a vertex's adjacency differs from its base CSR row, so
   :meth:`row_arrays` pays O(deg(v)) for exactly the vertices that
-  changed and O(1) (a base slice view) for everyone else.  Each batch
-  queues its touched edges; the edits are folded in on the next row
-  read, so a writer that never reads rows never pays for them.
+  changed and O(1) (a base slice view) for everyone else.
 
 Updates arrive as ordered batches (:meth:`apply_batch`).  A batch is
 checked as a whole before anything changes: one ``searchsorted`` finds
@@ -83,9 +81,6 @@ class OverlayGraph:
         self._num_edges = len(bu)
         self._extra: dict[int, float] = {}
         self._row_edits: dict[int, dict[int, float]] = {}
-        # (keys, final weights) of committed batches not yet folded
-        # into ``_row_edits``.
-        self._pending_edits: list[tuple[np.ndarray, np.ndarray]] = []
 
     # -------------------------------------------------------------- #
     # read surface
@@ -176,16 +171,6 @@ class OverlayGraph:
         order = np.lexsort((v, u))
         return u[order], v[order], w[order]
 
-    def _edits_of(self, v: int) -> dict[int, float] | None:
-        n, edits = self._n, self._row_edits
-        for keys, ws in self._pending_edits:
-            for key, w in zip(keys.tolist(), ws.tolist()):
-                lo, hi = divmod(key, n)
-                edits.setdefault(lo, {})[hi] = w
-                edits.setdefault(hi, {})[lo] = w
-        self._pending_edits.clear()
-        return edits.get(v)
-
     def row_arrays(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """``(neighbours, weights)`` of ``v``'s *current* adjacency.
 
@@ -198,7 +183,7 @@ class OverlayGraph:
         s, e = int(base.indptr[v]), int(base.indptr[v + 1])
         nbrs = base.indices[s:e]
         ws = base.weights[s:e]
-        edits = self._edits_of(v)
+        edits = self._row_edits.get(v)
         if not edits:
             return nbrs, ws
         en = np.fromiter(edits, dtype=np.int64, count=len(edits))
@@ -331,13 +316,15 @@ class OverlayGraph:
         keys, slot, found, old_w, new_w = staged
         # A touched base edge lives on, if at all, as an overlay edge.
         self._base_live[slot[found]] = False
-        extra = self._extra
+        n, extra, edits = self._n, self._extra, self._row_edits
         for key, w in zip(keys.tolist(), new_w.tolist()):
             if w > 0:
                 extra[key] = w
             else:
                 extra.pop(key, None)
+            lo, hi = divmod(key, n)
+            edits.setdefault(lo, {})[hi] = w
+            edits.setdefault(hi, {})[lo] = w
         self._num_edges += int(np.count_nonzero(new_w > 0)) \
             - int(np.count_nonzero(old_w > 0))
-        self._pending_edits.append((keys, new_w))
         return keys, old_w, new_w
