@@ -591,7 +591,10 @@ def _cmd_stream(parser: argparse.ArgumentParser,
     g = quality_instance(args.dataset) if args.quality \
         else load_dataset(args.dataset)
     if args.events is not None:
-        stream = EdgeStream.load(args.events)
+        try:
+            stream = EdgeStream.load(args.events)
+        except ValueError as exc:
+            parser.error(str(exc))
         if stream.num_vertices != g.num_vertices:
             parser.error(
                 f"--events log is over {stream.num_vertices} vertices "

@@ -83,22 +83,23 @@ def from_coo(
     if len(lo) == 0:
         return CSRGraph.empty(n, name)
     key = lo * np.int64(n) + hi
-    order = np.lexsort((-w, key))
-    key, lo, hi, w = key[order], lo[order], hi[order], w[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    lo, hi, w = lo[first], hi[first], w[first]
+    # Duplicates share a key, so they land together in any sort; the
+    # heaviest of each run is kept.
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    w = np.maximum.reduceat(w[order], first)
+    lo, hi = lo[order[first]], hi[order[first]]
 
-    # Symmetrise and bucket into CSR.
+    # Symmetrise and bucket into CSR: (src, dst) pairs are distinct, so
+    # one sort of the scalar key src * n + dst orders rows, and the
+    # neighbours within each row ascend.
     src = np.concatenate([lo, hi])
     dst = np.concatenate([hi, lo])
-    ww = np.concatenate([w, w])
-    order = np.lexsort((dst, src))
-    src, dst, ww = src[order], dst[order], ww[order]
+    order = np.argsort(src * np.int64(n) + dst)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return CSRGraph(indptr, dst, ww, name)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return CSRGraph(indptr, dst[order], np.concatenate([w, w])[order], name)
 
 
 def from_scipy_sparse(mat, name: str = "graph") -> CSRGraph:

@@ -70,7 +70,8 @@ class CSRGraph:
     _canonical_eids: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: ``(sorted_row_order(), sorted_edge_order())``, built together.
+    #: ``(sorted_row_order(), sorted_edge_order(), sorted_neighbors(),
+    #: *sorted_edge_endpoints())``, built together.
     _orders: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -304,12 +305,17 @@ class CSRGraph:
         heaviest first, ties broken by the larger canonical edge id —
         the order in which LD's pointing kernel, Suitor's proposals and
         the streaming engine's cursors visit a vertex's neighbours
-        (paper §III-B).  It is cut, with :meth:`sorted_edge_order`, from
-        the graph's one global sort, computed on first access of either
-        and cached read-only, as ``int32`` when ``2m < 2^31`` (else
-        ``int64``).
+        (paper §III-B).  On a graph whose rows list their neighbours in
+        ascending order (every :func:`~repro.graph.builders.from_coo`
+        graph) the canonical edge ids of a row ascend with the position,
+        so the tie rule is "the later position first" and the build
+        needs no edge ids; any other graph falls back to a sort keyed on
+        the ids, with the same result.  It is cut, with
+        :meth:`sorted_edge_order`, from the graph's one global sort,
+        computed on first access of any layout array and cached
+        read-only, as ``int32`` when ``2m < 2^31`` (else ``int64``).
         """
-        return self._sorted_orders()[0]
+        return self._sorted_layout()[0]
 
     def sorted_edge_order(self) -> np.ndarray:
         """Positions of the ``row < neighbour`` entries, descending by
@@ -317,43 +323,75 @@ class CSRGraph:
 
         One entry per undirected edge, heaviest first, ties broken by
         the larger canonical edge id: the global order greedy matching
-        and greedy b-matching scan.  Memoised with
-        :meth:`sorted_row_order`.
+        and greedy b-matching scan.  Among the ``row < neighbour``
+        entries of a graph with ascending rows, positions ascend with
+        the canonical edge id, so ties again go to the later position;
+        other graphs take the id-keyed fallback of
+        :meth:`sorted_row_order`, with which it is memoised.
         """
-        return self._sorted_orders()[1]
+        return self._sorted_layout()[1]
 
-    def _sorted_orders(self) -> tuple[np.ndarray, np.ndarray]:
+    def sorted_neighbors(self) -> np.ndarray:
+        """Neighbour id per slot of :meth:`sorted_row_order`
+        (``indices[sorted_row_order()]``), memoised with it as
+        ``int32`` when ``n < 2^31``: the array the pointing cursors and
+        the streaming pool read, so no run gathers it."""
+        return self._sorted_layout()[2]
+
+    def sorted_edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(u, v)`` with ``u < v`` per entry of
+        :meth:`sorted_edge_order`, memoised with it as ``int32`` when
+        ``n < 2^31``: greedy's scan order, so no run gathers it."""
+        return self._sorted_layout()[3:]
+
+    def _sorted_layout(self) -> tuple[np.ndarray, ...]:
         return self._memoised(
             "_orders", (self.indptr, self.indices, self.weights),
-            self._build_orders)
+            self._build_layout)
 
-    def _build_orders(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.num_vertices
-        upper = self._row_ids() < self.indices
-        # Both orders outlive the sort's temporaries, so they are
+    def _rows_ascending(self) -> bool:
+        """Whether every row lists its neighbours strictly ascending."""
+        idx = self.indices
+        up = idx[1:] > idx[:-1]
+        # A row's first entry need not exceed the previous row's last.
+        starts = self.indptr[1:-1]
+        up[starts[(starts > 0) & (starts < len(idx))] - 1] = True
+        return bool(up.all())
+
+    def _build_layout(self) -> tuple[np.ndarray, ...]:
+        n, m2 = self.num_vertices, len(self.indices)
+        row_ids = self._row_ids()
+        upper = row_ids < self.indices
+        # Every memo array outlives the sort's temporaries, so they are
         # allocated first, where they cannot pin heap memory the
         # temporaries free (it showed in the sweep benchmark's peak RSS).
-        dtype = np.int32 if len(self.indices) < 2**31 else np.int64
-        rows = np.empty(len(self.indices), dtype)
-        edges = np.empty(np.count_nonzero(upper), dtype)
-        # One stable global sort by (weight desc, eid desc); canonical
-        # eids are non-negative, so negation is safe.  Its row <
-        # neighbour entries are the edge order.
-        order = np.lexsort((-self.canonical_edge_ids(), -self.weights))
+        pos_dtype = np.int32 if m2 < 2**31 else np.int64
+        id_dtype = np.int32 if n < 2**31 else np.int64
+        ne = int(np.count_nonzero(upper))
+        rows, edges = np.empty(m2, pos_dtype), np.empty(ne, pos_dtype)
+        nbrs = np.empty(m2, id_dtype)
+        eu, ev = np.empty(ne, id_dtype), np.empty(ne, id_dtype)
+        # One stable global sort by (weight desc, eid desc).  With
+        # ascending rows, eid order is position order within a row and
+        # among the row < neighbour entries, so it is a stable sort of
+        # the reversed positions by descending weight (a radix sort of
+        # the weights' dense rank, cheaper than a stable sort of
+        # floats).  Otherwise the
+        # eids are built for this sort alone (not memoised); they are
+        # non-negative, so negation is safe.
+        if self._rows_ascending():
+            order = _stable_by(np.arange(m2 - 1, -1, -1, dtype=pos_dtype),
+                               *_descending_rank(self.weights, pos_dtype))
+        else:
+            order = np.lexsort((-self._build_eids(), -self.weights))
         edges[:] = order[upper[order]]
+        eu[:] = row_ids[edges]
+        ev[:] = self.indices[edges]
         # Its stable regrouping by row keeps rows contiguous, so
-        # ``indptr`` still delimits them: an LSD radix sort over the
-        # row id's 16-bit digits.  NumPy's stable sort of ``uint16``
-        # keys is itself a radix sort, so each digit is one O(m) pass.
-        shift = 0
-        while True:
-            digit = np.repeat((np.arange(n) >> shift).astype(np.uint16),
-                              self.degrees)
-            order = order[np.argsort(digit[order], kind="stable")]
-            shift += 16
-            if (n - 1) >> shift <= 0:
-                rows[:] = order
-                return rows, edges
+        # ``indptr`` still delimits them.
+        rows[:] = _stable_by(order, row_ids, n - 1)
+        nbrs[:] = self.indices[rows]
+        return rows, edges, nbrs, eu, ev
 
     def _row_ids(self) -> np.ndarray:
         return np.repeat(np.arange(self.num_vertices, dtype=np.int64),
@@ -450,3 +488,32 @@ class CSRGraph:
             f"|E|={self.num_edges}, d_max={self.max_degree}, "
             f"d_avg={self.avg_degree:.1f})"
         )
+
+
+def _descending_rank(w: np.ndarray, dtype) -> tuple[np.ndarray, int]:
+    """Per entry, the number of distinct values in ``w`` above it, and
+    the largest such count: a dense integer key that orders like
+    ``-w``."""
+    p = np.argsort(w)  # ties in any order: only distinct values count
+    ws = w[p]
+    step = np.zeros(len(w), dtype)
+    np.not_equal(ws[1:], ws[:-1], out=step[1:])
+    np.cumsum(step, out=step)
+    top = int(step[-1]) if len(step) else 0
+    rank = np.empty_like(step)
+    rank[p] = top - step
+    return rank, top
+
+
+def _stable_by(order: np.ndarray, key: np.ndarray, top: int) -> np.ndarray:
+    """``order`` stably re-sorted by ``key[order]`` (integers in
+    ``[0, top]``): an LSD radix sort over the key's 16-bit digits.
+    NumPy's stable sort of ``uint16`` keys is itself a radix sort, so
+    each digit is one O(m) pass."""
+    shift = 0
+    while True:
+        digit = (key[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+        if top >> shift <= 0:
+            return order

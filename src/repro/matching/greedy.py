@@ -40,11 +40,12 @@ def sorted_edges(
         graph: CSRGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(u, v, w)`` per undirected edge, ``u < v``, in the graph's
     memoised descending ``(w, eid)`` order
-    (:meth:`~repro.graph.csr.CSRGraph.sorted_edge_order`)."""
-    pos = graph.sorted_edge_order()
-    # The canonical id of an entry with row < neighbour is row * n + v.
-    u = graph.canonical_edge_ids()[pos] // max(graph.num_vertices, 1)
-    return u, graph.indices[pos], graph.weights[pos]
+    (:meth:`~repro.graph.csr.CSRGraph.sorted_edge_order`).  ``u`` and
+    ``v`` are the graph's read-only memo
+    (:meth:`~repro.graph.csr.CSRGraph.sorted_edge_endpoints`); only
+    ``w`` is gathered."""
+    u, v = graph.sorted_edge_endpoints()
+    return u, v, graph.weights[graph.sorted_edge_order()]
 
 
 def _scan(rest: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray,
@@ -69,7 +70,9 @@ def greedy_matching(graph: CSRGraph) -> MatchResult:
         rest = np.arange(lo, min(lo + _CHUNK, len(w)))
         live = None  # edges left after the previous round's drop step
         while len(rest):
-            a, b = u[rest], v[rest]
+            # The memo's endpoints are int32: NumPy indexes faster with
+            # them widened once a round than it casts an int32 index.
+            a, b = u[rest].astype(np.intp), v[rest].astype(np.intp)
             free = (mate[a] == UNMATCHED) & (mate[b] == UNMATCHED)
             rest, a, b = rest[free], a[free], b[free]
             if live is not None and (live - len(rest)) * 8 < live:

@@ -94,7 +94,8 @@ def find_mutual_pairs(
     so passing the frontier finds every new pair while scanning only the
     re-pointed vertices.  Unrestricted, this is the full-scan oracle the
     :class:`~repro.matching.pointer_index.MutualIndex` delta engine is
-    verified against (and internally narrows candidates for).
+    verified against; that engine keeps one report per pair without
+    this sort-based dedup.
     """
     if candidates is None:
         candidates = np.nonzero(pointer >= 0)[0]

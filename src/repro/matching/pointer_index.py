@@ -13,9 +13,11 @@ total work.
 :class:`PointerIndex` is the *index* engine.  Each graph's rows are
 sorted once, descending by the shared lexicographic key ``(w, eid)``
 (:meth:`~repro.graph.csr.CSRGraph.sorted_row_order`, memoised on the
-graph); each run only gathers its rows of that layout (optionally a
-row range, keyed by its row offset) and keeps its own per-vertex
-cursors into it.  Pointing then just advances each frontier
+graph together with the neighbour id of every sorted slot,
+:meth:`~repro.graph.csr.CSRGraph.sorted_neighbors`); each run slices
+its rows of that layout (optionally a row range, keyed by its row
+offset), gathers nothing, and keeps its own per-vertex cursors into
+it.  Pointing then just advances each frontier
 vertex's cursor past neighbours whose ``mate`` is set and takes the
 first live entry.  Because the key is a strict total order within a
 row (canonical edge ids are distinct across a vertex's neighbours), the
@@ -118,9 +120,10 @@ class PointerIndex:
     ----------
     graph:
         The graph; its memoised :meth:`~repro.graph.csr.CSRGraph.
-        sorted_row_order` supplies the ``(w, eid)``-descending row
-        layout (the first index over a graph fills that memo — the one
-        sort — and every later one only slices it).
+        sorted_row_order` and :meth:`~repro.graph.csr.CSRGraph.
+        sorted_neighbors` supply the ``(w, eid)``-descending row layout
+        (the first index over a graph fills that memo — the one sort —
+        and every later one only slices it).
     start / stop:
         Global vertex range ``[start, stop)`` served (e.g. one device
         partition); ``stop=None`` means every row.  Local row 0 is
@@ -143,16 +146,15 @@ class PointerIndex:
     ) -> None:
         if stop is None:
             stop = graph.num_vertices
-        order = graph.sorted_row_order()
         lo, hi = int(graph.indptr[start]), int(graph.indptr[stop])
         #: Local row offsets of the served range.
         self.indptr = graph.indptr[start:stop + 1] - lo
         self.row_offset = int(start)
         #: Graph position (into ``indices``/``weights``) per sorted slot.
-        self._slots = order[lo:hi]
+        self._slots = graph.sorted_row_order()[lo:hi]
         self._weights = graph.weights
-        #: Neighbour id per sorted adjacency slot.
-        self.sorted_indices = graph.indices[self._slots]
+        #: Neighbour id per sorted adjacency slot (a read-only view).
+        self.sorted_indices = graph.sorted_neighbors()[lo:hi]
         #: Per-local-vertex cursor into the sorted layout.
         self.cursor = self.indptr[:-1].copy()
         #: Actual adjacency entries examined across all ``point`` calls.
@@ -187,8 +189,11 @@ class PointerIndex:
         cur = self.cursor[local]
         end = self.indptr[local + 1]
         nbrs = self.sorted_indices
+        # The memo's neighbour ids are int32: NumPy indexes ``mate``
+        # faster with them widened first than it casts an int32 index.
         host = advance_cursors(
-            cur, end, lambda slots: mate[nbrs[slots]] != UNMATCHED)
+            cur, end,
+            lambda slots: mate[nbrs[slots].astype(np.intp)] != UNMATCHED)
         self.cursor[local] = cur
 
         has = cur < end
@@ -256,19 +261,39 @@ class MutualIndex:
 
         ``candidates`` must contain every vertex whose pointer may have
         changed since the previous call (the round's pointing
-        frontier); ``None`` diffs the whole array.  Returns ``(lo,
-        hi)`` pair arrays identical to
-        ``find_mutual_pairs(pointer, None)``.
+        frontier), each once; ``None`` diffs the whole array.  Returns
+        ``(lo, hi)`` pair arrays identical to
+        ``find_mutual_pairs(pointer, None)``, in O(candidates) when the
+        candidates ascend and every pair is reported from its lower
+        endpoint (a sort of the pairs restores the order otherwise).
         """
-        from repro.matching.ld_seq import find_mutual_pairs
-
+        # Selections go through index arrays: NumPy's boolean-mask
+        # indexing is several times slower on the irregular masks here.
         if candidates is None:
-            changed = np.nonzero(pointer != self.prev)[0]
+            changed = np.flatnonzero(pointer != self.prev)
+            target = pointer[changed]
         else:
-            changed = candidates[
-                pointer[candidates] != self.prev[candidates]
-            ]
-        self.prev[changed] = pointer[changed]
+            target = pointer[candidates]
+            moved = np.flatnonzero(target != self.prev[candidates])
+            changed, target = candidates[moved], target[moved]
+        live = np.flatnonzero(target >= 0)
+        a, b = changed[live], target[live]
+        # A pair whose endpoints both changed is reported by each: keep
+        # the report from its lower endpoint.  A partner whose pointer
+        # still reads its previous value did not change, so its pair
+        # has this report alone.
+        pair = np.flatnonzero(
+            (pointer[b] == a) & ((a < b) | (self.prev[b] == a)))
+        a, b = a[pair], b[pair]
+        self.prev[changed] = target
         self.last_host_scanned = int(len(changed))
         self.host_entries_scanned += self.last_host_scanned
-        return find_mutual_pairs(pointer, changed)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        # The oracle lists pairs by ascending ``lo``.  Reports from
+        # ascending candidates already are, unless a pair was reported
+        # by its upper endpoint alone; pairs share no vertex, so any
+        # sort of the ``lo`` values restores that order.
+        if len(lo) > 1 and np.any(lo[1:] < lo[:-1]):
+            order = np.argsort(lo)
+            lo, hi = lo[order], hi[order]
+        return lo, hi

@@ -233,13 +233,12 @@ class IncrementalLD(StreamingEngine):
     def __init__(self, base: CSRGraph):
         super().__init__(base)
         n = self._n
-        order = base.sorted_row_order()
-        m2 = len(order)
-        self._nbr = np.empty(m2 + m2 // _POOL_SLACK,
-                             dtype=np.int32 if n < 2**31 else np.int64)
+        nbrs = base.sorted_neighbors()
+        m2 = len(nbrs)
+        self._nbr = np.empty(m2 + m2 // _POOL_SLACK, dtype=nbrs.dtype)
         self._w = np.empty(len(self._nbr), dtype=np.float64)
-        self._nbr[:m2] = base.indices[order]
-        self._w[:m2] = base.weights[order]
+        self._nbr[:m2] = nbrs
+        self._w[:m2] = base.weights[base.sorted_row_order()]
         self._start = base.indptr[:-1].astype(np.int64)
         self._len = np.diff(base.indptr).astype(np.int64)
         self._cap = self._len.copy()

@@ -21,6 +21,7 @@ vertex set.  Two sources, both deterministic:
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -36,6 +37,18 @@ __all__ = ["OPS", "UpdateBatch", "EdgeStream"]
 OPS = ("insert", "delete", "reweight")
 
 _STREAM_LOG_VERSION = 1
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``: an integer, or a float with no
+    fractional part.  Anything else — a fractional or non-finite float,
+    a bool, a string — raises ``ValueError`` naming ``what``, where
+    ``int()`` would truncate or parse it."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} {value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -80,8 +93,10 @@ class UpdateBatch:
     @classmethod
     def from_doc(cls, doc: dict) -> "UpdateBatch":
         ops = []
-        for entry in doc["ops"]:
-            kind, u, v = entry[0], int(entry[1]), int(entry[2])
+        for j, entry in enumerate(doc["ops"]):
+            kind = entry[0]
+            u = _integer(entry[1], f"op {j}: vertex id")
+            v = _integer(entry[2], f"op {j}: vertex id")
             w = float(entry[3]) if len(entry) > 3 else None
             ops.append((kind, u, v, w))
         return cls(ops=tuple(ops))
@@ -227,8 +242,8 @@ class EdgeStream:
             raise ValueError(f"{where}: unsupported event log version "
                              f"{header.get('version')!r}")
         try:
-            num_vertices = int(header["num_vertices"])
-        except (KeyError, TypeError, ValueError):
+            num_vertices = _integer(header["num_vertices"], "num_vertices")
+        except (KeyError, ValueError):
             raise ValueError(
                 f"{where}: header has no integer num_vertices") from None
         batches = []

@@ -34,6 +34,7 @@ from repro.streaming import (
 )
 
 HOSTILE_LOG = Path(__file__).parent / "data" / "hostile_events.jsonl"
+NONINTEGRAL_LOG = Path(__file__).parent / "data" / "nonintegral_events.jsonl"
 
 
 def apply_one_by_one(ov: OverlayGraph, ops) -> tuple[int, Exception] | None:
@@ -257,6 +258,71 @@ def test_cli_rejects_bad_ops_in_a_later_batch(tmp_path, capsys, ops,
               str(log)])
     assert info.value.code == 2
     assert f"error: batch 1 {message}" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------ #
+# event logs: vertex ids are integers, never truncated
+# ------------------------------------------------------------------ #
+
+
+def write_events(path: Path, header: dict, *batches: list) -> Path:
+    path.write_text("\n".join(
+        [json.dumps(header)] + [json.dumps({"ops": ops}) for ops in batches]
+    ) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("op", [
+    ["insert", 0.9, 4.7, 0.5],
+    ["insert", 0, 4.5, 0.5],
+    ["reweight", 2, -0.5, 0.5],
+    ["delete", 0, float("inf")],
+    ["delete", True, 3],
+    ["insert", "1", 2, 0.5],
+    ["insert", 0, None, 0.5],
+])
+def test_event_log_rejects_non_integral_vertex_ids(tmp_path, op):
+    path = write_events(tmp_path / "ev.jsonl",
+                        {"version": 1, "num_vertices": 8},
+                        [["insert", 0, 1, 0.5]], [op])
+    with pytest.raises(ValueError) as info:
+        EdgeStream.load(path)
+    assert f"{path}:3: bad batch" in str(info.value)
+    assert "op 0: vertex id" in str(info.value)
+
+
+@pytest.mark.parametrize("num_vertices", [512.5, "512", True, None])
+def test_event_log_rejects_non_integral_num_vertices(tmp_path,
+                                                     num_vertices):
+    path = write_events(tmp_path / "ev.jsonl",
+                        {"version": 1, "num_vertices": num_vertices})
+    with pytest.raises(ValueError, match="header has no integer "
+                                         "num_vertices") as info:
+        EdgeStream.load(path)
+    assert f"{path}:1:" in str(info.value)
+
+
+def test_event_log_takes_integral_floats_as_ids(tmp_path):
+    path = write_events(tmp_path / "ev.jsonl",
+                        {"version": 1, "num_vertices": 8.0},
+                        [["insert", 0.0, 4.0, 0.5], ["delete", 2, 3.0]])
+    stream = EdgeStream.load(path)
+    assert stream.num_vertices == 8
+    ops = stream.batches[0].ops
+    assert ops == (("insert", 0, 4, 0.5), ("delete", 2, 3, None))
+    assert all(type(x) is int for _, u, v, _ in ops for x in (u, v))
+
+
+def test_cli_rejects_committed_nonintegral_log(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as info:
+        main(["stream", "-d", "GAP-kron", "--quality",
+              "--events", str(NONINTEGRAL_LOG)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {NONINTEGRAL_LOG}:2: bad batch" in err
+    assert "vertex id 0.9 is not an integer" in err
 
 
 # ------------------------------------------------------------------ #
