@@ -218,7 +218,8 @@ class PointerIndex:
         rows = np.flatnonzero(
             mate[self.row_offset:self.row_offset + self.num_rows]
             != UNMATCHED)
-        mw[rows] = self._weights[self._slots[self.cursor[rows]]]
+        mw[rows] = self._weights[
+            self._slots[self.cursor[rows]].astype(np.intp)]
         return mw
 
 

@@ -9,12 +9,15 @@ monotonically — "the Suitor algorithm is able to reduce the number of
 candidate edges for matching" (§IV-D) — and for a consistent total order it
 produces exactly the greedy/locally-dominant matching.
 
-Three variants:
+One engine, :func:`_suitor_rounds` — round-synchronous vectorised
+Suitor walking cursors over the graph's once-sorted rows — serves three
+variants:
 
-* :func:`suitor_seq` — the sequential displacement algorithm (reference),
-  walking cursors over the graph's once-sorted rows.
-* :func:`suitor_omp_sim` — round-synchronous vectorised Suitor with a
-  multicore CPU cost model: the paper's **SR-OMP** (256 threads).
+* :func:`suitor_seq` — Suitor's matching alone.  Under the total order
+  every bid order gives the same matching, so the rounds stand in for
+  the sequential displacement loop (kept as a test oracle).
+* :func:`suitor_omp_sim` — the rounds with a multicore CPU cost model:
+  the paper's **SR-OMP** (256 threads).
 * :func:`suitor_gpu_sim` — the same rounds on one simulated GPU with
   SR-GPU's two signatures: one-vertex-per-warp load redistribution (great
   on regular graphs, useless on skewed ones — the paper's Table IV
@@ -44,64 +47,19 @@ _NEG_INF = -np.inf
 
 
 def suitor_seq(graph: CSRGraph) -> MatchResult:
-    """Sequential Suitor with the shared ``(w, eid)`` total order.
+    """Suitor with the shared ``(w, eid)`` total order.
 
-    Each vertex walks a monotone cursor down its row of the graph's
-    sorted layout (:meth:`~repro.graph.csr.CSRGraph.sorted_row_order`):
-    the first neighbour whose standing proposal its edge beats is its
-    best eligible one.  An entry the cursor passes can never become
-    eligible again — a standing proposal's key only rises — so each
-    entry is passed at most once and a displaced vertex resumes where
-    it left off: O(m) scalar steps in all, on top of the graph's one
-    sort.
+    Under a total order Suitor has one outcome, the locally dominant
+    matching, whatever order the bids are made in (Manne &
+    Halappanavar), so the sequential displacement loop and the rounds
+    of :func:`_suitor_rounds` give the same matching; this runs the
+    rounds.  The rounds are host work, not a modelled machine, so
+    ``iterations`` stays 0 and no stats are recorded: SR-OMP and
+    SR-GPU report the round count with their cost models.
     """
-    n = graph.num_vertices
-    # Scalar access through memoryviews: Python numbers without the
-    # per-element cost of NumPy scalars or a list copy of the 2m arrays.
-    order = memoryview(graph.sorted_row_order())
-    indices = memoryview(graph.indices)
-    weights = memoryview(graph.weights)
-    row_end = memoryview(graph.indptr)[1:]
-    cursor = memoryview(graph.indptr[:-1].copy())
-    suitor = np.full(n, UNMATCHED, dtype=np.int64)
-    ws_w = np.full(n, _NEG_INF)  # weight of the standing proposal
-    ws_e = np.full(n, -1, dtype=np.int64)  # its tie-break key
-    s_v, s_w, s_e = memoryview(suitor), memoryview(ws_w), memoryview(ws_e)
-
-    for start in range(n):
-        u = start
-        while u != UNMATCHED:
-            p, stop = cursor[u], row_end[u]
-            while p < stop:
-                k = order[p]
-                v = indices[k]
-                w = weights[k]
-                # First entry beating v's standing proposal = u's best
-                # (the canonical eid breaks weight ties).
-                standing = s_w[v]
-                if w > standing or w == standing and (
-                        u * n + v if u < v else v * n + u) > s_e[v]:
-                    break
-                p += 1
-            if p == stop:
-                cursor[u] = p
-                break
-            # Once displaced from v, u can never beat v's key again.
-            cursor[u] = p + 1
-            e = u * n + v if u < v else v * n + u
-            displaced = s_v[v]
-            s_v[v], s_w[v], s_e[v] = u, w, e
-            u = displaced
-
-    mate = _suitor_to_mate(suitor)
-    # ``ws_w[mate[u]]`` is the weight u proposed to its mate, read from
-    # u's own row: the entry ``matching_weight`` would sum for u.
-    return MatchResult(
-        mate=mate,
-        weight=matched_vertex_weight(mate, ws_w[mate]),
-        algorithm="suitor_seq",
-        iterations=0,
-    )
+    mate, weight, _, _ = _suitor_rounds(graph)
+    return MatchResult(mate=mate, weight=weight, algorithm="suitor_seq",
+                       iterations=0)
 
 
 def _suitor_to_mate(suitor: np.ndarray) -> np.ndarray:
@@ -117,35 +75,55 @@ def _suitor_to_mate(suitor: np.ndarray) -> np.ndarray:
 def _suitor_rounds(
     graph: CSRGraph,
 ) -> tuple[np.ndarray, float, list[np.ndarray], int]:
-    """Round-synchronous Suitor.
+    """Round-synchronous Suitor, the one Suitor engine.
 
     Every active vertex bids in parallel; per target the best bid wins,
-    displacing the previous suitor; losers and displaced vertices re-enter
-    the active set.  A vertex's best eligible bid is the first entry of
-    its sorted row that beats the target's standing proposal, found by
-    the same monotone cursor walk as :func:`suitor_seq`: standing keys
-    only rise, so an entry passed once, or bid once (it won and was
-    later displaced, or lost to a heavier bid), never beats its target
-    again.  Host work is amortised O(m) on top of the graph's one sort.
+    displacing the previous suitor; losers and displaced vertices
+    re-enter the active set.  A vertex's best eligible bid is the first
+    entry of its row of the graph's sorted layout
+    (:meth:`~repro.graph.csr.CSRGraph.sorted_row_order`, with its
+    neighbour ids :meth:`~repro.graph.csr.CSRGraph.sorted_neighbors`)
+    that beats the target's standing proposal, found by a monotone
+    cursor walk: standing keys only rise, so an entry passed once, or
+    bid once (it won and was later displaced, or lost to a heavier
+    bid), never beats its target again.  Host work is amortised O(m) on
+    top of the graph's one sort.  The tie key ``min(u, v) * n +
+    max(u, v)`` is computed from the proposer and the target where a
+    weight tie needs it, so no run builds the canonical edge ids.
     Returns the final mate array, its weight, the per-round active
     frontiers (for the cost models), and the round count.
     """
     n = graph.num_vertices
-    order = graph.sorted_row_order()
-    indices, weights = graph.indices, graph.weights
-    eids = graph.canonical_edge_ids()
-    cursor = graph.indptr[:-1].copy()
-    row_end = graph.indptr[1:]
+    indptr = graph.indptr
+    order, nbrs = graph.sorted_row_order(), graph.sorted_neighbors()
+    weights = graph.weights
+    cursor = indptr[:-1].copy()
+    row_end = indptr[1:]
     suitor = np.full(n, UNMATCHED, dtype=np.int64)
     ws_w = np.full(n, _NEG_INF)
     ws_e = np.full(n, -1, dtype=np.int64)
 
+    def eid(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.minimum(u, v) * n + np.maximum(u, v)
+
+    # The layout's int32 positions and ids are widened before they index:
+    # NumPy indexes faster with intp than it casts an int32 index.
+    def entry(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (nbrs[slots].astype(np.intp),
+                weights[order[slots].astype(np.intp)])
+
     def beaten(slots: np.ndarray) -> np.ndarray:
         # The entry no longer beats its target's standing proposal.
-        k = order[slots]
-        v, w, e = indices[k], weights[k], eids[k]
-        return ~((w > ws_w[v]) | ((w == ws_w[v]) & (e > ws_e[v])))
+        v, w = entry(slots)
+        standing = ws_w[v]
+        dead = w < standing
+        tie = np.flatnonzero(w == standing)
+        if len(tie):
+            owner = np.searchsorted(indptr, slots[tie], "right") - 1
+            dead[tie] = eid(owner, v[tie]) <= ws_e[v[tie]]
+        return dead
 
+    mark = np.zeros(n, dtype=bool)
     active = np.arange(n, dtype=np.int64)
     frontiers: list[np.ndarray] = []
     rounds = 0
@@ -155,35 +133,38 @@ def _suitor_rounds(
         cur = cursor[active]
         end = row_end[active]
         advance_cursors(cur, end, beaten)
-        has = cur < end
+        live = cur < end
         # Whether it wins or loses, a bid's entry is spent.
-        cursor[active] = cur + has
+        cursor[active] = cur + live
+        has = np.flatnonzero(live)
         proposers = active[has]
-        k = order[cur[has]]
-        targets, pw, pe = indices[k], weights[k], eids[k]
+        targets, pw = entry(cur[has])
 
-        # Resolve per-target conflicts: best (w, eid) bid wins.
-        rank = np.lexsort((pe, pw, targets))
-        targets_s = targets[rank]
-        last = np.ones(len(targets_s), dtype=bool)
-        last[:-1] = targets_s[1:] != targets_s[:-1]
-        winners_idx = rank[last]
-        tgt = targets[winners_idx]
-        src = proposers[winners_idx]
-
+        # Every bid beats its target's standing proposal, so the best
+        # (w, eid) bid per target becomes the standing one: the heaviest
+        # weight first, then the largest eid among the bids at it.
+        np.maximum.at(ws_w, targets, pw)
+        top = np.flatnonzero(pw == ws_w[targets])
+        top_e = eid(proposers[top], targets[top])
+        ws_e[targets] = -1
+        np.maximum.at(ws_e, targets[top], top_e)
+        won = top[top_e == ws_e[targets[top]]]
+        tgt, src = targets[won], proposers[won]
         displaced = suitor[tgt]
         suitor[tgt] = src
-        ws_w[tgt] = pw[winners_idx]
-        ws_e[tgt] = pe[winners_idx]
 
-        lost = np.ones(len(proposers), dtype=bool)
-        lost[winners_idx] = False
-        redo = displaced[displaced != UNMATCHED]
-        active = np.unique(np.concatenate([proposers[lost], redo]))
+        # Next: the losers and the displaced.  A displaced vertex had a
+        # standing bid, so it did not bid this round and no winner's
+        # unmark can drop it.
+        mark[proposers] = True
+        mark[src] = False
+        mark[displaced[displaced != UNMATCHED]] = True
+        active = np.flatnonzero(mark)
+        mark[active] = False
 
     mate = _suitor_to_mate(suitor)
-    # As in suitor_seq: ``ws_w[mate[u]]`` is u's own row entry for its
-    # mate, the entry ``matching_weight`` sums for u.
+    # ``ws_w[mate[u]]`` is the weight u proposed to its mate, read from
+    # u's own row: the entry ``matching_weight`` would sum for u.
     return (mate, matched_vertex_weight(mate, ws_w[mate]), frontiers,
             rounds)
 

@@ -29,7 +29,7 @@ from repro.matching.greedy import greedy_matching
 from repro.matching.ld_gpu import ld_gpu
 from repro.matching.ld_seq import find_mutual_pairs, ld_seq
 from repro.matching.pointer_index import MutualIndex, PointerIndex
-from repro.matching.suitor import suitor_seq
+from repro.matching.suitor import suitor_gpu_sim, suitor_omp_sim, suitor_seq
 from repro.matching.types import UNMATCHED
 from repro.streaming import IncrementalLD
 from test_sorted_rows import lexsort_edges, lexsort_row_order, tie_heavy
@@ -143,6 +143,8 @@ RUNS = {
     "ld_gpu@2x2": lambda g: ld_gpu(g, num_devices=2, num_batches=2),
     "greedy": greedy_matching,
     "suitor_seq": suitor_seq,
+    "sr_omp": suitor_omp_sim,
+    "sr_gpu": suitor_gpu_sim,
 }
 
 

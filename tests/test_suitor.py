@@ -9,11 +9,17 @@ from repro.gpusim.memory import DeviceOOMError
 from repro.gpusim.spec import A100, CPU_EPYC_7742_2S, V100
 from repro.matching.greedy import greedy_matching
 from repro.matching.ld_seq import ld_seq
-from repro.matching.suitor import suitor_gpu_sim, suitor_omp_sim, suitor_seq
+from repro.matching.suitor import (
+    _suitor_rounds,
+    suitor_gpu_sim,
+    suitor_omp_sim,
+    suitor_seq,
+)
 from repro.matching.validate import (
     is_maximal_matching,
     verify_result,
 )
+from test_sorted_rows import assert_sr_identical, suitor_full_scan
 
 
 class TestSuitorSeq:
@@ -75,6 +81,45 @@ class TestSuitorRounds:
         r = suitor_omp_sim(medium_graph)
         assert r.iterations >= 1
         assert r.stats["rounds"] == r.iterations
+
+
+class TestConflicts:
+    """Bids meeting at one target in one round: the heaviest weight
+    wins, then the largest canonical edge id among the bids at it."""
+
+    def check(self, g, frontiers, pairs):
+        mate = suitor_seq(g).mate
+        assert np.array_equal(mate, suitor_full_scan(g))
+        assert all(mate[u] == v and mate[v] == u for u, v in pairs)
+        assert_sr_identical(g)
+        _, _, got, _ = _suitor_rounds(g)
+        assert [f.tolist() for f in got] == frontiers
+
+    def test_equal_weight_bids_to_one_target(self):
+        # Leaves 1..4 all bid 2.0 for centre 0 in round 1; leaf 4 (the
+        # largest eid) wins and the others fall back to their pendants.
+        # Pendant 8 loses leaf 4 to the centre's bid.
+        g = build_graph(9, [(0, i, 2.0) for i in range(1, 5)]
+                        + [(i, i + 4, 1.0) for i in range(1, 5)])
+        self.check(g, [list(range(9)), [1, 2, 3, 8]],
+                   [(0, 4), (1, 5), (2, 6), (3, 7)])
+
+    def test_equal_weight_larger_eid_displaces(self):
+        # 1's bid (1.0, eid 1) stands at 0 after round 1; 2 loses at 3
+        # to 4 and bids (1.0, eid 2) for 0 in round 2, displacing 1.
+        g = build_graph(5, [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 5.0),
+                            (3, 4, 6.0)])
+        self.check(g, [list(range(5)), [2], [1]], [(0, 2), (3, 4)])
+
+    def test_heavier_bid_beats_equal_weight_larger_eid(self):
+        # 2's bid (1.0, eid 2) stands at 0 after round 1.  In round 2
+        # both 1 (3.0, eid 1) and 3 (1.0, eid 3) bid for 0: 1 wins by
+        # weight though its eid is below both others'.
+        g = build_graph(8, [(0, 2, 1.0), (0, 3, 1.0), (3, 4, 5.0),
+                            (4, 5, 6.0), (0, 1, 3.0), (1, 6, 7.0),
+                            (6, 7, 8.0)])
+        self.check(g, [list(range(8)), [1, 3], [2, 3]],
+                   [(0, 1), (4, 5), (6, 7)])
 
 
 class TestCostModels:
