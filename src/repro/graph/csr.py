@@ -14,7 +14,10 @@ simulation can alias the host arrays the way ``cudaMemcpyAsync`` sources do.
 
 from __future__ import annotations
 
+import hashlib
+import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -95,14 +98,22 @@ class CSRGraph:
             state[attr] = None
         return state
 
-    def _memoised(self, attr: str, sources: tuple, build):
-        """``build()``'s result (its arrays made read-only), cached on
-        ``attr`` until an array in ``sources`` is no longer the one it
-        was built from."""
+    def _current(self, attr: str, sources: tuple):
+        """The memo on ``attr`` if it was built from ``sources``, else
+        ``None``."""
         memo = getattr(self, attr)
         if memo is None or any(
             a is not b for a, b in zip(memo[0], sources)
         ):
+            return None
+        return memo
+
+    def _memoised(self, attr: str, sources: tuple, build):
+        """``build()``'s result (its arrays made read-only), cached on
+        ``attr`` until an array in ``sources`` is no longer the one it
+        was built from."""
+        memo = self._current(attr, sources)
+        if memo is None:
             value = build()
             for arr in value if isinstance(value, tuple) else (value,):
                 if isinstance(arr, np.ndarray):
@@ -349,6 +360,42 @@ class CSRGraph:
             "_orders", (self.indptr, self.indices, self.weights),
             self._build_layout)
 
+    def built_layout(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(sorted_row_order(), sorted_edge_order())`` if the layout
+        memo is built and current, else ``None`` (it never builds):
+        what a snapshot stores of the layout."""
+        memo = self._current(
+            "_orders", (self.indptr, self.indices, self.weights))
+        return None if memo is None else memo[1][:2]
+
+    def adopt_layout(self, rows: np.ndarray, edges: np.ndarray,
+                     seal: str, fingerprint: str) -> bool:
+        """Seed the layout memo from stored orders; ``True`` if adopted.
+
+        ``rows``/``edges`` are a snapshot's :meth:`sorted_row_order` and
+        :meth:`sorted_edge_order`, ``seal`` the :func:`layout_seal` it
+        stored with them, ``fingerprint`` the verified content
+        fingerprint of this graph.  The orders are adopted only when
+        the seal, recomputed over their bytes, this graph's fingerprint
+        and this module's source, matches: a truncated or edited order,
+        one stored for other content, or one sorted by other code is
+        refused, and the layout is built lazily as on any graph.  The
+        gathered arrays (neighbour ids, edge endpoints) are re-derived.
+        """
+        if seal != layout_seal(rows, edges, fingerprint):
+            return False
+        self._memoised(
+            "_orders", (self.indptr, self.indices, self.weights),
+            lambda: self._gather_layout(rows, edges))
+        return True
+
+    def _gather_layout(self, rows: np.ndarray,
+                       edges: np.ndarray) -> tuple[np.ndarray, ...]:
+        id_dtype = np.int32 if self.num_vertices < 2**31 else np.int64
+        eu = self._row_ids()[edges].astype(id_dtype)
+        return (rows, edges, self.indices[rows].astype(id_dtype), eu,
+                self.indices[edges].astype(id_dtype))
+
     def _rows_ascending(self) -> bool:
         """Whether every row lists its neighbours strictly ascending."""
         idx = self.indices
@@ -488,6 +535,30 @@ class CSRGraph:
             f"|E|={self.num_edges}, d_max={self.max_degree}, "
             f"d_avg={self.avg_degree:.1f})"
         )
+
+
+@lru_cache(maxsize=1)
+def _source_digest() -> bytes:
+    """Digest of this module's source: the code that sorts a layout."""
+    try:
+        with open(__file__, "rb") as fh:
+            return hashlib.sha256(fh.read()).digest()
+    except OSError:  # no source to key by: no seal outlives the process
+        return os.urandom(32)
+
+
+def layout_seal(rows: np.ndarray, edges: np.ndarray,
+                fingerprint: str) -> str:
+    """Digest binding a stored layout to its graph and to the code that
+    sorted it: over the two orders' dtypes, shapes and bytes, the
+    graph's content fingerprint and this module's source."""
+    h = hashlib.sha256(_source_digest())
+    h.update(fingerprint.encode())
+    for arr in (rows, edges):
+        a = np.ascontiguousarray(arr)
+        h.update(f";{a.dtype.str}{a.shape}".encode())
+        h.update(a.data)
+    return h.hexdigest()
 
 
 def _descending_rank(w: np.ndarray, dtype) -> tuple[np.ndarray, int]:

@@ -1,9 +1,10 @@
 """On-disk graph cache keyed by the provenance dataset fingerprint.
 
 Synthetic analogs are deterministic but not free — an RMAT or k-mer
-generation costs seconds at analog scale.  A grid of N cells over one
-dataset must pay that cost once, not N times, and worker *processes*
-(which do not share the parent's ``lru_cache``) must not pay it at all.
+generation, and the sorted layout built on it, cost most of a second
+at analog scale.  A grid of N cells over one dataset must pay that cost
+once, not N times; worker *processes* (which do not share the parent's
+``lru_cache``) and later sessions must not pay it at all.
 The cache stores each graph as a ``.npz`` snapshot named by its
 :func:`~repro.telemetry.provenance.graph_fingerprint` — the same
 content hash every :class:`~repro.engine.record.RunRecord` carries in
@@ -11,24 +12,42 @@ its provenance manifest — so an entry can never silently drift from the
 graph it claims to be: the fingerprint is re-derived from the loaded
 arrays and verified on first read (memoised per process thereafter —
 entries are content-addressed, so a verified path stays verified).
+A snapshot also carries the graph's sorted layout when it was built,
+adopted on load only when its seal matches
+(:meth:`~repro.graph.csr.CSRGraph.adopt_layout`).
+
+A fingerprint is known only once a graph exists, so
+:func:`~repro.harness.datasets.load_dataset` finds its snapshot through
+a *recipe reference*: a small ``<dataset>-<key>.ref`` file naming the
+snapshot, where the key hashes everything the graph could depend on
+(see :meth:`GraphCache.get_recipe`).  Every file is written under a
+name unique to its writer, ending in ``.tmp``, and renamed into place,
+so concurrent producers never tear an entry and no glob of entries
+sees one in flight.
 
 Configuration (all overridable per :class:`GraphCache` instance):
 
 * ``REPRO_GRAPH_CACHE`` — cache directory (default
   ``~/.cache/repro-matching/graphs``); the values ``off``/``0``/
-  ``none`` disable disk caching entirely (parallel executors fall back
-  to shipping graphs by pickle).
+  ``none`` disable disk caching entirely (dataset loaders generate
+  every graph, parallel executors fall back to shipping graphs by
+  pickle).
 * ``REPRO_GRAPH_CACHE_ENTRIES`` — eviction knob: keep at most this many
-  snapshots, oldest-used dropped first (default 64).
+  snapshots (and as many recipe references), oldest-used dropped first
+  (default 64).
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 import os
+import re
+import uuid
 import zipfile
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import IO, TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.csr import CSRGraph
@@ -39,6 +58,8 @@ _ENV_ROOT = "REPRO_GRAPH_CACHE"
 _ENV_ENTRIES = "REPRO_GRAPH_CACHE_ENTRIES"
 _DISABLED_VALUES = {"off", "0", "none", "false"}
 _DEFAULT_MAX_ENTRIES = 64
+#: What a recipe reference may name: a fingerprint, never a path.
+_FINGERPRINT = re.compile(r"sha256:[0-9a-f]+")
 
 #: ``(realpath, fingerprint)`` pairs this process has already verified.
 #: Snapshots are content-addressed and written atomically, so a path
@@ -71,6 +92,26 @@ def _slug(name: str) -> str:
                    for c in name) or "graph"
 
 
+def _publish(path: Path, write: Callable[[IO[bytes]], None]) -> None:
+    """Write ``path`` atomically: ``write`` fills a temporary file whose
+    name is unique to this writer and matches no ``*.npz`` or ``*.ref``
+    glob, which is then renamed into place."""
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _count(outcome: str) -> None:
+    from repro.telemetry.spans import count
+
+    count("repro_graph_cache_total", 1,
+          "dataset loads by graph-cache outcome", outcome=outcome)
+
+
 class GraphCache:
     """Fingerprint-verified ``.npz`` store for :class:`CSRGraph`\\ s.
 
@@ -99,12 +140,16 @@ class GraphCache:
         fp = fingerprint.split(":", 1)[-1]
         return self.root / f"{_slug(name)}-{fp}.npz"
 
-    def entries(self) -> list[Path]:
-        """Every snapshot currently on disk, oldest-accessed first."""
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("*.npz"),
-                      key=lambda p: p.stat().st_mtime)
+    def entries(self, pattern: str = "*.npz") -> list[Path]:
+        """Every snapshot (or, with ``"*.ref"``, every recipe
+        reference) currently on disk, oldest-accessed first."""
+        stamped = []
+        for path in self.root.glob(pattern):
+            try:
+                stamped.append((path.stat().st_mtime, path))
+            except OSError:  # removed by a concurrent evictor
+                continue
+        return [path for _, path in sorted(stamped)]
 
     # -------------------------------------------------------------- #
     # store / load
@@ -125,9 +170,7 @@ class GraphCache:
             path.touch()
             return path, fingerprint
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp.npz")
-        save_npz(graph, tmp)
-        os.replace(tmp, path)  # atomic vs concurrent producers
+        _publish(path, lambda fh: save_npz(graph, fh))
         self.evict()
         return path, fingerprint
 
@@ -141,17 +184,28 @@ class GraphCache:
         Verification is memoised per ``(path, fingerprint)`` within the
         process: a worker loading the same snapshot for its second cell
         skips the re-hash (entries are content-addressed and written
-        atomically, so a verified path cannot silently change meaning).
+        atomically, so a verified path cannot silently change meaning),
+        and the graph's fingerprint memo is seeded either way.  With a
+        ``fingerprint``, a stored sorted layout is adopted when its seal
+        holds; otherwise the layout is built lazily on first use.
         """
-        from repro.graph.io import load_npz
+        return self._load(path, fingerprint)[0]
+
+    def _load(self, path: "Path | str",
+              fingerprint: str | None) -> tuple["CSRGraph", bool | None]:
+        """:meth:`load`, plus whether a stored layout was adopted
+        (``None``: none stored, or no fingerprint to check it by)."""
+        from repro.graph.io import read_npz
         from repro.telemetry.provenance import graph_fingerprint
 
         try:
-            graph = load_npz(path)
-        except (zipfile.BadZipFile, EOFError, KeyError, zlib.error) as exc:
+            graph, layout = read_npz(path)
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError,
+                zlib.error) as exc:
             raise ValueError(
                 f"graph cache entry {path} is corrupt: unreadable ({exc})"
             ) from exc
+        adopted = None
         if fingerprint is not None:
             memo_key = (os.path.realpath(os.fspath(path)), fingerprint)
             if memo_key not in _VERIFIED:
@@ -162,7 +216,81 @@ class GraphCache:
                         f"{fingerprint}, loaded content hashes to {actual}"
                     )
                 _VERIFIED.add(memo_key)
+            # The memo graph_fingerprint reads: this content is verified.
+            graph._memoised(
+                "_fingerprint", (graph.indptr, graph.indices, graph.weights),
+                lambda: fingerprint)
+            if layout is not None:
+                adopted = graph.adopt_layout(*layout, fingerprint)
         self.hits += 1
+        return graph, adopted
+
+    def get_recipe(self, key: str,
+                   build: Callable[[], "CSRGraph"]) -> "CSRGraph":
+        """The graph ``build()`` makes, served from the snapshot that
+        the recipe reference ``key`` names.
+
+        ``key`` must change whenever ``build()``'s output could; that
+        is the caller's half of the contract (see
+        :func:`~repro.harness.datasets.load_dataset`).  Each call counts
+        one ``repro_graph_cache_total{outcome}``:
+
+        * ``hit`` — the reference names a snapshot that verifies; its
+          stored layout, if any, is adopted (a snapshot stored without
+          one builds its layout lazily, as before);
+        * ``layout_rebuilt`` — the snapshot verifies but its layout's
+          seal does not hold: the layout is rebuilt now and the
+          snapshot rewritten with it;
+        * ``miss`` — no reference, or its snapshot is gone: the graph
+          is built, its layout sorted, and both the snapshot and the
+          reference written;
+        * ``corrupt`` — the reference or the snapshot is unreadable or
+          fails verification: the snapshot is deleted, then as a miss.
+
+        A miss never serves another graph, and a cache that cannot be
+        written still serves the built graph.
+        """
+        from repro.graph.io import save_npz
+
+        ref = self.root / f"{_slug(key)}.ref"
+        path = None
+        try:
+            doc = json.loads(ref.read_bytes())
+            fingerprint = str(doc["fingerprint"])
+            if not _FINGERPRINT.fullmatch(fingerprint):
+                raise ValueError(f"{ref}: bad fingerprint {fingerprint!r}")
+            path = self.path_for(str(doc["graph"]), fingerprint)
+            graph, adopted = self._load(path, fingerprint)
+        except OSError:
+            outcome = "miss"
+        except (ValueError, KeyError, TypeError):
+            outcome = "corrupt"
+            if path is not None:
+                with contextlib.suppress(OSError):
+                    path.unlink(missing_ok=True)
+        else:
+            outcome = "hit"
+            try:
+                if adopted is False:
+                    outcome = "layout_rebuilt"
+                    graph.sorted_row_order()
+                    _publish(path, lambda fh: save_npz(graph, fh))
+                os.utime(path)
+                os.utime(ref)
+            except OSError:  # pragma: no cover - read-only cache
+                pass
+            _count(outcome)
+            return graph
+        _count(outcome)
+        self.misses += 1
+        graph = build()
+        graph.sorted_row_order()  # the snapshot carries the layout
+        try:
+            path, fingerprint = self.store(graph)
+            doc = {"graph": graph.name, "fingerprint": fingerprint}
+            _publish(ref, lambda fh: fh.write(json.dumps(doc).encode()))
+        except OSError:  # pragma: no cover - unwritable cache
+            pass
         return graph
 
     def get_or_build(self, name: str,
@@ -183,12 +311,12 @@ class GraphCache:
         """
         if expect is not None:
             candidates = [self.path_for(name, expect)]
-        elif self.root.is_dir():
-            candidates = sorted(self.root.glob(f"{_slug(name)}-*.npz"),
-                                key=lambda p: p.stat().st_mtime,
-                                reverse=True)
         else:
-            candidates = []
+            # Only this name's entries: ``GAP-kron-*`` also matches
+            # ``GAP-kron-q``'s.
+            candidates = [p for p in reversed(self.entries(
+                f"{_slug(name)}-*.npz"))
+                if p.stem.rsplit("-", 1)[0] == _slug(name)]
         for path in candidates:
             if not path.is_file():
                 continue
@@ -213,25 +341,20 @@ class GraphCache:
     # -------------------------------------------------------------- #
 
     def evict(self) -> int:
-        """Drop oldest-used entries beyond ``max_entries``; returns the
-        number removed."""
-        entries = self.entries()
-        removed = 0
-        while len(entries) - removed > self.max_entries:
-            try:
-                entries[removed].unlink()
-            except OSError:  # pragma: no cover - concurrent eviction
-                pass
-            removed += 1
-        return removed
+        """Drop oldest-used snapshots beyond ``max_entries`` (recipe
+        references likewise); returns the number of snapshots
+        removed."""
+        for pattern in ("*.ref", "*.npz"):
+            entries = self.entries(pattern)
+            excess = entries[:max(len(entries) - self.max_entries, 0)]
+            for path in excess:
+                path.unlink(missing_ok=True)
+        return len(excess)
 
     def clear(self) -> None:
-        """Remove every snapshot."""
-        for path in self.entries():
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent eviction
-                pass
+        """Remove every snapshot and recipe reference."""
+        for path in self.entries() + self.entries("*.ref"):
+            path.unlink(missing_ok=True)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"GraphCache(root={str(self.root)!r}, "

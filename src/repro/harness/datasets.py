@@ -9,13 +9,21 @@ batching / multiple devices exactly where the original did.
 Every dataset also has a ``quality_instance`` — a much smaller graph from
 the same generator on which the O(n³) exact blossom solver (the LEMON
 stand-in) is tractable; Table II runs on those.
+
+Both loaders serve the graph, with its sorted layout, from the on-disk
+:class:`~repro.harness.cache.GraphCache` when a snapshot made by the
+same recipe exists, and build and snapshot it otherwise.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
@@ -196,20 +204,83 @@ DATASETS: dict[str, DatasetSpec] = {
 
 @lru_cache(maxsize=32)
 def load_dataset(name: str) -> CSRGraph:
-    """Build (and memoise) the analog graph for a Table I dataset."""
+    """The analog graph for a Table I dataset (memoised; see
+    :func:`_serve` for the disk cache)."""
     if name not in DATASETS:
         raise KeyError(
             f"unknown dataset {name!r}; known: {sorted(DATASETS)}"
         )
-    return DATASETS[name].build()
+    return _serve(name, quality=False)
 
 
 @lru_cache(maxsize=32)
 def quality_instance(name: str) -> CSRGraph:
-    """Build the blossom-tractable quality instance for a dataset."""
+    """The blossom-tractable quality instance for a dataset."""
     if name not in DATASETS:
         raise KeyError(name)
-    return DATASETS[name].build_quality()
+    return _serve(name, quality=True)
+
+
+def _serve(name: str, quality: bool) -> CSRGraph:
+    """Dataset ``name``'s graph through its recipe reference in the
+    :class:`~repro.harness.cache.GraphCache`
+    (:meth:`~repro.harness.cache.GraphCache.get_recipe`), or straight
+    from its build when ``REPRO_GRAPH_CACHE`` is off or the recipe
+    cannot be keyed."""
+    from repro.harness.cache import GraphCache, cache_disabled
+
+    spec = DATASETS[name]
+    build = spec.build_quality if quality else spec.build
+    key = None if cache_disabled() else _recipe_key(name, quality, build)
+    if key is None:
+        return build()
+    return GraphCache().get_recipe(key, build)
+
+
+def _recipe_key(name: str, quality: bool, build: Callable) -> str | None:
+    """The recipe reference key of a dataset's graph: a hash over the
+    dataset name and quality flag, the code and constants of its
+    ``build`` callable, the source of ``repro/graph/`` and of this
+    module, and the NumPy version.  It covers the code of ``build``,
+    not the objects its global names resolve to when called.  ``None``
+    for a callable that is not a plain function, which is then never
+    cached."""
+    code = getattr(build, "__code__", None)
+    sources = _source_digest()
+    if code is None or sources is None:
+        return None
+    h = hashlib.sha256(sources)
+    h.update(f"{name}\0{quality}\0".encode())
+    _hash_code(h, code)
+    closure = [c.cell_contents for c in build.__closure__ or ()]
+    h.update(repr((build.__defaults__, closure)).encode())
+    return f"{name}{'-q' if quality else ''}-{h.hexdigest()[:32]}"
+
+
+def _hash_code(h, code) -> None:
+    h.update(code.co_code)
+    h.update(repr(code.co_names).encode())
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            _hash_code(h, const)
+        else:
+            h.update(repr(const).encode())
+
+
+@lru_cache(maxsize=1)
+def _source_digest() -> bytes | None:
+    """Digest of the graph code's source and the NumPy version (``None``
+    when the source cannot be read)."""
+    pkg = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256(np.__version__.encode())
+    try:
+        for path in sorted((pkg / "graph").rglob("*.py")) + \
+                [Path(__file__).resolve()]:
+            h.update(path.relative_to(pkg).as_posix().encode())
+            h.update(path.read_bytes())
+    except OSError:
+        return None
+    return h.digest()
 
 
 def scale_factor(name: str, graph: CSRGraph | None = None) -> float:
@@ -255,12 +326,14 @@ def scaled_cpu(name: str, cpu: CpuSpec = CPU_EPYC_7742_2S,
 def warm_graph_cache(names=None, quality: bool = False, cache=None):
     """Pre-stage dataset analogs into the on-disk graph cache.
 
-    Builds each named dataset (default: all of Table I) through the
-    memoised loaders and snapshots it into the fingerprint-keyed
-    :class:`~repro.harness.cache.GraphCache`, so a subsequent
-    ``run_cells(..., parallel=N)`` grid — possibly in a different
-    process, or a later session — pays zero generation cost.  Returns
-    the cache used.
+    Loads each named dataset (default: all of Table I) through the
+    memoised loaders, which snapshot it, with its sorted layout, into
+    the default :class:`~repro.harness.cache.GraphCache` and write its
+    recipe reference; ``cache``, if given, gets a snapshot too.  A
+    later ``load_dataset`` — in a worker, another process or a later
+    session — then reads the snapshot instead of generating the graph
+    and sorting its layout, as long as its recipe key is unchanged.
+    Returns the cache used.
     """
     from repro.harness.cache import GraphCache
 

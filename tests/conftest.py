@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -18,6 +22,24 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+def pytest_configure(config):
+    """Pin the graph cache to a directory of this session, before any
+    test module is imported, so the suite never writes into the user's
+    cache; a test that sets ``REPRO_GRAPH_CACHE`` itself still wins."""
+    config._repro_graph_cache = (os.environ.get("REPRO_GRAPH_CACHE"),
+                                 tempfile.mkdtemp(prefix="repro-graphs-"))
+    os.environ["REPRO_GRAPH_CACHE"] = config._repro_graph_cache[1]
+
+
+def pytest_unconfigure(config):
+    before, root = config._repro_graph_cache
+    shutil.rmtree(root, ignore_errors=True)
+    if before is None:
+        os.environ.pop("REPRO_GRAPH_CACHE", None)
+    else:
+        os.environ["REPRO_GRAPH_CACHE"] = before
 
 
 def build_graph(n: int, edges: list[tuple[int, int, float]],
