@@ -14,7 +14,9 @@ arrays and verified on first read (memoised per process thereafter —
 entries are content-addressed, so a verified path stays verified).
 A snapshot also carries the graph's sorted layout when it was built,
 adopted on load only when its seal matches
-(:meth:`~repro.graph.csr.CSRGraph.adopt_layout`).
+(:meth:`~repro.graph.csr.CSRGraph.adopt_layout`); a snapshot reached
+through a recipe reference without one gets its layout sorted and is
+rewritten with it.
 
 A fingerprint is known only once a graph exists, so
 :func:`~repro.harness.datasets.load_dataset` finds its snapshot through
@@ -34,7 +36,9 @@ Configuration (all overridable per :class:`GraphCache` instance):
   pickle).
 * ``REPRO_GRAPH_CACHE_ENTRIES`` — eviction knob: keep at most this many
   snapshots (and as many recipe references), oldest-used dropped first
-  (default 64).
+  (default 64).  It counts files, not bytes: snapshots are stored
+  uncompressed, with their layout (63.9 MB for the four sweep
+  analogs).
 """
 
 from __future__ import annotations
@@ -192,9 +196,9 @@ class GraphCache:
         return self._load(path, fingerprint)[0]
 
     def _load(self, path: "Path | str",
-              fingerprint: str | None) -> tuple["CSRGraph", bool | None]:
+              fingerprint: str | None) -> tuple["CSRGraph", bool]:
         """:meth:`load`, plus whether a stored layout was adopted
-        (``None``: none stored, or no fingerprint to check it by)."""
+        (never without a fingerprint to check it by)."""
         from repro.graph.io import read_npz
         from repro.telemetry.provenance import graph_fingerprint
 
@@ -205,7 +209,7 @@ class GraphCache:
             raise ValueError(
                 f"graph cache entry {path} is corrupt: unreadable ({exc})"
             ) from exc
-        adopted = None
+        adopted = False
         if fingerprint is not None:
             memo_key = (os.path.realpath(os.fspath(path)), fingerprint)
             if memo_key not in _VERIFIED:
@@ -235,12 +239,12 @@ class GraphCache:
         :func:`~repro.harness.datasets.load_dataset`).  Each call counts
         one ``repro_graph_cache_total{outcome}``:
 
-        * ``hit`` — the reference names a snapshot that verifies; its
-          stored layout, if any, is adopted (a snapshot stored without
-          one builds its layout lazily, as before);
-        * ``layout_rebuilt`` — the snapshot verifies but its layout's
-          seal does not hold: the layout is rebuilt now and the
-          snapshot rewritten with it;
+        * ``hit`` — the reference names a snapshot that verifies and
+          its stored layout is adopted;
+        * ``layout_rebuilt`` — the snapshot verifies but carries no
+          layout (the previous format's) or one whose seal does not
+          hold: the layout is sorted now and the snapshot rewritten
+          with it, so the next load adopts it;
         * ``miss`` — no reference, or its snapshot is gone: the graph
           is built, its layout sorted, and both the snapshot and the
           reference written;
@@ -271,7 +275,7 @@ class GraphCache:
         else:
             outcome = "hit"
             try:
-                if adopted is False:
+                if not adopted:
                     outcome = "layout_rebuilt"
                     graph.sorted_row_order()
                     _publish(path, lambda fh: save_npz(graph, fh))

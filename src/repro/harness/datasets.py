@@ -225,61 +225,40 @@ def _serve(name: str, quality: bool) -> CSRGraph:
     """Dataset ``name``'s graph through its recipe reference in the
     :class:`~repro.harness.cache.GraphCache`
     (:meth:`~repro.harness.cache.GraphCache.get_recipe`), or straight
-    from its build when ``REPRO_GRAPH_CACHE`` is off or the recipe
-    cannot be keyed."""
+    from its build when ``REPRO_GRAPH_CACHE`` is off."""
     from repro.harness.cache import GraphCache, cache_disabled
 
     spec = DATASETS[name]
     build = spec.build_quality if quality else spec.build
-    key = None if cache_disabled() else _recipe_key(name, quality, build)
-    if key is None:
+    if cache_disabled():
         return build()
-    return GraphCache().get_recipe(key, build)
+    return GraphCache().get_recipe(_recipe_key(name, quality, build), build)
 
 
-def _recipe_key(name: str, quality: bool, build: Callable) -> str | None:
+def _recipe_key(name: str, quality: bool, build: Callable) -> str:
     """The recipe reference key of a dataset's graph: a hash over the
-    dataset name and quality flag, the code and constants of its
-    ``build`` callable, the source of ``repro/graph/`` and of this
-    module, and the NumPy version.  It covers the code of ``build``,
-    not the objects its global names resolve to when called.  ``None``
-    for a callable that is not a plain function, which is then never
-    cached."""
-    code = getattr(build, "__code__", None)
-    sources = _source_digest()
-    if code is None or sources is None:
-        return None
-    h = hashlib.sha256(sources)
-    h.update(f"{name}\0{quality}\0".encode())
-    _hash_code(h, code)
-    closure = [c.cell_contents for c in build.__closure__ or ()]
-    h.update(repr((build.__defaults__, closure)).encode())
+    dataset name and quality flag, the bytecode, names and constants of
+    its ``build`` function, the source of ``repro/graph/`` and of this
+    module, and the NumPy version.  The source covers every spec in
+    :data:`DATASETS`; the function's code covers a spec replaced at run
+    time under the same name.  Not covered: the objects the function's
+    global names resolve to when called, its defaults and its closure."""
+    code = build.__code__
+    h = hashlib.sha256(_source_digest())
+    h.update(repr((name, quality, code.co_code, code.co_names,
+                   code.co_consts)).encode())
     return f"{name}{'-q' if quality else ''}-{h.hexdigest()[:32]}"
 
 
-def _hash_code(h, code) -> None:
-    h.update(code.co_code)
-    h.update(repr(code.co_names).encode())
-    for const in code.co_consts:
-        if hasattr(const, "co_code"):
-            _hash_code(h, const)
-        else:
-            h.update(repr(const).encode())
-
-
 @lru_cache(maxsize=1)
-def _source_digest() -> bytes | None:
-    """Digest of the graph code's source and the NumPy version (``None``
-    when the source cannot be read)."""
+def _source_digest() -> bytes:
+    """Digest of the graph code's source and the NumPy version."""
     pkg = Path(__file__).resolve().parent.parent
     h = hashlib.sha256(np.__version__.encode())
-    try:
-        for path in sorted((pkg / "graph").rglob("*.py")) + \
-                [Path(__file__).resolve()]:
-            h.update(path.relative_to(pkg).as_posix().encode())
-            h.update(path.read_bytes())
-    except OSError:
-        return None
+    for path in sorted((pkg / "graph").rglob("*.py")) + \
+            [Path(__file__).resolve()]:
+        h.update(path.relative_to(pkg).as_posix().encode())
+        h.update(path.read_bytes())
     return h.digest()
 
 

@@ -78,9 +78,11 @@ def graph_fingerprint(graph: "CSRGraph") -> str:
     whole-array checksums — two graphs with the same fingerprint carry
     the same topology and weights for all practical purposes.  The
     checksums read every byte, so the hash is memoised on the graph
-    like its other derived values: computed once per graph object,
-    recomputed when one of the three arrays is reassigned, and never
-    carried across pickling, a cache load or a shared-memory attach.
+    like its other derived values: computed once per graph object and
+    recomputed when one of the three arrays is reassigned.  A
+    :class:`~repro.harness.cache.GraphCache` load given a fingerprint
+    seeds the memo with that verified value (hashed once per snapshot
+    path and process); pickling and a shared-memory attach drop it.
     """
     return graph._memoised(
         "_fingerprint", (graph.indptr, graph.indices, graph.weights),

@@ -224,8 +224,6 @@ class TestRecipe:
         assert full == ds._recipe_key(NAME, False, spec.build)
         other = ds.DATASETS["kmer_V2a"]
         assert ds._recipe_key(NAME, False, other.build) != full
-        # Not a plain function: never cached.
-        assert ds._recipe_key(NAME, False, object()) is None
 
     def test_off_keeps_the_build_path(self, tmp_path, monkeypatch, builds):
         monkeypatch.setenv("REPRO_GRAPH_CACHE", "off")
@@ -275,11 +273,13 @@ class TestSnapshotLayout:
         np.savez_compressed(path, indptr=g.indptr, indices=g.indices,
                             weights=g.weights, name=np.array(g.name))
         graph, adopted = cache._load(path, graph_fingerprint(g))
-        assert adopted is None and graph._orders is None
+        assert adopted is False and graph._orders is None
         assert_same_graph(graph, g)
         assert_layout_fresh(graph)
 
     def test_parent_snapshot_through_a_reference(self, cache, builds):
+        """A reference to a snapshot without a layout sorts it once and
+        rewrites the snapshot with it; later loads adopt it."""
         g = ds.DATASETS[NAME].build_quality()
         path = cache.path_for(g.name, graph_fingerprint(g))
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -287,10 +287,18 @@ class TestSnapshotLayout:
                             weights=g.weights, name=np.array(g.name))
         serve()  # no reference yet: a miss, pointed at that snapshot
         assert builds == [1, 1]
-        warm = serve()
+        reg = MetricsRegistry()
+        with record_into(reg):
+            warm = serve()
+            assert outcomes(reg)["layout_rebuilt"] == 1
+            assert warm._orders is not None
+            assert_layout_fresh(warm)
+            assert read_npz(path)[1] is not None
+            again = serve()
+            assert outcomes(reg)["hit"] == 1
         assert len(builds) == 2
-        assert warm._orders is None
-        assert_layout_fresh(warm)
+        assert again._orders is not None  # adopted from the rewrite
+        assert_layout_fresh(again)
 
     def test_seal_refuses_mismatches(self, medium_graph):
         g = fresh(medium_graph)
