@@ -85,10 +85,18 @@ class SweepResult:
 
     @property
     def best(self) -> SweepPoint:
-        ok = [p for p in self.points if p.ok]
-        if not ok:
+        """The fastest point, chosen by the one best-over-grid rule
+        (:func:`~repro.harness.runners.fastest`: least ``sim_time``,
+        the first on ties); raises ``DeviceOOMError`` when no point
+        ran."""
+        from repro.harness.runners import fastest
+
+        ran = [r if p.ok else None
+               for p, r in zip(self.points, self.records)]
+        win = fastest(ran)
+        if win is None:
             raise DeviceOOMError("sweep", 0, 0, 0)
-        return min(ok, key=lambda p: p.time_s)
+        return self.points[next(i for i, r in enumerate(ran) if r is win)]
 
     def render(self) -> str:
         rows = [

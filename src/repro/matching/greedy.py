@@ -48,12 +48,11 @@ def sorted_edges(
     return u, v, graph.weights[graph.sorted_edge_order()]
 
 
-def _scan(rest: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray,
+def _scan(u: np.ndarray, v: np.ndarray, w: np.ndarray,
           mate: np.ndarray, mw: np.ndarray) -> None:
-    """The sequential greedy step over sorted edge slots ``rest``."""
+    """The sequential greedy step over sorted edges ``(u, v, w)``."""
     mate_v, mw_v = memoryview(mate), memoryview(mw)
-    for a, b, x in zip(u[rest].tolist(), v[rest].tolist(),
-                       w[rest].tolist()):
+    for a, b, x in zip(u.tolist(), v.tolist(), w.tolist()):
         if mate_v[a] == UNMATCHED and mate_v[b] == UNMATCHED:
             mate_v[a], mate_v[b] = b, a
             mw_v[a] = mw_v[b] = x
@@ -63,11 +62,15 @@ def greedy_matching(graph: CSRGraph) -> MatchResult:
     """Sort-based greedy matching under the ``(w, eid)`` total order."""
     n = graph.num_vertices
     mate = np.full(n, UNMATCHED, dtype=np.int64)
-    u, v, w = sorted_edges(graph)
+    # Weights are gathered only for the edges greedy accepts (at most
+    # n/2) and for a chunk's sequential tail: a random gather over all m
+    # sorted positions costs milliseconds on the large analogs.
+    u, v = graph.sorted_edge_endpoints()
+    order, weights = graph.sorted_edge_order(), graph.weights
     mw = np.zeros(n)  # per matched vertex: its matched edge's weight
     first = np.empty(n, dtype=np.int64)  # per vertex: its first slot
-    for lo in range(0, len(w), _CHUNK):
-        rest = np.arange(lo, min(lo + _CHUNK, len(w)))
+    for lo in range(0, len(u), _CHUNK):
+        rest = np.arange(lo, min(lo + _CHUNK, len(u)))
         live = None  # edges left after the previous round's drop step
         while len(rest):
             # The memo's endpoints are int32: NumPy indexes faster with
@@ -79,7 +82,7 @@ def greedy_matching(graph: CSRGraph) -> MatchResult:
                 # A dependence chain (e.g. a path with monotone weights)
                 # decides only a few edges per round: finish the chunk
                 # with the sequential scan.
-                _scan(rest, u, v, w, mate, mw)
+                _scan(a, b, weights[order[rest]], mate, mw)
                 break
             live = len(rest)
             slot = np.arange(live)
@@ -89,7 +92,7 @@ def greedy_matching(graph: CSRGraph) -> MatchResult:
             win = (first[a] == slot) & (first[b] == slot)
             mate[a[win]] = b[win]
             mate[b[win]] = a[win]
-            mw[a[win]] = mw[b[win]] = w[rest[win]]
+            mw[a[win]] = mw[b[win]] = weights[order[rest[win]]]
             rest = rest[~win]
     return MatchResult(
         mate=mate,

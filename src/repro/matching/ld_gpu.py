@@ -28,6 +28,15 @@ Work model: like the frontier-optimised LD-SEQ, only vertices whose pointer
 died are re-scanned, and only batches intersecting that frontier are
 re-loaded; the paper motivates this "logical control of task distribution"
 in §III-B, and Fig. 8's decaying warp-edge work measures the same effect.
+
+Host cost follows the same frontier.  The next frontier is filtered from
+a shrinking array of pointer holders (:func:`~repro.matching.ld_seq.
+next_frontier`, shared with LD-SEQ), and one
+:func:`~repro.gpusim.kernels.pointing_kernel_costs` pass prices every
+(device, batch) launch of a round from one gather of the frontier's
+degrees.  Charges that no round changes (each device's SetMates launch,
+both allreduces, the sync) are computed once per run; every launch is
+still observed and counted on its own, in (device, batch) order.
 """
 
 from __future__ import annotations
@@ -40,12 +49,16 @@ from repro.engine.spec import AlgorithmSpec, register
 from repro.comm.collectives import ring_allreduce_time
 from repro.comm.transfer import h2d_time
 from repro.gpusim.device import SimDevice
-from repro.gpusim.kernels import matching_kernel_cost, pointing_kernel_cost
+from repro.gpusim.kernels import (
+    matching_kernel_profile,
+    observe_launch,
+    pointing_kernel_costs,
+)
 from repro.gpusim.memory import DeviceOOMError
 from repro.gpusim.spec import DGX_A100, PlatformSpec
 from repro.gpusim.stream import dual_buffer_schedule
 from repro.gpusim.timeline import Timeline
-from repro.matching.ld_seq import pointing_pair
+from repro.matching.ld_seq import next_frontier, pointing_pair
 from repro.matching.pointer_index import HOST_SCAN_COUNTER, HOST_SCAN_HELP
 from repro.matching.types import UNMATCHED, MatchResult
 from repro.matching.validate import matched_vertex_weight
@@ -220,8 +233,9 @@ def ld_gpu(
         modeled time of one MAX allreduce of an ``nbytes`` array across
         the devices (default: NCCL ring over ``platform.gpu_link``).
         The multi-node extension injects a hierarchical
-        NVLink+InfiniBand cost here.  The combine itself is the owner
-        write on the host's one global array.
+        NVLink+InfiniBand cost here.  It is called once per array per
+        run: every round allreduces the same two arrays.  The combine
+        itself is the owner write on the host's one global array.
     engine:
         ``"index"`` or the ``"segment"`` reference, as for
         :func:`~repro.matching.ld_seq.ld_seq`; ``mate``,
@@ -269,7 +283,23 @@ def ld_gpu(
     bounds = np.concatenate(
         [p.start + p.plan.offsets[:-1] for p in parts] + [[n]])
 
-    frontier = np.arange(n, dtype=np.int64)
+    # Charges that no round changes: each batch's H2D load, each
+    # device's SetMates launch, both allreduces and the sync.
+    bpa = spec.bytes_per_adjacency
+    batch_bytes = [[int(e) * bpa for e in p.plan.edge_counts.tolist()]
+                   for p in parts]
+    batch_loads = [[h2d_time(nbytes, platform.host_link) for nbytes in row]
+                   for row in batch_bytes]
+    setmates = [matching_kernel_profile(spec, p.num_vertices)
+                for p in parts]
+    t_setmates = max(prof.seconds for prof in setmates)
+    t_allreduce_pointers = allreduce(pointers.nbytes)
+    t_allreduce_mate = allreduce(mate.nbytes)
+    t_sync = ((_SYNCS_PER_ITERATION + max(0, nb - 2))
+              * spec.kernel_launch_us * 1e-6
+              + platform.gpu_link.latency_s)
+
+    frontier = holders = np.arange(n, dtype=np.int64)
     occupancy_series: list[float] = []
     edges_scanned_series: list[int] = []
     warp_mean_series: list[float] = []
@@ -287,7 +317,11 @@ def ld_gpu(
         # ---------------- pointing phase (per device, batched) --------- #
         iter_scanned = pointing.point(mate, pointers, frontier)
         iter_host = pointing.last_host_scanned
-        cuts = np.searchsorted(frontier, bounds).tolist()
+        # Every (device, batch) launch is costed from one gather of the
+        # frontier's degrees, cut at the batch bounds.
+        launches = iter(pointing_kernel_costs(
+            spec, degrees[frontier], np.searchsorted(frontier, bounds),
+            vertices_per_warp))
         makespans = []
         computes = []
         occ_accum = 0.0
@@ -295,28 +329,27 @@ def ld_gpu(
         w_tot = w_max = 0
         w_sumsq = 0.0
         w_warps = 0
-        for i, p in enumerate(parts):
+        for p, loads, sizes in zip(parts, batch_loads, batch_bytes):
             load_times: list[float] = []
             comp_times: list[float] = []
             for b in range(nb):
-                sel = frontier[cuts[i * nb + b]:cuts[i * nb + b + 1]]
-                if len(sel) == 0:
+                prof = next(launches)
+                ws = prof.warp_stats
+                if ws.num_warps == 0:
                     continue  # batch untouched: neither loaded nor launched
                 if p.plan.resident:
                     load_times.append(0.0)
                 else:
-                    nbytes = int(p.plan.edge_counts[b]) * \
-                        spec.bytes_per_adjacency
                     # The paper excludes the host→device *partition*
                     # transfer from reported times; the first iteration's
                     # batch loads are exactly that initial placement, so
                     # they are tracked but not charged.
-                    t_load = h2d_time(nbytes, platform.host_link)
+                    t_load = loads[b]
                     if iterations == 0:
                         initial_transfer += t_load
                         t_load = 0.0
                     load_times.append(t_load)
-                    p.device.record_h2d(nbytes)
+                    p.device.record_h2d(sizes[b])
                     observe(
                         "repro_batch_load_seconds",
                         t_load,
@@ -326,14 +359,11 @@ def ld_gpu(
                         device=f"{spec.name}#{p.device.device_id}",
                         batch=b,
                     )
-                prof = pointing_kernel_cost(
-                    spec, degrees[sel], vertices_per_warp
-                )
+                observe_launch(spec, "pointing", prof)
                 comp_times.append(prof.seconds)
                 p.device.record_kernel()
-                occ_accum += prof.occupancy * prof.warp_stats.num_warps
-                occ_weight += prof.warp_stats.num_warps
-                ws = prof.warp_stats
+                occ_accum += prof.occupancy * ws.num_warps
+                occ_weight += ws.num_warps
                 w_tot += ws.total_work
                 w_max = max(w_max, ws.max_work)
                 w_sumsq += (ws.std_work**2 + ws.mean_work**2) * ws.num_warps
@@ -350,7 +380,7 @@ def ld_gpu(
         # ---------------- allreduce(pointers) -------------------------- #
         # Each device contributes its owned range and -1 elsewhere, so
         # the MAX is the owner's write, already in the one array.
-        tel.emit("allreduce_pointers", allreduce(pointers.nbytes))
+        tel.emit("allreduce_pointers", t_allreduce_pointers)
 
         # ---------------- matching phase ------------------------------- #
         # Pairs are discovered once from the merged pointers (every
@@ -364,22 +394,14 @@ def ld_gpu(
               algorithm="ld_gpu", engine=engine, device=spec.name)
         mate[lo] = pointers[lo]
         mate[hi] = pointers[hi]
-        match_times = []
-        for p in parts:
-            prof = matching_kernel_cost(spec, p.num_vertices)
-            match_times.append(prof.seconds)
+        for p, prof in zip(parts, setmates):
+            observe_launch(spec, "matching", prof)
             p.device.record_kernel()
-        tel.emit("matching", max(match_times) if match_times else 0.0)
+        tel.emit("matching", t_setmates)
 
         # ---------------- allreduce(mate) + sync ----------------------- #
-        tel.emit("allreduce_mate", allreduce(mate.nbytes))
-        sync_batches = max(0, nb - 2)
-        tel.emit(
-            "sync",
-            (_SYNCS_PER_ITERATION + sync_batches)
-            * spec.kernel_launch_us * 1e-6
-            + platform.gpu_link.latency_s,
-        )
+        tel.emit("allreduce_mate", t_allreduce_mate)
+        tel.emit("sync", t_sync)
 
         if collect_stats:
             edges_scanned_series.append(iter_scanned)
@@ -399,11 +421,10 @@ def ld_gpu(
             break
 
         # Clear matched vertices' pointers and advance the frontier
-        # (identical to LD-SEQ's rule).
+        # (LD-SEQ's rule, through the same helper).
         pointers[lo] = UNMATCHED
         pointers[hi] = UNMATCHED
-        live = np.nonzero((mate == UNMATCHED) & (pointers >= 0))[0]
-        frontier = live[mate[pointers[live]] != UNMATCHED]
+        holders, frontier = next_frontier(holders, mate, pointers)
 
     weight = matched_vertex_weight(mate, pointing.matched_weights(mate))
     stats: dict = {

@@ -46,7 +46,12 @@ from repro.matching.types import UNMATCHED, MatchResult
 from repro.matching.validate import matched_vertex_weight
 from repro.telemetry.spans import count
 
-__all__ = ["ld_seq", "compute_pointers", "find_mutual_pairs"]
+__all__ = [
+    "ld_seq",
+    "compute_pointers",
+    "find_mutual_pairs",
+    "next_frontier",
+]
 
 _NEG_INF = -np.inf
 
@@ -115,6 +120,27 @@ def find_mutual_pairs(
     key = lo * np.int64(len(pointer)) + hi
     _, first = np.unique(key, return_index=True)
     return lo[first], hi[first]
+
+
+def next_frontier(
+    holders: np.ndarray, mate: np.ndarray, pointer: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices that still hold a pointer, and the next round's
+    frontier: those of them whose target was matched away.
+
+    Both LD drivers call this after a round's matches are committed and
+    the matched vertices' pointers cleared.  ``holders`` ascends and
+    contains every vertex whose pointer is set (pointers are only ever
+    set on a frontier, which is drawn from the holders), so a round
+    costs O(holders) instead of O(n); the array only shrinks.  Because
+    a matched vertex's pointer is cleared, the frontier equals
+    ``nonzero((mate == -1) & (pointer >= 0))`` filtered by the target's
+    mate, and both returned arrays ascend.
+    """
+    target = pointer[holders]
+    keep = np.flatnonzero(target >= 0)
+    holders, target = holders[keep], target[keep]
+    return holders, holders[np.flatnonzero(mate[target] != UNMATCHED)]
 
 
 class _RescanPointer:
@@ -200,7 +226,7 @@ def ld_seq(
     mate = np.full(n, UNMATCHED, dtype=np.int64)
     pointer = np.full(n, UNMATCHED, dtype=np.int64)
 
-    frontier = np.arange(n, dtype=np.int64)
+    frontier = holders = np.arange(n, dtype=np.int64)
     edges_scanned: list[int] = []
     new_matches: list[int] = []
     frontier_sizes: list[int] = []
@@ -235,8 +261,7 @@ def ld_seq(
             frontier = np.nonzero(mate == UNMATCHED)[0]
         else:
             # Re-point exactly the vertices whose target was matched away.
-            live = np.nonzero((mate == UNMATCHED) & (pointer >= 0))[0]
-            frontier = live[mate[pointer[live]] != UNMATCHED]
+            holders, frontier = next_frontier(holders, mate, pointer)
 
     weight = matched_vertex_weight(mate, pointing.matched_weights(mate))
     stats = {}

@@ -31,7 +31,9 @@ top of the graph's one O(m log m) sort, instead of O(m × rounds).
 Cursor advances are vectorised as repeated whole-frontier NumPy steps
 over a shrinking working set — there is no per-vertex Python loop.
 The walk itself is :func:`advance_cursors`, which the round-synchronous
-Suitor baselines (:mod:`repro.matching.suitor`) share.
+Suitor baselines (:mod:`repro.matching.suitor`) share.  A run's first
+call, made while ``mate`` is still empty, skips the walk: every cursor
+already rests on its row's live head.
 
 :class:`MutualIndex` applies the same delta discipline to the
 *matching* (SetMates) phase: the full-scan oracle
@@ -161,6 +163,8 @@ class PointerIndex:
         self.host_entries_scanned = 0
         #: Entries examined by the most recent ``point`` call.
         self.last_host_scanned = 0
+        #: True until the first ``point`` call over a non-empty frontier.
+        self._fresh = True
 
     @property
     def num_rows(self) -> int:
@@ -189,17 +193,26 @@ class PointerIndex:
         cur = self.cursor[local]
         end = self.indptr[local + 1]
         nbrs = self.sorted_indices
-        # The memo's neighbour ids are int32: NumPy indexes ``mate``
-        # faster with them widened first than it casts an int32 index.
-        host = advance_cursors(
-            cur, end,
-            lambda slots: mate[nbrs[slots].astype(np.intp)] != UNMATCHED)
-        self.cursor[local] = cur
+        fresh, self._fresh = self._fresh, False
+        if fresh and mate.max() == UNMATCHED:
+            # Nothing is matched yet and no cursor has moved: each one
+            # rests on its row's head, the live entry the walk would
+            # find after examining it once.
+            has = np.flatnonzero(cur < end)
+            host = len(has)
+        else:
+            # The memo's neighbour ids are int32: NumPy indexes ``mate``
+            # faster with them widened first than it casts an int32
+            # index.
+            host = advance_cursors(
+                cur, end,
+                lambda slots: mate[nbrs[slots].astype(np.intp)]
+                != UNMATCHED)
+            self.cursor[local] = cur
+            has = np.flatnonzero(cur < end)
 
-        has = cur < end
         pointer[frontier] = UNMATCHED
-        live = frontier[has]
-        pointer[live] = nbrs[cur[has]]
+        pointer[frontier[has]] = nbrs[cur[has]]
 
         self.last_host_scanned = host
         self.host_entries_scanned += self.last_host_scanned

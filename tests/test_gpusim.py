@@ -3,11 +3,16 @@ kernels, occupancy, device, specs."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim.device import SimDevice
-from repro.gpusim.kernels import matching_kernel_cost, pointing_kernel_cost
+from repro.gpusim.kernels import (
+    VERTEX_HEADER_BYTES,
+    matching_kernel_cost,
+    pointing_kernel_cost,
+    pointing_kernel_costs,
+)
 from repro.gpusim.memory import DeviceOOMError, MemoryPool
 from repro.gpusim.occupancy import sm_occupancy, warp_work_distribution
 from repro.gpusim.spec import A100, DGX_2, DGX_A100, DGX_A100_PCIE, V100
@@ -225,6 +230,84 @@ class TestKernelCosts:
         work = np.full(100_000, 50)
         assert pointing_kernel_cost(V100, work).seconds > \
             pointing_kernel_cost(A100, work).seconds
+
+
+def _scalar_launch(spec, work, vpw):
+    """The per-launch SetPointers model written out for one slice: warp
+    sums by ``np.add.reduceat`` and their ``np.mean``/``np.std``."""
+    launch = spec.kernel_launch_us * 1e-6
+    if len(work) == 0:
+        return (launch.hex(), 0.0.hex(), 0, 0, 0, 0.0.hex(), 0.0.hex())
+    warps = np.add.reduceat(work.astype(np.int64),
+                            np.arange(0, len(work), vpw))
+    bpa = spec.bytes_per_adjacency
+    bw = (int(warps.sum()) * bpa + len(work) * VERTEX_HEADER_BYTES) \
+        / spec.mem_bandwidth_bps
+    straggler = (int(warps.max()) * bpa + vpw * VERTEX_HEADER_BYTES) \
+        / (spec.warp_throughput_gbs * 1e9)
+    return ((launch + max(bw, straggler)).hex(),
+            sm_occupancy(spec, len(warps)).hex(), len(warps),
+            int(warps.sum()), int(warps.max()),
+            float(warps.mean()).hex(), float(warps.std()).hex())
+
+
+def _exact(prof):
+    ws = prof.warp_stats
+    return (prof.seconds.hex(), prof.occupancy.hex(), ws.num_warps,
+            ws.total_work, ws.max_work, ws.mean_work.hex(),
+            ws.std_work.hex())
+
+
+#: Warps in one slice: none, or a count in each branch of NumPy's
+#: pairwise sum (under 8 terms a plain loop, 8 to 128 eight
+#: accumulators, more than 128 recursive halves), which ``np.std``
+#: sums a slice's squared deviations with.
+_SLICE_WARPS = st.one_of(st.just(0), st.integers(1, 7),
+                         st.integers(8, 128), st.integers(129, 400))
+
+
+class TestBatchedPointingCost:
+    """``pointing_kernel_costs`` prices every slice of a frontier in one
+    pass; each slice must equal its own scalar launch bit for bit."""
+
+    @staticmethod
+    def _check(spec, work, cuts, vpw):
+        got = pointing_kernel_costs(spec, work, cuts, vpw)
+        assert len(got) == len(cuts) - 1
+        for prof, lo, hi in zip(got, cuts[:-1], cuts[1:]):
+            part = work[lo:hi]
+            assert _exact(prof) == \
+                _exact(pointing_kernel_cost(spec, part, vpw)) == \
+                _scalar_launch(spec, part, vpw)
+
+    @settings(max_examples=200)
+    @given(st.data(), st.integers(1, 32), st.sampled_from([A100, V100]))
+    def test_every_slice_matches_its_scalar_launch(self, data, vpw, spec):
+        warps = data.draw(st.lists(_SLICE_WARPS, min_size=1, max_size=6))
+        sizes = [data.draw(st.integers((w - 1) * vpw + 1, w * vpw))
+                 if w else 0 for w in warps]
+        # The cut points need not start at 0: work before them is
+        # outside every slice.
+        skip = data.draw(st.integers(0, 3))
+        cuts = np.cumsum([skip] + sizes)
+        top = data.draw(st.sampled_from([1, 5, 1000, 10**6]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        work = rng.integers(0, top, cuts[-1] + data.draw(st.integers(0, 3)))
+        self._check(spec, work, cuts, vpw)
+
+    @pytest.mark.parametrize("spec", [A100, V100])
+    def test_single_slice(self, spec):
+        work = np.random.default_rng(1).integers(0, 50, 1000)
+        self._check(spec, work, np.array([0, 1000]), 8)
+
+    def test_all_slices_empty(self):
+        got = pointing_kernel_costs(A100, np.arange(5), [2, 2, 2], 4)
+        assert [_exact(p) for p in got] == \
+            [_scalar_launch(A100, np.empty(0), 4)] * 2
+
+    def test_bad_vertices_per_warp(self):
+        with pytest.raises(ValueError):
+            pointing_kernel_costs(A100, np.arange(4), [0, 4], 0)
 
 
 class TestOccupancy:

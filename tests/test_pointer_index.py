@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import build_graph, random_graphs
 from repro.graph.generators import (
@@ -25,7 +26,11 @@ from repro.graph.generators import (
 )
 from repro.graph.segments import gather_rows
 from repro.matching import ld_gpu, ld_seq
-from repro.matching.ld_seq import compute_pointers, find_mutual_pairs
+from repro.matching.ld_seq import (
+    compute_pointers,
+    find_mutual_pairs,
+    next_frontier,
+)
 from repro.matching.pointer_index import (
     HOST_SCAN_COUNTER,
     MutualIndex,
@@ -218,6 +223,99 @@ def test_point_modeled_count_is_frontier_degrees(triangle):
     assert modeled == int(g.degrees.sum())
     assert idx.last_host_scanned == 3  # first live entry of each row
     assert idx.host_entries_scanned == 3
+
+
+def _some_matching(g, seed):
+    """A random (not necessarily maximal) matching of ``g``'s edges."""
+    mate = np.full(g.num_vertices, UNMATCHED, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(g.num_vertices), g.degrees)
+    for e in rng.permutation(g.num_directed_edges):
+        a, b = int(rows[e]), int(g.indices[e])
+        if mate[a] == UNMATCHED and mate[b] == UNMATCHED and \
+                rng.random() < 0.5:
+            mate[a], mate[b] = b, a
+    return mate
+
+
+@given(random_graphs(), st.integers(0, 2**32 - 1))
+def test_first_point_with_matches_walks(g, seed):
+    """The first ``point`` call skips the walk only while ``mate`` is
+    empty: a first call that already sees matches walks past them and
+    equals from-scratch segment pointing."""
+    mate = _some_matching(g, seed)
+    frontier = np.flatnonzero(mate == UNMATCHED)
+    idx = PointerIndex(g)
+    pointer = np.full(g.num_vertices, UNMATCHED, dtype=np.int64)
+    idx.point(mate, pointer, frontier)
+    expect = _fresh_pointers(g, mate, frontier)
+    assert np.array_equal(pointer, expect)
+
+
+def test_first_point_skips_only_an_empty_mate(medium_graph):
+    """Same frontier, same fresh index: an empty ``mate`` examines each
+    non-empty row's head once and moves no cursor; one match makes the
+    first call walk."""
+    g = medium_graph
+    frontier = np.arange(g.num_vertices)
+    empty = np.full(g.num_vertices, UNMATCHED, dtype=np.int64)
+    idx = PointerIndex(g)
+    pointer = empty.copy()
+    idx.point(empty, pointer, frontier)
+    assert idx.last_host_scanned == int(np.count_nonzero(g.degrees))
+    assert np.array_equal(idx.cursor, g.indptr[:-1])
+    assert np.array_equal(pointer, _fresh_pointers(g, empty, frontier))
+
+    # Match the heaviest edge's endpoints: both sit at a row head.
+    a = int(np.argmax(g.degrees > 0))
+    b = int(pointer[a])
+    mate = empty.copy()
+    mate[a], mate[b] = b, a
+    idx = PointerIndex(g)
+    pointer = empty.copy()
+    idx.point(mate, pointer, frontier)
+    assert idx.cursor[a] > g.indptr[a]  # its head entry, b, is matched
+    assert np.array_equal(pointer, _fresh_pointers(g, mate, frontier))
+
+
+def _formula_frontier(mate, pointer):
+    """The frontier rule written over every vertex."""
+    live = np.nonzero((mate == UNMATCHED) & (pointer >= 0))[0]
+    return live[mate[pointer[live]] != UNMATCHED]
+
+
+def _assert_frontier_rule(g):
+    """Drive LD rounds and compare :func:`next_frontier` with the
+    whole-array formula on every mid-run state."""
+    n = g.num_vertices
+    pointing, mutual = PointerIndex(g), MutualIndex(n)
+    mate = np.full(n, UNMATCHED, dtype=np.int64)
+    pointer = np.full(n, UNMATCHED, dtype=np.int64)
+    frontier = holders = np.arange(n, dtype=np.int64)
+    while True:
+        pointing.point(mate, pointer, frontier)
+        lo, hi = mutual.find_pairs(pointer, frontier)
+        if len(lo) == 0:
+            return
+        mate[lo], mate[hi] = hi, lo
+        pointer[lo] = pointer[hi] = UNMATCHED
+        holders, frontier = next_frontier(holders, mate, pointer)
+        assert np.array_equal(frontier, _formula_frontier(mate, pointer))
+        assert np.array_equal(holders, np.flatnonzero(pointer >= 0))
+
+
+@given(random_graphs())
+def test_next_frontier_equals_formula(g):
+    _assert_frontier_rule(g)
+
+
+@given(random_graphs(tie_prone=True))
+def test_next_frontier_equals_formula_ties(g):
+    _assert_frontier_rule(g)
+
+
+def test_next_frontier_equals_formula_rmat():
+    _assert_frontier_rule(tie_heavy(rmat_graph(9, 8, seed=5, name="r")))
 
 
 def test_empty_frontier_and_empty_graph():

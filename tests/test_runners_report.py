@@ -7,7 +7,8 @@ from repro.gpusim.memory import DeviceOOMError
 from repro.gpusim.spec import DGX_A100
 from repro.harness.report import format_table, format_value, render_series
 from repro.engine.spec import algorithm_names, get_spec
-from repro.harness.runners import best_ld_gpu
+from repro.harness.runners import best_ld_gpu, fastest
+from repro.harness.sweep import sweep_ld_gpu
 from repro.matching.ld_seq import ld_seq
 
 
@@ -75,6 +76,46 @@ class TestBestLdGpu:
                                   device_counts=(4, 99),
                                   batch_counts=(None,))
         assert nd == 4
+
+
+class TestSweepBest:
+    """``SweepResult.best`` picks through ``fastest``, the one
+    best-over-grid rule."""
+
+    def test_agrees_with_fastest(self, medium_graph):
+        s = sweep_ld_gpu(medium_graph, device_counts=(1, 2, 4),
+                         batch_counts=(None, 2))
+        win = fastest(s.records)
+        assert s.best is s.points[
+            next(i for i, r in enumerate(s.records) if r is win)]
+        assert s.best.time_s == min(p.time_s for p in s.points)
+
+    def test_ties_go_to_the_first_point(self, medium_graph):
+        from dataclasses import replace
+
+        s = sweep_ld_gpu(medium_graph, device_counts=(1, 2, 4))
+        t = s.points[-1].time_s
+        s.points = [replace(p, time_s=t) for p in s.points]
+        s.records = [replace(r, sim_time=t) for r in s.records]
+        assert s.best is s.points[0]
+
+    def test_failed_points_never_win(self, medium_graph):
+        n = medium_graph.num_vertices
+        tiny = DGX_A100.with_device_memory(
+            2 * n * 8 + (n + 1) * 8
+            + medium_graph.num_directed_edges * 4)
+        s = sweep_ld_gpu(medium_graph, platforms=(tiny,),
+                         device_counts=(1,), batch_counts=(1, None))
+        assert [p.ok for p in s.points] == [False, True]
+        assert s.best is s.points[1]
+
+    def test_all_oom_raises(self, medium_graph):
+        s = sweep_ld_gpu(medium_graph,
+                         platforms=(DGX_A100.with_device_memory(16),),
+                         device_counts=(1, 2), batch_counts=(1,))
+        assert not any(p.ok for p in s.points)
+        with pytest.raises(DeviceOOMError):
+            s.best
 
 
 class TestReport:
