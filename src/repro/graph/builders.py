@@ -87,19 +87,35 @@ def from_coo(
     # heaviest of each run is kept.
     order = np.argsort(key)
     key = key[order]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    w = np.maximum.reduceat(w[order], first)
-    lo, hi = lo[order[first]], hi[order[first]]
+    dup = key[1:] == key[:-1]
+    if dup.any():
+        first = np.flatnonzero(np.concatenate(([True], ~dup)))
+        w = np.maximum.reduceat(w[order], first)
+        order = order[first]
+    else:
+        w = w[order]
+    lo, hi = lo[order], hi[order]
 
-    # Symmetrise and bucket into CSR: (src, dst) pairs are distinct, so
-    # one sort of the scalar key src * n + dst orders rows, and the
-    # neighbours within each row ascend.
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.argsort(src * np.int64(n) + dst)
+    # Symmetrise by halves.  Sorted by key, the (lo, hi) half is in
+    # CSR row order already, and each row lists its lower neighbours
+    # (the mirrored (hi, lo) half) before its upper ones, so only the
+    # mirrored half needs a sort; an entry's slot is its rank in its
+    # half plus the other half's entries in the rows up to its own.
+    lower = np.bincount(hi, minlength=n)
+    upper = np.bincount(lo, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return CSRGraph(indptr, dst[order], np.concatenate([w, w])[order], name)
+    np.cumsum(lower + upper, out=indptr[1:])
+    mirror = np.argsort(hi * np.int64(n) + lo)
+    rank = np.arange(len(lo), dtype=np.int64)
+    up_at = rank + np.cumsum(lower)[lo]
+    low_at = rank + (np.cumsum(upper) - upper)[hi[mirror]]
+    indices = np.empty(2 * len(lo), dtype=np.int64)
+    weights = np.empty(2 * len(lo), dtype=np.float64)
+    indices[up_at] = hi
+    weights[up_at] = w
+    indices[low_at] = lo[mirror]
+    weights[low_at] = w[mirror]
+    return CSRGraph(indptr, indices, weights, name)
 
 
 def from_scipy_sparse(mat, name: str = "graph") -> CSRGraph:

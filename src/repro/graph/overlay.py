@@ -8,11 +8,12 @@ reconstruct any *single* vertex's current adjacency in O(deg).
 
 State is small structures over the untouched base CSR:
 
-* the base's undirected edge list, sorted by ``(u, v)``, with its keys
-  ``u * n + v`` as one ascending int64 array — a base edge is found by
-  ``np.searchsorted``, so the index costs 8 bytes per edge instead of a
-  Python dict entry;
-* a liveness mask over that edge list (deletes and reweights of base
+* the base's undirected edges as their keys ``u * n + v`` (``u < v``),
+  one ascending int64 array, with their weights beside them — a base
+  edge is found by ``np.searchsorted``, so the index costs 8 bytes per
+  edge instead of a Python dict entry, and the endpoints are not kept:
+  a snapshot derives them as ``divmod(key, n)``;
+* a liveness mask over those keys (deletes and reweights of base
   edges flip one bit);
 * an ``extra`` dict of overlay edges keyed by ``lo * n + hi`` —
   inserted edges plus the current weight of re-weighted base edges (an
@@ -74,11 +75,17 @@ class OverlayGraph:
         self._n = base.num_vertices
         self.name = name if name is not None else f"{base.name}+overlay"
         bu, bv, bw = base.edge_array()
-        self._base_uvw = (bu, bv, bw)
-        self._base_live = np.ones(len(bu), dtype=bool)
-        # edge_array() is sorted by (u, v), so these keys ascend.
-        self._base_keys = bu * np.int64(self._n) + bv
-        self._num_edges = len(bu)
+        keys = bu * np.int64(self._n) + bv
+        del bu, bv
+        # Rows listing their neighbours ascending (every from_coo graph)
+        # give ascending keys; sort any other base's.
+        if np.any(keys[1:] <= keys[:-1]):
+            order = np.argsort(keys)
+            keys, bw = keys[order], bw[order]
+        self._base_keys = keys
+        self._base_w = bw
+        self._base_live = np.ones(len(keys), dtype=bool)
+        self._num_edges = len(keys)
         self._extra: dict[int, float] = {}
         self._row_edits: dict[int, dict[int, float]] = {}
 
@@ -116,7 +123,7 @@ class OverlayGraph:
         live = found.copy()
         live[found] = self._base_live[slot[found]]
         out = np.full(len(keys), np.nan)
-        out[live] = self._base_uvw[2][slot[live]]
+        out[live] = self._base_w[slot[live]]
         if self._extra:
             get = self._extra.get
             for i in np.flatnonzero(~live).tolist():
@@ -131,7 +138,7 @@ class OverlayGraph:
         k = int(self._base_keys.searchsorted(key))
         if k < len(self._base_keys) and self._base_keys[k] == key \
                 and self._base_live[k]:
-            return float(self._base_uvw[2][k])
+            return float(self._base_w[k])
         return np.nan
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -156,20 +163,24 @@ class OverlayGraph:
             raise KeyError(f"edge ({int(u[i])}, {int(v[i])}) not present")
         return out
 
-    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Current undirected edge list ``(u, v, w)``, ``u < v``,
-        sorted lexicographically by ``(u, v)``."""
-        bu, bv, bw = self._base_uvw
+    def _live_coo(self) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and weights of every current edge: the live base edges
+        (ascending), then the overlay's (in insertion order)."""
         live = self._base_live
         ek = np.fromiter(self._extra, dtype=np.int64,
                          count=len(self._extra))
         ew = np.fromiter(self._extra.values(), dtype=np.float64,
                          count=len(self._extra))
-        u = np.concatenate([bu[live], ek // self._n])
-        v = np.concatenate([bv[live], ek % self._n])
-        w = np.concatenate([bw[live], ew])
-        order = np.lexsort((v, u))
-        return u[order], v[order], w[order]
+        return (np.concatenate([self._base_keys[live], ek]),
+                np.concatenate([self._base_w[live], ew]))
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Current undirected edge list ``(u, v, w)``, ``u < v``,
+        sorted lexicographically by ``(u, v)``."""
+        keys, w = self._live_coo()
+        order = np.argsort(keys)
+        u, v = np.divmod(keys[order], self._n)
+        return u, v, w[order]
 
     def row_arrays(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """``(neighbours, weights)`` of ``v``'s *current* adjacency.
@@ -196,8 +207,12 @@ class OverlayGraph:
                 np.concatenate([ws[keep], ew[add]]))
 
     def to_csr(self, name: str | None = None) -> CSRGraph:
-        """Exact CSR snapshot (vertex set preserved)."""
-        u, v, w = self.edges()
+        """Exact CSR snapshot (vertex set preserved).  The live edges go
+        to :func:`~repro.graph.builders.from_coo` unsorted: it sorts
+        them by key itself."""
+        keys, w = self._live_coo()
+        u, v = np.divmod(keys, self._n)
+        del keys
         return from_coo(u, v, w, num_vertices=self._n,
                         name=name or self.name)
 

@@ -13,7 +13,14 @@ mapping in read-only zero-copy array views
 worker costs one ``mmap`` instead of one decompress-and-hash.  The
 memory-layout discipline follows Birn et al. (arXiv:1302.4587): one
 flat, aligned block per graph — ``indptr | indices | weights`` — that
-every consumer addresses identically.
+every consumer addresses identically.  A graph published with its
+sorted layout built carries it too — ``| rows | edges | seal``, its
+:meth:`~repro.graph.csr.CSRGraph.sorted_row_order`,
+:meth:`~repro.graph.csr.CSRGraph.sorted_edge_order` and their
+:func:`~repro.graph.csr.layout_seal` — and an attach adopts it
+(:meth:`~repro.graph.csr.CSRGraph.adopt_layout`), so no worker sorts
+the graph again; a seal that does not hold leaves the layout to a lazy
+build.
 
 Lifecycle
 ---------
@@ -94,6 +101,8 @@ SHM_ATTACH_COUNTER = "repro_shm_attach_total"
 SHM_UNLINK_COUNTER = "repro_shm_unlink_total"
 
 _INT8 = np.dtype(np.int64).itemsize
+#: ``layout_seal`` is a sha256 hex digest.
+_SEAL_BYTES = 64
 
 def _quiet_close(shm) -> None:
     """Close a ``SharedMemory`` handle even while views are exported.
@@ -137,9 +146,10 @@ class SharedGraphSegment:
 
     Everything a worker needs to attach: the segment ``name``, the
     array lengths that delimit the three-array layout
-    (``indptr | indices | weights``), and the content ``fingerprint``
-    the segment is keyed by.  Ships to workers inside the parallel
-    executor's graph refs.
+    (``indptr | indices | weights``), the content ``fingerprint`` the
+    segment is keyed by, and ``layout_dtype``, the dtype of the sorted
+    orders that follow (``""`` when the segment carries none).  Ships
+    to workers inside the parallel executor's graph refs.
     """
 
     name: str
@@ -147,11 +157,29 @@ class SharedGraphSegment:
     graph_name: str
     num_vertices: int
     num_entries: int
+    layout_dtype: str = ""
 
     @property
     def nbytes(self) -> int:
         """Total segment payload size."""
-        return (self.num_vertices + 1 + 2 * self.num_entries) * _INT8
+        csr = (self.num_vertices + 1 + 2 * self.num_entries) * _INT8
+        if not self.layout_dtype:
+            return csr
+        orders = self.num_entries + self.num_entries // 2
+        return (csr + orders * np.dtype(self.layout_dtype).itemsize
+                + _SEAL_BYTES)
+
+    def _layout_views(self, buf) -> tuple[np.ndarray, np.ndarray, str]:
+        """The stored ``(rows, edges, seal)`` as views over ``buf``."""
+        dtype = np.dtype(self.layout_dtype)
+        m = self.num_entries
+        off = (self.num_vertices + 1 + 2 * m) * _INT8
+        rows = np.frombuffer(buf, dtype, m, offset=off)
+        off += rows.nbytes
+        edges = np.frombuffer(buf, dtype, m // 2, offset=off)
+        off += edges.nbytes
+        seal = bytes(buf[off:off + _SEAL_BYTES])
+        return rows, edges, seal.decode("ascii", "replace")
 
 
 def _attach_untracked(name: str) -> "SharedMemory":
@@ -207,7 +235,8 @@ class SharedGraphRegistry:
 
     def publish(self, graph: "CSRGraph",
                 fingerprint: str | None = None) -> SharedGraphSegment:
-        """Publish ``graph``'s CSR arrays; returns the attach descriptor.
+        """Publish ``graph``'s CSR arrays, and its sorted layout when
+        built; returns the attach descriptor.
 
         Keyed by content: publishing a graph whose fingerprint is
         already live bumps that segment's reference count and returns
@@ -215,6 +244,8 @@ class SharedGraphRegistry:
         process however many overlapping grids stage the same input.
         """
         from multiprocessing.shared_memory import SharedMemory
+
+        from repro.graph.csr import layout_seal
 
         if fingerprint is None:
             from repro.telemetry.provenance import graph_fingerprint
@@ -226,6 +257,7 @@ class SharedGraphRegistry:
             return entry[1]
 
         indptr, indices, weights = graph.export_buffers()
+        layout = graph.built_layout()
         seg = SharedGraphSegment(
             name=f"{SEGMENT_PREFIX}{os.getpid()}_"
                  f"{fingerprint.split(':', 1)[-1]}",
@@ -233,6 +265,7 @@ class SharedGraphRegistry:
             graph_name=graph.name,
             num_vertices=graph.num_vertices,
             num_entries=graph.num_directed_edges,
+            layout_dtype="" if layout is None else layout[0].dtype.str,
         )
         shm = SharedMemory(name=seg.name, create=True,
                            size=max(seg.nbytes, 1))
@@ -242,6 +275,13 @@ class SharedGraphRegistry:
         np.frombuffer(buf, np.int64, m, offset=n1 * _INT8)[:] = indices
         np.frombuffer(buf, np.float64, m,
                       offset=(n1 + m) * _INT8)[:] = weights
+        if layout is not None:
+            rows, edges, _ = seg._layout_views(buf)
+            rows[:] = layout[0]
+            edges[:] = layout[1]
+            end = seg.nbytes
+            buf[end - _SEAL_BYTES:end] = layout_seal(
+                *layout, fingerprint).encode("ascii")
         self._published[fingerprint] = [shm, seg, 1]
         self.publishes += 1
         count(SHM_PUBLISH_COUNTER, 1,
@@ -310,6 +350,11 @@ class SharedGraphRegistry:
     def attach(self, segment: SharedGraphSegment) -> "CSRGraph":
         """Zero-copy :class:`CSRGraph` over a published segment.
 
+        A segment that carries a sorted layout seeds the graph's layout
+        memo with it (the orders stay views over the segment), so the
+        graph is not sorted again; a seal that does not match leaves
+        the layout to be built lazily, as on any graph.
+
         Memoised per (process, segment name): the first call maps the
         segment, later calls return the same graph object.  When this
         process *owns* the segment (or inherited the owner's registry
@@ -337,6 +382,9 @@ class SharedGraphRegistry:
             np.frombuffer(buf, np.float64, m, offset=(n1 + m) * _INT8),
             name=segment.graph_name,
         )
+        if segment.layout_dtype:
+            graph.adopt_layout(*segment._layout_views(buf),
+                               segment.fingerprint)
         # ``keep`` anchors the mapping for the life of the memo (the
         # numpy views alone keep the mmap alive, but holding the handle
         # makes the dependency explicit and debuggable).

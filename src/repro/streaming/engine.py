@@ -97,6 +97,8 @@ _CHUNK_GROWTH = 4
 # The row pool keeps 1/4 of its live capacity free as tail room for
 # rows that outgrow their slot.
 _POOL_SLACK = 4
+# Entries per block when rows are copied into a pool.
+_COPY_BLOCK = 1 << 16
 
 
 def _ranges(starts: np.ndarray,
@@ -238,7 +240,15 @@ class IncrementalLD(StreamingEngine):
         self._nbr = np.empty(m2 + m2 // _POOL_SLACK, dtype=nbrs.dtype)
         self._w = np.empty(len(self._nbr), dtype=np.float64)
         self._nbr[:m2] = nbrs
-        self._w[:m2] = base.weights[base.sorted_row_order()]
+        # Straight into the pool, a block at a time: one gather of all
+        # 2m weights (or of the 2m positions widened to intp, which
+        # ``np.take`` does) would be a 2m-entry temporary.  ("clip"
+        # takes no buffer for ``out``, as the default "raise" does.)
+        rows = base.sorted_row_order()
+        for s in range(0, m2, _COPY_BLOCK):
+            e = min(s + _COPY_BLOCK, m2)
+            np.take(base.weights, rows[s:e], out=self._w[s:e],
+                    mode="clip")
         self._start = base.indptr[:-1].astype(np.int64)
         self._len = np.diff(base.indptr).astype(np.int64)
         self._cap = self._len.copy()
@@ -397,15 +407,23 @@ class IncrementalLD(StreamingEngine):
 
     def _compact(self) -> None:
         """Repack every row at its (preserved) cap in vertex order,
-        leaving ``1 / _POOL_SLACK`` of the total as tail room."""
+        leaving ``1 / _POOL_SLACK`` of the total as tail room.  Rows are
+        copied in blocks of about ``_COPY_BLOCK`` entries, so beside the
+        new pool only one block's positions are held at a time."""
         start = np.cumsum(self._cap) - self._cap
         total = int(self._cap.sum())
-        _, src = _ranges(self._start, self._len)
-        _, dest = _ranges(start, self._len)
         nbr = np.empty(total + total // _POOL_SLACK, dtype=self._nbr.dtype)
         w = np.empty(len(nbr), dtype=np.float64)
-        nbr[dest] = self._nbr[src]
-        w[dest] = self._w[src]
+        ends = np.cumsum(self._len)
+        cuts = np.searchsorted(
+            ends, np.arange(_COPY_BLOCK, ends[-1], _COPY_BLOCK),
+            side="right").tolist()
+        for a, b in zip([0] + cuts, cuts + [self._n]):
+            lens = self._len[a:b]
+            _, src = _ranges(self._start[a:b], lens)
+            _, dest = _ranges(start[a:b], lens)
+            nbr[dest] = self._nbr[src]
+            w[dest] = self._w[src]
         self._nbr, self._w, self._start, self._tail = nbr, w, start, total
 
     def _point(self, frontier: np.ndarray) -> tuple[np.ndarray, ...]:

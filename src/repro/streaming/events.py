@@ -140,6 +140,14 @@ class EdgeStream:
         edge set as it emits, so inserts never duplicate an edge and
         deletes/reweights always hit one.  Remaining probability mass
         (``1 - p_insert - p_delete``) goes to reweights.
+
+        The live edges are int64 keys ``lo * n + hi`` in one array,
+        base edges first in :meth:`~repro.graph.csr.CSRGraph.edge_array`
+        order, inserts appended, a delete filled by the last key (the
+        rng indexes this order, so it fixes the stream).  Presence is a
+        liveness mask over the base's sorted keys, found by
+        ``searchsorted``, plus a set of the inserted keys: about 17
+        bytes per base edge, where per-edge tuples and a dict took ~240.
         """
         if num_batches < 0 or batch_size < 1:
             raise ValueError("need num_batches >= 0 and batch_size >= 1")
@@ -150,34 +158,51 @@ class EdgeStream:
         if n < 2:
             raise ValueError("need at least 2 vertices to stream updates")
         rng = np.random.default_rng(seed)
-        bu, bv, _ = graph.edge_array()
-        live: list[tuple[int, int]] = list(zip(bu.tolist(), bv.tolist()))
-        pos = {e: i for i, e in enumerate(live)}
+        bu, bv = graph.edge_array()[:2]
+        m = len(bu)
+        live = np.empty(m + num_batches * batch_size, dtype=np.int64)
+        np.multiply(bu, n, out=live[:m])
+        live[:m] += bv
+        del bu, bv
+        size = m
+        base_keys = live[:m].copy()
+        if np.any(base_keys[1:] <= base_keys[:-1]):
+            base_keys.sort()
+        base_live = np.ones(m, dtype=bool)
+        inserted: set[int] = set()
+
+        def present(key: int) -> bool:
+            if key in inserted:
+                return True
+            k = int(base_keys.searchsorted(key))
+            return k < m and base_keys[k] == key and bool(base_live[k])
 
         def draw_weight() -> float:
             return float(np.round(rng.random() * 0.998 + 0.001, 6))
 
-        def pop_live(i: int) -> tuple[int, int]:
-            e = live[i]
-            last = live.pop()
-            if i < len(live):
-                live[i] = last
-                pos[last] = i
-            del pos[e]
-            return e
+        def pop_live(i: int) -> int:
+            nonlocal size
+            key = int(live[i])
+            size -= 1
+            live[i] = live[size]
+            if key in inserted:
+                inserted.remove(key)
+            else:
+                base_live[base_keys.searchsorted(key)] = False
+            return key
 
         batches = []
         for _ in range(num_batches):
             ops: list[tuple[str, int, int, float | None]] = []
             for _ in range(batch_size):
                 r = float(rng.random())
-                if r >= p_insert and live:
-                    i = int(rng.integers(0, len(live)))
+                if r >= p_insert and size:
+                    i = int(rng.integers(0, size))
                     if r < p_insert + p_delete:
-                        u, v = pop_live(i)
+                        u, v = divmod(pop_live(i), n)
                         ops.append(("delete", u, v, None))
                     else:
-                        u, v = live[i]
+                        u, v = divmod(int(live[i]), n)
                         ops.append(("reweight", u, v, draw_weight()))
                     continue
                 # insert: rejection-sample a non-edge (deterministic —
@@ -188,17 +213,19 @@ class EdgeStream:
                     a, b = (int(x) for x in rng.integers(0, n, 2))
                     if a == b:
                         continue
-                    key = (a, b) if a < b else (b, a)
-                    if key in pos:
+                    u, v = (a, b) if a < b else (b, a)
+                    key = u * n + v
+                    if present(key):
                         continue
-                    pos[key] = len(live)
-                    live.append(key)
-                    ops.append(("insert", key[0], key[1], draw_weight()))
+                    live[size] = key
+                    size += 1
+                    inserted.add(key)
+                    ops.append(("insert", u, v, draw_weight()))
                     placed = True
                     break
-                if not placed and live:
-                    i = int(rng.integers(0, len(live)))
-                    u, v = live[i]
+                if not placed and size:
+                    i = int(rng.integers(0, size))
+                    u, v = divmod(int(live[i]), n)
                     ops.append(("reweight", u, v, draw_weight()))
             batches.append(UpdateBatch(ops=tuple(ops)))
         return cls(num_vertices=n, batches=tuple(batches), seed=seed)

@@ -185,6 +185,69 @@ class TestRegistryLifecycle:
 
 
 # ------------------------------------------------------------------ #
+# sorted layout in the segment
+# ------------------------------------------------------------------ #
+
+
+class TestSegmentLayout:
+    @pytest.fixture
+    def sorted_graph(self, medium_graph):
+        g = CSRGraph(medium_graph.indptr, medium_graph.indices,
+                     medium_graph.weights, "shm-sorted")
+        g.sorted_row_order()  # build the layout the segment carries
+        return g
+
+    def test_attach_adopts_the_published_layout(self, registry,
+                                                sorted_graph,
+                                                monkeypatch):
+        from repro.matching.ld_seq import ld_seq
+
+        g = sorted_graph
+        seg = registry.publish(g)
+        rows, edges = g.built_layout()
+        assert seg.layout_dtype == rows.dtype.str
+        assert seg.nbytes == ((g.num_vertices + 1
+                               + 2 * g.num_directed_edges) * 8
+                              + rows.nbytes + edges.nbytes + 64)
+        want = ld_seq(g).mate
+
+        def refuse(self):
+            raise AssertionError("attached graph sorted its layout")
+
+        monkeypatch.setattr(CSRGraph, "_build_layout", refuse)
+        attacher = SharedGraphRegistry()
+        h = attacher.attach(seg)
+        assert h.built_layout() is not None
+        assert np.array_equal(ld_seq(h).mate, want)
+        for got, ref in zip(h._orders[1], g._orders[1]):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+    def test_tampered_seal_builds_lazily(self, registry, sorted_graph):
+        from repro.harness.shm import _attach_untracked
+        from repro.matching.ld_seq import ld_seq
+
+        g = sorted_graph
+        seg = registry.publish(g)
+        raw = _attach_untracked(seg.name)
+        try:
+            raw.buf[seg.nbytes - 1] ^= 1
+        finally:
+            raw.close()
+        h = SharedGraphRegistry().attach(seg)
+        assert h.built_layout() is None
+        assert np.array_equal(ld_seq(h).mate, ld_seq(g).mate)
+        for got, ref in zip(h._orders[1], g._orders[1]):
+            assert np.array_equal(got, ref)
+
+    def test_graph_without_layout_publishes_none(self, registry,
+                                                 small_graph):
+        seg = registry.publish(small_graph)
+        assert seg.layout_dtype == ""
+        assert SharedGraphRegistry().attach(seg).built_layout() is None
+
+
+# ------------------------------------------------------------------ #
 # environment gate and orphan maintenance
 # ------------------------------------------------------------------ #
 

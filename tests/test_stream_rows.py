@@ -287,6 +287,24 @@ def test_compaction_preserves_rows(monkeypatch):
     assert len(compactions) >= 5
 
 
+def test_pool_copies_in_small_blocks(monkeypatch):
+    """Filling and compacting the pool a few entries at a time, so hub
+    rows span several blocks, keeps every row, edited or not."""
+    monkeypatch.setattr(engine_mod, "_POOL_SLACK", 10**9)
+    monkeypatch.setattr(engine_mod, "_COPY_BLOCK", 5)
+    g = rmat_graph(8, 6, seed=1)
+    stream = EdgeStream.generate(g, num_batches=30, batch_size=24, seed=2,
+                                 p_insert=0.8, p_delete=0.1)
+    eng = assert_same_run(g, stream)
+    ref = RowRebuildLD(g)
+    for batch in stream:
+        ref.apply(batch)
+    for v in range(g.num_vertices):
+        nbrs, ws = pool_row(eng, v)
+        rn, rw, _ = ref._row(v)
+        assert np.array_equal(nbrs, rn) and np.array_equal(ws, rw)
+
+
 def test_insert_then_delete_in_one_batch():
     g = build_graph(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 0.5)])
     batches = [
