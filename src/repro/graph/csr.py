@@ -392,9 +392,9 @@ class CSRGraph:
     def _gather_layout(self, rows: np.ndarray,
                        edges: np.ndarray) -> tuple[np.ndarray, ...]:
         id_dtype = np.int32 if self.num_vertices < 2**31 else np.int64
-        eu = self._row_ids()[edges].astype(id_dtype)
-        return (rows, edges, self.indices[rows].astype(id_dtype), eu,
-                self.indices[edges].astype(id_dtype))
+        nbrs = _gather_into(np.empty(len(rows), id_dtype), self.indices, rows)
+        ev = _gather_into(np.empty(len(edges), id_dtype), self.indices, edges)
+        return rows, edges, nbrs, self._row_ids(id_dtype)[edges], ev
 
     def _rows_ascending(self) -> bool:
         """Whether every row lists its neighbours strictly ascending."""
@@ -407,14 +407,14 @@ class CSRGraph:
 
     def _build_layout(self) -> tuple[np.ndarray, ...]:
         n, m2 = self.num_vertices, len(self.indices)
-        row_ids = self._row_ids()
-        upper = row_ids < self.indices
+        pos_dtype = np.int32 if m2 < 2**31 else np.int64
+        id_dtype = np.int32 if n < 2**31 else np.int64
         # Every memo array outlives the sort's temporaries, so they are
         # allocated first, where they cannot pin heap memory the
         # temporaries free (it showed in the sweep benchmark's peak RSS).
-        pos_dtype = np.int32 if m2 < 2**31 else np.int64
-        id_dtype = np.int32 if n < 2**31 else np.int64
-        ne = int(np.count_nonzero(upper))
+        # The row ids are made again after the sort, which then holds
+        # one fewer array.
+        ne = int(np.count_nonzero(self._row_ids(id_dtype) < self.indices))
         rows, edges = np.empty(m2, pos_dtype), np.empty(ne, pos_dtype)
         nbrs = np.empty(m2, id_dtype)
         eu, ev = np.empty(ne, id_dtype), np.empty(ne, id_dtype)
@@ -431,17 +431,19 @@ class CSRGraph:
                                *_descending_rank(self.weights, pos_dtype))
         else:
             order = np.lexsort((-self._build_eids(), -self.weights))
-        edges[:] = order[upper[order]]
+        row_ids = self._row_ids(id_dtype)
+        edges[:] = order[(row_ids < self.indices)[order]]
         eu[:] = row_ids[edges]
-        ev[:] = self.indices[edges]
+        _gather_into(ev, self.indices, edges)
         # Its stable regrouping by row keeps rows contiguous, so
         # ``indptr`` still delimits them.
         rows[:] = _stable_by(order, row_ids, n - 1)
-        nbrs[:] = self.indices[rows]
+        del order, row_ids
+        _gather_into(nbrs, self.indices, rows)
         return rows, edges, nbrs, eu, ev
 
-    def _row_ids(self) -> np.ndarray:
-        return np.repeat(np.arange(self.num_vertices, dtype=np.int64),
+    def _row_ids(self, dtype=np.int64) -> np.ndarray:
+        return np.repeat(np.arange(self.num_vertices, dtype=dtype),
                          self.degrees)
 
     # ------------------------------------------------------------------ #
@@ -561,18 +563,34 @@ def layout_seal(rows: np.ndarray, edges: np.ndarray,
     return h.hexdigest()
 
 
+#: Entries per block of a blocked gather.
+_GATHER_BLOCK = 1 << 16
+
+
+def _gather_into(out: np.ndarray, src: np.ndarray,
+                 idx: np.ndarray) -> np.ndarray:
+    """``out[:] = src[idx]`` in blocks, so that a narrower ``out``
+    costs no ``len(idx)`` temporary of ``src``'s dtype."""
+    for lo in range(0, len(idx), _GATHER_BLOCK):
+        hi = lo + _GATHER_BLOCK
+        out[lo:hi] = src[idx[lo:hi]]
+    return out
+
+
 def _descending_rank(w: np.ndarray, dtype) -> tuple[np.ndarray, int]:
     """Per entry, the number of distinct values in ``w`` above it, and
     the largest such count: a dense integer key that orders like
     ``-w``."""
     p = np.argsort(w)  # ties in any order: only distinct values count
-    ws = w[p]
     step = np.zeros(len(w), dtype)
-    np.not_equal(ws[1:], ws[:-1], out=step[1:])
-    np.cumsum(step, out=step)
+    for lo in range(1, len(w), _GATHER_BLOCK):  # the sorted w, by blocks
+        ws = w[p[lo - 1:lo + _GATHER_BLOCK]]
+        np.not_equal(ws[1:], ws[:-1], out=step[lo:lo + _GATHER_BLOCK])
+    np.cumsum(step, dtype=dtype, out=step)
     top = int(step[-1]) if len(step) else 0
+    np.subtract(top, step, out=step)
     rank = np.empty_like(step)
-    rank[p] = top - step
+    rank[p] = step
     return rank, top
 
 
@@ -580,11 +598,18 @@ def _stable_by(order: np.ndarray, key: np.ndarray, top: int) -> np.ndarray:
     """``order`` stably re-sorted by ``key[order]`` (integers in
     ``[0, top]``): an LSD radix sort over the key's 16-bit digits.
     NumPy's stable sort of ``uint16`` keys is itself a radix sort, so
-    each digit is one O(m) pass."""
+    each digit is one O(m) pass.  Digits are gathered in blocks, and
+    each digit and permutation is freed before the next is made."""
     shift = 0
     while True:
-        digit = (key[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
+        digit = np.empty(len(order), np.uint16)
+        for lo in range(0, len(order), _GATHER_BLOCK):
+            hi = lo + _GATHER_BLOCK
+            digit[lo:hi] = key[order[lo:hi]] >> shift
+        perm = np.argsort(digit, kind="stable")
+        del digit
+        order = order[perm]
+        del perm
         shift += 16
         if top >> shift <= 0:
             return order

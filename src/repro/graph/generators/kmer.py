@@ -55,7 +55,21 @@ def kmer_graph(
     n = num_vertices
     chains = num_chains if num_chains is not None else max(1, n // 4096)
     chains = min(chains, n // 2)
+    src, dst, bounds = _kmer_edges(n, avg_degree, chains, branch_span, rng)
+    g = from_coo(src, dst, np.ones(len(src)), num_vertices=n, name=name)
+    del src, dst  # the weights pass needs only the graph
+    if weighted:
+        g = assign_uniform_weights(g, seed=seed + 1)
+    # Bookkeeping for tests: expose chain structure.
+    g.chain_bounds = bounds  # type: ignore[attr-defined]
+    return g
 
+
+def _kmer_edges(n: int, avg_degree: float, chains: int, branch_span: int,
+                rng: np.random.Generator
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, dst)`` of ``chains`` paths plus local branch edges, and
+    the paths' ``[start, end)`` bounds as rows."""
     # Chain boundaries: split [0, n) into `chains` contiguous runs of
     # random (Dirichlet-ish) lengths, each run becoming a path.
     cuts = np.sort(rng.choice(np.arange(1, n), size=chains - 1,
@@ -82,10 +96,4 @@ def kmer_graph(
         dst = np.concatenate([path_dst, bj])
     else:
         src, dst = path_src, path_dst
-
-    g = from_coo(src, dst, np.ones(len(src)), num_vertices=n, name=name)
-    if weighted:
-        g = assign_uniform_weights(g, seed=seed + 1)
-    # Bookkeeping for tests: expose chain structure.
-    g.chain_bounds = np.stack([starts, ends], axis=1)  # type: ignore[attr-defined]
-    return g
+    return src, dst, np.stack([starts, ends], axis=1)

@@ -60,6 +60,7 @@ def queen_mesh(
     src, dst = _lattice_edges((side, side), radius)
     g = from_coo(src, dst, np.ones(len(src)), num_vertices=side * side,
                  name=name)
+    del src, dst  # the weights pass needs only the graph
     if weighted:
         g = assign_uniform_weights(g, seed=seed)
     return g
@@ -79,6 +80,7 @@ def fem_mesh_3d(
     src, dst = _lattice_edges((side, side, side), radius)
     g = from_coo(src, dst, np.ones(len(src)),
                  num_vertices=side ** 3, name=name)
+    del src, dst  # the weights pass needs only the graph
     if weighted:
         g = assign_uniform_weights(g, seed=seed)
     return g

@@ -61,6 +61,7 @@ def mycielskian_graph(
         u, v, n = mycielskian_step(u, v, n)
     g = from_coo(u, v, np.ones(len(u)), num_vertices=n,
                  name=name or f"mycielskian{order}")
+    del u, v  # the weights pass needs only the graph
     if weighted:
         g = assign_uniform_weights(g, seed=seed)
     return g

@@ -52,7 +52,20 @@ def powerlaw_cluster_graph(
     rng = np.random.default_rng(seed)
     n = num_vertices
     m = int(n * avg_degree / 2)
+    src, dst = _chung_lu_edges(n, m, exponent, locality, community_size,
+                               rng)
+    g = from_coo(src, dst, np.ones(m), num_vertices=n, name=name)
+    del src, dst  # the weights pass needs only the graph
+    if weighted:
+        g = assign_uniform_weights(g, seed=seed + 1)
+    return g
 
+
+def _chung_lu_edges(n: int, m: int, exponent: float, locality: float,
+                    community_size: int, rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``m`` Chung–Lu samples ``(src, dst)``, a ``locality`` share of
+    them rewired into the source's community block."""
     # Discretised Pareto expected degrees, rescaled to the target mean.
     raw = (1.0 - rng.random(n)) ** (-1.0 / (exponent - 1.0))
     weights_cl = raw / raw.sum()
@@ -66,8 +79,4 @@ def powerlaw_cluster_graph(
     offset = rng.integers(0, community_size, size=int(local.sum()),
                           dtype=np.int64)
     dst[local] = np.minimum(block * community_size + offset, n - 1)
-
-    g = from_coo(src, dst, np.ones(m), num_vertices=n, name=name)
-    if weighted:
-        g = assign_uniform_weights(g, seed=seed + 1)
-    return g
+    return src, dst

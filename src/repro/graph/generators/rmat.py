@@ -52,7 +52,21 @@ def rmat_graph(
     n = 1 << scale
     m = edge_factor * n
     rng = np.random.default_rng(seed)
+    src, dst = _rmat_edges(scale, m, probs, noise, rng)
+    g = from_coo(src, dst, np.ones(m, dtype=np.float64), num_vertices=n,
+                 name=name)
+    del src, dst  # the weights pass needs only the graph
+    if weighted:
+        g = assign_uniform_weights(g, seed=seed + 1)
+    return g
 
+
+def _rmat_edges(scale: int, m: int, probs: tuple[float, ...],
+                noise: float, rng: np.random.Generator
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``m`` R-MAT samples ``(src, dst)`` on ``2**scale`` vertices."""
+    a, b, c, d = probs
+    n = 1 << scale
     src = np.zeros(m, dtype=np.int64)
     dst = np.zeros(m, dtype=np.int64)
     for level in range(scale):
@@ -66,6 +80,7 @@ def rmat_graph(
         r = rng.random(m)
         right = ((r >= aa) & (r < aa + bb)) | (r >= aa + bb + cc)
         lower = r >= aa + bb
+        del r
         bit = np.int64(1) << np.int64(scale - 1 - level)
         src += bit * lower
         dst += bit * right
@@ -73,9 +88,4 @@ def rmat_graph(
     # Permute vertex ids so high-degree vertices are not clustered at 0 —
     # matches the Graph500 post-permutation GAP-kron ships with.
     perm = rng.permutation(n).astype(np.int64)
-    src, dst = perm[src], perm[dst]
-    w = np.ones(m, dtype=np.float64)
-    g = from_coo(src, dst, w, num_vertices=n, name=name)
-    if weighted:
-        g = assign_uniform_weights(g, seed=seed + 1)
-    return g
+    return perm[src], perm[dst]

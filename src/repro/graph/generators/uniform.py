@@ -35,8 +35,9 @@ def uniform_random_graph(
     rng = np.random.default_rng(seed)
     src = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
     dst = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
-    w = np.ones(num_edges, dtype=np.float64)
-    g = from_coo(src, dst, w, num_vertices=num_vertices, name=name)
+    g = from_coo(src, dst, np.ones(num_edges, dtype=np.float64),
+                 num_vertices=num_vertices, name=name)
+    del src, dst  # the weights pass needs only the graph
     if weighted:
         g = assign_uniform_weights(g, seed=seed + 1)
     return g

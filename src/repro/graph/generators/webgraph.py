@@ -43,9 +43,19 @@ def webcrawl_graph(
     if num_vertices < 4:
         raise ValueError("need at least 4 vertices")
     rng = np.random.default_rng(seed)
-    n = num_vertices
-    d = out_degree
+    src, dst = _crawl_edges(num_vertices, out_degree, copy_prob, window,
+                            rng)
+    g = from_coo(src, dst, np.ones(len(src)), num_vertices=num_vertices,
+                 name=name)
+    del src, dst  # the weights pass needs only the graph
+    if weighted:
+        g = assign_uniform_weights(g, seed=seed + 1)
+    return g
 
+
+def _crawl_edges(n: int, d: int, copy_prob: float, window: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The crawl's links ``(src, dst)``, ``d`` per arriving vertex."""
     # Vectorised batched construction: process arrivals in blocks so the
     # copy step can sample from the already-built prefix cheaply.
     src_blocks: list[np.ndarray] = []
@@ -75,9 +85,4 @@ def webcrawl_graph(
         all_targets = np.concatenate([all_targets, dst])
         t = hi
 
-    src = np.concatenate(src_blocks)
-    dst = np.concatenate(dst_blocks)
-    g = from_coo(src, dst, np.ones(len(src)), num_vertices=n, name=name)
-    if weighted:
-        g = assign_uniform_weights(g, seed=seed + 1)
-    return g
+    return np.concatenate(src_blocks), np.concatenate(dst_blocks)

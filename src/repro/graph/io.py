@@ -44,7 +44,8 @@ def read_matrix_market(path_or_file, name: str | None = None) -> CSRGraph:
       convention for magnitude-based matching).
 
     A malformed file raises :class:`GraphFormatError`; a bad size line
-    or entry is named as ``path:line``.
+    or entry, including a vertex id that is not an integer (``2.5``),
+    is named as ``path:line``.
     """
     close = False
     if isinstance(path_or_file, (str, os.PathLike)):
@@ -101,6 +102,17 @@ def read_matrix_market(path_or_file, name: str | None = None) -> CSRGraph:
         raise GraphFormatError(
             f"{where}: expected {nnz} entries, found {data.shape[0]}"
         )
+    if data.shape[1] < 2:
+        raise GraphFormatError(
+            f"{where}:{_entry_line(body, lineno + 1, 0)[0]}: entry has "
+            f"{data.shape[1]} field, expected 2 or more")
+    ids = data[:, :2]
+    bad = np.flatnonzero(~np.all(np.isfinite(ids) & (ids == np.trunc(ids)),
+                                 axis=1))
+    if len(bad):
+        at, line = _entry_line(body, lineno + 1, int(bad[0]))
+        raise GraphFormatError(
+            f"{where}:{at}: non-integral vertex id {line!r}")
     rows = data[:, 0].astype(np.int64) - 1
     cols = data[:, 1].astype(np.int64) - 1
     if field == "pattern":
@@ -139,6 +151,19 @@ def _bad_entry(body: str, first_line: int, where: str,
                 f"{where}:{lineno}: entry has {len(fields)} fields, "
                 f"expected {width}")
     return GraphFormatError(f"{where}: unreadable entries ({exc})")
+
+
+def _entry_line(body: str, first_line: int, index: int) -> tuple[int, str]:
+    """File line number and text of entry ``index`` (0-based) of
+    ``body``, whose first line is file line ``first_line``; lines that
+    are blank or ``#`` comments, which ``np.loadtxt`` skips, hold no
+    entry."""
+    for lineno, line in enumerate(body.splitlines(), first_line):
+        if line.split("#", 1)[0].split():
+            if index == 0:
+                return lineno, line.strip()
+            index -= 1
+    raise IndexError(index)
 
 
 def write_matrix_market(graph: CSRGraph, path) -> None:

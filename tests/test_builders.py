@@ -85,6 +85,27 @@ class TestFromCoo:
         assert g.num_edges == 0
         assert g.num_vertices == 2
 
+    def test_fractional_ids_are_refused(self):
+        # Truncated, they would build the edges (0, 1) and (2, 0).
+        with pytest.raises(GraphFormatError, match="integers"):
+            from_coo([0.5, 2.9], [1.7, 0.2], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_ids_are_refused(self, bad):
+        with pytest.raises(GraphFormatError, match="integers"):
+            from_coo(np.array([0.0, bad]), np.array([1.0, 2.0]),
+                     np.ones(2))
+
+    def test_integral_float_ids_are_taken(self):
+        g = from_coo(np.array([0.0, 2.0]), np.array([1.0, 0.0]),
+                     np.array([1.0, 2.0]))
+        assert g.indices.dtype == np.int64
+        assert g.edge_weight(2, 0) == 2.0
+
+    def test_from_edges_refuses_fractional_ids(self):
+        with pytest.raises(GraphFormatError, match="integers"):
+            from_edges([(0, 1.5, 1.0)])
+
 
 def from_coo_two_lexsorts(u, v, w, num_vertices=None):
     """The builder ``from_coo`` replaced: a two-key lexsort for the

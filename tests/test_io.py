@@ -140,6 +140,19 @@ class TestMatrixMarketRead:
     def test_bad_size_line_names_line(self, tmp_path):
         self._bad_file(tmp_path, "3 3\n2 1 1.0\n", ":3: bad size line")
 
+    def test_fractional_vertex_id_names_line(self, tmp_path):
+        # Truncated, the entry would become the edge (1, 0).
+        self._bad_file(tmp_path, "3 3 2\n2 1 1.0\n\n2.5 1 0.5\n",
+                       ":6: non-integral vertex id '2.5 1 0.5'")
+
+    def test_one_field_entries_name_line(self, tmp_path):
+        self._bad_file(tmp_path, "3 3 2\n# c\n2\n3\n",
+                       ":5: entry has 1 field, expected 2 or more")
+
+    def test_fractional_column_id_names_line(self, tmp_path):
+        self._bad_file(tmp_path, "3 3 2\n2 1 1.0 # ok\n# skip\n3 1.25 0.5\n",
+                       ":6: non-integral vertex id '3 1.25 0.5'")
+
     def test_missing_size_line(self):
         text = "%%MatrixMarket matrix coordinate real symmetric\n% only\n"
         with pytest.raises(GraphFormatError, match="missing size line"):
