@@ -5,7 +5,7 @@ Matching on GPUs"* (Mandulak, Ghosh, Ferdous, Halappanavar, Slota —
 SC 2024): the LD-GPU multi-GPU ½-approximate matching algorithm with
 edge-balanced partitioning, batched dual-buffer streaming and NCCL-style
 collectives, plus every baseline the paper evaluates against (Suitor
-CPU/GPU, exact blossom, greedy, LocalMax, auction, cuGraph-style MG).
+CPU/GPU, exact blossom, greedy, LocalMax, cuGraph-style MG).
 
 Quick start::
 
@@ -81,7 +81,6 @@ from repro.matching import (
     path_growing_matching,
     random_augmentation_matching,
     two_thirds_matching,
-    auction_matching,
     blossom_mwm,
     cugraph_mg_sim,
     greedy_matching,
@@ -148,7 +147,6 @@ __all__ = [
     "suitor_gpu_sim",
     "greedy_matching",
     "local_max",
-    "auction_matching",
     "blossom_mwm",
     "maximum_weight_matching",
     "cugraph_mg_sim",

@@ -31,7 +31,6 @@ from repro.matching.ld_multinode import ld_multinode
 from repro.matching.greedy import greedy_matching
 from repro.matching.local_max import local_max
 from repro.matching.suitor import suitor_seq, suitor_omp_sim, suitor_gpu_sim
-from repro.matching.auction import auction_matching
 from repro.matching.blossom import blossom_mwm, maximum_weight_matching
 from repro.matching.cugraph_sim import cugraph_mg_sim
 from repro.matching.path_growing import path_growing_matching
@@ -72,7 +71,6 @@ __all__ = [
     "suitor_seq",
     "suitor_omp_sim",
     "suitor_gpu_sim",
-    "auction_matching",
     "blossom_mwm",
     "maximum_weight_matching",
     "cugraph_mg_sim",

@@ -40,7 +40,7 @@ class TestRegistry:
     def test_every_legacy_algorithm_registered(self):
         assert set(ALL_NAMES) == {
             "ld_seq", "ld_gpu", "sr_omp", "sr_gpu", "suitor_seq",
-            "greedy", "local_max", "auction", "blossom", "cugraph",
+            "greedy", "local_max", "blossom", "cugraph",
             "path_growing", "two_thirds", "pettie_sanders",
             "coreset_greedy", "coreset_ld", "coreset_shard",
             "dynamic_ld",
@@ -90,7 +90,7 @@ class TestBind:
         assert kwargs == {"cpu": CPU_EPYC_7742_2S}
 
     def test_seed_forwarded_only_when_set(self):
-        spec = get_spec("auction")
+        spec = get_spec("coreset_greedy")
         assert spec.bind(None, RunContext()) == {}
         assert spec.bind(None, RunContext(seed=11)) == {"seed": 11}
 
@@ -139,7 +139,7 @@ class TestExecute:
         assert rec.iterations <= 2
 
     def test_seed_recorded(self, medium_graph):
-        rec = execute("auction", medium_graph, RunContext(seed=5))
+        rec = execute("coreset_greedy", medium_graph, RunContext(seed=5))
         assert rec.seed == 5
 
     # blossom is O(n³); dynamic_ld matches the *mutated* graph, so its

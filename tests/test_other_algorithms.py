@@ -1,4 +1,4 @@
-"""Tests for LocalMax, auction matching and the cuGraph analog."""
+"""Tests for LocalMax and the cuGraph analog."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,12 @@ from conftest import build_graph, random_graphs
 from repro.gpusim.memory import DeviceOOMError
 from repro.gpusim.spec import DGX_A100
 from repro.harness.datasets import DATASETS, quality_instance
-from repro.matching.auction import auction_matching
 from repro.matching.cugraph_sim import cugraph_mg_sim
 from repro.matching.greedy import greedy_matching
 from repro.matching.ld_gpu import ld_gpu
 from repro.matching.ld_seq import ld_seq
 from repro.matching.local_max import local_max
 from repro.matching.validate import (
-    is_maximal_matching,
     is_valid_matching,
     verify_result,
 )
@@ -50,38 +48,6 @@ class TestLocalMax:
         r = local_max(medium_graph, max_iterations=1)
         assert r.iterations == 1
         assert is_valid_matching(medium_graph, r.mate)
-
-
-class TestAuction:
-    @given(random_graphs(), st.integers(0, 3))
-    def test_valid_and_maximal(self, g, seed):
-        r = auction_matching(g, seed=seed)
-        assert is_valid_matching(g, r.mate)
-        assert is_maximal_matching(g, r.mate)
-
-    def test_quality_subpar_to_ld(self):
-        """§II-C: auction quality 'is shown to be subpar to subsequent
-        work' — aggregate over seeds on a fixed graph."""
-        from repro.graph.generators import rmat_graph
-
-        g = rmat_graph(9, 6, seed=21)
-        ld_w = ld_seq(g).weight
-        auction_w = np.mean([
-            auction_matching(g, seed=s).weight for s in range(5)
-        ])
-        assert auction_w < ld_w
-
-    def test_deterministic_per_seed(self, medium_graph):
-        a = auction_matching(medium_graph, seed=3)
-        b = auction_matching(medium_graph, seed=3)
-        assert np.array_equal(a.mate, b.mate)
-
-    def test_verifies(self, medium_graph):
-        verify_result(medium_graph, auction_matching(medium_graph))
-
-    def test_empty(self):
-        r = auction_matching(build_graph(4, []))
-        assert r.num_matched_edges == 0
 
 
 class TestCuGraphSim:

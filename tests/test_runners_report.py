@@ -19,7 +19,7 @@ class TestRunAlgorithm:
         from repro.matching.validate import is_valid_matching
 
         for name in ("ld_seq", "greedy", "local_max", "suitor_seq",
-                     "auction", "sr_omp"):
+                     "sr_omp"):
             r = get_spec(name).fn(medium_graph)
             assert is_valid_matching(medium_graph, r.mate), name
 
