@@ -78,7 +78,6 @@ from repro.matching import (
     MatchResult,
     b_suitor,
     greedy_b_matching,
-    path_growing_matching,
     random_augmentation_matching,
     two_thirds_matching,
     blossom_mwm,
@@ -155,7 +154,6 @@ __all__ = [
     "matching_weight",
     "verify_result",
     # extensions
-    "path_growing_matching",
     "two_thirds_matching",
     "random_augmentation_matching",
     "b_suitor",

@@ -33,7 +33,6 @@ from repro.matching.local_max import local_max
 from repro.matching.suitor import suitor_seq, suitor_omp_sim, suitor_gpu_sim
 from repro.matching.blossom import blossom_mwm, maximum_weight_matching
 from repro.matching.cugraph_sim import cugraph_mg_sim
-from repro.matching.path_growing import path_growing_matching
 from repro.matching.augmenting import (
     two_thirds_matching,
     random_augmentation_matching,
@@ -74,7 +73,6 @@ __all__ = [
     "blossom_mwm",
     "maximum_weight_matching",
     "cugraph_mg_sim",
-    "path_growing_matching",
     "two_thirds_matching",
     "random_augmentation_matching",
     "coreset_greedy",

@@ -41,7 +41,7 @@ class TestRegistry:
         assert set(ALL_NAMES) == {
             "ld_seq", "ld_gpu", "sr_omp", "sr_gpu", "suitor_seq",
             "greedy", "local_max", "blossom", "cugraph",
-            "path_growing", "two_thirds", "pettie_sanders",
+            "two_thirds", "pettie_sanders",
             "coreset_greedy", "coreset_ld", "coreset_shard",
             "dynamic_ld",
         }
@@ -96,7 +96,7 @@ class TestBind:
 
     def test_parameterless_algorithms_bind_empty(self):
         ctx = RunContext(num_devices=8, seed=1)
-        for name in ("greedy", "ld_seq", "blossom", "path_growing"):
+        for name in ("greedy", "ld_seq", "blossom", "suitor_seq"):
             assert get_spec(name).bind(None, ctx) == {}
 
     def test_default_context_resolution(self):

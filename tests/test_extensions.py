@@ -1,5 +1,5 @@
-"""Tests for the extension algorithms: path growing, short-augmentation
-local search (2/3), Pettie–Sanders, and b-Suitor b-matching."""
+"""Tests for the extension algorithms: short-augmentation local search
+(2/3), Pettie–Sanders, and b-Suitor b-matching."""
 
 import numpy as np
 import pytest
@@ -21,46 +21,11 @@ from repro.matching.b_matching import (
 from repro.matching.blossom import blossom_mwm
 from repro.matching.greedy import greedy_matching
 from repro.matching.ld_seq import ld_seq
-from repro.matching.path_growing import path_growing_matching
 from repro.matching.types import UNMATCHED
 from repro.matching.validate import (
-    is_maximal_matching,
     is_valid_matching,
     verify_result,
 )
-
-
-class TestPathGrowing:
-    def test_single_edge(self):
-        g = build_graph(2, [(0, 1, 1.0)])
-        r = path_growing_matching(g)
-        assert r.weight == 1.0
-
-    def test_path_takes_heavy_edges(self, path_graph):
-        r = path_growing_matching(path_graph)
-        verify_result(path_graph, r)
-        assert r.weight >= 0.5 * blossom_mwm(path_graph).weight
-
-    @given(random_graphs())
-    def test_valid_and_maximal(self, g):
-        r = path_growing_matching(g)
-        assert is_valid_matching(g, r.mate)
-        assert is_maximal_matching(g, r.mate)
-
-    @given(random_graphs(max_vertices=14, max_edges=30))
-    @settings(max_examples=20)
-    def test_half_approx(self, g):
-        opt = blossom_mwm(g).weight
-        assert path_growing_matching(g).weight >= 0.5 * opt - 1e-9
-
-    def test_two_matchings_reported(self, medium_graph):
-        r = path_growing_matching(medium_graph)
-        w1, w2 = r.stats["path_matching_weights"]
-        assert r.weight >= max(w1, w2) - 1e-9  # sweep only adds weight
-
-    def test_empty(self):
-        r = path_growing_matching(build_graph(3, []))
-        assert r.num_matched_edges == 0
 
 
 class TestShortAugmentation:
