@@ -78,8 +78,6 @@ from repro.matching import (
     MatchResult,
     b_suitor,
     greedy_b_matching,
-    random_augmentation_matching,
-    two_thirds_matching,
     blossom_mwm,
     cugraph_mg_sim,
     greedy_matching,
@@ -154,8 +152,6 @@ __all__ = [
     "matching_weight",
     "verify_result",
     # extensions
-    "two_thirds_matching",
-    "random_augmentation_matching",
     "b_suitor",
     "greedy_b_matching",
     "graph_stats",

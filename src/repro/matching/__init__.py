@@ -33,10 +33,6 @@ from repro.matching.local_max import local_max
 from repro.matching.suitor import suitor_seq, suitor_omp_sim, suitor_gpu_sim
 from repro.matching.blossom import blossom_mwm, maximum_weight_matching
 from repro.matching.cugraph_sim import cugraph_mg_sim
-from repro.matching.augmenting import (
-    two_thirds_matching,
-    random_augmentation_matching,
-)
 from repro.matching.coreset import (
     coreset_greedy,
     coreset_ld,
@@ -73,8 +69,6 @@ __all__ = [
     "blossom_mwm",
     "maximum_weight_matching",
     "cugraph_mg_sim",
-    "two_thirds_matching",
-    "random_augmentation_matching",
     "coreset_greedy",
     "coreset_ld",
     "coreset_matching",

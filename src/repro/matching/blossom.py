@@ -111,7 +111,7 @@ def maximum_weight_matching(
 
     def scan_blossom(v: int, w: int) -> int:
         """Trace back from v and w; return a new blossom's base vertex or
-        -1 when an augmenting path was found."""
+        -1 when an augmentation path was found."""
         path = []
         base = _NONE
         while v != _NONE:
@@ -461,7 +461,7 @@ def maximum_weight_matching(
             if augmented:
                 break
 
-            # No augmenting path: pump slack out of the duals.
+            # No augmentation path: pump slack out of the duals.
             deltatype = -1
             delta = 0.0
             deltaedge: tuple[int, int] | None = None

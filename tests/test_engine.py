@@ -41,7 +41,6 @@ class TestRegistry:
         assert set(ALL_NAMES) == {
             "ld_seq", "ld_gpu", "sr_omp", "sr_gpu", "suitor_seq",
             "greedy", "local_max", "blossom", "cugraph",
-            "two_thirds", "pettie_sanders",
             "coreset_greedy", "coreset_ld", "coreset_shard",
             "dynamic_ld",
         }
@@ -67,7 +66,7 @@ class TestRegistry:
         assert "simulator_backed" in get_spec("ld_gpu").capability_tags
         assert get_spec("blossom").capability_tags \
             == ("exact", "parallel-safe")
-        assert "approx_ratio=2/3" in get_spec("two_thirds").capability_tags
+        assert "approx_ratio=1/2" in get_spec("ld_gpu").capability_tags
         assert "parallel-safe" in get_spec("ld_gpu").capability_tags
 
     def test_specs_sorted(self):

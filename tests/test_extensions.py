@@ -1,5 +1,4 @@
-"""Tests for the extension algorithms: short-augmentation local search
-(2/3), Pettie–Sanders, and b-Suitor b-matching."""
+"""Tests for the b-Suitor b-matching extension."""
 
 import numpy as np
 import pytest
@@ -7,12 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_graph, random_graphs
-from repro.matching.augmenting import (
-    apply_augmentation,
-    best_short_augmentation,
-    random_augmentation_matching,
-    two_thirds_matching,
-)
 from repro.matching.b_matching import (
     b_suitor,
     greedy_b_matching,
@@ -26,97 +19,6 @@ from repro.matching.validate import (
     is_valid_matching,
     verify_result,
 )
-
-
-class TestShortAugmentation:
-    def test_finds_middle_edge_trap(self):
-        """P4 (2, 3, 2): greedy takes the middle; one short augmentation
-        centred anywhere recovers the optimum (4)."""
-        g = build_graph(4, [(0, 1, 2.0), (1, 2, 3.0), (2, 3, 2.0)])
-        base = greedy_matching(g)
-        assert base.weight == 3.0
-        mate = base.mate.copy()
-        gain, moves = best_short_augmentation(g, mate, 0)
-        assert gain == pytest.approx(1.0)
-        apply_augmentation(mate, moves)
-        assert is_valid_matching(g, mate)
-
-    def test_no_gain_at_optimum(self, triangle):
-        opt = blossom_mwm(triangle)
-        for v in range(3):
-            gain, _ = best_short_augmentation(triangle, opt.mate, v)
-            assert gain <= 1e-9
-
-    def test_apply_augmentation_involution(self):
-        mate = np.array([1, 0, 3, 2], dtype=np.int64)
-        apply_augmentation(mate, [(1, 2)])
-        assert mate[1] == 2 and mate[2] == 1
-        assert mate[0] == UNMATCHED and mate[3] == UNMATCHED
-
-
-class TestTwoThirds:
-    @given(random_graphs(max_vertices=14, max_edges=30))
-    @settings(max_examples=20)
-    def test_two_thirds_guarantee(self, g):
-        opt = blossom_mwm(g).weight
-        r = two_thirds_matching(g)
-        assert is_valid_matching(g, r.mate)
-        assert r.weight >= (2.0 / 3.0) * opt - 1e-9
-
-    @given(random_graphs(max_vertices=14, max_edges=30,
-                         tie_prone=True))
-    @settings(max_examples=15)
-    def test_two_thirds_ties(self, g):
-        opt = blossom_mwm(g).weight
-        assert two_thirds_matching(g).weight >= (2.0 / 3.0) * opt - 1e-9
-
-    def test_improves_on_ld(self):
-        from repro.graph.generators import rmat_graph
-
-        g = rmat_graph(8, 5, seed=12)
-        base = ld_seq(g)
-        r = two_thirds_matching(g)
-        assert r.weight >= base.weight
-        assert r.stats["initial_weight"] == pytest.approx(base.weight)
-
-    def test_tight_half_instance_recovered(self):
-        """The ½-tight P4 family: local search must escape it."""
-        eps = 1e-6
-        g = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0 + eps), (2, 3, 1.0)])
-        r = two_thirds_matching(g)
-        assert r.weight == pytest.approx(2.0)
-
-    def test_custom_init(self, medium_graph):
-        base = greedy_matching(medium_graph)
-        r = two_thirds_matching(medium_graph, init=base, max_sweeps=2)
-        assert r.weight >= base.weight
-
-
-class TestPettieSanders:
-    def test_improves_in_expectation(self):
-        from repro.graph.generators import rmat_graph
-
-        g = rmat_graph(8, 5, seed=13)
-        base = ld_seq(g).weight
-        r = random_augmentation_matching(g, epsilon=0.05, seed=3)
-        verify_result(g, r, require_maximal=False)
-        assert r.weight >= base
-
-    def test_bad_epsilon(self, medium_graph):
-        with pytest.raises(ValueError):
-            random_augmentation_matching(medium_graph, epsilon=0.0)
-        with pytest.raises(ValueError):
-            random_augmentation_matching(medium_graph, epsilon=1.5)
-
-    def test_rounds_scale_with_epsilon(self, triangle):
-        loose = random_augmentation_matching(triangle, epsilon=0.5)
-        tight = random_augmentation_matching(triangle, epsilon=0.01)
-        assert tight.iterations > loose.iterations
-
-    def test_deterministic_per_seed(self, medium_graph):
-        a = random_augmentation_matching(medium_graph, seed=7)
-        b = random_augmentation_matching(medium_graph, seed=7)
-        assert np.array_equal(a.mate, b.mate)
 
 
 class TestBSuitor:

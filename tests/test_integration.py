@@ -16,7 +16,6 @@ from repro.harness.calibration import calibration_entries, \
     render_model_card
 from repro.harness.datasets import load_dataset, scaled_platform
 from repro.matching.b_matching import b_suitor
-from repro.matching.augmenting import two_thirds_matching
 from repro.matching.ld_gpu import ld_gpu
 from repro.matching.ld_seq import ld_seq
 from repro.matching.types import MatchResult
@@ -70,17 +69,6 @@ class TestPipelines:
         verify_result(lcc, m1)
         m2 = b_suitor(lcc, 2)
         assert m2.weight >= m1.weight  # capacity 2 can only add weight
-
-    def test_quality_pipeline(self):
-        """LD → 2/3 refinement on a dataset-quality instance, with the
-        monotone-improvement invariant."""
-        from repro.harness.datasets import quality_instance
-
-        g = quality_instance("com-Orkut")
-        base = ld_seq(g)
-        refined = two_thirds_matching(g, init=base, max_sweeps=3)
-        verify_result(g, refined, require_maximal=False)
-        assert refined.weight >= base.weight
 
 
 class TestGoldenValues:
