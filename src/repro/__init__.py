@@ -76,8 +76,6 @@ from repro.graph import (
 )
 from repro.matching import (
     MatchResult,
-    b_suitor,
-    greedy_b_matching,
     blossom_mwm,
     cugraph_mg_sim,
     greedy_matching,
@@ -152,8 +150,6 @@ __all__ = [
     "matching_weight",
     "verify_result",
     # extensions
-    "b_suitor",
-    "greedy_b_matching",
     "graph_stats",
     "connected_components",
     "largest_component",

@@ -43,12 +43,6 @@ from repro.matching.coreset import (
 )
 from repro.matching.dynamic import DynamicMatcher
 from repro.streaming.scenario import dynamic_ld
-from repro.matching.b_matching import (
-    BMatchResult,
-    b_suitor,
-    greedy_b_matching,
-    is_valid_b_matching,
-)
 
 __all__ = [
     "MatchResult",
@@ -75,10 +69,6 @@ __all__ = [
     "coreset_shard",
     "extract_shard",
     "shard_assignments",
-    "BMatchResult",
-    "b_suitor",
-    "greedy_b_matching",
-    "is_valid_b_matching",
     "DynamicMatcher",
     "dynamic_ld",
 ]

@@ -30,22 +30,10 @@ from repro.graph.csr import CSRGraph
 from repro.matching.types import UNMATCHED, MatchResult
 from repro.matching.validate import matched_vertex_weight
 
-__all__ = ["greedy_matching", "sorted_edges"]
+__all__ = ["greedy_matching"]
 
 #: Sorted edges per chunk of vectorised rounds.
 _CHUNK = 1 << 14
-
-
-def sorted_edges(
-        graph: CSRGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(u, v, w)`` per undirected edge, ``u < v``, in the graph's
-    memoised descending ``(w, eid)`` order
-    (:meth:`~repro.graph.csr.CSRGraph.sorted_edge_order`).  ``u`` and
-    ``v`` are the graph's read-only memo
-    (:meth:`~repro.graph.csr.CSRGraph.sorted_edge_endpoints`); only
-    ``w`` is gathered."""
-    u, v = graph.sorted_edge_endpoints()
-    return u, v, graph.weights[graph.sorted_edge_order()]
 
 
 def _scan(u: np.ndarray, v: np.ndarray, w: np.ndarray,

@@ -15,7 +15,6 @@ from repro.graph.transform import largest_component
 from repro.harness.calibration import calibration_entries, \
     render_model_card
 from repro.harness.datasets import load_dataset, scaled_platform
-from repro.matching.b_matching import b_suitor
 from repro.matching.ld_gpu import ld_gpu
 from repro.matching.ld_seq import ld_seq
 from repro.matching.types import MatchResult
@@ -56,19 +55,6 @@ class TestPipelines:
         a = ld_seq(g)
         b = ld_seq(g2)
         assert a.weight == pytest.approx(b.weight)
-
-    def test_lcc_then_match_then_bmatch(self):
-        """Preprocess (largest component) then run 1- and b-matching on
-        the same cleaned graph."""
-        from repro.graph.generators import kmer_graph
-
-        g = kmer_graph(4000, avg_degree=2.0, num_chains=8, seed=10)
-        lcc, _ = largest_component(g)
-        assert lcc.num_vertices < g.num_vertices
-        m1 = ld_seq(lcc)
-        verify_result(lcc, m1)
-        m2 = b_suitor(lcc, 2)
-        assert m2.weight >= m1.weight  # capacity 2 can only add weight
 
 
 class TestGoldenValues:
@@ -144,7 +130,6 @@ class TestDeterminism:
         lambda g: ld_seq(g).weight,
         lambda g: ld_gpu(g, num_devices=3,
                          collect_stats=False).sim_time,
-        lambda g: b_suitor(g, 2).weight,
     ])
     def test_repeated_runs_identical(self, medium_graph, algo_seeded):
         assert algo_seeded(medium_graph) == algo_seeded(medium_graph)

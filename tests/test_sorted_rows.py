@@ -2,16 +2,15 @@
 
 ``CSRGraph.sorted_row_order`` is the graph's only per-row ``(w, eid)``
 sort; ``PointerIndex`` (LD-SEQ, LD-GPU), ``suitor_seq``, the SR-OMP /
-SR-GPU rounds, ``b_suitor`` and ``IncrementalLD`` all read it.
+SR-GPU rounds and ``IncrementalLD`` all read it.
 ``CSRGraph.sorted_edge_order`` is its only global edge sort;
-``greedy_matching`` (in chunked vectorised rounds) and
-``greedy_b_matching`` scan it.  LD on the index engine, the Suitor
-variants and greedy read their matched weight in O(n) off their own
-state.  The reference oracles below are the implementations those
-replaced — a fresh lexsort per build or run, Suitor's full-row scan per
-proposal, the SR rounds' re-scan of every active row, greedy's per-edge
-loop, the O(m) ``matching_weight`` — and every test pits the
-shared-layout code against them bit for bit.
+``greedy_matching`` scans it in chunked vectorised rounds.  LD on the
+index engine, the Suitor variants and greedy read their matched weight
+in O(n) off their own state.  The reference oracles below are the
+implementations those replaced — a fresh lexsort per build or run,
+Suitor's full-row scan per proposal, the SR rounds' re-scan of every
+active row, greedy's per-edge loop, the O(m) ``matching_weight`` — and
+every test pits the shared-layout code against them bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.graph.generators import rmat_graph
 from repro.graph.segments import gather_rows, segment_argmax_lex
 from repro.matching import greedy as greedy_mod
 from repro.matching import suitor as suitor_mod
-from repro.matching.b_matching import b_suitor, greedy_b_matching
 from repro.matching.coreset import (
     coreset_matching,
     coreset_shard,
@@ -38,7 +36,7 @@ from repro.matching.coreset import (
 )
 from repro.matching.cugraph_sim import cugraph_mg_sim
 from repro.matching.dynamic import DynamicMatcher
-from repro.matching.greedy import greedy_matching, sorted_edges
+from repro.matching.greedy import greedy_matching
 from repro.matching.ld_gpu import ld_gpu
 from repro.matching.ld_multinode import ld_multinode
 from repro.matching.ld_seq import ld_seq
@@ -78,7 +76,7 @@ def partition_sorted_indices(g: CSRGraph, start: int, stop: int):
 
 
 def per_row_lexsort_order(g: CSRGraph) -> np.ndarray:
-    """``b_suitor``'s former row-by-row sort loop."""
+    """A row-by-row sort loop: one lexsort per row."""
     eids = g.canonical_edge_ids()
     order = np.arange(g.num_directed_edges, dtype=np.int64)
     for v in range(g.num_vertices):
@@ -173,7 +171,7 @@ def suitor_rounds_rescan(g: CSRGraph):
 
 def lexsort_edges(g: CSRGraph):
     """A per-run ``edge_array`` + lexsort: ``(u, v, w)`` descending by
-    ``(w, eid)``, as greedy and greedy-b used to sort every run."""
+    ``(w, eid)``, as greedy used to sort every run."""
     u, v, w = g.edge_array()
     order = np.lexsort((-(u * np.int64(max(g.num_vertices, 1)) + v), -w))
     return u[order], v[order], w[order]
@@ -189,24 +187,6 @@ def greedy_per_edge(g: CSRGraph) -> np.ndarray:
         if mate[a] == UNMATCHED and mate[b] == UNMATCHED:
             mate[a], mate[b] = b, a
     return mate
-
-
-def greedy_b_per_run_sort(g: CSRGraph, b: int):
-    """``greedy_b_matching`` as it was, sorting the edges every run."""
-    n = g.num_vertices
-    u, v, w = lexsort_edges(g)
-    capacity = np.full(n, b, dtype=np.int64)
-    partners: list[list[int]] = [[] for _ in range(n)]
-    weight = 0.0
-    for k in range(len(w)):
-        a, c = int(u[k]), int(v[k])
-        if capacity[a] > 0 and capacity[c] > 0:
-            capacity[a] -= 1
-            capacity[c] -= 1
-            partners[a].append(c)
-            partners[c].append(a)
-            weight += float(w[k])
-    return [sorted(p) for p in partners], weight
 
 
 # ------------------------------------------------------------------ #
@@ -339,7 +319,8 @@ def test_pickle_drops_memos(medium_graph):
 
 def assert_edge_order_matches(g: CSRGraph) -> None:
     pos = g.sorted_edge_order()
-    u, v, w = sorted_edges(g)
+    u, v = g.sorted_edge_endpoints()
+    w = g.weights[pos]
     for got, want in zip((u, v, w), lexsort_edges(g)):
         assert np.array_equal(got, want)
     assert np.array_equal(g.indices[pos], v)
@@ -522,13 +503,6 @@ def test_sr_cursor_rounds_equal_rescan_medium(medium_graph):
     assert_sr_identical(tie_heavy(medium_graph))
 
 
-@pytest.mark.parametrize("b", [1, 2, 3])
-def test_b_suitor_on_shared_order_equals_greedy_b(medium_graph, b):
-    for g in (medium_graph, tie_heavy(medium_graph)):
-        got, want = b_suitor(g, b), greedy_b_matching(g, b)
-        assert got.edge_set() == want.edge_set()
-
-
 # ------------------------------------------------------------------ #
 # greedy: chunked rounds vs the per-edge loop
 # ------------------------------------------------------------------ #
@@ -574,39 +548,6 @@ def test_greedy_long_chain_falls_back_exactly():
     # chunk is finished by the sequential scan.
     n = 3 * greedy_mod._CHUNK
     assert_greedy_identical(path(n, np.arange(n - 1, 0, -1)))
-
-
-# ------------------------------------------------------------------ #
-# greedy-b: the memoised edge order vs a per-run sort
-# ------------------------------------------------------------------ #
-
-
-def assert_greedy_b_identical(g: CSRGraph) -> None:
-    for b in (1, 2, 3):
-        r = greedy_b_matching(g, b)
-        partners, weight = greedy_b_per_run_sort(g, b)
-        assert [p.tolist() for p in r.partners] == partners
-        assert r.weight.hex() == weight.hex()
-
-
-@given(g=random_graphs(tie_prone=True))
-def test_greedy_b_equals_per_run_sort_tie_prone(g):
-    for h in (g, tie_heavy(g)):
-        assert_greedy_b_identical(h)
-
-
-@given(g=random_graphs())
-def test_greedy_b_equals_per_run_sort(g):
-    assert_greedy_b_identical(g)
-
-
-def test_greedy_b_equals_per_run_sort_fixed(fixed_graph):
-    assert_greedy_b_identical(fixed_graph)
-
-
-def test_greedy_b_equals_per_run_sort_medium(medium_graph):
-    assert_greedy_b_identical(medium_graph)
-    assert_greedy_b_identical(tie_heavy(medium_graph))
 
 
 # ------------------------------------------------------------------ #
