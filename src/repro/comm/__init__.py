@@ -4,8 +4,8 @@ Models the two communication fabrics the paper evaluates (PCIe vs NVLink
 SXM3/SXM4, Fig. 9–10) and the NCCL-style ring collectives LD-GPU issues
 after each phase (Algorithm 2, lines 7 and 9), plus host↔device transfers
 for batch loading.  Time is charged with the standard ring model
-``2·(N−1)·(bytes/N)/bw + 2·(N−1)·α`` (or NCCL's tree of rings across
-nodes); the combining collectives also reduce real per-device buffers.
+``2·(N−1)·(bytes/N)/bw + 2·(N−1)·α``; the combining collectives also
+reduce real per-device buffers.
 """
 
 from repro.comm.topology import (
@@ -20,8 +20,6 @@ from repro.comm.collectives import (
     allreduce_max,
     allreduce_sum,
     broadcast,
-    hierarchical_allreduce_max,
-    hierarchical_allreduce_time,
 )
 from repro.comm.transfer import h2d_time, d2h_time
 
@@ -33,8 +31,6 @@ __all__ = [
     "NVLINK_SXM4",
     "INFINIBAND_HDR",
     "allreduce_max",
-    "hierarchical_allreduce_max",
-    "hierarchical_allreduce_time",
     "allreduce_sum",
     "broadcast",
     "h2d_time",

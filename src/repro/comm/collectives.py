@@ -23,7 +23,6 @@ import numpy as np
 from repro.comm.topology import Interconnect
 
 __all__ = ["allreduce_max", "allreduce_sum", "broadcast",
-           "hierarchical_allreduce_max", "hierarchical_allreduce_time",
            "ring_allreduce_time"]
 
 
@@ -41,27 +40,6 @@ def ring_allreduce_time(nbytes: int, num_devices: int,
     chunk = nbytes / num_devices
     bw = link.collective_bandwidth_bps(num_devices)
     return steps * (chunk / bw + link.latency_s)
-
-
-def hierarchical_allreduce_time(nbytes: int, num_nodes: int,
-                                devices_per_node: int,
-                                intra: Interconnect,
-                                inter: Interconnect) -> float:
-    """Seconds for NCCL's tree-of-rings allreduce of ``nbytes`` across
-    ``num_nodes`` nodes of ``devices_per_node`` GPUs each.
-
-    Stage 1 reduces to each node's leader (a ring reduce, about half an
-    allreduce); stage 2 allreduces across the leaders; stage 3
-    broadcasts the result within each node.
-    """
-    t = 0.0
-    if devices_per_node > 1:
-        t += ring_allreduce_time(nbytes, devices_per_node, intra) / 2.0
-    t += ring_allreduce_time(nbytes, num_nodes, inter)
-    if devices_per_node > 1:
-        t += nbytes / intra.collective_bandwidth_bps(devices_per_node) \
-            + (devices_per_node - 1) * intra.latency_s
-    return t
 
 
 def _check(buffers: Sequence[np.ndarray]) -> None:
@@ -98,37 +76,6 @@ def allreduce_sum(buffers: Sequence[np.ndarray],
     for b in buffers:
         b[...] = out
     return ring_allreduce_time(out.nbytes, len(buffers), link)
-
-
-def hierarchical_allreduce_max(
-    buffers: Sequence[np.ndarray],
-    devices_per_node: int,
-    intra: Interconnect,
-    inter: Interconnect,
-) -> float:
-    """Two-level MAX allreduce: ring within each node, ring across node
-    leaders, broadcast back — NCCL's tree-of-rings strategy for
-    multi-node jobs.  ``buffers`` are grouped into nodes by index.
-
-    Returns the modeled time; the combine itself is exact, leaving every
-    buffer equal to the global elementwise max.
-    """
-    _check(buffers)
-    if devices_per_node < 1:
-        raise ValueError("devices_per_node must be >= 1")
-    if len(buffers) % devices_per_node:
-        raise ValueError(
-            f"{len(buffers)} buffers do not fill whole nodes of "
-            f"{devices_per_node}"
-        )
-    out = buffers[0].copy()
-    for b in buffers[1:]:
-        np.maximum(out, b, out=out)
-    for b in buffers:
-        b[...] = out
-    return hierarchical_allreduce_time(
-        out.nbytes, len(buffers) // devices_per_node, devices_per_node,
-        intra, inter)
 
 
 def broadcast(buffers: Sequence[np.ndarray], root: int,

@@ -37,7 +37,6 @@ from repro.gpusim.kernels import (
 )
 from repro.gpusim.occupancy import warp_work_distribution, sm_occupancy
 from repro.gpusim.trace import Trace, TraceEvent
-from repro.gpusim.cluster import ClusterSpec, DGX_A100_SUPERPOD
 
 __all__ = [
     "DeviceSpec",
@@ -62,6 +61,4 @@ __all__ = [
     "sm_occupancy",
     "Trace",
     "TraceEvent",
-    "ClusterSpec",
-    "DGX_A100_SUPERPOD",
 ]

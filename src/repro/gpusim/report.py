@@ -30,7 +30,7 @@ def iteration_rows(result) -> list[list]:
 
     Accepts a :class:`MatchResult` or an engine ``RunRecord``; requires
     a run produced with ``collect_stats=True`` and a timeline (i.e. an
-    ``ld_gpu`` / ``ld_multinode`` run).
+    ``ld_gpu`` run).
     """
     result = _as_match_result(result)
     if result.timeline is None:

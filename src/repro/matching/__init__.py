@@ -27,7 +27,6 @@ from repro.matching.validate import (
 from repro.matching.pointer_index import PointerIndex
 from repro.matching.ld_seq import ld_seq
 from repro.matching.ld_gpu import ld_gpu
-from repro.matching.ld_multinode import ld_multinode
 from repro.matching.greedy import greedy_matching
 from repro.matching.local_max import local_max
 from repro.matching.suitor import suitor_seq, suitor_omp_sim, suitor_gpu_sim
@@ -54,7 +53,6 @@ __all__ = [
     "PointerIndex",
     "ld_seq",
     "ld_gpu",
-    "ld_multinode",
     "greedy_matching",
     "local_max",
     "suitor_seq",

@@ -205,7 +205,6 @@ def ld_gpu(
     collect_stats: bool = True,
     force_streaming: bool = False,
     partition: str = "edge",
-    allreduce=None,
     engine: str = "index",
 ) -> MatchResult:
     """Run LD-GPU on ``num_devices`` simulated GPUs of ``platform``.
@@ -228,14 +227,6 @@ def ld_gpu(
     partition:
         ``"edge"`` (default, §III-A's edge-balanced contiguous split) or
         ``"vertex"`` (naive equal-#vertices ablation baseline).
-    allreduce:
-        Collective cost override: ``callable(nbytes) -> seconds``, the
-        modeled time of one MAX allreduce of an ``nbytes`` array across
-        the devices (default: NCCL ring over ``platform.gpu_link``).
-        The multi-node extension injects a hierarchical
-        NVLink+InfiniBand cost here.  It is called once per array per
-        run: every round allreduces the same two arrays.  The combine
-        itself is the owner write on the host's one global array.
     engine:
         ``"index"`` or the ``"segment"`` reference, as for
         :func:`~repro.matching.ld_seq.ld_seq`; ``mate``,
@@ -259,11 +250,6 @@ def ld_gpu(
     parts = _setup_devices(graph, platform, num_devices, num_batches,
                            force_streaming, partition)
     nb = parts[0].plan.num_batches
-
-    if allreduce is None:
-        def allreduce(nbytes):
-            return ring_allreduce_time(nbytes, num_devices,
-                                       platform.gpu_link)
 
     # One pointing pair over every row: pointing reads only ``mate``,
     # which does not change while pointing, so one call serves every
@@ -293,8 +279,10 @@ def ld_gpu(
     setmates = [matching_kernel_profile(spec, p.num_vertices)
                 for p in parts]
     t_setmates = max(prof.seconds for prof in setmates)
-    t_allreduce_pointers = allreduce(pointers.nbytes)
-    t_allreduce_mate = allreduce(mate.nbytes)
+    t_allreduce_pointers = ring_allreduce_time(
+        pointers.nbytes, num_devices, platform.gpu_link)
+    t_allreduce_mate = ring_allreduce_time(
+        mate.nbytes, num_devices, platform.gpu_link)
     t_sync = ((_SYNCS_PER_ITERATION + max(0, nb - 2))
               * spec.kernel_launch_us * 1e-6
               + platform.gpu_link.latency_s)

@@ -37,8 +37,6 @@ Metric names are a contract::
     repro_device_bytes_total{device,direction}                  counter
     repro_exposed_transfer_seconds{device}                      histogram
     repro_batch_load_seconds{device,batch}                      histogram
-    repro_allreduce_seconds{scope}                              histogram
-    repro_cluster_nodes / repro_cluster_devices_per_node        gauge
     repro_communication_fraction{algorithm}                     gauge
     repro_run_wall_seconds{algorithm} / repro_run_sim_seconds   gauge
     repro_run_iterations{algorithm}                             gauge

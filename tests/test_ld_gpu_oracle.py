@@ -7,7 +7,7 @@ MAX allreduce over {-1, owner value} is the owner's write.
 every device holds its own copies of both arrays and its own
 :class:`PointerIndex` over its row range, points once per (device,
 batch), clears its non-owned range to -1 and really MAX-combines the
-buffers (:func:`allreduce_max` / :func:`hierarchical_allreduce_max`).
+buffers (:func:`allreduce_max`).
 The tests assert that the two agree on every output bit: the matching,
 weight, modeled time, per-iteration timeline, every ``stats`` entry and
 every telemetry series (per-device kernel launches and H2D bytes
@@ -20,12 +20,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build_graph, random_graphs
-from repro.comm.collectives import (
-    allreduce_max,
-    hierarchical_allreduce_max,
-)
+from repro.comm.collectives import allreduce_max
 from repro.comm.transfer import h2d_time
-from repro.gpusim.cluster import DGX_A100_SUPERPOD
 from repro.gpusim.kernels import matching_kernel_cost, pointing_kernel_cost
 from repro.gpusim.spec import DGX_A100
 from repro.gpusim.stream import dual_buffer_schedule
@@ -36,7 +32,6 @@ from repro.matching.ld_gpu import (
     _setup_devices,
     ld_gpu,
 )
-from repro.matching.ld_multinode import ld_multinode
 from repro.matching.ld_seq import compute_pointers, find_mutual_pairs
 from repro.matching.pointer_index import (
     HOST_SCAN_COUNTER,
@@ -53,7 +48,7 @@ from repro.telemetry.spans import SpanEmitter, count, observe, record_into
 def ld_gpu_replicated(graph, platform=DGX_A100, num_devices=1,
                       num_batches=None, vertices_per_warp=8,
                       max_iterations=None, force_streaming=False,
-                      partition="edge", allreduce=None, engine="index"):
+                      partition="edge", engine="index"):
     """LD-GPU with per-device state and real collectives (always
     collects stats)."""
     n = graph.num_vertices
@@ -61,9 +56,6 @@ def ld_gpu_replicated(graph, platform=DGX_A100, num_devices=1,
     parts = _setup_devices(graph, platform, num_devices, num_batches,
                            force_streaming, partition)
     nb = parts[0].plan.num_batches
-    if allreduce is None:
-        def allreduce(buffers):
-            return allreduce_max(buffers, platform.gpu_link)
 
     pointers = [np.full(n, UNMATCHED, dtype=np.int64) for _ in parts]
     mates = [np.full(n, UNMATCHED, dtype=np.int64) for _ in parts]
@@ -154,7 +146,8 @@ def ld_gpu_replicated(graph, platform=DGX_A100, num_devices=1,
         for i, p in enumerate(parts):
             pointers[i][:p.start] = UNMATCHED
             pointers[i][p.stop:] = UNMATCHED
-        tel.emit("allreduce_pointers", allreduce(pointers))
+        tel.emit("allreduce_pointers",
+                 allreduce_max(pointers, platform.gpu_link))
         pointers_g = pointers[0]
 
         if mutual is not None:
@@ -177,7 +170,7 @@ def ld_gpu_replicated(graph, platform=DGX_A100, num_devices=1,
             p.device.record_kernel()
         tel.emit("matching", max(match_times) if match_times else 0.0)
 
-        tel.emit("allreduce_mate", allreduce(mates))
+        tel.emit("allreduce_mate", allreduce_max(mates, platform.gpu_link))
         mate_g = mates[0]
         tel.emit("sync",
                  (_SYNCS_PER_ITERATION + max(0, nb - 2))
@@ -349,26 +342,3 @@ class TestReplicatedOracle:
                   for start, stop in zip(off[:-1], off[1:])]
         assert r.stats["device_peak_bytes"] == expect
 
-
-class TestMultinodeOracle:
-    @pytest.mark.parametrize("nodes,dpn", [(2, 2), (2, 4)])
-    @pytest.mark.parametrize("batching", [(None, False), (3, True)])
-    def test_hierarchical(self, nodes, dpn, batching):
-        nb, streaming = batching
-        cluster = DGX_A100_SUPERPOD
-        g = GRAPHS["rmat"]
-
-        def allreduce(buffers):
-            return hierarchical_allreduce_max(
-                buffers, dpn, cluster.node.gpu_link, cluster.inter_node)
-
-        r = ld_multinode(g, num_nodes=nodes, devices_per_node=dpn,
-                         num_batches=nb, force_streaming=streaming)
-        ref = ld_gpu_replicated(g, cluster.flat_platform(dpn),
-                                num_devices=nodes * dpn, num_batches=nb,
-                                force_streaming=streaming,
-                                allreduce=allreduce)
-        for key in ("cluster", "num_nodes", "devices_per_node"):
-            r.stats.pop(key)
-        assert _fields(r) == _fields(ref)
-        assert r.timeline.totals["allreduce_pointers"] > 0

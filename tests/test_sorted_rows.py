@@ -38,7 +38,6 @@ from repro.matching.cugraph_sim import cugraph_mg_sim
 from repro.matching.dynamic import DynamicMatcher
 from repro.matching.greedy import greedy_matching
 from repro.matching.ld_gpu import ld_gpu
-from repro.matching.ld_multinode import ld_multinode
 from repro.matching.ld_seq import ld_seq
 from repro.matching.pointer_index import PointerIndex
 from repro.matching.suitor import suitor_gpu_sim, suitor_omp_sim, suitor_seq
@@ -570,7 +569,6 @@ def assert_weight_exact(g: CSRGraph, shapes=LD_GPU_SHAPES) -> None:
             greedy_matching(g), cugraph_mg_sim(g, num_devices=3),
             coreset_matching(g, num_shards=3),
             coreset_matching(g, num_shards=3, base="ld"),
-            ld_multinode(g, num_nodes=2, devices_per_node=2),
             suitor_omp_sim(g), suitor_gpu_sim(g)]
     runs += [ld_gpu(g, **shape) for shape in shapes]
     for r in runs:

@@ -450,19 +450,6 @@ class TestMetricsSink:
             rec["communication_fraction_timeline"])
         assert doc["provenance"] is record.provenance
 
-    def test_multinode_cluster_gauges(self, medium_graph):
-        from repro.matching.ld_multinode import ld_multinode
-
-        reg = MetricsRegistry()
-        with record_into(reg):
-            ld_multinode(medium_graph, num_nodes=4, devices_per_node=4)
-        snap = reg.snapshot()
-        assert snap.total("repro_cluster_nodes") == 4
-        assert snap.total("repro_cluster_devices_per_node") == 4
-        assert sum(
-            s["count"] for s in snap.samples("repro_allreduce_seconds")
-        ) > 0
-
 
 class TestTraceSinkOverwrite:
     def test_warns_once_and_keeps_surviving_path(self, tmp_path,
