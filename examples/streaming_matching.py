@@ -3,41 +3,35 @@
 
 Online marketplaces, ride matching and interconnect schedulers see
 their graphs as *streams* of edge events.  This example replays one
-seeded :class:`~repro.streaming.events.EdgeStream` into both dynamic
-matchers the repo ships and reports them side by side:
+seeded :class:`~repro.streaming.events.EdgeStream` into both streaming
+engines the repo ships and reports them side by side:
 
 * :class:`~repro.streaming.engine.IncrementalLD` — the batch-dynamic
   engine: after every batch it repairs the matching locally from the
   affected frontier and lands *exactly* on the LD fixed point of the
   mutated graph (bit-identical to a from-scratch
-  :func:`~repro.matching.ld_seq.ld_seq`), so its quality column is
-  100% by construction;
-* :class:`~repro.matching.dynamic.DynamicMatcher` — the greedy
-  O(degree) repair heuristic whose quality drifts, managed with the
-  periodic-rebuild pattern.
+  :func:`~repro.matching.ld_seq.ld_seq`);
+* :class:`~repro.streaming.engine.RecomputeLD` — the from-scratch
+  oracle: it snapshots the mutated graph and reruns ``ld_seq`` after
+  every batch, which is what a non-incremental system pays.
 
-The comparison is what the table shows: exactness costs a frontier of
-repair work per batch (the "affected" / "host entries" columns),
-greedy repair costs quality drift between rebuilds.
+Both land on the same matching after every batch; the table shows what
+each pays for it (affected vertices and host adjacency entries scanned).
 
 Run:  python examples/streaming_matching.py
 """
-
-import time
 
 import numpy as np
 
 from repro.graph.generators.uniform import uniform_random_graph
 from repro.harness.report import format_table
-from repro.matching.dynamic import DynamicMatcher
 from repro.matching.ld_seq import ld_seq
-from repro.streaming import EdgeStream, IncrementalLD
+from repro.streaming import EdgeStream, IncrementalLD, RecomputeLD
 
 NUM_VERTICES = 400
 NUM_EDGES = 1600
 NUM_BATCHES = 24
 BATCH_SIZE = 25
-REBUILD_EVERY = 8  # DynamicMatcher rebuilds every K batches
 SEED = 17
 
 
@@ -48,53 +42,41 @@ def main() -> None:
                                  batch_size=BATCH_SIZE, seed=SEED)
 
     inc = IncrementalLD(base)
-    dm = DynamicMatcher(base)
-    inc_time = dm_time = 0.0
+    rec = RecomputeLD(base)
+    inc_time = rec_time = 0.0
+    inc_entries = rec_entries = 0
 
     rows = []
     for i, batch in enumerate(stream, start=1):
-        result = inc.apply(batch)
-        inc_time += result.latency_s
-
-        t0 = time.perf_counter()
-        for kind, u, v, w in batch.ops:
-            if kind == "delete":
-                dm.delete(u, v)
-            else:  # DynamicMatcher's insert is an upsert
-                dm.insert(u, v, w)
-        if i % REBUILD_EVERY == 0:
-            dm.rebuild()
-        dm_time += time.perf_counter() - t0
-
-        exact = result.weight  # == the from-scratch LD weight
+        ri = inc.apply(batch)
+        rr = rec.apply(batch)
+        inc_time += ri.latency_s
+        rec_time += rr.latency_s
+        inc_entries += ri.host_entries_scanned
+        rec_entries += rr.host_entries_scanned
+        # The incremental repair lands on the from-scratch fixed point.
+        assert np.array_equal(inc.mate, rec.mate), i
         rows.append([
-            i, inc.graph.num_edges,
-            result.affected_vertices, result.host_entries_scanned,
-            exact, dm.weight,
-            100.0 * dm.weight / exact if exact else 100.0,
+            i, inc.graph.num_edges, ri.weight,
+            ri.affected_vertices, ri.host_entries_scanned,
+            rr.host_entries_scanned,
         ])
 
     print(format_table(
-        ["batch", "live edges", "affected", "host entries",
-         "incremental LD weight", "greedy weight", "greedy %"],
+        ["batch", "live edges", "LD weight", "affected",
+         "incremental entries", "recompute entries"],
         rows, floatfmt=".2f",
-        title=f"IncrementalLD vs periodic-rebuild DynamicMatcher — "
-              f"{stream.num_ops} ops in {NUM_BATCHES} batches "
-              f"({NUM_VERTICES} vertices, rebuild every "
-              f"{REBUILD_EVERY})",
+        title=f"IncrementalLD vs RecomputeLD — {stream.num_ops} ops in "
+              f"{NUM_BATCHES} batches ({NUM_VERTICES} vertices)",
     ))
 
-    # Both matchers saw the same ops, so their public read surfaces
-    # must agree edge for edge — no reaching into private state.
+    # Both engines saw the same ops, so their graphs agree edge for edge.
     iu, iv, iw = inc.graph.edges()
-    du, dv, dw = dm.edges()
-    assert np.array_equal(iu, du) and np.array_equal(iv, dv) \
-        and np.allclose(iw, dw)
-    assert all(dm.has_edge(int(a), int(b)) for a, b in
-               zip(iu[:50], iv[:50]))
-    print(f"\nboth matchers agree on the mutated graph: "
-          f"{dm.num_edges} edges (checked via the public "
-          f"has_edge/edges surface)")
+    ru, rv, rw = rec.graph.edges()
+    assert np.array_equal(iu, ru) and np.array_equal(iv, rv) \
+        and np.array_equal(iw, rw)
+    print(f"\nboth engines agree on the mutated graph: "
+          f"{inc.graph.num_edges} edges")
 
     # The incremental engine's exactness claim, checked the hard way.
     oracle = ld_seq(inc.snapshot(), collect_stats=False)
@@ -103,15 +85,11 @@ def main() -> None:
           f"ld_seq: {identical}")
     assert identical
 
-    worst = min(r[6] for r in rows)
-    print(f"worst greedy drift observed: {worst:.1f}% of the exact LD "
-          f"weight (rebuilds reset the gap; between them the O(degree) "
-          f"repairs drift — occasionally they even beat LD, since "
-          f"both are 1/2-approximations of the true optimum)")
-    print(f"update time over the stream: incremental repair "
-          f"{1e3 * inc_time:.1f} ms vs greedy+rebuild "
-          f"{1e3 * dm_time:.1f} ms — only the former is exact LD "
-          f"after every batch")
+    print(f"host entries over the stream: incremental {inc_entries} vs "
+          f"recompute {rec_entries} "
+          f"({100.0 * inc_entries / max(rec_entries, 1):.1f}%)")
+    print(f"update time over the stream: incremental "
+          f"{1e3 * inc_time:.1f} ms vs recompute {1e3 * rec_time:.1f} ms")
 
 
 if __name__ == "__main__":

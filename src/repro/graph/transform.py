@@ -34,8 +34,7 @@ def edge_subgraph(
     matchings computed on the subgraph are directly comparable (and
     mergeable) across subgraphs of the same parent.  This is the one
     extraction path shared by coreset shard staging
-    (:mod:`repro.matching.coreset`), dynamic-matcher snapshots and
-    weight-threshold pruning.
+    (:mod:`repro.matching.coreset`) and weight-threshold pruning.
 
     Returns ``(sub, eids)`` where ``eids[k]`` is the position *in the
     parent's* ``edge_array`` order of the subgraph's ``k``-th edge (also

@@ -40,7 +40,6 @@ from repro.matching.coreset import (
     extract_shard,
     shard_assignments,
 )
-from repro.matching.dynamic import DynamicMatcher
 from repro.streaming.scenario import dynamic_ld
 
 __all__ = [
@@ -67,6 +66,5 @@ __all__ = [
     "coreset_shard",
     "extract_shard",
     "shard_assignments",
-    "DynamicMatcher",
     "dynamic_ld",
 ]

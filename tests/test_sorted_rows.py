@@ -35,7 +35,6 @@ from repro.matching.coreset import (
     extract_shard,
 )
 from repro.matching.cugraph_sim import cugraph_mg_sim
-from repro.matching.dynamic import DynamicMatcher
 from repro.matching.greedy import greedy_matching
 from repro.matching.ld_gpu import ld_gpu
 from repro.matching.ld_seq import ld_seq
@@ -574,8 +573,6 @@ def assert_weight_exact(g: CSRGraph, shapes=LD_GPU_SHAPES) -> None:
     for r in runs:
         # ``==``, not isclose: the same elements summed in the same order.
         assert r.weight == matching_weight(g, r.mate), r.algorithm
-    dm = DynamicMatcher(g)
-    assert dm.weight == matching_weight(dm.to_graph(), dm.mate)
 
 
 #: A spread of the shapes for the many small hypothesis examples.

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from conftest import build_graph, random_graphs
 from repro.graph.overlay import OverlayGraph
-from repro.matching.dynamic import DynamicMatcher
 from repro.matching.ld_seq import ld_seq
 from repro.matching.types import UNMATCHED
 from repro.matching.validate import (
@@ -596,33 +595,3 @@ class TestStreamCLI:
         human = capsys.readouterr().out
         assert "streaming engine" in human
         assert "recompute floor" in human
-
-
-class TestDynamicMatcherSurface:
-    def test_has_edge(self, medium_graph):
-        dm = DynamicMatcher(medium_graph)
-        u, v, _ = medium_graph.edge_array()
-        assert dm.has_edge(int(u[0]), int(v[0]))
-        assert dm.has_edge(int(v[0]), int(u[0]))
-        assert not dm.has_edge(-1, 0)
-        assert not dm.has_edge(0, medium_graph.num_vertices + 5)
-        dm.delete(int(u[0]), int(v[0]))
-        assert not dm.has_edge(int(u[0]), int(v[0]))
-
-    def test_edges_matches_graph(self, medium_graph):
-        dm = DynamicMatcher(medium_graph)
-        eu, ev, ew = dm.edges()
-        bu, bv, bw = medium_graph.edge_array()
-        order = np.lexsort((bv, bu))
-        assert np.array_equal(eu, bu[order])
-        assert np.array_equal(ev, bv[order])
-        assert np.allclose(ew, bw[order])
-        dm.insert(0, 1, 9.0)  # upsert
-        eu, ev, ew = dm.edges()
-        k = np.flatnonzero((eu == 0) & (ev == 1))
-        assert k.size == 1 and ew[int(k[0])] == 9.0
-
-    def test_edges_empty(self):
-        dm = DynamicMatcher(num_vertices=3)
-        eu, ev, ew = dm.edges()
-        assert eu.size == ev.size == ew.size == 0
