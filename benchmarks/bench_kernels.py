@@ -17,7 +17,6 @@ from repro.matching.blossom import blossom_mwm
 from repro.matching.greedy import greedy_matching
 from repro.matching.ld_gpu import ld_gpu
 from repro.matching.ld_seq import ld_seq
-from repro.matching.local_max import local_max
 from repro.matching.suitor import suitor_omp_sim
 from repro.partition.vertex import edge_balanced_partition
 
@@ -41,10 +40,6 @@ class TestMatchingKernels:
 
     def test_suitor_rounds_wall_time(self, benchmark, kron):
         r = benchmark(suitor_omp_sim, kron)
-        assert r.num_matched_edges > 0
-
-    def test_local_max_wall_time(self, benchmark, kron):
-        r = benchmark(local_max, kron)
         assert r.num_matched_edges > 0
 
     def test_greedy_wall_time(self, benchmark):

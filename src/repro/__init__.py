@@ -5,7 +5,7 @@ Matching on GPUs"* (Mandulak, Ghosh, Ferdous, Halappanavar, Slota —
 SC 2024): the LD-GPU multi-GPU ½-approximate matching algorithm with
 edge-balanced partitioning, batched dual-buffer streaming and NCCL-style
 collectives, plus every baseline the paper evaluates against (Suitor
-CPU/GPU, exact blossom, greedy, LocalMax, cuGraph-style MG).
+CPU/GPU, exact blossom, greedy, cuGraph-style MG).
 
 Quick start::
 
@@ -83,7 +83,6 @@ from repro.matching import (
     is_valid_matching,
     ld_gpu,
     ld_seq,
-    local_max,
     matching_weight,
     maximum_weight_matching,
     suitor_gpu_sim,
@@ -141,7 +140,6 @@ __all__ = [
     "suitor_omp_sim",
     "suitor_gpu_sim",
     "greedy_matching",
-    "local_max",
     "blossom_mwm",
     "maximum_weight_matching",
     "cugraph_mg_sim",

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "row_ids",
-    "segment_max",
     "segment_argmax_lex",
     "gather_rows",
 ]
@@ -32,25 +31,6 @@ def _nonempty(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.diff(indptr)
     rows = np.nonzero(lengths > 0)[0]
     return rows, indptr[:-1][rows]
-
-
-def segment_max(
-    values: np.ndarray, indptr: np.ndarray, fill: float | None = None
-) -> np.ndarray:
-    """Per-row max; empty rows get ``fill`` (``-inf`` for floats, the most
-    negative representable value for integers, unless given)."""
-    n = len(indptr) - 1
-    if values.dtype.kind == "f":
-        out = np.full(n, _NEG_INF if fill is None else fill,
-                      dtype=values.dtype)
-    else:
-        default = np.iinfo(values.dtype).min
-        out = np.full(n, default if fill is None else int(fill),
-                      dtype=values.dtype)
-    rows, starts = _nonempty(indptr)
-    if len(rows):
-        out[rows] = np.maximum.reduceat(values, starts)
-    return out
 
 
 def segment_argmax_lex(

@@ -28,7 +28,6 @@ from repro.matching.pointer_index import PointerIndex
 from repro.matching.ld_seq import ld_seq
 from repro.matching.ld_gpu import ld_gpu
 from repro.matching.greedy import greedy_matching
-from repro.matching.local_max import local_max
 from repro.matching.suitor import suitor_seq, suitor_omp_sim, suitor_gpu_sim
 from repro.matching.blossom import blossom_mwm, maximum_weight_matching
 from repro.matching.cugraph_sim import cugraph_mg_sim
@@ -53,7 +52,6 @@ __all__ = [
     "ld_seq",
     "ld_gpu",
     "greedy_matching",
-    "local_max",
     "suitor_seq",
     "suitor_omp_sim",
     "suitor_gpu_sim",

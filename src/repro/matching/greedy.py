@@ -3,8 +3,12 @@
 The classical baseline (Avis '83): sort edges by decreasing weight, add an
 edge whenever both endpoints are free.  With the same ``(w, eid)`` total
 order the LD algorithms use for tie-breaking, greedy produces *exactly* the
-same matching as LD-SEQ/LD-GPU — a theorem (locally dominant matchings
-under a total order are unique) the test suite leans on as a cross-check.
+same matching as LD-SEQ/LD-GPU, the Suitor variants and the cuGraph
+analog — a theorem (locally dominant matchings under a total order are
+unique) the test suite leans on as a cross-check.  Birn et al.'s
+edge-centric LocalMax, which the theorem also covers, lives in the test
+suite (``tests/local_max_oracle.py``) as an oracle that shares no code
+with the sorted-row layout.
 
 The global sort is what makes greedy unattractive on parallel hardware
 (§II-B), but it is the simplest correct oracle for the concurrent variants.

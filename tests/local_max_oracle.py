@@ -1,27 +1,47 @@
-"""LocalMax — Birn et al.'s edge-centric locally dominant matching.
+"""LocalMax — Birn et al.'s edge-centric locally dominant matching, kept
+as an independent test oracle for the LD family.
 
 The dual view of the pointer algorithm (§II-B): per round, an *edge* is
 kept iff it dominates (under the ``(w, eid)`` total order) every live edge
 sharing an endpoint with it.  All dominant edges are committed at once and
-their neighbourhoods removed.  With the shared total order it produces the
-same unique locally dominant matching as LD-SEQ / greedy, which the tests
-assert; it typically converges in fewer, heavier rounds than the
-vertex-centric formulation (each round scans every live edge).
+their neighbourhoods removed.  A locally dominant matching under a total
+order is unique (see :mod:`repro.matching.greedy`), so LocalMax returns
+the same mate array as LD-SEQ, LD-GPU, greedy and the Suitor variants
+while sharing none of their code: it reads only the CSR arrays and
+:meth:`~repro.graph.csr.CSRGraph.canonical_edge_ids`, and takes its
+per-row maxima from :func:`segment_max` here rather than from the
+sorted-row layout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.spec import AlgorithmSpec, register
 from repro.graph.csr import CSRGraph
-from repro.graph.segments import row_ids, segment_max
+from repro.graph.segments import row_ids
 from repro.matching.types import UNMATCHED, MatchResult
 from repro.matching.validate import matching_weight
 
-__all__ = ["local_max"]
-
 _NEG_INF = -np.inf
+
+
+def segment_max(
+    values: np.ndarray, indptr: np.ndarray, fill: float | None = None
+) -> np.ndarray:
+    """Per-row max; empty rows get ``fill`` (``-inf`` for floats, the most
+    negative representable value for integers, unless given)."""
+    n = len(indptr) - 1
+    if values.dtype.kind == "f":
+        out = np.full(n, _NEG_INF if fill is None else fill,
+                      dtype=values.dtype)
+    else:
+        default = np.iinfo(values.dtype).min
+        out = np.full(n, default if fill is None else int(fill),
+                      dtype=values.dtype)
+    rows = np.flatnonzero(np.diff(indptr) > 0)
+    if len(rows):
+        out[rows] = np.maximum.reduceat(values, indptr[:-1][rows])
+    return out
 
 
 def local_max(graph: CSRGraph,
@@ -30,9 +50,9 @@ def local_max(graph: CSRGraph,
     n = graph.num_vertices
     mate = np.full(n, UNMATCHED, dtype=np.int64)
     rid = row_ids(graph.indptr)
-    # eids fit float64 exactly while n^2 < 2^53 — enforced upstream by the
-    # harness graph scales; the two-field lexicographic max below uses a
-    # weight pass followed by an eid pass among weight-maximal slots.
+    # eids fit float64 exactly while n^2 < 2^53; the two-field
+    # lexicographic max below uses a weight pass followed by an eid pass
+    # among weight-maximal slots.
     eids = graph.canonical_edge_ids().astype(np.float64)
     iterations = 0
     rounds_edges: list[int] = []
@@ -71,11 +91,3 @@ def local_max(graph: CSRGraph,
         stats={"matches_per_round": np.asarray(rounds_edges,
                                                dtype=np.int64)},
     )
-
-
-register(AlgorithmSpec(
-    name="local_max",
-    fn=local_max,
-    summary="Birn et al. edge-centric LocalMax",
-    approx_ratio="1/2",
-))

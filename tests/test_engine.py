@@ -40,9 +40,8 @@ class TestRegistry:
     def test_every_legacy_algorithm_registered(self):
         assert set(ALL_NAMES) == {
             "ld_seq", "ld_gpu", "sr_omp", "sr_gpu", "suitor_seq",
-            "greedy", "local_max", "blossom", "cugraph",
-            "coreset_greedy", "coreset_ld", "coreset_shard",
-            "dynamic_ld",
+            "greedy", "blossom", "cugraph",
+            "coreset_greedy", "coreset_ld", "coreset_shard", "dynamic_ld",
         }
 
     def test_algorithms_view_tracks_registry(self, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build_graph, random_graphs
+from local_max_oracle import local_max
 from repro.gpusim.memory import DeviceOOMError
 from repro.gpusim.spec import DGX_A100
 from repro.harness.datasets import DATASETS, quality_instance
@@ -13,7 +14,6 @@ from repro.matching.cugraph_sim import cugraph_mg_sim
 from repro.matching.greedy import greedy_matching
 from repro.matching.ld_gpu import ld_gpu
 from repro.matching.ld_seq import ld_seq
-from repro.matching.local_max import local_max
 from repro.matching.validate import (
     is_valid_matching,
     verify_result,

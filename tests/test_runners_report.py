@@ -18,8 +18,7 @@ class TestRunAlgorithm:
     def test_dispatch_all(self, medium_graph):
         from repro.matching.validate import is_valid_matching
 
-        for name in ("ld_seq", "greedy", "local_max", "suitor_seq",
-                     "sr_omp"):
+        for name in ("ld_seq", "greedy", "suitor_seq", "sr_omp"):
             r = get_spec(name).fn(medium_graph)
             assert is_valid_matching(medium_graph, r.mate), name
 
