@@ -2,9 +2,8 @@
 
 The streaming plane (:mod:`repro.streaming`) needs a graph that starts
 from an immutable :class:`CSRGraph` and absorbs edge
-inserts/deletes/reweights, while staying able to (a) hand back an
-exact CSR snapshot vectorised — never a per-edge Python loop — and (b)
-reconstruct any *single* vertex's current adjacency in O(deg).
+inserts/deletes/reweights, while staying able to hand back an exact
+CSR snapshot vectorised — never a per-edge Python loop.
 
 State is small structures over the untouched base CSR:
 
@@ -18,11 +17,11 @@ State is small structures over the untouched base CSR:
 * an ``extra`` dict of overlay edges keyed by ``lo * n + hi`` —
   inserted edges plus the current weight of re-weighted base edges (an
   overlay key is never live in the base, so snapshots are a
-  concatenation, not a merge);
-* per-vertex row edits (neighbour -> weight, NaN once deleted)
-  recording how a vertex's adjacency differs from its base CSR row, so
-  :meth:`row_arrays` pays O(deg(v)) for exactly the vertices that
-  changed and O(1) (a base slice view) for everyone else.
+  concatenation, not a merge).
+
+A single vertex's current adjacency (:meth:`row_arrays`) is derived
+from the same state: its base row filtered by the liveness mask, then
+its overlay edges.
 
 Updates arrive as ordered batches (:meth:`apply_batch`).  A batch is
 checked as a whole before anything changes: one ``searchsorted`` finds
@@ -87,7 +86,6 @@ class OverlayGraph:
         self._base_live = np.ones(len(keys), dtype=bool)
         self._num_edges = len(keys)
         self._extra: dict[int, float] = {}
-        self._row_edits: dict[int, dict[int, float]] = {}
 
     # -------------------------------------------------------------- #
     # read surface
@@ -183,28 +181,34 @@ class OverlayGraph:
         return u, v, w[order]
 
     def row_arrays(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(neighbours, weights)`` of ``v``'s *current* adjacency.
+        """``(neighbours, weights)`` of ``v``'s *current* adjacency:
+        surviving base entries in base order, then the overlay entries
+        by ascending neighbour.
 
-        Vertices without edits return base CSR slice views (zero
-        copy); edited vertices pay O(deg(v)) to apply their edits to
-        the base row: surviving base entries in base order, then the
-        overlay entries by ascending neighbour.
+        A vertex whose row no update changed gets base CSR slice views
+        (zero copy).  The row is derived, not stored: a ``searchsorted``
+        of the base row's keys into the liveness mask plus one pass
+        over the overlay's keys.
         """
-        base = self._base
+        base, n = self._base, self._n
         s, e = int(base.indptr[v]), int(base.indptr[v + 1])
         nbrs = base.indices[s:e]
         ws = base.weights[s:e]
-        edits = self._row_edits.get(v)
-        if not edits:
+        nb = nbrs.astype(np.int64)
+        keys = np.minimum(nb, v) * np.int64(n) + np.maximum(nb, v)
+        keep = self._base_live[np.searchsorted(self._base_keys, keys)]
+        ek = np.fromiter(self._extra, dtype=np.int64,
+                         count=len(self._extra))
+        lo, hi = np.divmod(ek, n)
+        mine = np.flatnonzero((lo == v) | (hi == v))
+        if not mine.size and keep.all():
             return nbrs, ws
-        en = np.fromiter(edits, dtype=np.int64, count=len(edits))
-        ew = np.fromiter(edits.values(), dtype=np.float64,
-                         count=len(edits))
-        keep = ~np.isin(nbrs, en)
-        add = np.flatnonzero(ew > 0)
-        add = add[np.argsort(en[add])]
-        return (np.concatenate([nbrs[keep], en[add]]),
-                np.concatenate([ws[keep], ew[add]]))
+        ew = np.fromiter(self._extra.values(), dtype=np.float64,
+                         count=len(self._extra))
+        other = lo[mine] + hi[mine] - v
+        order = np.argsort(other)
+        return (np.concatenate([nbrs[keep], other[order]]),
+                np.concatenate([ws[keep], ew[mine][order]]))
 
     def to_csr(self, name: str | None = None) -> CSRGraph:
         """Exact CSR snapshot (vertex set preserved).  The live edges go
@@ -331,15 +335,12 @@ class OverlayGraph:
         keys, slot, found, old_w, new_w = staged
         # A touched base edge lives on, if at all, as an overlay edge.
         self._base_live[slot[found]] = False
-        n, extra, edits = self._n, self._extra, self._row_edits
+        extra = self._extra
         for key, w in zip(keys.tolist(), new_w.tolist()):
             if w > 0:
                 extra[key] = w
             else:
                 extra.pop(key, None)
-            lo, hi = divmod(key, n)
-            edits.setdefault(lo, {})[hi] = w
-            edits.setdefault(hi, {})[lo] = w
         self._num_edges += int(np.count_nonzero(new_w > 0)) \
             - int(np.count_nonzero(old_w > 0))
         return keys, old_w, new_w
