@@ -4,8 +4,8 @@ Models the two communication fabrics the paper evaluates (PCIe vs NVLink
 SXM3/SXM4, Fig. 9–10) and the NCCL-style ring collectives LD-GPU issues
 after each phase (Algorithm 2, lines 7 and 9), plus host↔device transfers
 for batch loading.  Time is charged with the standard ring model
-``2·(N−1)·(bytes/N)/bw + 2·(N−1)·α``; the combining collectives also
-reduce real per-device buffers.
+``2·(N−1)·(bytes/N)/bw + 2·(N−1)·α``; the combining allreduce also
+reduces real per-device buffers.
 """
 
 from repro.comm.topology import (
@@ -16,11 +16,7 @@ from repro.comm.topology import (
     NVLINK_SXM4,
     INFINIBAND_HDR,
 )
-from repro.comm.collectives import (
-    allreduce_max,
-    allreduce_sum,
-    broadcast,
-)
+from repro.comm.collectives import allreduce_max
 from repro.comm.transfer import h2d_time, d2h_time
 
 __all__ = [
@@ -31,8 +27,6 @@ __all__ = [
     "NVLINK_SXM4",
     "INFINIBAND_HDR",
     "allreduce_max",
-    "allreduce_sum",
-    "broadcast",
     "h2d_time",
     "d2h_time",
 ]

@@ -6,7 +6,7 @@ Because the vertex partition is disjoint, only the owning device holds a
 live value for each slot and everyone else holds the sentinel ``-1``, so a
 MAX reduction reconstructs the global array unambiguously (the argument in
 the paper's Lemma III.1 proof).  LD-GPU therefore keeps one host array
-and charges only the modeled time; the combining functions below reduce
+and charges only the modeled time; :func:`allreduce_max` below reduces
 real per-device buffers, which the tests use to check that argument.
 
 Cost model — the textbook ring allreduce NCCL uses for large messages:
@@ -22,8 +22,7 @@ import numpy as np
 
 from repro.comm.topology import Interconnect
 
-__all__ = ["allreduce_max", "allreduce_sum", "broadcast",
-           "ring_allreduce_time"]
+__all__ = ["allreduce_max", "ring_allreduce_time"]
 
 
 def ring_allreduce_time(nbytes: int, num_devices: int,
@@ -64,35 +63,3 @@ def allreduce_max(buffers: Sequence[np.ndarray],
     for b in buffers:
         b[...] = out
     return ring_allreduce_time(out.nbytes, len(buffers), link)
-
-
-def allreduce_sum(buffers: Sequence[np.ndarray],
-                  link: Interconnect) -> float:
-    """Elementwise SUM allreduce, in place on every buffer."""
-    _check(buffers)
-    out = buffers[0].copy()
-    for b in buffers[1:]:
-        out += b
-    for b in buffers:
-        b[...] = out
-    return ring_allreduce_time(out.nbytes, len(buffers), link)
-
-
-def broadcast(buffers: Sequence[np.ndarray], root: int,
-              link: Interconnect) -> float:
-    """Broadcast ``buffers[root]`` into every buffer; returns seconds.
-
-    Modeled as a pipelined ring broadcast: ``(N−1)`` steps of the full
-    payload at link bandwidth (NCCL pipelines chunks, so bandwidth-term is
-    a single traversal).
-    """
-    _check(buffers)
-    src = buffers[root]
-    for i, b in enumerate(buffers):
-        if i != root:
-            b[...] = src
-    n = len(buffers)
-    if n <= 1:
-        return 0.0
-    return src.nbytes / link.collective_bandwidth_bps(n) + \
-        (n - 1) * link.latency_s

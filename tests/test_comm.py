@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro.comm.collectives import (
     allreduce_max,
-    allreduce_sum,
-    broadcast,
     ring_allreduce_time,
 )
 from repro.comm.topology import (
@@ -73,13 +71,6 @@ class TestAllreduce:
         for b in bufs:
             assert list(b) == [9, -1, 3, -1]
 
-    def test_sum(self):
-        a = np.ones(3)
-        b = np.ones(3) * 2
-        allreduce_sum([a, b], PCIE4)
-        assert np.all(a == 3.0)
-        assert np.all(b == 3.0)
-
     def test_single_buffer_noop_cost(self):
         a = np.arange(5)
         t = allreduce_max([a], NVLINK_SXM4)
@@ -112,17 +103,6 @@ class TestAllreduce:
         allreduce_max(bufs, NVLINK_SXM4)
         for b in bufs:
             assert np.array_equal(b, expect)
-
-
-class TestBroadcast:
-    def test_copies_root(self):
-        bufs = [np.zeros(3), np.ones(3) * 7, np.zeros(3)]
-        broadcast(bufs, root=1, link=NVLINK_SXM4)
-        for b in bufs:
-            assert np.all(b == 7)
-
-    def test_single_free(self):
-        assert broadcast([np.zeros(3)], 0, PCIE4) == 0.0
 
 
 class TestTransfers:
