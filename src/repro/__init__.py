@@ -147,7 +147,7 @@ __all__ = [
     "is_maximal_matching",
     "matching_weight",
     "verify_result",
-    # extensions
+    # graph analysis
     "graph_stats",
     "connected_components",
     "largest_component",

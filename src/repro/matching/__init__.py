@@ -1,8 +1,9 @@
 """Weighted matching algorithms.
 
 The paper's contribution (:func:`ld_gpu`) plus every algorithm it compares
-against, and extensions along its future-work axis (path growing, short
-augmentations, b-matching, dynamic maintenance).
+against (LD-SEQ, the Suitor family, greedy, exact blossom and the cuGraph
+analog), the matching-coreset drivers, and the registered batch-dynamic
+scenario (:func:`~repro.streaming.scenario.dynamic_ld`).
 
 Each algorithm registers an :class:`~repro.engine.spec.AlgorithmSpec`
 next to its implementation, declaring its parameter needs and capability
