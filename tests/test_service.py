@@ -20,10 +20,12 @@ import pytest
 
 import repro
 import repro.api as api
+from repro.cli import EXIT_USAGE, main
 from repro.engine.cells import Cell, run_cells
+from repro.engine.errors import UnknownAlgorithmError
 import repro.service.daemon as daemon_mod
 from repro.service.daemon import MAX_BODY_BYTES, build_server
-from repro.service.worker import worker_loop
+from repro.service.worker import run_claimed_cell, worker_loop
 from repro.store.db import STORE_SCHEMA_VERSION, RunStore
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -410,6 +412,63 @@ class TestApiSurface:
     def test_api_exported_from_package_root(self):
         assert "api" in repro.__all__
         assert repro.api.submit is api.submit
+
+
+#: Names an older build registered and this one does not.
+RETIRED = ("auction", "local_max", "path_growing", "pettie_sanders",
+           "two_thirds")
+
+
+class TestRetiredAlgorithms:
+    """A retired algorithm name is a typed error at every boundary."""
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_api_run_and_submit_raise(self, name, tmp_path):
+        db = tmp_path / "runs.db"
+        with pytest.raises(UnknownAlgorithmError, match=name):
+            api.run(name, DATASET, quality=True)
+        with pytest.raises(UnknownAlgorithmError, match=name):
+            api.submit(name, DATASET, quality=True, store=db)
+        assert RunStore(db).counts()["pending"] == 0
+
+    @pytest.mark.parametrize("command", ["run", "submit"])
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_cli_exits_2(self, name, command, tmp_path, monkeypatch,
+                         capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_RUN_STORE", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-a", name, "-d", DATASET, "--quality",
+                  "--store", "runs.db"])
+        assert exc.value.code == EXIT_USAGE
+        assert name in capsys.readouterr().err
+
+    def test_pending_row_completes_as_error(self, tmp_path):
+        store = RunStore(tmp_path / "runs.db")
+        kept = api.submit("ld_seq", DATASET, quality=True, store=store)
+        row = store.get(kept)
+        old = [f"cell:{i:040d}" for i in range(len(RETIRED))]
+        for fp, name in zip(old, RETIRED):
+            # Claimed first: higher priority than the kept job.
+            store.register(fp, algorithm=name, dataset=row.dataset,
+                           config=dict(row.config, algorithm=name),
+                           priority=1)
+        first = store.claim_next()
+        assert first.fingerprint == old[0]
+        record = run_claimed_cell(store, first, publish=False)
+        assert not record.ok
+        assert record.error["type"] == "UnknownAlgorithmError"
+        assert store.get(old[0]).status == "error"
+        summary = worker_loop(store, idle_exit_s=0, poll_s=0.01,
+                              publish=False)
+        assert (summary.executed, summary.ok, summary.errors) \
+            == (len(RETIRED), 1, len(RETIRED) - 1)
+        assert store.counts() == {"pending": 0, "leased": 0, "done": 1,
+                                  "error": len(RETIRED)}
+        for fp, name in zip(old, RETIRED):
+            assert store.get(fp).error_type == "UnknownAlgorithmError"
+            assert name in store.get(fp).error_message
+        assert api.result(kept, store=store).ok
 
 
 # ------------------------------------------------------------------ #
