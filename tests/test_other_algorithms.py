@@ -1,12 +1,14 @@
-"""Tests for LocalMax and the cuGraph analog."""
+"""Tests for the LocalMax oracle and the cuGraph analog."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import build_graph, random_graphs
 from local_max_oracle import local_max
+from test_layout_memo import reversed_rows
+from repro.graph.csr import CSRGraph
 from repro.gpusim.memory import DeviceOOMError
 from repro.gpusim.spec import DGX_A100
 from repro.harness.datasets import DATASETS, quality_instance
@@ -14,10 +16,47 @@ from repro.matching.cugraph_sim import cugraph_mg_sim
 from repro.matching.greedy import greedy_matching
 from repro.matching.ld_gpu import ld_gpu
 from repro.matching.ld_seq import ld_seq
+from repro.matching.suitor import suitor_gpu_sim, suitor_omp_sim, suitor_seq
 from repro.matching.validate import (
     is_valid_matching,
     verify_result,
 )
+
+
+#: Every matcher the uniqueness theorem in ``repro.matching.greedy``
+#: covers: under the ``(w, eid)`` total order each returns the one
+#: locally dominant matching.
+LOCALLY_DOMINANT = {
+    "ld_seq": ld_seq,
+    "ld_gpu@1": lambda g: ld_gpu(g, num_devices=1),
+    "ld_gpu@2": lambda g: ld_gpu(g, num_devices=2),
+    "ld_gpu@4": lambda g: ld_gpu(g, num_devices=4),
+    "greedy": greedy_matching,
+    "suitor_seq": suitor_seq,
+    "sr_omp": suitor_omp_sim,
+    "sr_gpu": suitor_gpu_sim,
+    "cugraph": cugraph_mg_sim,
+}
+
+_STAR = build_graph(9, [(0, i, float(i)) for i in range(1, 9)])
+
+
+@pytest.mark.parametrize("name", sorted(LOCALLY_DOMINANT))
+@given(g=random_graphs(tie_prone=True))
+@example(g=CSRGraph.empty(4))
+@example(g=build_graph(2, [(0, 1, 2.5)]))
+@example(g=_STAR)
+@example(g=build_graph(9, [(0, i, 1.0) for i in range(1, 9)]))
+@example(g=build_graph(6, [(a, b, 1.0) for a in range(6)
+                           for b in range(a + 1, 6)]))
+@example(g=reversed_rows(_STAR))
+def test_locally_dominant_matchers_equal_local_max(name, g):
+    """Ties, one edge, a star with Δ = n − 1 (weighted and tied), a
+    clique of equal weights, and rows not listed ascending; every drawn
+    graph is also checked with its rows reversed."""
+    fn = LOCALLY_DOMINANT[name]
+    for h in (g, reversed_rows(g)):
+        assert np.array_equal(fn(h).mate, local_max(h).mate), name
 
 
 class TestLocalMax:
