@@ -11,7 +11,6 @@ import pytest
 from repro.graph.generators import rmat_graph, similarity_graph
 from repro.graph.io import load_npz, read_edge_list, save_npz, \
     write_edge_list
-from repro.graph.transform import largest_component
 from repro.harness.calibration import calibration_entries, \
     render_model_card
 from repro.harness.datasets import load_dataset, scaled_platform
