@@ -41,22 +41,18 @@ def ring_allreduce_time(nbytes: int, num_devices: int,
     return steps * (chunk / bw + link.latency_s)
 
 
-def _check(buffers: Sequence[np.ndarray]) -> None:
-    if not buffers:
-        raise ValueError("allreduce needs at least one buffer")
-    shape, dtype = buffers[0].shape, buffers[0].dtype
-    for b in buffers[1:]:
-        if b.shape != shape or b.dtype != dtype:
-            raise ValueError("allreduce buffers must share shape and dtype")
-
-
 def allreduce_max(buffers: Sequence[np.ndarray],
                   link: Interconnect) -> float:
     """Elementwise MAX allreduce, in place on every buffer.
 
     Returns the modeled time in seconds.
     """
-    _check(buffers)
+    if not buffers:
+        raise ValueError("allreduce needs at least one buffer")
+    shape, dtype = buffers[0].shape, buffers[0].dtype
+    for b in buffers[1:]:
+        if b.shape != shape or b.dtype != dtype:
+            raise ValueError("allreduce buffers must share shape and dtype")
     out = buffers[0].copy()
     for b in buffers[1:]:
         np.maximum(out, b, out=out)

@@ -279,10 +279,9 @@ def ld_gpu(
     setmates = [matching_kernel_profile(spec, p.num_vertices)
                 for p in parts]
     t_setmates = max(prof.seconds for prof in setmates)
-    t_allreduce_pointers = ring_allreduce_time(
-        pointers.nbytes, num_devices, platform.gpu_link)
-    t_allreduce_mate = ring_allreduce_time(
-        mate.nbytes, num_devices, platform.gpu_link)
+    # ``pointers`` and ``mate`` are both n int64: one ring cost each.
+    t_allreduce = ring_allreduce_time(mate.nbytes, num_devices,
+                                      platform.gpu_link)
     t_sync = ((_SYNCS_PER_ITERATION + max(0, nb - 2))
               * spec.kernel_launch_us * 1e-6
               + platform.gpu_link.latency_s)
@@ -368,7 +367,7 @@ def ld_gpu(
         # ---------------- allreduce(pointers) -------------------------- #
         # Each device contributes its owned range and -1 elsewhere, so
         # the MAX is the owner's write, already in the one array.
-        tel.emit("allreduce_pointers", t_allreduce_pointers)
+        tel.emit("allreduce_pointers", t_allreduce)
 
         # ---------------- matching phase ------------------------------- #
         # Pairs are discovered once from the merged pointers (every
@@ -388,7 +387,7 @@ def ld_gpu(
         tel.emit("matching", t_setmates)
 
         # ---------------- allreduce(mate) + sync ----------------------- #
-        tel.emit("allreduce_mate", t_allreduce_mate)
+        tel.emit("allreduce_mate", t_allreduce)
         tel.emit("sync", t_sync)
 
         if collect_stats:
