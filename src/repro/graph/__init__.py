@@ -22,11 +22,6 @@ from repro.graph.stats import (
     connected_components,
     degree_histogram,
 )
-from repro.graph.coarsen import (
-    CoarseLevel,
-    coarsen_hierarchy,
-    contract_matching,
-)
 from repro.graph.transform import (
     induced_subgraph,
     largest_component,
@@ -51,7 +46,4 @@ __all__ = [
     "largest_component",
     "drop_light_edges",
     "relabel_by_degree",
-    "CoarseLevel",
-    "coarsen_hierarchy",
-    "contract_matching",
 ]
