@@ -26,11 +26,6 @@ from repro.graph.generators.mesh import queen_mesh, fem_mesh_3d
 from repro.graph.generators.powerlaw import powerlaw_cluster_graph
 from repro.graph.generators.webgraph import webcrawl_graph
 from repro.graph.generators.geometric import similarity_graph
-from repro.graph.generators.bipartite import (
-    bipartite_random_graph,
-    bipartite_geometric_graph,
-    bipartite_sides,
-)
 from repro.graph.generators.weights import (
     assign_uniform_weights,
     has_natural_weights,
@@ -46,9 +41,6 @@ __all__ = [
     "powerlaw_cluster_graph",
     "webcrawl_graph",
     "similarity_graph",
-    "bipartite_random_graph",
-    "bipartite_geometric_graph",
-    "bipartite_sides",
     "assign_uniform_weights",
     "has_natural_weights",
 ]

@@ -1,4 +1,4 @@
-"""Tests for bipartite generators and edge-list I/O."""
+"""Tests for edge-list I/O."""
 
 import io
 
@@ -6,62 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph.csr import GraphFormatError
-from repro.graph.generators import (
-    bipartite_geometric_graph,
-    bipartite_random_graph,
-    bipartite_sides,
-)
 from repro.graph.io import read_edge_list, write_edge_list
-from repro.matching.blossom import blossom_mwm
-from repro.matching.ld_seq import ld_seq
-
-
-class TestBipartiteRandom:
-    def test_bipartiteness(self):
-        g = bipartite_random_graph(60, 40, 5, seed=1)
-        g.validate()
-        L, R = bipartite_sides(g, 60)
-        assert len(L) == 60 and len(R) == 40
-
-    def test_weights_three_decimals(self):
-        g = bipartite_random_graph(30, 30, 4, seed=2)
-        assert np.allclose(np.round(g.weights * 1000), g.weights * 1000)
-
-    def test_bad_sizes(self):
-        with pytest.raises(ValueError):
-            bipartite_random_graph(0, 5)
-
-    def test_split_validation(self):
-        g = bipartite_random_graph(10, 10, 3, seed=3)
-        with pytest.raises(ValueError):
-            bipartite_sides(g, 5)  # wrong split exposes same-side edges
-
-    def test_matching_respects_sides(self):
-        g = bipartite_random_graph(50, 50, 6, seed=4)
-        r = ld_seq(g)
-        pairs = r.matched_pairs()
-        assert np.all((pairs[:, 0] < 50) & (pairs[:, 1] >= 50))
-
-
-class TestBipartiteGeometric:
-    def test_structure(self):
-        g = bipartite_geometric_graph(80, 60, 5, seed=5)
-        g.validate()
-        bipartite_sides(g, 80)
-        # every left vertex has at least its k nearest links
-        assert np.all(g.degrees[:80] >= 1)
-
-    def test_weights_decay_with_distance(self):
-        g = bipartite_geometric_graph(40, 40, 4, seed=6)
-        assert np.all(g.weights > 0)
-        assert np.all(g.weights <= 1.0)
-
-    def test_blossom_on_bipartite(self):
-        """On bipartite graphs the blossom solver is the Hungarian
-        optimum; the LD matching must stay within its ½ bound."""
-        g = bipartite_geometric_graph(30, 30, 4, seed=7)
-        opt = blossom_mwm(g, verify=True)
-        assert ld_seq(g).weight >= 0.5 * opt.weight
 
 
 class TestEdgeListIO:

@@ -531,8 +531,8 @@ class TestLayoutOracle:
         assert_same_arrays(g._build_layout(), build_layout_reference(g))
 
 
-GENERATOR_MODULES = ("bipartite", "geometric", "kmer", "mesh", "mycielski",
-                     "powerlaw", "rmat", "uniform", "webgraph")
+GENERATOR_MODULES = ("geometric", "kmer", "mesh", "mycielski", "powerlaw",
+                     "rmat", "uniform", "webgraph")
 
 
 @pytest.mark.parametrize("quality", [False, True], ids=["full", "quality"])
