@@ -22,10 +22,7 @@ from repro.graph.csr import CSRGraph, GraphFormatError, layout_seal
 __all__ = [
     "read_matrix_market",
     "write_matrix_market",
-    "read_edge_list",
-    "write_edge_list",
     "save_npz",
-    "load_npz",
     "read_npz",
 ]
 
@@ -179,66 +176,6 @@ def write_matrix_market(graph: CSRGraph, path) -> None:
             fh.write(f"{a} {b} {x:.17g}\n")
 
 
-def read_edge_list(
-    path_or_file,
-    comment: str = "#",
-    name: str | None = None,
-    num_vertices: int | None = None,
-) -> CSRGraph:
-    """Read a whitespace/comma-separated ``u v [w]`` edge list.
-
-    The SNAP / KONECT convention: 0-based ids, optional third weight
-    column (missing weights default to 1.0), ``#``-comments.  Both
-    orientations may appear; duplicates keep the maximum weight.
-    """
-    close = False
-    if isinstance(path_or_file, (str, os.PathLike)):
-        fh = open(path_or_file, "rt")
-        close = True
-        default_name = Path(path_or_file).stem
-    else:
-        fh = path_or_file
-        default_name = "edgelist"
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[float] = []
-    try:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith(comment):
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) < 2:
-                raise GraphFormatError(
-                    f"line {lineno}: expected 'u v [w]', got {line!r}"
-                )
-            us.append(int(parts[0]))
-            vs.append(int(parts[1]))
-            ws.append(float(parts[2]) if len(parts) > 2 else 1.0)
-    finally:
-        if close:
-            fh.close()
-    return from_coo(
-        np.asarray(us, dtype=np.int64),
-        np.asarray(vs, dtype=np.int64),
-        np.asarray(ws, dtype=np.float64),
-        num_vertices=num_vertices,
-        name=name or default_name,
-    )
-
-
-def write_edge_list(graph: CSRGraph, path,
-                    header: bool = True) -> None:
-    """Write each undirected edge once as ``u v w`` lines."""
-    u, v, w = graph.edge_array()
-    with open(path, "wt") as fh:
-        if header:
-            fh.write(f"# {graph.name}: {graph.num_vertices} vertices, "
-                     f"{graph.num_edges} edges\n")
-        for a, b, x in zip(u.tolist(), v.tolist(), w.tolist()):
-            fh.write(f"{a} {b} {x:.17g}\n")
-
-
 def save_npz(graph: CSRGraph, path) -> None:
     """Binary CSR snapshot — fast cache for benchmark datasets.
 
@@ -263,13 +200,6 @@ def save_npz(graph: CSRGraph, path) -> None:
             layout_seal=np.array(
                 layout_seal(rows, edges, graph_fingerprint(graph))))
     np.savez(path, **arrays)
-
-
-def load_npz(path) -> CSRGraph:
-    """Load the graph of a snapshot written by :func:`save_npz` (its
-    stored layout, if any, is left unread)."""
-    with np.load(path, allow_pickle=False) as data:
-        return _snapshot_graph(data)
 
 
 def read_npz(path) -> tuple[CSRGraph, tuple | None]:

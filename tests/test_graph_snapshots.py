@@ -19,7 +19,7 @@ import pytest
 
 import repro.harness.datasets as ds
 from repro.graph.csr import CSRGraph
-from repro.graph.io import load_npz, read_npz, save_npz
+from repro.graph.io import read_npz, save_npz
 from repro.harness.cache import GraphCache
 from repro.telemetry.provenance import graph_fingerprint
 from repro.telemetry.registry import MetricsRegistry
@@ -321,7 +321,7 @@ class TestSnapshotLayout:
         cache = GraphCache(tmp_path)
         path, _ = cache.store(g)
         assert cache.load(path)._orders is None
-        assert load_npz(path)._orders is None
+        assert read_npz(path)[0]._orders is None
 
     def test_pickle_still_drops_an_adopted_layout(self, medium_graph,
                                                   tmp_path):

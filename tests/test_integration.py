@@ -8,9 +8,8 @@ so silent algorithmic drift cannot pass the suite.
 import numpy as np
 import pytest
 
-from repro.graph.generators import rmat_graph, similarity_graph
-from repro.graph.io import load_npz, read_edge_list, save_npz, \
-    write_edge_list
+from repro.graph.generators import rmat_graph
+from repro.graph.io import read_npz, save_npz
 from repro.harness.calibration import calibration_entries, \
     render_model_card
 from repro.harness.datasets import load_dataset, scaled_platform
@@ -27,7 +26,7 @@ class TestPipelines:
         g = rmat_graph(9, 6, seed=77)
         gpath = tmp_path / "graph.npz"
         save_npz(g, gpath)
-        g2 = load_npz(gpath)
+        g2, _ = read_npz(gpath)
 
         r = ld_gpu(g2, num_devices=4)
         verify_result(g2, r)
@@ -45,15 +44,6 @@ class TestPipelines:
         path = tmp_path / "r.npz"
         r.save(path)
         assert MatchResult.load(path).sim_time is None
-
-    def test_edge_list_to_matching(self, tmp_path):
-        g = similarity_graph(300, avg_degree=16, seed=9)
-        path = tmp_path / "edges.txt"
-        write_edge_list(g, path)
-        g2 = read_edge_list(path)
-        a = ld_seq(g)
-        b = ld_seq(g2)
-        assert a.weight == pytest.approx(b.weight)
 
 
 class TestGoldenValues:

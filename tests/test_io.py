@@ -9,8 +9,8 @@ import pytest
 from conftest import build_graph
 from repro.graph.csr import GraphFormatError
 from repro.graph.io import (
-    load_npz,
     read_matrix_market,
+    read_npz,
     save_npz,
     write_matrix_market,
 )
@@ -179,7 +179,7 @@ class TestRoundTrips:
     def test_npz_round_trip(self, tmp_path, medium_graph):
         path = tmp_path / "g.npz"
         save_npz(medium_graph, path)
-        back = load_npz(path)
+        back, _ = read_npz(path)
         assert back.name == medium_graph.name
         assert np.array_equal(back.indptr, medium_graph.indptr)
         assert np.array_equal(back.indices, medium_graph.indices)
