@@ -72,7 +72,6 @@ from repro.gpusim import (
 from repro.graph import (
     connected_components,
     graph_stats,
-    largest_component,
 )
 from repro.matching import (
     MatchResult,
@@ -150,7 +149,6 @@ __all__ = [
     # graph analysis
     "graph_stats",
     "connected_components",
-    "largest_component",
     # metrics
     "mmeps",
     "percent_below_optimal",

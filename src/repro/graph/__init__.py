@@ -22,12 +22,6 @@ from repro.graph.stats import (
     connected_components,
     degree_histogram,
 )
-from repro.graph.transform import (
-    induced_subgraph,
-    largest_component,
-    drop_light_edges,
-    relabel_by_degree,
-)
 
 __all__ = [
     "CSRGraph",
@@ -42,8 +36,4 @@ __all__ = [
     "graph_stats",
     "connected_components",
     "degree_histogram",
-    "induced_subgraph",
-    "largest_component",
-    "drop_light_edges",
-    "relabel_by_degree",
 ]

@@ -40,12 +40,12 @@ import numpy as np
 
 from repro.engine.spec import AlgorithmSpec, register
 from repro.graph.csr import CSRGraph
-from repro.graph.transform import edge_subgraph
 from repro.matching.types import MatchResult
 from repro.telemetry.spans import count
 
 __all__ = [
     "shard_assignments",
+    "edge_subgraph",
     "extract_shard",
     "coreset_shard",
     "coreset_matching",
@@ -111,13 +111,57 @@ def shard_assignments(graph: CSRGraph, num_shards: int,
     return (h % np.uint64(num_shards)).astype(np.int64)
 
 
+def edge_subgraph(
+    graph: CSRGraph, edge_mask: np.ndarray, name: str | None = None
+) -> tuple[CSRGraph, np.ndarray]:
+    """Subgraph keeping exactly the masked undirected edges.
+
+    ``edge_mask`` is boolean over the graph's undirected edge list in
+    :meth:`~repro.graph.csr.CSRGraph.edge_array` order (length
+    ``num_edges``).  The vertex set is preserved — ids stay global, so
+    matchings computed on the subgraph are directly comparable (and
+    mergeable) across subgraphs of the same parent.  Shard staging
+    (:func:`extract_shard`) extracts through it.
+
+    Returns ``(sub, eids)`` where ``eids[k]`` is the position *in the
+    parent's* ``edge_array`` order of the subgraph's ``k``-th edge (also
+    ``edge_array`` order) — the original-eid mapping that lets callers
+    carry per-edge metadata across the extraction.
+    """
+    mask = np.asarray(edge_mask)
+    if mask.dtype != np.bool_:
+        raise ValueError("edge_mask must be a boolean array")
+    u, v, w = graph.edge_array()
+    if len(mask) != len(u):
+        raise ValueError(
+            f"edge_mask has {len(mask)} entries for a graph with "
+            f"{len(u)} undirected edges"
+        )
+    n = graph.num_vertices
+    sub_name = name if name is not None else f"{graph.name}-edgesub"
+    eids = np.nonzero(mask)[0]
+    lo, hi, ww = u[eids], v[eids], w[eids]
+    # Parent edges are simple and already canonical (u < v), so the CSR
+    # can be bucketed directly — no dedup pass, unlike from_coo.
+    order = np.lexsort((hi, lo))
+    lo, hi, ww, eids = lo[order], hi[order], ww[order], eids[order]
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
+    sw = np.concatenate([ww, ww])
+    adj = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, src + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    sub = CSRGraph(indptr, dst[adj], sw[adj], sub_name)
+    return sub, eids
+
+
 def extract_shard(
     graph: CSRGraph, shard_index: int, num_shards: int, seed: int = 0
 ) -> tuple[CSRGraph, np.ndarray]:
     """One shard's subgraph (global vertex ids) + original-eid mapping.
 
-    ``(sub, eids)`` as returned by
-    :func:`~repro.graph.transform.edge_subgraph`; the union of the
+    ``(sub, eids)`` as returned by :func:`edge_subgraph`; the union of the
     ``num_shards`` extractions is exactly the parent's edge set, each
     edge appearing in exactly one shard.
     """

@@ -24,7 +24,6 @@ from repro.engine.context import RunContext
 from repro.engine.executor import execute
 from repro.graph.builders import from_coo
 from repro.graph.generators import rmat_graph, similarity_graph
-from repro.graph.transform import drop_light_edges, edge_subgraph
 from repro.matching import (
     blossom_mwm,
     coreset_greedy,
@@ -33,6 +32,7 @@ from repro.matching import (
     extract_shard,
     shard_assignments,
 )
+from repro.matching.coreset import edge_subgraph
 from repro.matching.validate import verify_result
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -177,12 +177,6 @@ class TestEdgeSubgraph:
         with pytest.raises(ValueError, match="boolean"):
             edge_subgraph(medium_graph,
                           np.ones(medium_graph.num_edges))
-
-    def test_drop_light_edges_uses_it(self):
-        g = build_graph(4, [(0, 1, 0.5), (1, 2, 2.0), (2, 3, 1.5)])
-        pruned = drop_light_edges(g, 1.0)
-        assert pruned.num_edges == 2
-        assert pruned.num_vertices == 4
 
 
 class TestCoresetShard:

@@ -1,4 +1,4 @@
-"""Tests for graph analytics and transforms."""
+"""Tests for graph analytics."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,6 @@ from repro.graph.stats import (
     connected_components,
     degree_histogram,
     graph_stats,
-)
-from repro.graph.transform import (
-    drop_light_edges,
-    induced_subgraph,
-    largest_component,
-    relabel_by_degree,
 )
 
 
@@ -101,71 +95,3 @@ class TestDegreeHistogram:
 
         _, counts = degree_histogram(CSRGraph.empty(0))
         assert len(counts) == 0
-
-
-class TestInducedSubgraph:
-    def test_basic(self, path_graph):
-        sub, old = induced_subgraph(path_graph, np.array([1, 2, 3]))
-        assert sub.num_vertices == 3
-        assert sub.num_edges == 2  # edges (1,2) and (2,3)
-        assert list(old) == [1, 2, 3]
-        sub.validate()
-
-    def test_weights_preserved(self, path_graph):
-        sub, _ = induced_subgraph(path_graph, np.array([2, 3]))
-        assert sub.edge_weight(0, 1) == 3.0
-
-    def test_out_of_range(self, path_graph):
-        with pytest.raises(ValueError):
-            induced_subgraph(path_graph, np.array([99]))
-
-    def test_duplicates_ignored(self, path_graph):
-        sub, old = induced_subgraph(path_graph, np.array([1, 1, 2]))
-        assert sub.num_vertices == 2
-
-
-class TestLargestComponent:
-    def test_picks_biggest(self):
-        g = build_graph(7, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
-        lcc, old = largest_component(g)
-        assert lcc.num_vertices == 3
-        assert set(old.tolist()) == {2, 3, 4}
-
-    @given(random_graphs(max_vertices=14, max_edges=25))
-    def test_connected_result(self, g):
-        if g.num_vertices == 0:
-            return
-        lcc, _ = largest_component(g)
-        if lcc.num_vertices:
-            labels = connected_components(lcc)
-            assert len(np.unique(labels)) == 1
-
-
-class TestEdgeTransforms:
-    def test_drop_light_edges(self, path_graph):
-        pruned = drop_light_edges(path_graph, 2.5)
-        assert pruned.num_edges == 2  # weights 3 and 4 survive
-        pruned.validate()
-
-    def test_drop_none(self, path_graph):
-        assert drop_light_edges(path_graph, 0.0).num_edges == 4
-
-    def test_relabel_by_degree(self, medium_graph):
-        g2, old = relabel_by_degree(medium_graph)
-        g2.validate()
-        assert g2.num_edges == medium_graph.num_edges
-        d = g2.degrees
-        # new vertex 0 carries the old max degree
-        assert d[0] == medium_graph.max_degree
-        assert np.all(np.diff(d) <= 0) or d[0] >= d[-1]
-
-    def test_relabel_preserves_matching_weight(self, medium_graph):
-        from repro.matching.ld_seq import ld_seq
-
-        g2, _ = relabel_by_degree(medium_graph)
-        # the matching is a different labelling of the same problem:
-        # identical total weight under the relabelled total order is not
-        # guaranteed, but the optimum-bound sanity holds
-        w1 = ld_seq(medium_graph).weight
-        w2 = ld_seq(g2).weight
-        assert w2 == pytest.approx(w1, rel=0.1)
