@@ -20,7 +20,6 @@ from repro.graph.stats import (
     GraphStats,
     graph_stats,
     connected_components,
-    degree_histogram,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "GraphStats",
     "graph_stats",
     "connected_components",
-    "degree_histogram",
 ]

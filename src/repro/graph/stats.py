@@ -17,7 +17,6 @@ __all__ = [
     "GraphStats",
     "graph_stats",
     "connected_components",
-    "degree_histogram",
 ]
 
 
@@ -109,22 +108,3 @@ def connected_components(graph: CSRGraph) -> np.ndarray:
         labels[x] = find(x)
     return labels
 
-
-def degree_histogram(graph: CSRGraph,
-                     log_bins: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(bin_edges, counts) of the degree distribution.
-
-    ``log_bins`` uses powers of two — the natural view for the heavy-
-    tailed inputs (GAP-kron, web crawls) the paper stresses.
-    """
-    degrees = graph.degrees
-    if len(degrees) == 0:
-        return np.array([0]), np.array([], dtype=np.int64)
-    dmax = int(degrees.max())
-    if log_bins:
-        top = max(1, int(np.ceil(np.log2(dmax + 1))))
-        edges = np.concatenate([[0], 2 ** np.arange(top + 1)])
-    else:
-        edges = np.arange(dmax + 2)
-    counts, _ = np.histogram(degrees, bins=edges)
-    return edges, counts.astype(np.int64)

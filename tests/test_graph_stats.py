@@ -7,7 +7,6 @@ from hypothesis import given
 from conftest import build_graph, random_graphs
 from repro.graph.stats import (
     connected_components,
-    degree_histogram,
     graph_stats,
 )
 
@@ -77,21 +76,3 @@ class TestGraphStats:
         text = graph_stats(triangle).render()
         assert "|V| = 3" in text
         assert "components: 1" in text
-
-
-class TestDegreeHistogram:
-    def test_counts_sum(self, medium_graph):
-        _, counts = degree_histogram(medium_graph)
-        assert counts.sum() == medium_graph.num_vertices
-
-    def test_linear_bins(self):
-        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        edges, counts = degree_histogram(g, log_bins=False)
-        assert counts[1] == 2  # two degree-1 vertices
-        assert counts[2] == 1  # one degree-2 vertex
-
-    def test_empty(self):
-        from repro.graph.csr import CSRGraph
-
-        _, counts = degree_histogram(CSRGraph.empty(0))
-        assert len(counts) == 0
