@@ -40,10 +40,7 @@ from repro.graph import (
     CSRGraph,
     from_coo,
     from_edges,
-    from_networkx,
-    from_scipy_sparse,
     read_matrix_market,
-    to_networkx,
     write_matrix_market,
 )
 from repro.graph.generators import (
@@ -105,9 +102,6 @@ __all__ = [
     "CSRGraph",
     "from_edges",
     "from_coo",
-    "from_scipy_sparse",
-    "from_networkx",
-    "to_networkx",
     "read_matrix_market",
     "write_matrix_market",
     # generators

@@ -11,9 +11,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.builders import (
     from_edges,
     from_coo,
-    from_scipy_sparse,
-    from_networkx,
-    to_networkx,
 )
 from repro.graph.io import read_matrix_market, write_matrix_market
 from repro.graph.stats import (
@@ -26,9 +23,6 @@ __all__ = [
     "CSRGraph",
     "from_edges",
     "from_coo",
-    "from_scipy_sparse",
-    "from_networkx",
-    "to_networkx",
     "read_matrix_market",
     "write_matrix_market",
     "GraphStats",

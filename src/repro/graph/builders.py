@@ -18,10 +18,6 @@ from repro.graph.csr import CSRGraph, GraphFormatError, _stable_by
 __all__ = [
     "from_edges",
     "from_coo",
-    "from_scipy_sparse",
-    "from_networkx",
-    "to_networkx",
-    "compact_vertices",
 ]
 
 
@@ -145,71 +141,3 @@ def _vertex_ids(ids) -> np.ndarray:
                                            & (ids == np.trunc(ids))):
         raise GraphFormatError("vertex ids must be integers")
     return ids.astype(np.int64, copy=False)
-
-
-def from_scipy_sparse(mat, name: str = "graph") -> CSRGraph:
-    """Build from any scipy sparse matrix (pattern is symmetrised).
-
-    Zero / negative entries are treated as "no natural weight" only if the
-    whole matrix lacks positive weights; otherwise they are dropped, which
-    matches how the paper ingests SuiteSparse matrices.
-    """
-    coo = mat.tocoo()
-    if coo.shape[0] != coo.shape[1]:
-        raise GraphFormatError("adjacency matrix must be square")
-    data = np.asarray(coo.data, dtype=np.float64)
-    pos = data > 0
-    if not pos.any() and len(data):
-        # Pattern-only matrix: assign unit weights, caller can reweight.
-        data = np.ones_like(data)
-        pos = data > 0
-    return from_coo(
-        coo.row[pos].astype(np.int64),
-        coo.col[pos].astype(np.int64),
-        data[pos],
-        num_vertices=coo.shape[0],
-        name=name,
-    )
-
-
-def from_networkx(nxg, weight: str = "weight", name: str | None = None) -> CSRGraph:
-    """Build from a networkx graph; missing weights default to 1.0."""
-    nodes = list(nxg.nodes())
-    index = {node: i for i, node in enumerate(nodes)}
-    u, v, w = [], [], []
-    for a, b, data in nxg.edges(data=True):
-        u.append(index[a])
-        v.append(index[b])
-        w.append(float(data.get(weight, 1.0)))
-    return from_coo(
-        np.asarray(u, dtype=np.int64),
-        np.asarray(v, dtype=np.int64),
-        np.asarray(w, dtype=np.float64),
-        num_vertices=len(nodes),
-        name=name or getattr(nxg, "name", "") or "graph",
-    )
-
-
-def to_networkx(graph: CSRGraph):
-    """Export to a weighted ``networkx.Graph`` (test / interop helper)."""
-    import networkx as nx
-
-    nxg = nx.Graph(name=graph.name)
-    nxg.add_nodes_from(range(graph.num_vertices))
-    u, v, w = graph.edge_array()
-    nxg.add_weighted_edges_from(zip(u.tolist(), v.tolist(), w.tolist()))
-    return nxg
-
-
-def compact_vertices(graph: CSRGraph) -> tuple[CSRGraph, np.ndarray]:
-    """Drop isolated vertices, relabelling the rest contiguously.
-
-    Returns the compacted graph and the old-id array indexed by new id.
-    """
-    alive = np.nonzero(graph.degrees > 0)[0]
-    remap = np.full(graph.num_vertices, -1, dtype=np.int64)
-    remap[alive] = np.arange(len(alive), dtype=np.int64)
-    u, v, w = graph.edge_array()
-    out = from_coo(remap[u], remap[v], w, num_vertices=len(alive),
-                   name=graph.name)
-    return out, alive

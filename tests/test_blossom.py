@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_graph, random_graphs
-from repro.graph.builders import to_networkx
+from nx_oracle import to_networkx
 from repro.graph.csr import CSRGraph
 from repro.matching.blossom import blossom_mwm, maximum_weight_matching
 from repro.matching.greedy import greedy_matching

@@ -6,14 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_graphs
-from repro.graph.builders import (
-    compact_vertices,
-    from_coo,
-    from_edges,
-    from_networkx,
-    from_scipy_sparse,
-    to_networkx,
-)
+from nx_oracle import from_networkx, to_networkx
+from repro.graph.builders import from_coo, from_edges
 from repro.graph.csr import CSRGraph, GraphFormatError
 
 
@@ -206,39 +200,6 @@ class TestFromCooOracle:
         self.assert_same_bytes(u, v, w, None)
 
 
-class TestScipyInterop:
-    def test_from_scipy_symmetrises(self):
-        import scipy.sparse as sp
-
-        mat = sp.coo_matrix(
-            (np.array([2.0, 3.0]), (np.array([0, 1]), np.array([1, 2]))),
-            shape=(3, 3),
-        )
-        g = from_scipy_sparse(mat)
-        g.validate()
-        assert g.num_edges == 2
-        assert g.edge_weight(2, 1) == 3.0
-
-    def test_from_scipy_nonsquare(self):
-        import scipy.sparse as sp
-
-        mat = sp.coo_matrix(np.ones((2, 3)))
-        with pytest.raises(GraphFormatError):
-            from_scipy_sparse(mat)
-
-    def test_from_scipy_pattern_only(self):
-        import scipy.sparse as sp
-
-        # all-negative data is treated as pattern-less; unit weights
-        mat = sp.coo_matrix(
-            (np.array([-1.0]), (np.array([0]), np.array([1]))),
-            shape=(2, 2),
-        )
-        g = from_scipy_sparse(mat)
-        assert g.num_edges == 1
-        assert g.edge_weight(0, 1) == 1.0
-
-
 class TestNetworkxInterop:
     def test_round_trip(self, medium_graph):
         nxg = to_networkx(medium_graph)
@@ -262,17 +223,3 @@ class TestNetworkxInterop:
         back = from_networkx(to_networkx(g))
         assert back.num_edges == g.num_edges
         assert back.total_weight == pytest.approx(g.total_weight)
-
-
-class TestCompactVertices:
-    def test_drops_isolated(self):
-        g = from_edges([(0, 5, 1.0)], num_vertices=10)
-        compacted, old_ids = compact_vertices(g)
-        assert compacted.num_vertices == 2
-        assert compacted.num_edges == 1
-        assert list(old_ids) == [0, 5]
-
-    def test_noop_when_no_isolated(self, triangle):
-        compacted, old_ids = compact_vertices(triangle)
-        assert compacted.num_vertices == 3
-        assert np.array_equal(old_ids, np.arange(3))

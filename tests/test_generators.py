@@ -163,7 +163,7 @@ class TestPowerlaw:
     def test_locality_increases_clustering(self):
         import networkx as nx
 
-        from repro.graph.builders import to_networkx
+        from nx_oracle import to_networkx
 
         local = powerlaw_cluster_graph(800, 12, locality=0.9,
                                        community_size=16, seed=7)

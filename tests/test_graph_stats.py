@@ -39,7 +39,7 @@ class TestConnectedComponents:
     def test_matches_networkx(self, g):
         import networkx as nx
 
-        from repro.graph.builders import to_networkx
+        from nx_oracle import to_networkx
 
         ours = connected_components(g)
         theirs = list(nx.connected_components(to_networkx(g)))
