@@ -11,8 +11,6 @@ from repro.partition.vertex import (
     edge_balanced_partition,
     vertex_balanced_partition,
     partition_edge_counts,
-    partition_summary,
-    PartitionSummary,
 )
 from repro.partition.batch import plan_batches, auto_batch_count, BatchPlan
 
@@ -20,8 +18,6 @@ __all__ = [
     "edge_balanced_partition",
     "vertex_balanced_partition",
     "partition_edge_counts",
-    "partition_summary",
-    "PartitionSummary",
     "plan_batches",
     "auto_batch_count",
     "BatchPlan",

@@ -9,17 +9,12 @@ prefix sums available, the edge-balanced split is a ``searchsorted`` over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
 import numpy as np
 
 __all__ = [
     "edge_balanced_partition",
     "vertex_balanced_partition",
     "partition_edge_counts",
-    "PartitionSummary",
-    "partition_summary",
 ]
 
 
@@ -88,59 +83,3 @@ def partition_edge_counts(indptr: np.ndarray,
     last = len(indptr) - 1
     return np.diff(indptr[np.minimum(offsets, last)])
 
-
-@dataclass(frozen=True)
-class PartitionSummary:
-    """Balance statistics of one contiguous vertex partition.
-
-    The quantity the paper tunes (§III-A) and the coreset sharder
-    budgets against: how evenly incident edges spread across parts.
-    ``imbalance`` is ``max / mean`` of the per-part counts (1.0 =
-    perfect; the conventional partitioning-literature metric), 0.0 for
-    an edgeless graph.
-    """
-
-    num_parts: int
-    num_vertices: int
-    total_edges: int
-    min_edges: int
-    max_edges: int
-    mean_edges: float
-    imbalance: float
-    empty_parts: int
-    counts: tuple[int, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe form for stats / telemetry payloads."""
-        return {
-            "num_parts": self.num_parts,
-            "num_vertices": self.num_vertices,
-            "total_edges": self.total_edges,
-            "min_edges": self.min_edges,
-            "max_edges": self.max_edges,
-            "mean_edges": self.mean_edges,
-            "imbalance": self.imbalance,
-            "empty_parts": self.empty_parts,
-            "counts": list(self.counts),
-        }
-
-
-def partition_summary(indptr: np.ndarray,
-                      offsets: np.ndarray) -> PartitionSummary:
-    """Summarise a partition's edge balance (see
-    :class:`PartitionSummary`)."""
-    counts = partition_edge_counts(indptr, offsets)
-    k = len(counts)
-    total = int(counts.sum()) if k else 0
-    mean = total / k if k else 0.0
-    return PartitionSummary(
-        num_parts=k,
-        num_vertices=int(offsets[-1]) if len(offsets) else 0,
-        total_edges=total,
-        min_edges=int(counts.min()) if k else 0,
-        max_edges=int(counts.max()) if k else 0,
-        mean_edges=mean,
-        imbalance=float(counts.max() / mean) if k and mean > 0 else 0.0,
-        empty_parts=int(np.count_nonzero(counts == 0)),
-        counts=tuple(int(c) for c in counts),
-    )

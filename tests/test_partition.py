@@ -10,10 +10,8 @@ from repro.gpusim.memory import DeviceOOMError
 from repro.gpusim.spec import A100
 from repro.partition.batch import auto_batch_count, plan_batches
 from repro.partition.vertex import (
-    PartitionSummary,
     edge_balanced_partition,
     partition_edge_counts,
-    partition_summary,
     vertex_balanced_partition,
 )
 
@@ -102,43 +100,6 @@ class TestPartitionEdgeCounts:
     def test_empty_offsets(self):
         assert len(partition_edge_counts(
             np.array([0, 2]), np.array([], dtype=np.int64))) == 0
-
-
-class TestPartitionSummary:
-    def test_summary_fields(self, medium_graph):
-        off = edge_balanced_partition(medium_graph.indptr, 4)
-        s = partition_summary(medium_graph.indptr, off)
-        assert isinstance(s, PartitionSummary)
-        assert s.num_parts == 4
-        assert s.num_vertices == medium_graph.num_vertices
-        assert s.total_edges == medium_graph.num_directed_edges
-        assert s.counts == tuple(
-            partition_edge_counts(medium_graph.indptr, off).tolist())
-        assert s.min_edges <= s.mean_edges <= s.max_edges
-        assert s.imbalance >= 1.0
-        assert s.empty_parts == sum(1 for c in s.counts if c == 0)
-
-    def test_to_dict_json_safe(self, medium_graph):
-        import json
-
-        off = edge_balanced_partition(medium_graph.indptr, 3)
-        doc = partition_summary(medium_graph.indptr, off).to_dict()
-        json.dumps(doc)  # no numpy scalars leak through
-        assert doc["num_parts"] == 3
-        assert sum(doc["counts"]) == doc["total_edges"]
-
-    def test_edgeless_graph(self):
-        indptr = np.zeros(5, dtype=np.int64)
-        s = partition_summary(indptr, np.array([0, 2, 4]))
-        assert s.total_edges == 0
-        assert s.imbalance == 0.0
-        assert s.empty_parts == 2
-
-    def test_perfect_balance(self):
-        indptr = np.arange(0, 9, 2, dtype=np.int64)  # 2 edges per row
-        s = partition_summary(indptr, np.array([0, 2, 4]))
-        assert s.imbalance == 1.0
-        assert s.min_edges == s.max_edges == 4
 
 
 class TestVertexBalancedPartition:
