@@ -26,10 +26,7 @@ from repro.graph.generators.mesh import queen_mesh, fem_mesh_3d
 from repro.graph.generators.powerlaw import powerlaw_cluster_graph
 from repro.graph.generators.webgraph import webcrawl_graph
 from repro.graph.generators.geometric import similarity_graph
-from repro.graph.generators.weights import (
-    assign_uniform_weights,
-    has_natural_weights,
-)
+from repro.graph.generators.weights import assign_uniform_weights
 
 __all__ = [
     "rmat_graph",
@@ -42,5 +39,4 @@ __all__ = [
     "webcrawl_graph",
     "similarity_graph",
     "assign_uniform_weights",
-    "has_natural_weights",
 ]

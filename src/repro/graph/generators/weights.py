@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph, _stable_by
 
-__all__ = ["assign_uniform_weights", "has_natural_weights"]
+__all__ = ["assign_uniform_weights"]
 
 
 def assign_uniform_weights(
@@ -67,10 +67,3 @@ def _draw(rng: np.random.Generator, size: int, levels: int) -> np.ndarray:
     per_edge /= levels
     return per_edge
 
-
-def has_natural_weights(graph: CSRGraph, tol: float = 1e-12) -> bool:
-    """Heuristic the paper applies: a dataset has "natural" weights unless
-    every weight is missing or exactly 1."""
-    if graph.num_directed_edges == 0:
-        return False
-    return not np.allclose(graph.weights, 1.0, atol=tol)

@@ -66,9 +66,7 @@ class TestRegistry:
         kmer = load_dataset("kmer_V2a")
         assert kmer.avg_degree < 4
         mouse = load_dataset("mouse_gene")
-        from repro.graph.generators import has_natural_weights
-
-        assert has_natural_weights(mouse)
+        assert (mouse.weights != 1.0).any()
 
 
 class TestScaling:

@@ -6,7 +6,6 @@ import pytest
 from repro.graph.generators import (
     assign_uniform_weights,
     fem_mesh_3d,
-    has_natural_weights,
     kmer_graph,
     mycielskian_graph,
     powerlaw_cluster_graph,
@@ -46,11 +45,6 @@ class TestWeights:
 
         g = CSRGraph.empty(3)
         assert assign_uniform_weights(g) is g
-
-    def test_has_natural_weights(self):
-        unit = uniform_random_graph(50, 100, seed=1, weighted=False)
-        assert not has_natural_weights(unit)
-        assert has_natural_weights(assign_uniform_weights(unit))
 
 
 class TestRmat:
@@ -188,7 +182,7 @@ class TestWebcrawl:
 class TestSimilarity:
     def test_natural_weights(self):
         g = similarity_graph(800, avg_degree=30, seed=9)
-        assert has_natural_weights(g)
+        assert np.any(g.weights != 1.0)
         assert np.all(g.weights > 0)
         assert np.all(g.weights <= 1.0)
         g.validate()
