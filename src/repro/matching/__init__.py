@@ -22,7 +22,6 @@ from repro.matching.validate import (
     is_valid_matching,
     is_maximal_matching,
     matching_weight,
-    matched_edge_count,
     verify_result,
 )
 from repro.matching.pointer_index import PointerIndex
@@ -47,7 +46,6 @@ __all__ = [
     "is_valid_matching",
     "is_maximal_matching",
     "matching_weight",
-    "matched_edge_count",
     "verify_result",
     "PointerIndex",
     "ld_seq",

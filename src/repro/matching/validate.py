@@ -20,7 +20,6 @@ __all__ = [
     "is_maximal_matching",
     "matching_weight",
     "matched_vertex_weight",
-    "matched_edge_count",
     "matched_pairs_exist_in_graph",
     "verify_result",
 ]
@@ -89,11 +88,6 @@ def _vertex_ids(n: int) -> np.ndarray:
     ids = np.arange(n)
     ids.setflags(write=False)
     return ids
-
-
-def matched_edge_count(mate: np.ndarray) -> int:
-    """Number of matched edges."""
-    return int(np.count_nonzero(mate != UNMATCHED)) // 2
 
 
 def verify_result(graph: CSRGraph, result: MatchResult,

@@ -8,7 +8,6 @@ from repro.matching.types import UNMATCHED, MatchResult
 from repro.matching.validate import (
     is_maximal_matching,
     is_valid_matching,
-    matched_edge_count,
     matching_weight,
     verify_result,
 )
@@ -71,9 +70,6 @@ class TestWeightAndCount:
 
     def test_empty_weight(self, path_graph):
         assert matching_weight(path_graph, mate_of(5, [])) == 0.0
-
-    def test_count(self):
-        assert matched_edge_count(mate_of(6, [(0, 1), (4, 5)])) == 2
 
 
 class TestVerifyResult:
