@@ -57,10 +57,8 @@ from repro.engine.cells import (
 )
 from repro.engine.sinks import (
     InstrumentationSink,
-    IterationCounterSink,
     MetricsSink,
     TraceSink,
-    WallClockSink,
 )
 
 __all__ = [
@@ -81,8 +79,6 @@ __all__ = [
     "UnknownAlgorithmError",
     "ConfigurationDivergenceError",
     "InstrumentationSink",
-    "WallClockSink",
-    "IterationCounterSink",
     "TraceSink",
     "MetricsSink",
 ]

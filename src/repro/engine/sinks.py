@@ -2,9 +2,9 @@
 
 Sinks attach to a :class:`~repro.engine.context.RunContext` and are
 notified by :func:`~repro.engine.executor.execute` around every run.
-Built-ins cover the common cases — wall-clock accounting, iteration
-counting, and capture/export of simulator traces — and custom sinks just
-subclass :class:`InstrumentationSink`.
+Built-ins capture/export simulator traces (:class:`TraceSink`) and
+count runs into a metrics registry (:class:`MetricsSink`); custom sinks
+just subclass :class:`InstrumentationSink`.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "InstrumentationSink",
-    "WallClockSink",
-    "IterationCounterSink",
     "TraceSink",
     "MetricsSink",
 ]
@@ -41,34 +39,6 @@ class InstrumentationSink:
         """Called instead of :meth:`on_run_end` when the algorithm
         raises (e.g. :class:`~repro.gpusim.memory.DeviceOOMError`);
         sinks holding per-run state must release it here."""
-
-
-class WallClockSink(InstrumentationSink):
-    """Accumulates measured wall seconds per algorithm."""
-
-    def __init__(self) -> None:
-        self.runs: list[tuple[str, float]] = []
-
-    def on_run_end(self, record: "RunRecord") -> None:
-        self.runs.append((record.algorithm, record.wall_time_s))
-
-    def total_seconds(self, algorithm: str | None = None) -> float:
-        """Summed wall time, optionally for one algorithm."""
-        return sum(t for name, t in self.runs
-                   if algorithm is None or name == algorithm)
-
-
-class IterationCounterSink(InstrumentationSink):
-    """Counts runs and pointing/matching iterations per algorithm."""
-
-    def __init__(self) -> None:
-        self.counts: dict[str, dict[str, int]] = {}
-
-    def on_run_end(self, record: "RunRecord") -> None:
-        c = self.counts.setdefault(record.algorithm,
-                                   {"runs": 0, "iterations": 0})
-        c["runs"] += 1
-        c["iterations"] += record.iterations
 
 
 class TraceSink(InstrumentationSink):

@@ -8,12 +8,10 @@ import pytest
 from repro.engine import (
     AlgorithmSpec,
     ConfigurationDivergenceError,
-    IterationCounterSink,
     RunContext,
     RunRecord,
     TraceSink,
     UnknownAlgorithmError,
-    WallClockSink,
     algorithm_names,
     algorithm_specs,
     execute,
@@ -235,18 +233,6 @@ class TestRunRecordSerialisation:
 
 
 class TestSinks:
-    def test_wall_clock_and_iteration_sinks(self, medium_graph):
-        wall, iters = WallClockSink(), IterationCounterSink()
-        ctx = RunContext(sinks=(wall, iters))
-        execute("ld_seq", medium_graph, ctx)
-        execute("ld_seq", medium_graph, ctx)
-        execute("greedy", medium_graph, ctx)
-        assert len(wall.runs) == 3
-        assert wall.total_seconds() > 0
-        assert wall.total_seconds("greedy") < wall.total_seconds()
-        assert iters.counts["ld_seq"]["runs"] == 2
-        assert iters.counts["ld_seq"]["iterations"] >= 2
-
     def test_trace_sink_captures_and_saves(self, tmp_path, medium_graph):
         path = tmp_path / "run.json"
         sink = TraceSink(path=str(path))
