@@ -69,10 +69,6 @@ class Interconnect:
             bw /= num_devices / 2.0
         return bw
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Seconds to move ``nbytes`` point-to-point."""
-        return self.latency_s + nbytes / self.bandwidth_bps
-
     def scaled(self, bandwidth_factor: float = 1.0,
                latency_factor: float = 1.0) -> "Interconnect":
         """Derived link for what-if studies."""

@@ -28,7 +28,6 @@ class SimDevice:
         self.memory = MemoryPool(spec.memory_bytes, f"{spec.name}#{device_id}")
         self.kernels_launched = 0
         self.bytes_h2d = 0
-        self.bytes_d2h = 0
         self._arrays: dict[str, np.ndarray] = {}
 
     @property
@@ -37,13 +36,6 @@ class SimDevice:
         return f"{self.spec.name}#{self.device_id}"
 
     # -------------------------------------------------------------- #
-    def alloc_array(self, name: str, shape, dtype) -> np.ndarray:
-        """Allocate a named device array (zero-initialised)."""
-        arr = np.zeros(shape, dtype=dtype)
-        self.memory.alloc(name, arr.nbytes)
-        self._arrays[name] = arr
-        return arr
-
     def register_view(self, name: str, array: np.ndarray) -> np.ndarray:
         """Account an existing array (e.g. a host CSR view copied to the
         device once at distribution time) against device memory."""
@@ -79,13 +71,6 @@ class SimDevice:
         count("repro_device_bytes_total", int(nbytes),
               "Simulated device traffic in bytes.",
               device=self.label, direction="h2d")
-
-    def record_d2h(self, nbytes: int) -> None:
-        """Account device→host traffic."""
-        self.bytes_d2h += int(nbytes)
-        count("repro_device_bytes_total", int(nbytes),
-              "Simulated device traffic in bytes.",
-              device=self.label, direction="d2h")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

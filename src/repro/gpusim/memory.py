@@ -71,11 +71,6 @@ class MemoryPool:
             raise KeyError(f"no allocation named {name!r}")
         del self._allocations[name]
 
-    def resize(self, name: str, nbytes: int) -> None:
-        """Replace an allocation's size (realloc semantics)."""
-        self.free_allocation(name)
-        self.alloc(name, nbytes)
-
     def allocations(self) -> dict[str, int]:
         """Snapshot of live allocations (name → bytes)."""
         return dict(self._allocations)

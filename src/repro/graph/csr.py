@@ -497,17 +497,6 @@ class CSRGraph:
         if not np.allclose(w[0::2], w[1::2]):
             raise GraphFormatError("edge weights are not symmetric")
 
-    def sort_adjacency(self) -> "CSRGraph":
-        """Return a copy with each row's neighbours sorted ascending."""
-        indices = self.indices.copy()
-        weights = self.weights.copy()
-        for v in range(self.num_vertices):
-            lo, hi = self.indptr[v], self.indptr[v + 1]
-            order = np.argsort(indices[lo:hi], kind="stable")
-            indices[lo:hi] = indices[lo:hi][order]
-            weights[lo:hi] = weights[lo:hi][order]
-        return CSRGraph(self.indptr.copy(), indices, weights, self.name)
-
     def reweighted(self, weights: np.ndarray) -> "CSRGraph":
         """Same structure with a new aligned weight array."""
         if len(weights) != len(self.indices):

@@ -285,12 +285,6 @@ class MetricsSnapshot:
         s = matches[0]
         return s["sum"] if "sum" in s else s["value"]
 
-    def label_values(self, name: str, label: str) -> list[str]:
-        """Distinct values of one label across a family's samples,
-        sorted — e.g. every ``component`` the span timer observed."""
-        return sorted({s["labels"][label] for s in self.samples(name)
-                       if label in s["labels"]})
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe nested dict (used by the JSON exporter)."""
         import copy

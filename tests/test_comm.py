@@ -25,14 +25,6 @@ class TestTopology:
         assert PCIE4.bandwidth_gbs < NVLINK_SXM3.bandwidth_gbs
         assert NVLINK_SXM3.bandwidth_gbs < NVLINK_SXM4.bandwidth_gbs
 
-    def test_transfer_time(self):
-        link = Interconnect("t", 1.0, 0.0)  # 1 GB/s, no latency
-        assert link.transfer_time(1_000_000_000) == pytest.approx(1.0)
-
-    def test_latency_floor(self):
-        link = Interconnect("t", 1000.0, 100.0)
-        assert link.transfer_time(0) == pytest.approx(100e-6)
-
     def test_scaled(self):
         s = NVLINK_SXM4.scaled(bandwidth_factor=0.5, latency_factor=2.0)
         assert s.bandwidth_gbs == pytest.approx(300.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import build_graph, random_graphs
+from conftest import random_graphs
 from repro.graph.csr import CSRGraph, GraphFormatError
 
 
@@ -181,13 +181,6 @@ class TestValidation:
 
 
 class TestTransforms:
-    def test_sort_adjacency(self):
-        g = build_graph(4, [(0, 3, 1.0), (0, 1, 2.0), (0, 2, 3.0)])
-        s = g.sort_adjacency()
-        assert list(s.neighbors(0)) == [1, 2, 3]
-        assert s.edge_weight(0, 3) == 1.0
-        s.validate()
-
     def test_reweighted(self, triangle):
         w2 = triangle.weights * 2.0
         g2 = triangle.reweighted(w2)

@@ -68,12 +68,6 @@ class TestMemoryPool:
         pool.alloc("b", 30)
         assert pool.peak == 70
 
-    def test_resize(self):
-        pool = MemoryPool(100)
-        pool.alloc("a", 10)
-        pool.resize("a", 90)
-        assert pool.used == 90
-
     def test_contains_and_snapshot(self):
         pool = MemoryPool(100)
         pool.alloc("a", 10)
@@ -381,26 +375,24 @@ class TestSpecs:
 
 
 class TestSimDevice:
-    def test_alloc_and_lookup(self):
+    def test_register_and_lookup(self):
         dev = SimDevice(0, A100.with_memory(10_000))
-        arr = dev.alloc_array("x", 100, np.int64)
-        assert arr.nbytes == 800
+        arr = np.zeros(100, dtype=np.int64)
+        assert dev.register_view("x", arr) is arr
         assert dev.array("x") is arr
         assert dev.memory.used == 800
 
     def test_oom_propagates(self):
         dev = SimDevice(0, A100.with_memory(10))
         with pytest.raises(DeviceOOMError):
-            dev.alloc_array("x", 100, np.int64)
+            dev.reserve("x", 800)
 
     def test_counters(self):
         dev = SimDevice(1, A100)
         dev.record_kernel()
         dev.record_h2d(100)
-        dev.record_d2h(50)
         assert dev.kernels_launched == 1
         assert dev.bytes_h2d == 100
-        assert dev.bytes_d2h == 50
 
     def test_free_releases(self):
         dev = SimDevice(0, A100.with_memory(1000))

@@ -618,8 +618,3 @@ class TestSnapshotAccessors:
     def test_value_histogram_reads_sum(self):
         assert self._snapshot().value("repro_h") == 0.5
 
-    def test_label_values(self):
-        snap = self._snapshot()
-        assert snap.label_values("repro_c_total", "component") \
-            == ["pointing", "sync"]
-        assert snap.label_values("repro_c_total", "missing") == []
