@@ -119,9 +119,11 @@ def _count(outcome: str) -> None:
 class GraphCache:
     """Fingerprint-verified ``.npz`` store for :class:`CSRGraph`\\ s.
 
-    ``hits``/``misses`` count reads served from disk versus builds; the
-    parallel executor and the benchmark harness report them, and the
-    test suite asserts on them.
+    Datasets are served by recipe reference (:meth:`get_recipe`); the
+    parallel executor stores a graph (:meth:`store`) and its workers
+    load it by path and fingerprint (:meth:`load`).  ``hits`` counts
+    snapshots loaded, ``misses`` graphs :meth:`get_recipe` had to
+    build.
     """
 
     def __init__(self, root: "Path | str | None" = None,
@@ -295,49 +297,6 @@ class GraphCache:
             _publish(ref, lambda fh: fh.write(json.dumps(doc).encode()))
         except OSError:  # pragma: no cover - unwritable cache
             pass
-        return graph
-
-    def get_or_build(self, name: str,
-                     build: Callable[[], "CSRGraph"],
-                     expect: str | None = None) -> "CSRGraph":
-        """The cached graph named ``name``, building (and storing) on
-        miss.
-
-        Every hit is integrity-verified: the fingerprint in the entry's
-        filename is re-derived from the loaded arrays, so a truncated
-        or hand-edited snapshot is rebuilt, never returned.  Pass
-        ``expect`` (a known :func:`graph_fingerprint` value, as the
-        parallel executor does) to additionally require *that exact
-        content* — without it, a stale entry from an older generator
-        version of the same dataset name is indistinguishable from a
-        fresh one.  A corrupt candidate is deleted before the rebuild,
-        so the rebuilt graph replaces it on disk.
-        """
-        if expect is not None:
-            candidates = [self.path_for(name, expect)]
-        else:
-            # Only this name's entries: ``GAP-kron-*`` also matches
-            # ``GAP-kron-q``'s.
-            candidates = [p for p in reversed(self.entries(
-                f"{_slug(name)}-*.npz"))
-                if p.stem.rsplit("-", 1)[0] == _slug(name)]
-        for path in candidates:
-            if not path.is_file():
-                continue
-            fp = expect if expect is not None \
-                else "sha256:" + path.stem.rsplit("-", 1)[-1]
-            try:
-                graph = self.load(path, fp)
-            except ValueError:
-                path.unlink(missing_ok=True)
-                continue
-            except OSError:
-                continue
-            path.touch()
-            return graph
-        self.misses += 1
-        graph = build()
-        self.store(graph)
         return graph
 
     # -------------------------------------------------------------- #

@@ -398,14 +398,3 @@ class TestConcurrentWriters:
         cache.evict()
         cache.clear()
         assert flight.exists() and ref_flight.exists()
-
-    def test_name_glob_skips_longer_names(self, medium_graph, tmp_path):
-        """``get_or_build("medium")`` must not serve ``medium-q``."""
-        cache = GraphCache(tmp_path)
-        other = fresh(medium_graph)
-        other.name = "medium-q"
-        other = other.reweighted(other.weights * 2.0)
-        cache.store(other)
-        g = cache.get_or_build("medium", lambda: fresh(medium_graph))
-        assert cache.misses == 1
-        assert np.array_equal(g.weights, medium_graph.weights)

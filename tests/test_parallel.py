@@ -17,6 +17,7 @@ from repro.engine.cells import (
 )
 from repro.engine.spec import algorithm_names, get_spec
 from repro.gpusim.spec import DGX_A100
+from repro.graph.csr import CSRGraph
 from repro.harness.bench import (
     compare_reports,
     run_bench,
@@ -25,6 +26,21 @@ from repro.harness.bench import (
 )
 from repro.harness.cache import GraphCache
 from repro.harness.sweep import sweep_ld_gpu
+from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.spans import record_into
+
+
+def _copy(g: CSRGraph) -> CSRGraph:
+    """A fresh copy, so a cache build does not sort the shared
+    fixture's layout."""
+    return CSRGraph(g.indptr.copy(), g.indices.copy(), g.weights.copy(),
+                    g.name)
+
+
+def _outcomes(reg: MetricsRegistry) -> dict[str, float]:
+    snap = reg.snapshot()
+    return {o: snap.total("repro_graph_cache_total", outcome=o)
+            for o in ("hit", "miss", "corrupt")}
 
 
 def _strip_wall(doc: dict) -> dict:
@@ -178,43 +194,50 @@ class TestGraphCache:
     @pytest.mark.parametrize("damage", ["truncate", "other_content"])
     def test_corrupt_entry_replaced_once(self, medium_graph, tmp_path,
                                          damage):
-        """A corrupt entry is rebuilt once and replaced on disk: the
-        next load is a verified hit, not another rebuild."""
+        """A corrupt snapshot behind a recipe reference is counted
+        ``corrupt``, rebuilt once and replaced on disk: the next call is
+        a verified hit, not another rebuild."""
         from repro.graph.io import save_npz
         from repro.harness.cache import _VERIFIED
+        from repro.telemetry.provenance import graph_fingerprint
 
         cache = GraphCache(tmp_path)
-        path, fp = cache.store(medium_graph)
-        if damage == "truncate":
-            path.write_bytes(path.read_bytes()[:100])
-        else:
-            save_npz(medium_graph.reweighted(medium_graph.weights * 2.0),
-                     path)
         builds = []
 
         def build():
             builds.append(1)
-            return medium_graph
+            return _copy(medium_graph)
 
-        assert cache.get_or_build("medium", build, expect=fp) \
-            is medium_graph
-        assert (len(builds), cache.misses, cache.hits) == (1, 1, 0)
-        g = cache.get_or_build("medium", build, expect=fp)
-        assert (len(builds), cache.misses, cache.hits) == (1, 1, 1)
+        cache.get_recipe("medium-key", build)
+        fp = graph_fingerprint(medium_graph)
+        path = cache.path_for("medium", fp)
+        if damage == "truncate":
+            path.write_bytes(path.read_bytes()[:100])
+        else:  # same file name, other bytes
+            save_npz(medium_graph.reweighted(medium_graph.weights * 2.0),
+                     path)
+        reg = MetricsRegistry()
+        with record_into(reg):
+            cache.get_recipe("medium-key", build)
+            assert _outcomes(reg) == {"hit": 0, "miss": 0, "corrupt": 1}
+            assert (len(builds), cache.misses, cache.hits) == (2, 2, 0)
+            g = cache.get_recipe("medium-key", build)
+            assert _outcomes(reg) == {"hit": 1, "miss": 0, "corrupt": 1}
+        assert (len(builds), cache.misses, cache.hits) == (2, 2, 1)
         assert (os.path.realpath(path), fp) in _VERIFIED
         assert np.array_equal(g.weights, medium_graph.weights)
 
-    def test_get_or_build_hit_and_miss(self, medium_graph, tmp_path):
+    def test_get_recipe_hit_and_miss(self, medium_graph, tmp_path):
         cache = GraphCache(tmp_path)
         builds = {"n": 0}
 
         def build():
             builds["n"] += 1
-            return medium_graph
+            return _copy(medium_graph)
 
-        g1 = cache.get_or_build("medium", build)
+        g1 = cache.get_recipe("medium-key", build)
         assert (builds["n"], cache.misses, cache.hits) == (1, 1, 0)
-        g2 = cache.get_or_build("medium", build)
+        g2 = cache.get_recipe("medium-key", build)
         assert (builds["n"], cache.misses, cache.hits) == (1, 1, 1)
         assert np.array_equal(g1.weights, g2.weights)
 

@@ -351,9 +351,11 @@ class TestFingerprintMemo:
         save_npz(medium_graph.reweighted(medium_graph.weights * 2.0), path)
         with pytest.raises(ValueError, match="corrupt"):
             cache.load(path, fp)
-        assert cache.get_or_build(
-            medium_graph.name, lambda: medium_graph, expect=fp) \
-            is medium_graph  # the bad entry is rebuilt, not returned
+        ref = {"graph": medium_graph.name, "fingerprint": fp}
+        (tmp_path / "medium-key.ref").write_text(json.dumps(ref))
+        rebuilt = medium_graph.reweighted(medium_graph.weights)  # a copy
+        assert cache.get_recipe("medium-key", lambda: rebuilt) \
+            is rebuilt  # the bad entry is rebuilt, not returned
 
     def test_shm_attach_hashes_its_own_bytes(self, medium_graph, hashes):
         import dataclasses
