@@ -14,7 +14,6 @@ from repro.comm.topology import (
     PCIE4,
     NVLINK_SXM3,
     NVLINK_SXM4,
-    INFINIBAND_HDR,
 )
 from repro.comm.collectives import allreduce_max
 from repro.comm.transfer import h2d_time, d2h_time
@@ -25,7 +24,6 @@ __all__ = [
     "PCIE4",
     "NVLINK_SXM3",
     "NVLINK_SXM4",
-    "INFINIBAND_HDR",
     "allreduce_max",
     "h2d_time",
     "d2h_time",

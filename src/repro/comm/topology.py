@@ -17,7 +17,6 @@ __all__ = [
     "PCIE4",
     "NVLINK_SXM3",
     "NVLINK_SXM4",
-    "INFINIBAND_HDR",
 ]
 
 
@@ -97,10 +96,3 @@ NVLINK_SXM3 = Interconnect("NVLink-SXM3", 300.0, 12.0,
 #: ~48 GB/s of collective bus bandwidth.
 NVLINK_SXM4 = Interconnect("NVLink-SXM4", 600.0, 10.0,
                            collective_efficiency=0.08)
-
-#: InfiniBand HDR (200 Gb/s ≈ 25 GB/s per port) between nodes — the
-#: fabric a multi-node extension of LD-GPU would ride.  NCCL sustains
-#: ~18 GB/s of inter-node collective bandwidth, and each inter-node hop
-#: pays NIC + proxy-thread latency on top of the wire.
-INFINIBAND_HDR = Interconnect("IB-HDR", 25.0, 18.0,
-                              collective_efficiency=0.7)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.comm.topology import (
-    INFINIBAND_HDR,
     NVLINK_SXM3,
     NVLINK_SXM4,
     PCIE3,
@@ -79,10 +78,6 @@ def calibration_entries() -> list[CalibrationEntry]:
           "per ring step"),
         e("NCCL step latency (PCIe)", PCIE4.latency_us, "µs",
           "per ring step"),
-        e("InfiniBand HDR bandwidth", INFINIBAND_HDR.bandwidth_gbs,
-          "GB/s", "200 Gb/s port"),
-        e("InfiniBand hop latency", INFINIBAND_HDR.latency_us, "µs",
-          "NIC + NCCL proxy per inter-node step"),
         # --- host ------------------------------------------------------
         e("host threads (SR-OMP)", CPU_EPYC_7742_2S.threads, "count",
           "paper: 256-thread runs"),
