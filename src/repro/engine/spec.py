@@ -62,7 +62,7 @@ class AlgorithmSpec:
         Computes the true maximum weight matching.
     approx_ratio:
         Worst-case approximation guarantee as a display string
-        (``"1/2"``, ``"2/3"``, ``"2/3-eps"``); ``None`` for exact solvers.
+        (``"1/2"``, ``"3/8"``); ``None`` for exact solvers.
     parallel_safe:
         The callable is a pure function of ``(graph, kwargs)`` — no
         process-global mutable state — so

@@ -375,7 +375,7 @@ class TestSpecs:
 
 
 class TestSimDevice:
-    def test_register_and_lookup(self):
+    def test_alloc_and_lookup(self):
         dev = SimDevice(0, A100.with_memory(10_000))
         arr = np.zeros(100, dtype=np.int64)
         assert dev.register_view("x", arr) is arr

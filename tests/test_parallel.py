@@ -17,7 +17,6 @@ from repro.engine.cells import (
 )
 from repro.engine.spec import algorithm_names, get_spec
 from repro.gpusim.spec import DGX_A100
-from repro.graph.csr import CSRGraph
 from repro.harness.bench import (
     compare_reports,
     run_bench,
@@ -28,13 +27,7 @@ from repro.harness.cache import GraphCache
 from repro.harness.sweep import sweep_ld_gpu
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import record_into
-
-
-def _copy(g: CSRGraph) -> CSRGraph:
-    """A fresh copy, so a cache build does not sort the shared
-    fixture's layout."""
-    return CSRGraph(g.indptr.copy(), g.indices.copy(), g.weights.copy(),
-                    g.name)
+from test_layout_memo import fresh
 
 
 def _outcomes(reg: MetricsRegistry) -> dict[str, float]:
@@ -206,7 +199,7 @@ class TestGraphCache:
 
         def build():
             builds.append(1)
-            return _copy(medium_graph)
+            return fresh(medium_graph)
 
         cache.get_recipe("medium-key", build)
         fp = graph_fingerprint(medium_graph)
@@ -233,7 +226,7 @@ class TestGraphCache:
 
         def build():
             builds["n"] += 1
-            return _copy(medium_graph)
+            return fresh(medium_graph)
 
         g1 = cache.get_recipe("medium-key", build)
         assert (builds["n"], cache.misses, cache.hits) == (1, 1, 0)

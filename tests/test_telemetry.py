@@ -344,6 +344,7 @@ class TestFingerprintMemo:
                                                 tmp_path):
         from repro.graph.io import save_npz
         from repro.harness.cache import GraphCache
+        from test_layout_memo import fresh
 
         cache = GraphCache(tmp_path)
         path, fp = cache.store(medium_graph)  # memoises medium's hash
@@ -353,7 +354,7 @@ class TestFingerprintMemo:
             cache.load(path, fp)
         ref = {"graph": medium_graph.name, "fingerprint": fp}
         (tmp_path / "medium-key.ref").write_text(json.dumps(ref))
-        rebuilt = medium_graph.reweighted(medium_graph.weights)  # a copy
+        rebuilt = fresh(medium_graph)
         assert cache.get_recipe("medium-key", lambda: rebuilt) \
             is rebuilt  # the bad entry is rebuilt, not returned
 
