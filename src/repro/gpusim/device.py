@@ -2,15 +2,14 @@
 
 A :class:`SimDevice` owns the per-device state LD-GPU allocates in §III-C:
 the partition's CSR rows, the two |V|-sized global arrays (``pointers`` and
-``mate``) and, when batching, the two batch buffers.  NumPy arrays stand in
-for device buffers; the pool enforces the capacity so over-subscribed
-configurations fail with :class:`~repro.gpusim.memory.DeviceOOMError`
-exactly where a real run would.
+``mate``) and, when batching, the two batch buffers.  Nothing is
+materialised: each buffer is a named allocation in the pool, which
+enforces the capacity so over-subscribed configurations fail with
+:class:`~repro.gpusim.memory.DeviceOOMError` exactly where a real run
+would.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.gpusim.memory import MemoryPool
 from repro.gpusim.spec import DeviceSpec
@@ -28,7 +27,6 @@ class SimDevice:
         self.memory = MemoryPool(spec.memory_bytes, f"{spec.name}#{device_id}")
         self.kernels_launched = 0
         self.bytes_h2d = 0
-        self._arrays: dict[str, np.ndarray] = {}
 
     @property
     def label(self) -> str:
@@ -36,25 +34,13 @@ class SimDevice:
         return f"{self.spec.name}#{self.device_id}"
 
     # -------------------------------------------------------------- #
-    def register_view(self, name: str, array: np.ndarray) -> np.ndarray:
-        """Account an existing array (e.g. a host CSR view copied to the
-        device once at distribution time) against device memory."""
-        self.memory.alloc(name, array.nbytes)
-        self._arrays[name] = array
-        return array
-
     def reserve(self, name: str, nbytes: int) -> None:
-        """Account raw capacity (batch buffers) without materialising it."""
+        """Account ``nbytes`` of device memory under ``name``."""
         self.memory.alloc(name, nbytes)
 
     def free(self, name: str) -> None:
         """Release a named allocation."""
         self.memory.free_allocation(name)
-        self._arrays.pop(name, None)
-
-    def array(self, name: str) -> np.ndarray:
-        """Look up a named device array."""
-        return self._arrays[name]
 
     # -------------------------------------------------------------- #
     def record_kernel(self) -> None:

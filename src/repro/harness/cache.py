@@ -121,9 +121,9 @@ class GraphCache:
 
     Datasets are served by recipe reference (:meth:`get_recipe`); the
     parallel executor stores a graph (:meth:`store`) and its workers
-    load it by path and fingerprint (:meth:`load`).  ``hits`` counts
-    snapshots loaded, ``misses`` graphs :meth:`get_recipe` had to
-    build.
+    load it by path and fingerprint (:meth:`load`).  Each
+    :meth:`get_recipe` decision is counted as
+    ``repro_graph_cache_total{outcome}``.
     """
 
     def __init__(self, root: "Path | str | None" = None,
@@ -134,8 +134,6 @@ class GraphCache:
             max_entries = int(os.environ.get(_ENV_ENTRIES,
                                              _DEFAULT_MAX_ENTRIES))
         self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
 
     # -------------------------------------------------------------- #
     # paths and keys
@@ -228,7 +226,6 @@ class GraphCache:
                 lambda: fingerprint)
             if layout is not None:
                 adopted = graph.adopt_layout(*layout, fingerprint)
-        self.hits += 1
         return graph, adopted
 
     def get_recipe(self, key: str,
@@ -288,7 +285,6 @@ class GraphCache:
             _count(outcome)
             return graph
         _count(outcome)
-        self.misses += 1
         graph = build()
         graph.sorted_row_order()  # the snapshot carries the layout
         try:
@@ -321,5 +317,4 @@ class GraphCache:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"GraphCache(root={str(self.root)!r}, "
-                f"entries={len(self.entries())}, hits={self.hits}, "
-                f"misses={self.misses})")
+                f"entries={len(self.entries())})")

@@ -32,7 +32,6 @@ from repro.graph.csr import CSRGraph
 from repro.matching.ld_seq import find_mutual_pairs
 from repro.matching.pointer_index import PointerIndex
 from repro.matching.types import UNMATCHED, MatchResult
-from repro.matching.validate import matched_vertex_weight
 from repro.partition.vertex import edge_balanced_partition
 
 __all__ = ["cugraph_mg_sim"]
@@ -76,7 +75,8 @@ def cugraph_mg_sim(
     degrees = graph.degrees
     timeline = Timeline()
 
-    frontier = np.arange(n, dtype=np.int64)
+    # Round 1 points every row (``None``), as in LD-SEQ.
+    frontier = None
     iterations = 0
     while max_iterations is None or iterations < max_iterations:
         timeline.begin_iteration()
@@ -129,7 +129,7 @@ def cugraph_mg_sim(
 
     return MatchResult(
         mate=mate,
-        weight=matched_vertex_weight(mate, index.matched_weights(mate)),
+        weight=index.matched_weight(mate),
         algorithm="cugraph_mg",
         iterations=iterations,
         sim_time=timeline.total,

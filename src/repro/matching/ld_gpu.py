@@ -34,9 +34,12 @@ a shrinking array of pointer holders (:func:`~repro.matching.ld_seq.
 next_frontier`, shared with LD-SEQ), and one
 :func:`~repro.gpusim.kernels.pointing_kernel_costs` pass prices every
 (device, batch) launch of a round from one gather of the frontier's
-degrees.  Charges that no round changes (each device's SetMates launch,
-both allreduces, the sync) are computed once per run; every launch is
-still observed and counted on its own, in (device, batch) order.
+degrees.  The first round's frontier is ``None``, every row: it is
+pointed and matched on whole arrays and priced from the degrees and the
+batch bounds as they are.  Charges that no round changes (each device's
+SetMates launch, both allreduces, the sync) are computed once per run;
+every launch is still observed and counted on its own, in (device,
+batch) order.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from repro.gpusim.timeline import Timeline
 from repro.matching.ld_seq import next_frontier, pointing_pair
 from repro.matching.pointer_index import HOST_SCAN_COUNTER, HOST_SCAN_HELP
 from repro.matching.types import UNMATCHED, MatchResult
-from repro.matching.validate import matched_vertex_weight
 from repro.partition.batch import BatchPlan, auto_batch_count, plan_batches
 from repro.partition.vertex import (
     edge_balanced_partition,
@@ -79,8 +81,7 @@ _SYNCS_PER_ITERATION = 2
 
 @dataclass
 class _DevicePartition:
-    """Per-device state: vertex range and batch plan (the local CSR row
-    offsets are the device's registered ``"indptr"`` view)."""
+    """Per-device state: vertex range and batch plan."""
 
     device: SimDevice
     start: int
@@ -185,7 +186,7 @@ def _setup_devices(
         # and mate arrays live on every device; the host holds one copy).
         dev.reserve("pointers", n * 8)
         dev.reserve("mate", n * 8)
-        dev.register_view("indptr", local_indptr)
+        dev.reserve("indptr", local_indptr.nbytes)
         if plan.resident:
             dev.reserve("edges", edge_bytes)
         else:
@@ -286,7 +287,8 @@ def ld_gpu(
               * spec.kernel_launch_us * 1e-6
               + platform.gpu_link.latency_s)
 
-    frontier = holders = np.arange(n, dtype=np.int64)
+    # Round 1 points every row (``None``), as in LD-SEQ.
+    frontier = holders = None
     occupancy_series: list[float] = []
     edges_scanned_series: list[int] = []
     warp_mean_series: list[float] = []
@@ -305,10 +307,15 @@ def ld_gpu(
         iter_scanned = pointing.point(mate, pointers, frontier)
         iter_host = pointing.last_host_scanned
         # Every (device, batch) launch is costed from one gather of the
-        # frontier's degrees, cut at the batch bounds.
+        # frontier's degrees, cut at the batch bounds; round 1 prices
+        # every row from the degrees and bounds themselves.
+        if frontier is None:
+            work, cuts = degrees, bounds
+        else:
+            work = degrees[frontier]
+            cuts = np.searchsorted(frontier, bounds)
         launches = iter(pointing_kernel_costs(
-            spec, degrees[frontier], np.searchsorted(frontier, bounds),
-            vertices_per_warp))
+            spec, work, cuts, vertices_per_warp))
         makespans = []
         computes = []
         occ_accum = 0.0
@@ -413,7 +420,7 @@ def ld_gpu(
         pointers[hi] = UNMATCHED
         holders, frontier = next_frontier(holders, mate, pointers)
 
-    weight = matched_vertex_weight(mate, pointing.matched_weights(mate))
+    weight = pointing.matched_weight(mate)
     stats: dict = {
         "config": LdGpuRun(platform.name, num_devices, nb,
                            vertices_per_warp, engine),

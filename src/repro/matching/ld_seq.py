@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.engine.spec import AlgorithmSpec, register
 from repro.graph.csr import CSRGraph
-from repro.graph.segments import gather_rows, row_ids, segment_argmax_lex
+from repro.graph.segments import gather_rows, segment_argmax_lex
 from repro.matching.pointer_index import (
     HOST_SCAN_COUNTER,
     HOST_SCAN_HELP,
@@ -43,7 +43,7 @@ from repro.matching.pointer_index import (
     PointerIndex,
 )
 from repro.matching.types import UNMATCHED, MatchResult
-from repro.matching.validate import matched_vertex_weight
+from repro.matching.validate import matching_weight
 from repro.telemetry.spans import count
 
 __all__ = [
@@ -123,7 +123,7 @@ def find_mutual_pairs(
 
 
 def next_frontier(
-    holders: np.ndarray, mate: np.ndarray, pointer: np.ndarray
+    holders: np.ndarray | None, mate: np.ndarray, pointer: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The vertices that still hold a pointer, and the next round's
     frontier: those of them whose target was matched away.
@@ -132,14 +132,20 @@ def next_frontier(
     the matched vertices' pointers cleared.  ``holders`` ascends and
     contains every vertex whose pointer is set (pointers are only ever
     set on a frontier, which is drawn from the holders), so a round
-    costs O(holders) instead of O(n); the array only shrinks.  Because
-    a matched vertex's pointer is cleared, the frontier equals
+    costs O(holders) instead of O(n); the array only shrinks.  After a
+    first round over every row, ``holders=None`` takes them from the
+    whole ``pointer`` array.  Because a matched vertex's pointer is
+    cleared, the frontier equals
     ``nonzero((mate == -1) & (pointer >= 0))`` filtered by the target's
     mate, and both returned arrays ascend.
     """
-    target = pointer[holders]
-    keep = np.flatnonzero(target >= 0)
-    holders, target = holders[keep], target[keep]
+    if holders is None:
+        holders = np.flatnonzero(pointer >= 0)
+        target = pointer[holders]
+    else:
+        target = pointer[holders]
+        keep = np.flatnonzero(target >= 0)
+        holders, target = holders[keep], target[keep]
     return holders, holders[np.flatnonzero(mate[target] != UNMATCHED)]
 
 
@@ -153,23 +159,19 @@ class _RescanPointer:
         self.last_host_scanned = 0
 
     def point(self, mate: np.ndarray, pointer: np.ndarray,
-              frontier: np.ndarray) -> int:
+              frontier: np.ndarray | None) -> int:
         g = self._graph
+        if frontier is None:
+            frontier = np.arange(g.num_vertices)
         self.last_host_scanned = compute_pointers(
             g.indptr, g.indices, g.weights, self._eids,
             mate, pointer, frontier)
         return self.last_host_scanned
 
-    def matched_weights(self, mate: np.ndarray) -> np.ndarray:
-        """Per vertex, its row entry's weight for its mate (0 where
-        unmatched), by the O(m) row scan of
+    def matched_weight(self, mate: np.ndarray) -> float:
+        """The O(m) row scan of
         :func:`~repro.matching.validate.matching_weight`."""
-        g = self._graph
-        rid = row_ids(g.indptr)
-        hit = mate[rid] == g.indices
-        mw = np.zeros(g.num_vertices)
-        mw[rid[hit]] = g.weights[hit]
-        return mw
+        return matching_weight(self._graph, mate)
 
 
 class _RescanMutual:
@@ -215,7 +217,9 @@ def ld_seq(
         re-scans only vertices whose pointer target was matched away, which
         is equivalent (availability only shrinks, so surviving pointers
         remain arg-maxima) and matches the per-iteration edge-traffic decay
-        the paper measures in Fig. 8.
+        the paper measures in Fig. 8.  Either way the first round's
+        frontier is ``None``, every row: it is pointed, matched and
+        filtered on whole arrays, with no index gathers.
     engine:
         ``"index"`` or the ``"segment"`` reference (see the module
         docstring); only ``stats["host_entries_scanned"]`` and its
@@ -226,7 +230,8 @@ def ld_seq(
     mate = np.full(n, UNMATCHED, dtype=np.int64)
     pointer = np.full(n, UNMATCHED, dtype=np.int64)
 
-    frontier = holders = np.arange(n, dtype=np.int64)
+    # Round 1 points every row (``None``) on whole arrays.
+    frontier = holders = None
     edges_scanned: list[int] = []
     new_matches: list[int] = []
     frontier_sizes: list[int] = []
@@ -247,7 +252,7 @@ def ld_seq(
               algorithm="ld_seq", engine=engine)
         if collect_stats:
             edges_scanned.append(scanned)
-            frontier_sizes.append(len(frontier))
+            frontier_sizes.append(n if frontier is None else len(frontier))
             new_matches.append(len(matched_lo))
         iterations += 1
         if len(matched_lo) == 0:
@@ -263,7 +268,7 @@ def ld_seq(
             # Re-point exactly the vertices whose target was matched away.
             holders, frontier = next_frontier(holders, mate, pointer)
 
-    weight = matched_vertex_weight(mate, pointing.matched_weights(mate))
+    weight = pointing.matched_weight(mate)
     stats = {}
     if collect_stats:
         stats = {

@@ -32,8 +32,9 @@ Cursor advances are vectorised as repeated whole-frontier NumPy steps
 over a shrinking working set — there is no per-vertex Python loop.
 The walk itself is :func:`advance_cursors`, which the round-synchronous
 Suitor baselines (:mod:`repro.matching.suitor`) share.  A run's first
-call, made while ``mate`` is still empty, skips the walk: every cursor
-already rests on its row's live head.
+round passes ``frontier=None`` ("every row"): while ``mate`` is still
+empty every cursor rests on its row's live head, so each non-empty row
+points at its head on whole arrays, with no walk and no index gather.
 
 :class:`MutualIndex` applies the same delta discipline to the
 *matching* (SetMates) phase: the full-scan oracle
@@ -66,6 +67,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.matching.types import UNMATCHED
+from repro.matching.validate import _vertex_ids
 
 __all__ = [
     "HOST_SCAN_COUNTER",
@@ -163,8 +165,6 @@ class PointerIndex:
         self.host_entries_scanned = 0
         #: Entries examined by the most recent ``point`` call.
         self.last_host_scanned = 0
-        #: True until the first ``point`` call over a non-empty frontier.
-        self._fresh = True
 
     @property
     def num_rows(self) -> int:
@@ -174,7 +174,7 @@ class PointerIndex:
         self,
         mate: np.ndarray,
         pointer: np.ndarray,
-        frontier: np.ndarray,
+        frontier: np.ndarray | None,
     ) -> int:
         """Pointing phase for ``frontier`` — drop-in for
         :func:`~repro.matching.ld_seq.compute_pointers`.
@@ -185,55 +185,60 @@ class PointerIndex:
         in place and returns the *modeled* scan count — the sum of
         frontier degrees, exactly what the segment engine reports — so
         ``edges_scanned`` stats stay bit-identical across engines.
+
+        ``frontier=None`` means every row of the index.  While ``mate``
+        is still empty (a run's first round) that points each non-empty
+        row at its head on whole arrays, with no walk.
         """
-        if len(frontier) == 0:
-            self.last_host_scanned = 0
-            return 0
+        if frontier is None:
+            stop = self.row_offset + self.num_rows
+            if mate.max(initial=UNMATCHED) == UNMATCHED:
+                # Nothing is matched yet and cursors only move past
+                # matched entries, so each rests on its row's head: the
+                # live entry a walk would find after examining it once.
+                has = np.flatnonzero(self.cursor < self.indptr[1:])
+                rows = pointer[self.row_offset:stop]
+                rows[:] = UNMATCHED
+                rows[has] = self.sorted_indices[self.cursor[has]]
+                self.last_host_scanned = len(has)
+                self.host_entries_scanned += len(has)
+                return int(self.indptr[-1])
+            frontier = np.arange(self.row_offset, stop)
         local = frontier - self.row_offset
         cur = self.cursor[local]
         end = self.indptr[local + 1]
         nbrs = self.sorted_indices
-        fresh, self._fresh = self._fresh, False
-        if fresh and mate.max() == UNMATCHED:
-            # Nothing is matched yet and no cursor has moved: each one
-            # rests on its row's head, the live entry the walk would
-            # find after examining it once.
-            has = np.flatnonzero(cur < end)
-            host = len(has)
-        else:
-            # The memo's neighbour ids are int32: NumPy indexes ``mate``
-            # faster with them widened first than it casts an int32
-            # index.
-            host = advance_cursors(
-                cur, end,
-                lambda slots: mate[nbrs[slots].astype(np.intp)]
-                != UNMATCHED)
-            self.cursor[local] = cur
-            has = np.flatnonzero(cur < end)
-
+        # The memo's neighbour ids are int32: NumPy indexes ``mate``
+        # faster with them widened first than it casts an int32 index.
+        host = advance_cursors(
+            cur, end,
+            lambda slots: mate[nbrs[slots].astype(np.intp)] != UNMATCHED)
+        self.cursor[local] = cur
+        has = np.flatnonzero(cur < end)
         pointer[frontier] = UNMATCHED
         pointer[frontier[has]] = nbrs[cur[has]]
-
         self.last_host_scanned = host
-        self.host_entries_scanned += self.last_host_scanned
+        self.host_entries_scanned += host
         return int((end - self.indptr[local]).sum())
 
-    def matched_weights(self, mate: np.ndarray) -> np.ndarray:
-        """Per local row, the weight of its vertex's matched edge (0
-        where the vertex is unmatched), read in O(rows).
+    def matched_weight(self, mate: np.ndarray) -> float:
+        """Weight of the matched edges whose lower endpoint is one of
+        this index's rows, bit-equal to
+        :func:`~repro.matching.validate.matching_weight` over the whole
+        graph when the index serves every row.
 
         A matched vertex's cursor rests on its mate: the pointing phase
         left it on the entry it pointed at, and a matched vertex is
-        never pointed again.  So the entry under the cursor is the
-        vertex's own row entry for its mate.
+        never pointed again.  So only the lower endpoints' cursor
+        entries are gathered, and they are summed in ascending vertex
+        order, the elements and order of
+        :func:`~repro.matching.validate.matched_vertex_weight`.
         """
-        mw = np.zeros(self.num_rows)
-        rows = np.flatnonzero(
-            mate[self.row_offset:self.row_offset + self.num_rows]
-            != UNMATCHED)
-        mw[rows] = self._weights[
-            self._slots[self.cursor[rows]].astype(np.intp)]
-        return mw
+        stop = self.row_offset + self.num_rows
+        lower = np.flatnonzero(_vertex_ids(stop)[self.row_offset:]
+                               < mate[self.row_offset:stop])
+        return float(self._weights[
+            self._slots[self.cursor[lower]].astype(np.intp)].sum())
 
 
 class MutualIndex:

@@ -130,15 +130,23 @@ def _suitor_rounds(
     while len(active):
         frontiers.append(active)
         rounds += 1
-        cur = cursor[active]
-        end = row_end[active]
-        advance_cursors(cur, end, beaten)
-        live = cur < end
-        # Whether it wins or loses, a bid's entry is spent.
-        cursor[active] = cur + live
-        has = np.flatnonzero(live)
-        proposers = active[has]
-        targets, pw = entry(cur[has])
+        if rounds == 1:
+            # No proposal stands yet, so no entry is beaten: every
+            # non-empty row's head bids, on whole arrays.
+            live = cursor < row_end
+            proposers = np.flatnonzero(live)
+            slots = cursor[proposers]
+            cursor += live
+        else:
+            cur = cursor[active]
+            end = row_end[active]
+            advance_cursors(cur, end, beaten)
+            live = cur < end
+            # Whether it wins or loses, a bid's entry is spent.
+            cursor[active] = cur + live
+            has = np.flatnonzero(live)
+            proposers, slots = active[has], cur[has]
+        targets, pw = entry(slots)
 
         # Every bid beats its target's standing proposal, so the best
         # (w, eid) bid per target becomes the standing one: the heaviest

@@ -40,7 +40,7 @@ from repro.matching.pointer_index import (
     PointerIndex,
 )
 from repro.matching.types import UNMATCHED, MatchResult
-from repro.matching.validate import matched_vertex_weight, matching_weight
+from repro.matching.validate import matching_weight
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import SpanEmitter, count, observe, record_into
 
@@ -129,7 +129,8 @@ def ld_gpu_replicated(graph, platform=DGX_A100, num_devices=1,
                 else:
                     lo_e = graph.indptr[p.start]
                     scanned = compute_pointers(
-                        p.device.array("indptr"), graph.indices[lo_e:],
+                        graph.indptr[p.start:p.stop + 1] - lo_e,
+                        graph.indices[lo_e:],
                         graph.weights[lo_e:], eids[lo_e:], mate_g,
                         pointers[i], sel, row_offset=p.start)
                     iter_scanned += scanned
@@ -202,11 +203,7 @@ def ld_gpu_replicated(graph, platform=DGX_A100, num_devices=1,
     for ptr, mate in zip(pointers, mates):
         assert np.array_equal(ptr, pointers_g)
         assert np.array_equal(mate, mate_g)
-    if indexes is not None:
-        weight = matched_vertex_weight(mate_g, np.concatenate(
-            [ix.matched_weights(mate_g) for ix in indexes]))
-    else:
-        weight = matching_weight(graph, mate_g)
+    weight = matching_weight(graph, mate_g)
     stats = {
         "config": LdGpuRun(platform.name, num_devices, nb,
                            vertices_per_warp, engine),

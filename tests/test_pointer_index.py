@@ -18,13 +18,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build_graph, random_graphs
+from test_sorted_rows import FIXED
 from repro.graph.generators import (
     powerlaw_cluster_graph,
     queen_mesh,
     rmat_graph,
     uniform_random_graph,
 )
-from repro.graph.segments import gather_rows
+from repro.graph.segments import gather_rows, row_ids
 from repro.matching import ld_gpu, ld_seq
 from repro.matching.ld_seq import (
     compute_pointers,
@@ -37,6 +38,7 @@ from repro.matching.pointer_index import (
     PointerIndex,
 )
 from repro.matching.types import UNMATCHED
+from repro.matching.validate import matching_weight
 
 
 def tie_heavy(graph):
@@ -240,9 +242,10 @@ def _some_matching(g, seed):
 
 @given(random_graphs(), st.integers(0, 2**32 - 1))
 def test_first_point_with_matches_walks(g, seed):
-    """The first ``point`` call skips the walk only while ``mate`` is
-    empty: a first call that already sees matches walks past them and
-    equals from-scratch segment pointing."""
+    """A first ``point`` call that already sees matches walks past them
+    and equals from-scratch segment pointing, over a frontier and over
+    every row (``None``, which skips the walk only while ``mate`` is
+    empty)."""
     mate = _some_matching(g, seed)
     frontier = np.flatnonzero(mate == UNMATCHED)
     idx = PointerIndex(g)
@@ -250,32 +253,168 @@ def test_first_point_with_matches_walks(g, seed):
     idx.point(mate, pointer, frontier)
     expect = _fresh_pointers(g, mate, frontier)
     assert np.array_equal(pointer, expect)
+    idx = PointerIndex(g)
+    idx.point(mate, pointer, None)
+    every = np.arange(g.num_vertices)
+    assert np.array_equal(pointer, _fresh_pointers(g, mate, every))
 
 
 def test_first_point_skips_only_an_empty_mate(medium_graph):
-    """Same frontier, same fresh index: an empty ``mate`` examines each
-    non-empty row's head once and moves no cursor; one match makes the
-    first call walk."""
+    """Every row, given as ``arange(n)`` or as ``None``, on a fresh
+    index: an empty ``mate`` examines each non-empty row's head once
+    and moves no cursor; one match makes the first call walk."""
     g = medium_graph
     frontier = np.arange(g.num_vertices)
     empty = np.full(g.num_vertices, UNMATCHED, dtype=np.int64)
-    idx = PointerIndex(g)
-    pointer = empty.copy()
-    idx.point(empty, pointer, frontier)
-    assert idx.last_host_scanned == int(np.count_nonzero(g.degrees))
-    assert np.array_equal(idx.cursor, g.indptr[:-1])
-    assert np.array_equal(pointer, _fresh_pointers(g, empty, frontier))
+    for arg in (frontier, None):
+        idx = PointerIndex(g)
+        pointer = empty.copy()
+        idx.point(empty, pointer, arg)
+        assert idx.last_host_scanned == int(np.count_nonzero(g.degrees))
+        assert np.array_equal(idx.cursor, g.indptr[:-1])
+        assert np.array_equal(pointer, _fresh_pointers(g, empty, frontier))
 
-    # Match the heaviest edge's endpoints: both sit at a row head.
-    a = int(np.argmax(g.degrees > 0))
-    b = int(pointer[a])
-    mate = empty.copy()
-    mate[a], mate[b] = b, a
-    idx = PointerIndex(g)
-    pointer = empty.copy()
-    idx.point(mate, pointer, frontier)
-    assert idx.cursor[a] > g.indptr[a]  # its head entry, b, is matched
-    assert np.array_equal(pointer, _fresh_pointers(g, mate, frontier))
+        # Match the heaviest edge's endpoints: both sit at a row head.
+        a = int(np.argmax(g.degrees > 0))
+        b = int(pointer[a])
+        mate = empty.copy()
+        mate[a], mate[b] = b, a
+        idx = PointerIndex(g)
+        pointer = empty.copy()
+        idx.point(mate, pointer, arg)
+        assert idx.cursor[a] > g.indptr[a]  # its head entry, b, is matched
+        assert np.array_equal(pointer, _fresh_pointers(g, mate, frontier))
+
+
+# ------------------------------------------------------------------ #
+# the dense first round: ``frontier=None`` means every row
+# ------------------------------------------------------------------ #
+
+def _row_ranges(n):
+    """Every row, both halves, an inner range and an empty range."""
+    third, half = n // 3, n // 2
+    return sorted({(0, n), (0, half), (half, n), (third, n - third),
+                   (third, third)})
+
+
+def _assert_dense_point_equals_arange(g, mate):
+    """``point(None)`` and ``point(arange(start, stop))`` on two fresh
+    indexes over each row range agree in every output."""
+    n = g.num_vertices
+    for start, stop in _row_ranges(n):
+        dense = PointerIndex(g, start, stop)
+        walk = PointerIndex(g, start, stop)
+        p_dense = np.full(n, 7, dtype=np.int64)  # rows outside keep 7
+        p_walk = p_dense.copy()
+        got = dense.point(mate, p_dense, None)
+        want = walk.point(mate, p_walk, np.arange(start, stop))
+        assert got == want == int(g.indptr[stop] - g.indptr[start])
+        assert np.array_equal(p_dense, p_walk)
+        assert np.array_equal(dense.cursor, walk.cursor)
+        assert dense.last_host_scanned == walk.last_host_scanned
+        assert dense.host_entries_scanned == walk.host_entries_scanned
+        rows = np.arange(start, stop)
+        assert np.array_equal(p_dense[rows],
+                              _fresh_pointers(g, mate, rows)[rows])
+
+
+@given(random_graphs(), st.integers(0, 2**32 - 1))
+def test_dense_point_equals_arange(g, seed):
+    empty = np.full(g.num_vertices, UNMATCHED, dtype=np.int64)
+    _assert_dense_point_equals_arange(g, empty)
+    _assert_dense_point_equals_arange(g, _some_matching(g, seed))
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_dense_point_equals_arange_fixed(name):
+    g = FIXED[name]
+    empty = np.full(g.num_vertices, UNMATCHED, dtype=np.int64)
+    _assert_dense_point_equals_arange(g, empty)
+    for seed in range(3):
+        _assert_dense_point_equals_arange(g, _some_matching(g, seed))
+
+
+@given(random_graphs(), st.integers(0, 2**32 - 1))
+def test_next_frontier_none_equals_arange(g, seed):
+    """Whatever the arrays hold, ``holders=None`` equals passing every
+    vertex."""
+    n = g.num_vertices
+    rng = np.random.default_rng(seed)
+    mate = rng.integers(-1, n, n)
+    pointer = rng.integers(-1, n, n)
+    got = next_frontier(None, mate, pointer)
+    want = next_frontier(np.arange(n), mate, pointer)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _ld_over_ranges(g, cuts):
+    """LD rounds with one :class:`PointerIndex` per row range, each
+    pointing every row in round 1 and its slice of the frontier after
+    (LD-GPU's replicated oracle without its costs)."""
+    n = g.num_vertices
+    indexes = [PointerIndex(g, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    mutual = MutualIndex(n)
+    mate = np.full(n, UNMATCHED, dtype=np.int64)
+    pointer = np.full(n, UNMATCHED, dtype=np.int64)
+    frontier = holders = None
+    while True:
+        for ix in indexes:
+            sel = None if frontier is None else frontier[
+                (frontier >= ix.row_offset)
+                & (frontier < ix.row_offset + ix.num_rows)]
+            ix.point(mate, pointer, sel)
+        lo, hi = mutual.find_pairs(pointer, frontier)
+        if len(lo) == 0:
+            return mate, indexes
+        mate[lo], mate[hi] = hi, lo
+        pointer[lo] = pointer[hi] = UNMATCHED
+        holders, frontier = next_frontier(holders, mate, pointer)
+
+
+def _range_weight(g, mate, start, stop):
+    """:func:`matching_weight`'s row scan, kept to lower endpoints in
+    ``[start, stop)``: the same elements in the same order."""
+    rid = row_ids(g.indptr)
+    hit = (mate[rid] == g.indices) & (rid < g.indices) \
+        & (rid >= start) & (rid < stop)
+    return float(g.weights[hit].sum())
+
+
+def _assert_matched_weight(g):
+    n = g.num_vertices
+    want = ld_seq(g)
+    for cuts in ([0, n], [0, n // 3, n // 2, n]):
+        mate, indexes = _ld_over_ranges(g, cuts)
+        assert np.array_equal(mate, want.mate)
+        for ix in indexes:
+            stop = ix.row_offset + ix.num_rows
+            assert ix.matched_weight(mate).hex() == _range_weight(
+                g, mate, ix.row_offset, stop).hex()
+    whole = matching_weight(g, want.mate)
+    assert want.weight.hex() == whole.hex()
+    assert ld_seq(g, engine="segment").weight.hex() == whole.hex()
+    assert ld_gpu(g, num_devices=3).weight.hex() == whole.hex()
+
+
+@given(random_graphs())
+def test_matched_weight_bit_equal(g):
+    _assert_matched_weight(g)
+
+
+@given(random_graphs(tie_prone=True))
+def test_matched_weight_bit_equal_ties(g):
+    _assert_matched_weight(g)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_matched_weight_bit_equal_fixed(name):
+    _assert_matched_weight(FIXED[name])
+
+
+def test_matched_weight_bit_equal_medium(medium_graph):
+    _assert_matched_weight(medium_graph)
+    _assert_matched_weight(tie_heavy(medium_graph))
 
 
 def _formula_frontier(mate, pointer):

@@ -214,6 +214,10 @@ FIXED = {
     "disconnected": build_graph(
         9, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
             (4, 5, 3.0), (5, 6, 2.0), (4, 6, 3.0)]),
+    "isolated_ends": build_graph(
+        8, [(1, 2, 0.5), (2, 3, 0.9), (1, 3, 0.9), (4, 6, 0.25)]),
+    "isolated_middle": build_graph(
+        7, [(0, 1, 1.0), (0, 2, 1.0), (5, 6, 2.0), (0, 6, 2.0)]),
     "path_ties": path(200, np.ones(199)),
     "path_descending": path(300, np.arange(299, 0, -1)),
     "rmat_ties": tie_heavy(rmat_graph(8, 6, seed=9, name="rmat")),
