@@ -11,7 +11,6 @@ import pytest
 from repro.comm.collectives import allreduce_max
 from repro.comm.topology import NVLINK_SXM4
 from repro.graph.generators import rmat_graph
-from repro.graph.segments import gather_rows, segment_argmax_lex
 from repro.harness.datasets import load_dataset
 from repro.matching.blossom import blossom_mwm
 from repro.matching.greedy import greedy_matching
@@ -57,18 +56,6 @@ class TestMatchingKernels:
 
 
 class TestPrimitives:
-    def test_segment_argmax_lex(self, benchmark, kron):
-        primary = kron.weights
-        secondary = kron.canonical_edge_ids()
-        pos = benchmark(segment_argmax_lex, primary, secondary,
-                        kron.indptr)
-        assert (pos >= 0).sum() > 0
-
-    def test_gather_rows(self, benchmark, kron):
-        rows = np.arange(0, kron.num_vertices, 3, dtype=np.int64)
-        sub, pos = benchmark(gather_rows, kron.indptr, rows)
-        assert len(pos) > 0
-
     def test_edge_balanced_partition(self, benchmark, kron):
         off = benchmark(edge_balanced_partition, kron.indptr, 8)
         assert off[-1] == kron.num_vertices

@@ -65,7 +65,6 @@ _KEYS: dict[str, Callable[["RunRecord"], Any]] = {
     "platform": lambda r: r.platform,
     "num_devices": lambda r: r.num_devices,
     "num_batches": lambda r: r.num_batches,
-    "pointing_engine": lambda r: (r.extra or {}).get("pointing_engine"),
     "seed": lambda r: r.seed,
     "status": lambda r: r.status,
     "git": lambda r: (r.provenance or {}).get("git"),

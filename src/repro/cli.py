@@ -780,11 +780,10 @@ def _cmd_stats(parser: argparse.ArgumentParser,
         doc["communication_fraction"] = comm_fraction_from_totals(totals)
     scanned = record.extra.get("edges_scanned")
     host_scanned = record.extra.get("host_entries_scanned")
-    if host_scanned is not None and \
-            record.extra.get("pointing_engine") is not None:
+    streaming = record.extra.get("stream_batches") is not None
+    if host_scanned is not None and not streaming:
         modeled = int(sum(scanned)) if scanned else None
         doc["pointing"] = {
-            "engine": record.extra.get("pointing_engine"),
             "host_entries_scanned": int(host_scanned),
             "modeled_edges_scanned": modeled,
             "host_fraction_of_modeled":
@@ -795,7 +794,7 @@ def _cmd_stats(parser: argparse.ArgumentParser,
             val = record.extra.get(key)
             if val is not None:
                 doc["pointing"][key] = int(val)
-    if record.extra.get("stream_batches") is not None:
+    if streaming:
         modeled = record.extra.get("stream_recompute_entries_modeled")
         host = record.extra.get("host_entries_scanned")
         latencies = record.extra.get("update_latency_s") or []
@@ -867,9 +866,8 @@ def _cmd_stats(parser: argparse.ArgumentParser,
 
     if "pointing" in doc:
         pt = doc["pointing"]
-        line = (f"pointing engine '{pt['engine']}': "
-                f"{pt['host_entries_scanned']} adjacency entries "
-                f"examined on the host")
+        line = (f"host work: {pt['host_entries_scanned']} adjacency "
+                f"entries examined on the host")
         if pt.get("host_entries_scanned_pointing") is not None and \
                 pt.get("host_entries_scanned_matching") is not None:
             line += (f" (pointing {pt['host_entries_scanned_pointing']}, "

@@ -109,9 +109,9 @@ def execute(
     scanned = result.stats.get("edges_scanned")
     if scanned is not None:
         extra["edges_scanned"] = _coerce(scanned)
-    # Pointing-engine diagnostics (modeled vs. actual host work) ride
-    # along too, so stored records can report the index engine's saving.
-    for key in ("pointing_engine", "host_entries_scanned",
+    # Host work (entries the host actually examined, against the
+    # modeled series) rides along too, so stored records can report it.
+    for key in ("host_entries_scanned",
                 "host_entries_scanned_pointing",
                 "host_entries_scanned_matching"):
         val = result.stats.get(key)

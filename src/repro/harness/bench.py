@@ -95,17 +95,16 @@ class Workload:
 # pointing stress graphs
 # ------------------------------------------------------------------ #
 #
-# The ``pointing`` suite measures the two pointing engines
-# (:mod:`repro.matching.pointer_index`) where their costs actually
-# diverge.  The registry analogs converge in <= 10 rounds with a
-# geometrically shrinking frontier, so total segment re-scanning is only
-# ~1.7x |E| and the graph's one sorted-row build (which the index
-# engine needs) dominates.  Pointing-dominated instances are the
-# tie-heavy ones: with equal weights the (weight, eid) tiebreak
+# The ``pointing`` suite measures the sorted-row pointing
+# (:mod:`repro.matching.pointer_index`) where pointing dominates.  The
+# registry analogs converge in <= 10 rounds with a geometrically
+# shrinking frontier, so the modeled re-scan is only ~1.7x |E| and the
+# graph's one sorted-row build dominates.  Pointing-dominated instances
+# are the tie-heavy ones: with equal weights the (weight, eid) tiebreak
 # serialises locally dominant matching — a clique matches one pair per
-# round (k/2 rounds over a full-size frontier, Theta(k^3) segment
-# re-scanning vs the index engine's amortised O(k^2)) and a path
-# matches right-to-left (n/2 rounds dominated by per-round overhead).
+# round (k/2 rounds over a full-size frontier, Theta(k^3) modeled
+# re-scanning against the cursors' amortised O(k^2)) and a path matches
+# right-to-left (n/2 rounds dominated by per-round overhead).
 # Module-level zero-argument builders so ``parallel=N`` can pickle them
 # by reference.
 
@@ -144,9 +143,9 @@ def tie_path_6000():
 
 def tie_path_3000():
     """P_3000, all weights equal: n/2 matching rounds over a tiny
-    pointing frontier — the matching phase dominates, so the full-scan
-    oracle pays Theta(n^2 / 2) host probes where the delta engine pays
-    O(m + n)."""
+    pointing frontier — the matching phase dominates, so a full-scan
+    mutual check would pay Theta(n^2 / 2) host probes where the delta
+    engine pays O(m + n)."""
     import numpy as np
 
     from repro.graph.builders import from_coo
@@ -176,18 +175,18 @@ def _dynamic_overrides(stream_engine: str, num_batches: int,
 #: quality instances so the whole suite (x repeats) costs seconds —
 #: small enough for a per-push CI gate while still crossing every
 #: interesting code path: multi-device LD-GPU, forced batching, both
-#: suitor baselines and a sequential reference.  ``pointing`` pits the
-#: two pointing engines against each other: tie-heavy stress graphs
-#: (where re-pointing dominates and the index engine wins on wall
-#: time) plus one full-size analog pair recording the build-dominated
-#: regime honestly; sim_time stays the gated metric and is engine-
-#: independent by construction.  ``graph_plane`` guards the PR-6
-#: surfaces: matching-phase host work (``host_entries_scanned`` is
-#: deterministic, so it is gated like sim_time wherever the baseline
-#: recorded it) on round-heavy tie paths where the SetMates full scan
-#: is Theta(n * rounds), and — via the report's ``staging`` block — the
-#: zero-copy warm-start claim that attaching a shared-memory segment
-#: beats reloading the ``.npz`` snapshot.
+#: suitor baselines and a sequential reference.  ``pointing`` times the
+#: sorted-row pointing on tie-heavy stress graphs (where re-pointing
+#: dominates) plus one full-size analog recording the build-dominated
+#: regime honestly; sim_time stays the gated metric.  The workload
+#: names keep the ``-index`` suffix their baseline entries carry.
+#: ``graph_plane`` guards matching-phase host work
+#: (``host_entries_scanned`` is deterministic, so it is gated like
+#: sim_time wherever the baseline recorded it) on round-heavy tie paths
+#: where the SetMates full scan is Theta(n * rounds), and — via the
+#: report's ``staging`` block — the zero-copy warm-start claim that
+#: attaching a shared-memory segment beats reloading the ``.npz``
+#: snapshot.
 SUITES: dict[str, tuple[Workload, ...]] = {
     "smoke": (
         Workload("ld_gpu-1dev", "ld_gpu", "GAP-kron",
@@ -206,47 +205,22 @@ SUITES: dict[str, tuple[Workload, ...]] = {
     ),
     "pointing": (
         Workload("ld_seq-tie-clique-index", "ld_seq",
-                 build=tie_clique_500, quality=False,
-                 overrides={"engine": "index"}),
-        Workload("ld_seq-tie-clique-segment", "ld_seq",
-                 build=tie_clique_500, quality=False,
-                 overrides={"engine": "segment"}),
+                 build=tie_clique_500, quality=False),
         Workload("ld_seq-tie-path-index", "ld_seq",
-                 build=tie_path_6000, quality=False,
-                 overrides={"engine": "index"}),
-        Workload("ld_seq-tie-path-segment", "ld_seq",
-                 build=tie_path_6000, quality=False,
-                 overrides={"engine": "segment"}),
+                 build=tie_path_6000, quality=False),
         Workload("ld_gpu-tie-clique-index", "ld_gpu",
                  build=tie_clique_300, quality=False,
                  config={"num_devices": 2, "num_batches": 2},
-                 overrides={"engine": "index",
-                            "collect_stats": False}),
-        Workload("ld_gpu-tie-clique-segment", "ld_gpu",
-                 build=tie_clique_300, quality=False,
-                 config={"num_devices": 2, "num_batches": 2},
-                 overrides={"engine": "segment",
-                            "collect_stats": False}),
+                 overrides={"collect_stats": False}),
         Workload("ld_seq-GAP-kron-index", "ld_seq", "GAP-kron",
-                 quality=False, overrides={"engine": "index"}),
-        Workload("ld_seq-GAP-kron-segment", "ld_seq", "GAP-kron",
-                 quality=False, overrides={"engine": "segment"}),
+                 quality=False),
     ),
     "graph_plane": (
         Workload("ld_seq-tie-path-index", "ld_seq",
-                 build=tie_path_3000, quality=False,
-                 overrides={"engine": "index"}),
-        Workload("ld_seq-tie-path-segment", "ld_seq",
-                 build=tie_path_3000, quality=False,
-                 overrides={"engine": "segment"}),
+                 build=tie_path_3000, quality=False),
         Workload("ld_gpu-tie-clique-index", "ld_gpu",
                  build=tie_clique_300, quality=False,
-                 config={"num_devices": 2, "num_batches": 2},
-                 overrides={"engine": "index"}),
-        Workload("ld_gpu-tie-clique-segment", "ld_gpu",
-                 build=tie_clique_300, quality=False,
-                 config={"num_devices": 2, "num_batches": 2},
-                 overrides={"engine": "segment"}),
+                 config={"num_devices": 2, "num_batches": 2}),
     ),
     # Shards x graph scale on the blossom-tractable quality instances,
     # with exact blossom references on the same graphs so run_bench can

@@ -61,8 +61,13 @@ from repro.gpusim.memory import DeviceOOMError
 from repro.gpusim.spec import DGX_A100, PlatformSpec
 from repro.gpusim.stream import dual_buffer_schedule
 from repro.gpusim.timeline import Timeline
-from repro.matching.ld_seq import next_frontier, pointing_pair
-from repro.matching.pointer_index import HOST_SCAN_COUNTER, HOST_SCAN_HELP
+from repro.matching.ld_seq import next_frontier
+from repro.matching.pointer_index import (
+    HOST_SCAN_COUNTER,
+    HOST_SCAN_HELP,
+    MutualIndex,
+    PointerIndex,
+)
 from repro.matching.types import UNMATCHED, MatchResult
 from repro.partition.batch import BatchPlan, auto_batch_count, plan_batches
 from repro.partition.vertex import (
@@ -101,7 +106,6 @@ class LdGpuRun:
     num_devices: int
     num_batches: int
     vertices_per_warp: int
-    pointing_engine: str = "index"
 
 
 def _setup_devices(
@@ -206,7 +210,6 @@ def ld_gpu(
     collect_stats: bool = True,
     force_streaming: bool = False,
     partition: str = "edge",
-    engine: str = "index",
 ) -> MatchResult:
     """Run LD-GPU on ``num_devices`` simulated GPUs of ``platform``.
 
@@ -228,10 +231,6 @@ def ld_gpu(
     partition:
         ``"edge"`` (default, §III-A's edge-balanced contiguous split) or
         ``"vertex"`` (naive equal-#vertices ablation baseline).
-    engine:
-        ``"index"`` or the ``"segment"`` reference, as for
-        :func:`~repro.matching.ld_seq.ld_seq`; ``mate``,
-        ``edges_scanned`` and ``sim_time`` do not depend on it.
 
     Returns
     -------
@@ -252,11 +251,11 @@ def ld_gpu(
                            force_streaming, partition)
     nb = parts[0].plan.num_batches
 
-    # One pointing pair over every row: pointing reads only ``mate``,
+    # One pointing index over every row: pointing reads only ``mate``,
     # which does not change while pointing, so one call serves every
     # (device, batch).  §III-B's monotone availability makes reused
     # cursors safe.
-    pointing, mutual = pointing_pair(graph, engine)
+    pointing, mutual = PointerIndex(graph), MutualIndex(n)
     timeline = Timeline()
     # Component spans feed the timeline AND (when a metrics registry is
     # active, e.g. under the engine's MetricsSink) the telemetry
@@ -385,7 +384,7 @@ def ld_gpu(
         match_host = mutual.last_host_scanned
         host_matching += match_host
         count(HOST_SCAN_COUNTER, iter_host + match_host, HOST_SCAN_HELP,
-              algorithm="ld_gpu", engine=engine, device=spec.name)
+              algorithm="ld_gpu", device=spec.name)
         mate[lo] = pointers[lo]
         mate[hi] = pointers[hi]
         for p, prof in zip(parts, setmates):
@@ -423,8 +422,7 @@ def ld_gpu(
     weight = pointing.matched_weight(mate)
     stats: dict = {
         "config": LdGpuRun(platform.name, num_devices, nb,
-                           vertices_per_warp, engine),
-        "pointing_engine": engine,
+                           vertices_per_warp),
         "host_entries_scanned": host_pointing + host_matching,
         "host_entries_scanned_pointing": host_pointing,
         "host_entries_scanned_matching": host_matching,

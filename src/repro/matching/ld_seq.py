@@ -3,8 +3,10 @@
 Each round has a *pointing* phase (every live vertex points at its heaviest
 available neighbour) and a *matching* phase (mutually pointing pairs are
 committed and their edges removed).  LD-GPU runs its rounds through the
-same :func:`pointing_pair`, so the two implementations are
-arithmetically identical (the paper's Lemma III.1 as code reuse).
+same :class:`~repro.matching.pointer_index.PointerIndex` and
+:class:`~repro.matching.pointer_index.MutualIndex`, so the two
+implementations are arithmetically identical (the paper's Lemma III.1
+as code reuse).
 
 Tie-breaking
 ------------
@@ -15,18 +17,15 @@ undirected edge id — identical from both endpoints — so the globally
 maximal available edge is mutually chosen every round and each round
 commits at least one edge.
 
-Pointing engines
-----------------
-``engine="index"`` (the default) drives both phases through
-:class:`~repro.matching.pointer_index.PointerIndex` (cursors over the
-graph's memoised sorted rows) and
-:class:`~repro.matching.pointer_index.MutualIndex` (pointer-delta mutual
-checks), amortized O(m) host work over a run.  ``engine="segment"`` is
-the reference oracle tests and the ``pointing`` bench suite compare it
-with: :func:`compute_pointers` re-scans each frontier vertex's whole
-adjacency every round and :func:`find_mutual_pairs` re-probes every
-pointer, mirroring the modeled kernels.  Both give bit-identical
-``mate``/``weight``/``edges_scanned``; only host work differs.
+Host work against modeled work
+------------------------------
+``PointerIndex`` points from cursors over the graph's memoised sorted
+rows and ``MutualIndex`` re-checks only the pointers that changed:
+amortized O(m) host work over a run.  The modeled quantities are the
+paper's kernels — ``edges_scanned`` sums the frontier's degrees, and
+SetMates sweeps every vertex — while ``stats["host_entries_scanned"]``
+(with its pointing/matching breakdown) counts the entries the host
+actually examined.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import numpy as np
 
 from repro.engine.spec import AlgorithmSpec, register
 from repro.graph.csr import CSRGraph
-from repro.graph.segments import gather_rows, segment_argmax_lex
 from repro.matching.pointer_index import (
     HOST_SCAN_COUNTER,
     HOST_SCAN_HELP,
@@ -43,48 +41,13 @@ from repro.matching.pointer_index import (
     PointerIndex,
 )
 from repro.matching.types import UNMATCHED, MatchResult
-from repro.matching.validate import matching_weight
 from repro.telemetry.spans import count
 
 __all__ = [
     "ld_seq",
-    "compute_pointers",
     "find_mutual_pairs",
     "next_frontier",
 ]
-
-_NEG_INF = -np.inf
-
-
-def compute_pointers(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    eids: np.ndarray,
-    mate: np.ndarray,
-    pointer: np.ndarray,
-    frontier: np.ndarray,
-    row_offset: int = 0,
-) -> int:
-    """Pointing phase for the vertices in ``frontier``.
-
-    ``indptr`` may describe a *local* row range starting at global vertex id
-    ``row_offset`` (how a device partition stores its rows); ``indices``,
-    ``mate`` and ``pointer`` are always global.  ``frontier`` holds global
-    ids within the local range.  Updates ``pointer`` in place and returns
-    the number of adjacency entries scanned (the paper's warp-edge work).
-    """
-    if len(frontier) == 0:
-        return 0
-    local = frontier - row_offset
-    sub_indptr, pos = gather_rows(indptr, local)
-    nbrs = indices[pos]
-    primary = np.where(mate[nbrs] == UNMATCHED, weights[pos], _NEG_INF)
-    win = segment_argmax_lex(primary, eids[pos], sub_indptr)
-    has = win >= 0
-    pointer[frontier] = UNMATCHED
-    pointer[frontier[has]] = nbrs[win[has]]
-    return len(pos)
 
 
 def find_mutual_pairs(
@@ -149,61 +112,11 @@ def next_frontier(
     return holders, holders[np.flatnonzero(mate[target] != UNMATCHED)]
 
 
-class _RescanPointer:
-    """Reference pointing phase with :class:`PointerIndex`'s surface:
-    :func:`compute_pointers` over each frontier row, every round."""
-
-    def __init__(self, graph: CSRGraph) -> None:
-        self._graph = graph
-        self._eids = graph.canonical_edge_ids()
-        self.last_host_scanned = 0
-
-    def point(self, mate: np.ndarray, pointer: np.ndarray,
-              frontier: np.ndarray | None) -> int:
-        g = self._graph
-        if frontier is None:
-            frontier = np.arange(g.num_vertices)
-        self.last_host_scanned = compute_pointers(
-            g.indptr, g.indices, g.weights, self._eids,
-            mate, pointer, frontier)
-        return self.last_host_scanned
-
-    def matched_weight(self, mate: np.ndarray) -> float:
-        """The O(m) row scan of
-        :func:`~repro.matching.validate.matching_weight`."""
-        return matching_weight(self._graph, mate)
-
-
-class _RescanMutual:
-    """Reference matching phase with :class:`MutualIndex`'s surface:
-    the full :func:`find_mutual_pairs` sweep, ``n`` probes a round."""
-
-    def __init__(self, num_vertices: int) -> None:
-        self.last_host_scanned = num_vertices
-
-    def find_pairs(self, pointer: np.ndarray, candidates=None):
-        """Ignores ``candidates``: the reference re-probes every
-        pointer, like the modeled SetMates kernel."""
-        return find_mutual_pairs(pointer, None)
-
-
-def pointing_pair(graph: CSRGraph, name: str):
-    """The ``(pointing, mutual)`` pair that runs one run's two phases
-    under engine ``name``: ``"index"`` or the ``"segment"`` reference."""
-    if name == "index":
-        return PointerIndex(graph), MutualIndex(graph.num_vertices)
-    if name == "segment":
-        return _RescanPointer(graph), _RescanMutual(graph.num_vertices)
-    raise ValueError(f"unknown pointing engine {name!r}; "
-                     "expected 'index' or 'segment'")
-
-
 def ld_seq(
     graph: CSRGraph,
     max_iterations: int | None = None,
     full_rescan: bool = False,
     collect_stats: bool = True,
-    engine: str = "index",
 ) -> MatchResult:
     """Run Algorithm 1 to completion.
 
@@ -220,13 +133,9 @@ def ld_seq(
         the paper measures in Fig. 8.  Either way the first round's
         frontier is ``None``, every row: it is pointed, matched and
         filtered on whole arrays, with no index gathers.
-    engine:
-        ``"index"`` or the ``"segment"`` reference (see the module
-        docstring); only ``stats["host_entries_scanned"]`` and its
-        per-phase breakdown depend on it.
     """
-    pointing, mutual = pointing_pair(graph, engine)
     n = graph.num_vertices
+    pointing, mutual = PointerIndex(graph), MutualIndex(n)
     mate = np.full(n, UNMATCHED, dtype=np.int64)
     pointer = np.full(n, UNMATCHED, dtype=np.int64)
 
@@ -249,7 +158,7 @@ def ld_seq(
         match_host = mutual.last_host_scanned
         host_matching += match_host
         count(HOST_SCAN_COUNTER, iter_host + match_host, HOST_SCAN_HELP,
-              algorithm="ld_seq", engine=engine)
+              algorithm="ld_seq")
         if collect_stats:
             edges_scanned.append(scanned)
             frontier_sizes.append(n if frontier is None else len(frontier))
@@ -275,7 +184,6 @@ def ld_seq(
             "edges_scanned": np.asarray(edges_scanned, dtype=np.int64),
             "new_matches": np.asarray(new_matches, dtype=np.int64),
             "frontier_sizes": np.asarray(frontier_sizes, dtype=np.int64),
-            "pointing_engine": engine,
             "host_entries_scanned": host_pointing + host_matching,
             "host_entries_scanned_pointing": host_pointing,
             "host_entries_scanned_matching": host_matching,

@@ -1,29 +1,27 @@
 """Sorted-adjacency pointer index — amortized O(m) pointing.
 
-The pointing phase is the hot path of the whole reproduction: the
-*segment* engine (:func:`~repro.matching.ld_seq.compute_pointers`)
-re-gathers every frontier vertex's full adjacency and re-runs a masked
-lexicographic arg-max over all of its edges each round, so the host-side
-work is O(m × rounds) even though availability only ever shrinks — the
-exact monotonicity the paper exploits in §III-B ("logical control of
-task distribution") and that Suitor-style algorithms (Birn et al.,
+The pointing phase is the hot path of the whole reproduction.  The
+paper's kernel (Algorithm 3) re-scans every frontier vertex's full
+adjacency with a masked lexicographic arg-max each round, O(m × rounds)
+work, even though availability only ever shrinks — the exact
+monotonicity the paper exploits in §III-B ("logical control of task
+distribution") and that Suitor-style algorithms (Birn et al.,
 *Efficient Parallel and External Matching*) turn into amortized-linear
 total work.
 
-:class:`PointerIndex` is the *index* engine.  Each graph's rows are
-sorted once, descending by the shared lexicographic key ``(w, eid)``
-(:meth:`~repro.graph.csr.CSRGraph.sorted_row_order`, memoised on the
-graph together with the neighbour id of every sorted slot,
-:meth:`~repro.graph.csr.CSRGraph.sorted_neighbors`); each run slices
-its rows of that layout (optionally a row range, keyed by its row
-offset), gathers nothing, and keeps its own per-vertex cursors into
-it.  Pointing then just advances each frontier
-vertex's cursor past neighbours whose ``mate`` is set and takes the
-first live entry.  Because the key is a strict total order within a
-row (canonical edge ids are distinct across a vertex's neighbours), the
-first live entry *is* the ``segment_argmax_lex`` winner — the engines
-are bit-identical by construction (the same total order as Lemma
-III.1's tie-break).
+:class:`PointerIndex` serves that arg-max from cursors.  Each graph's
+rows are sorted once, descending by the shared lexicographic key
+``(w, eid)`` (:meth:`~repro.graph.csr.CSRGraph.sorted_row_order`,
+memoised on the graph together with the neighbour id of every sorted
+slot, :meth:`~repro.graph.csr.CSRGraph.sorted_neighbors`); each run
+slices its rows of that layout (optionally a row range, keyed by its
+row offset), gathers nothing, and keeps its own per-vertex cursors
+into it.  Pointing then just advances each frontier vertex's cursor
+past neighbours whose ``mate`` is set and takes the first live entry.
+Because the key is a strict total order within a row (canonical edge
+ids are distinct across a vertex's neighbours), the first live entry
+*is* the row's arg-max — bit-identical to the re-scan by construction
+(the same total order as Lemma III.1's tie-break).
 Cursors only ever move forward and each advance permanently retires one
 adjacency entry, so the host arithmetic over an entire run is O(m) on
 top of the graph's one O(m log m) sort, instead of O(m × rounds).
@@ -78,7 +76,7 @@ __all__ = [
 ]
 
 #: Telemetry counter for actual host-side adjacency entries examined —
-#: the quantity the index engine shrinks while ``edges_scanned`` (the
+#: the quantity the cursors shrink while ``edges_scanned`` (the
 #: modeled warp-edge work) stays put.
 HOST_SCAN_COUNTER = "repro_host_entries_scanned_total"
 HOST_SCAN_HELP = (
@@ -176,15 +174,14 @@ class PointerIndex:
         pointer: np.ndarray,
         frontier: np.ndarray | None,
     ) -> int:
-        """Pointing phase for ``frontier`` — drop-in for
-        :func:`~repro.matching.ld_seq.compute_pointers`.
+        """Pointing phase for ``frontier``.
 
         Advances each frontier vertex's cursor past neighbours whose
         ``mate`` is set and points it at the first live entry (or
         ``UNMATCHED`` when its row is exhausted).  Updates ``pointer``
         in place and returns the *modeled* scan count — the sum of
-        frontier degrees, exactly what the segment engine reports — so
-        ``edges_scanned`` stats stay bit-identical across engines.
+        frontier degrees, what the paper's re-scanning kernel reads —
+        for the ``edges_scanned`` series.
 
         ``frontier=None`` means every row of the index.  While ``mate``
         is still empty (a run's first round) that points each non-empty

@@ -39,7 +39,7 @@ from repro.gpusim.timeline import Timeline
 from repro.graph.csr import CSRGraph
 from repro.matching.pointer_index import advance_cursors
 from repro.matching.types import UNMATCHED, MatchResult
-from repro.matching.validate import matched_vertex_weight
+from repro.matching.validate import _vertex_ids
 
 __all__ = ["suitor_seq", "suitor_omp_sim", "suitor_gpu_sim"]
 
@@ -172,9 +172,11 @@ def _suitor_rounds(
 
     mate = _suitor_to_mate(suitor)
     # ``ws_w[mate[u]]`` is the weight u proposed to its mate, read from
-    # u's own row: the entry ``matching_weight`` would sum for u.
-    return (mate, matched_vertex_weight(mate, ws_w[mate]), frontiers,
-            rounds)
+    # u's own row: the entry ``matching_weight`` would sum for u.  Only
+    # the lower endpoints are gathered, in ascending order, the elements
+    # and order ``matched_vertex_weight`` sums.
+    lower = np.flatnonzero(_vertex_ids(len(mate)) < mate)
+    return mate, float(ws_w[mate[lower]].sum()), frontiers, rounds
 
 
 def suitor_omp_sim(

@@ -12,7 +12,6 @@ from functools import lru_cache
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.segments import row_ids
 from repro.matching.types import UNMATCHED, MatchResult
 
 __all__ = [
@@ -44,7 +43,7 @@ def is_valid_matching(graph: CSRGraph, mate: np.ndarray) -> bool:
 
 def matched_pairs_exist_in_graph(graph: CSRGraph, mate: np.ndarray) -> bool:
     """Every matched pair must be an actual edge."""
-    rid = row_ids(graph.indptr)
+    rid = graph._row_ids()
     # Directed slot (u -> v) realises the pair iff mate[u] == v.
     realised = np.zeros(graph.num_vertices, dtype=bool)
     hit = mate[rid] == graph.indices
@@ -55,14 +54,14 @@ def matched_pairs_exist_in_graph(graph: CSRGraph, mate: np.ndarray) -> bool:
 
 def is_maximal_matching(graph: CSRGraph, mate: np.ndarray) -> bool:
     """No edge can be added: every edge has a matched endpoint."""
-    rid = row_ids(graph.indptr)
+    rid = graph._row_ids()
     both_free = (mate[rid] == UNMATCHED) & (mate[graph.indices] == UNMATCHED)
     return not bool(np.any(both_free))
 
 
 def matching_weight(graph: CSRGraph, mate: np.ndarray) -> float:
     """Sum of matched edge weights (each edge once)."""
-    rid = row_ids(graph.indptr)
+    rid = graph._row_ids()
     hit = (mate[rid] == graph.indices) & (rid < graph.indices)
     return float(graph.weights[hit].sum())
 

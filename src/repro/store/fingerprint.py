@@ -138,10 +138,12 @@ def fingerprint_for(cell: "Cell", ctx: "RunContext",
 def upgrade_config(config: dict[str, Any]) -> dict[str, Any]:
     """A stored config in the current :func:`cell_config` shape.
 
-    Older rows carry a ``pointing_engine`` field: ``null`` is dropped
-    and a set engine moves to ``overrides["engine"]``, where a cell
-    names it now.  Such rows still fingerprint differently, so they
-    are recomputed on request, never served.
+    Older rows carry a ``pointing_engine`` field: ``null`` is dropped,
+    so the row rebuilds as today's cell, and a set engine moves to
+    ``overrides["engine"]``.  No algorithm takes that keyword any more,
+    so such a cell runs to an explicit error record.  Rows with a set
+    engine fingerprint differently, so they are recomputed on request,
+    never served.
     """
     if "pointing_engine" not in config:
         return config

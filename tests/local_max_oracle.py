@@ -18,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.segments import row_ids
 from repro.matching.types import UNMATCHED, MatchResult
 from repro.matching.validate import matching_weight
+from segment_oracle import row_ids
 
 _NEG_INF = -np.inf
 

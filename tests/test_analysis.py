@@ -491,47 +491,33 @@ class TestCLI:
 
 
 class TestPointingEngineRows:
-    """The ``pointing`` suite's index/segment cells, and rows stored
-    while cell configs still carried a ``pointing_engine`` field."""
+    """Rows of the ``pointing`` suite's cells next to rows stored while
+    cell configs still carried a ``pointing_engine`` field."""
 
     @pytest.fixture(scope="class")
     def engine_store(self, tmp_path_factory):
         from repro.harness.bench import SUITES
 
         store = RunStore(tmp_path_factory.mktemp("engines") / "runs.db")
-        names = ("ld_seq-tie-clique-index", "ld_seq-tie-clique-segment")
         run_cells([w.cell(replicate=k, suite="pointing")
-                   for w in SUITES["pointing"] if w.name in names
+                   for w in SUITES["pointing"]
+                   if w.name == "ld_seq-tie-clique-index"
                    for k in range(2)], store=store)
         return store
-
-    def test_group_by_pointing_engine_splits_cells(self, engine_store,
-                                                   capsys):
-        rc = main(["analysis", "query", "--store",
-                   str(engine_store.path), "--metric",
-                   "host_entries_scanned", "--group-by",
-                   "pointing_engine", "--json"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert sorted(d["pointing_engine"] for d in doc) \
-            == ["index", "segment"]
-        assert [d["n"] for d in doc] == [2, 2]
 
     def test_pre_change_row_shares_replicate_key(self, engine_store):
         from dataclasses import replace
 
         rows = ResultSet(engine_store, RunQuery()).rows
-        assert len(rows) == 4
+        assert len(rows) == 2
         for row in rows:
             key = ResultSet.replicate_key(row)
             # Written by a bench run before the field was dropped.
             old = replace(row, config={**row.config,
                                        "pointing_engine": None})
             assert ResultSet.replicate_key(old) == key
-            # Written by ``run --pointing-engine E``: no override.
-            overrides = dict(row.config["overrides"])
-            engine = overrides.pop("engine")
+            # Written by ``run --pointing-engine segment``: another
+            # configuration, which no longer runs.
             old = replace(row, config={**row.config,
-                                       "overrides": overrides,
-                                       "pointing_engine": engine})
-            assert ResultSet.replicate_key(old) == key
+                                       "pointing_engine": "segment"})
+            assert ResultSet.replicate_key(old) != key

@@ -110,3 +110,15 @@ def test_stats_communication_fraction_matches_sweep(tmp_path, capsys):
     # sweep's SweepPoint reads the same function off the same totals
     assert doc["communication_fraction"] \
         == comm_fraction_from_totals(record.timeline_totals)
+    # Host against modeled work, naming no engine.
+    assert doc["pointing"] == {
+        "host_entries_scanned": record.extra["host_entries_scanned"],
+        "modeled_edges_scanned": sum(record.extra["edges_scanned"]),
+        "host_fraction_of_modeled":
+            record.extra["host_entries_scanned"]
+            / sum(record.extra["edges_scanned"]),
+        "host_entries_scanned_pointing":
+            record.extra["host_entries_scanned_pointing"],
+        "host_entries_scanned_matching":
+            record.extra["host_entries_scanned_matching"],
+    }

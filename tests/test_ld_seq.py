@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 
 from conftest import build_graph, random_graphs
-from repro.graph.segments import row_ids
+from segment_oracle import compute_pointers
 from repro.matching.greedy import greedy_matching
-from repro.matching.ld_seq import compute_pointers, find_mutual_pairs, ld_seq
+from repro.matching.ld_seq import find_mutual_pairs, ld_seq
 from repro.matching.types import UNMATCHED
 from repro.matching.validate import (
     is_maximal_matching,

@@ -1,13 +1,14 @@
 """Pointer-index engine: bit-identity with the segment oracle.
 
-The index engine must be indistinguishable from the segment arg-max in
-every *result* quantity — mate array, matched weight, iteration count,
-modeled ``edges_scanned`` — while shrinking only the *host* work it
-reports through ``host_entries_scanned``.  These tests pit the engines
-against each other across random graphs (plain and tie-prone), the
-dataset generators under both weight schemes, and the LD-GPU
-(devices, batches, partition) grid, plus unit coverage for cursor reuse,
-``row_offset``, engine selection and the satellite fast paths.
+The index engine must be indistinguishable from the segment re-scan
+(:mod:`segment_oracle`) in every *result* quantity — mate array,
+matched weight, iteration count, modeled ``edges_scanned``,
+``frontier_sizes`` and ``new_matches`` — while shrinking only the
+*host* work it reports through ``host_entries_scanned``.  These tests
+hold ``ld_seq`` and ``ld_gpu`` to the oracle across random graphs
+(plain and tie-prone), the dataset generators under both weight
+schemes, and the LD-GPU (devices, batches, partition) grid, plus unit
+coverage for cursor reuse, ``row_offset`` and the satellite fast paths.
 """
 
 from __future__ import annotations
@@ -18,6 +19,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build_graph, random_graphs
+from segment_oracle import (
+    compute_pointers,
+    gather_rows,
+    ld_seq_segment,
+    row_ids,
+    segment_rounds,
+)
+from test_ld_gpu_oracle import ld_gpu_replicated
 from test_sorted_rows import FIXED
 from repro.graph.generators import (
     powerlaw_cluster_graph,
@@ -25,13 +34,9 @@ from repro.graph.generators import (
     rmat_graph,
     uniform_random_graph,
 )
-from repro.graph.segments import gather_rows, row_ids
+from repro.gpusim.spec import DGX_A100
 from repro.matching import ld_gpu, ld_seq
-from repro.matching.ld_seq import (
-    compute_pointers,
-    find_mutual_pairs,
-    next_frontier,
-)
+from repro.matching.ld_seq import find_mutual_pairs, next_frontier
 from repro.matching.pointer_index import (
     HOST_SCAN_COUNTER,
     MutualIndex,
@@ -50,70 +55,63 @@ def tie_heavy(graph):
     return graph.reweighted(w)
 
 
-def assert_same_run(a, b):
-    assert np.array_equal(a.mate, b.mate)
-    assert a.iterations == b.iterations
-    assert a.weight == b.weight
-    sa = a.stats.get("edges_scanned")
-    sb = b.stats.get("edges_scanned")
-    if sa is not None or sb is not None:
-        assert np.array_equal(sa, sb)
+#: The per-round series every LD driver and the oracle record.
+SERIES = ("edges_scanned", "frontier_sizes", "new_matches")
+
+
+def assert_same_run(got, want):
+    """``got`` reproduces ``want``: mate, weight bits, rounds and every
+    per-round series both of them record."""
+    assert np.array_equal(got.mate, want.mate)
+    assert got.weight.hex() == want.weight.hex()
+    assert got.iterations == want.iterations
+    for key in SERIES:
+        if key in got.stats or key in want.stats:
+            assert np.array_equal(got.stats[key], want.stats[key]), key
 
 
 # ------------------------------------------------------------------ #
-# engine selection: the ``engine`` keyword of ld_seq / ld_gpu only
+# no pointing-engine switch: ld_seq / ld_gpu take no ``engine``
 # ------------------------------------------------------------------ #
-
-
-def test_resolve_default(tie_graph):
-    assert ld_seq(tie_graph).stats["pointing_engine"] == "index"
-    assert ld_gpu(tie_graph).stats["pointing_engine"] == "index"
-    assert ld_seq(tie_graph, engine="segment").stats["pointing_engine"] \
-        == "segment"
 
 
 def test_resolve_env(tie_graph, monkeypatch):
-    """The retired ``REPRO_POINTING_ENGINE`` variable selects nothing."""
+    """The retired ``REPRO_POINTING_ENGINE`` variable selects nothing,
+    and no result names an engine."""
     monkeypatch.setenv("REPRO_POINTING_ENGINE", "segment")
-    assert ld_seq(tie_graph).stats["pointing_engine"] == "index"
+    assert_same_run(ld_seq(tie_graph), ld_seq_segment(tie_graph))
     r = ld_gpu(tie_graph, num_devices=2)
-    assert r.stats["pointing_engine"] == "index"
-    assert r.stats["config"].pointing_engine == "index"
+    assert "pointing_engine" not in r.stats
+    assert not hasattr(r.stats["config"], "pointing_engine")
 
 
 def test_resolve_unknown(tie_graph):
+    """``engine=`` is no keyword of either driver, whatever its value."""
     for fn in (ld_seq, ld_gpu):
-        with pytest.raises(ValueError, match="unknown pointing engine"):
-            fn(tie_graph, engine="radix")
-
-
-def test_ld_seq_reports_engine(tie_graph):
-    r = ld_seq(tie_graph, engine="index")
-    assert r.stats["pointing_engine"] == "index"
-    assert r.stats["host_entries_scanned"] >= 0
-    r = ld_seq(tie_graph, engine="segment")
-    assert r.stats["pointing_engine"] == "segment"
+        for name in ("index", "segment", "radix"):
+            with pytest.raises(TypeError, match="engine"):
+                fn(tie_graph, engine=name)
 
 
 # ------------------------------------------------------------------ #
-# randomized engine identity — ld_seq
+# randomized oracle identity — ld_seq
 # ------------------------------------------------------------------ #
 
 
 @given(g=random_graphs())
 def test_ld_seq_engines_identical_random(g):
-    assert_same_run(ld_seq(g, engine="segment"), ld_seq(g, engine="index"))
+    assert_same_run(ld_seq(g), ld_seq_segment(g))
 
 
 @given(g=random_graphs(tie_prone=True))
 def test_ld_seq_engines_identical_tie_prone(g):
-    assert_same_run(ld_seq(g, engine="segment"), ld_seq(g, engine="index"))
+    assert_same_run(ld_seq(g), ld_seq_segment(g))
 
 
 @given(g=random_graphs(tie_prone=True))
 def test_ld_seq_engines_identical_full_rescan(g):
-    assert_same_run(ld_seq(g, engine="segment", full_rescan=True),
-                    ld_seq(g, engine="index", full_rescan=True))
+    assert_same_run(ld_seq(g, full_rescan=True),
+                    ld_seq_segment(g, full_rescan=True))
 
 
 GENERATORS = [
@@ -135,11 +133,12 @@ def test_ld_seq_engines_identical_generators(gen, scheme):
     g = gen()
     if scheme == "ties":
         g = tie_heavy(g)
-    assert_same_run(ld_seq(g, engine="segment"), ld_seq(g, engine="index"))
+    assert_same_run(ld_seq(g), ld_seq_segment(g))
 
 
 # ------------------------------------------------------------------ #
-# engine identity — ld_gpu across the configuration grid
+# oracle identity — ld_gpu across the configuration grid, against the
+# replicated oracle's segment branch
 # ------------------------------------------------------------------ #
 
 
@@ -154,28 +153,25 @@ def test_ld_gpu_engines_identical_grid(medium_graph, devices, batches,
                                        partition):
     kw = dict(num_devices=devices, num_batches=batches,
               partition=partition, force_streaming=batches is not None)
-    rs = ld_gpu(medium_graph, engine="segment", **kw)
-    ri = ld_gpu(medium_graph, engine="index", **kw)
-    assert_same_run(rs, ri)
-    assert rs.sim_time == ri.sim_time
-    assert ri.stats["pointing_engine"] == "index"
+    got = ld_gpu(medium_graph, **kw)
+    want = ld_gpu_replicated(medium_graph, engine="segment", **kw)
+    assert_same_run(got, want)
+    assert got.sim_time.hex() == want.sim_time.hex()
 
 
 @pytest.mark.parametrize("devices,batches", [(2, 2), (3, 1)])
 def test_ld_gpu_engines_identical_ties(devices, batches):
     g = tie_heavy(rmat_graph(8, 6, seed=9, name="rmat-ties"))
-    rs = ld_gpu(g, num_devices=devices, num_batches=batches,
-                engine="segment")
-    ri = ld_gpu(g, num_devices=devices, num_batches=batches,
-                engine="index")
-    assert_same_run(rs, ri)
-    assert rs.sim_time == ri.sim_time
+    got = ld_gpu(g, num_devices=devices, num_batches=batches)
+    want = ld_gpu_replicated(g, num_devices=devices, num_batches=batches,
+                             engine="segment")
+    assert_same_run(got, want)
+    assert got.sim_time.hex() == want.sim_time.hex()
 
 
 def test_ld_gpu_matches_ld_seq(medium_graph):
-    seq = ld_seq(medium_graph, engine="index")
-    gpu = ld_gpu(medium_graph, num_devices=4, num_batches=2,
-                 engine="index")
+    seq = ld_seq(medium_graph)
+    gpu = ld_gpu(medium_graph, num_devices=4, num_batches=2)
     assert np.array_equal(seq.mate, gpu.mate)
 
 
@@ -393,7 +389,7 @@ def _assert_matched_weight(g):
                 g, mate, ix.row_offset, stop).hex()
     whole = matching_weight(g, want.mate)
     assert want.weight.hex() == whole.hex()
-    assert ld_seq(g, engine="segment").weight.hex() == whole.hex()
+    assert ld_seq_segment(g).weight.hex() == whole.hex()
     assert ld_gpu(g, num_devices=3).weight.hex() == whole.hex()
 
 
@@ -475,7 +471,7 @@ def test_host_scanned_amortized(medium_graph):
     pointer-value changes (<= m + n: each vertex's pointer only walks
     down its sorted row before going UNMATCHED) — both far below the
     modeled O(m x rounds) / O(n x rounds) full sweeps."""
-    r = ld_seq(medium_graph, engine="index")
+    r = ld_seq(medium_graph)
     host = r.stats["host_entries_scanned"]
     pointing = r.stats["host_entries_scanned_pointing"]
     matching = r.stats["host_entries_scanned_matching"]
@@ -493,8 +489,8 @@ def test_matching_phase_breakdown_vs_oracle(medium_graph):
     """The segment oracle charges its full sweeps honestly — n probes
     per round in the matching phase — while producing the identical
     result; the breakdown keys expose exactly that gap."""
-    ri = ld_seq(medium_graph, engine="index")
-    rs = ld_seq(medium_graph, engine="segment")
+    ri = ld_seq(medium_graph)
+    rs = ld_seq_segment(medium_graph)
     assert_same_run(ri, rs)
     n = medium_graph.num_vertices
     assert rs.stats["host_entries_scanned_matching"] \
@@ -506,34 +502,15 @@ def test_matching_phase_breakdown_vs_oracle(medium_graph):
         + rs.stats["host_entries_scanned_matching"]
 
 
-def _lockstep_rounds(g, full_rescan=False, max_rounds=400):
-    """Drive Algorithm 1's loop with the full-scan matching oracle and
-    a :class:`MutualIndex` side by side, yielding both pair sets every
-    round — the oracle-identity harness for the delta engine."""
-    n = g.num_vertices
-    eids = g.canonical_edge_ids()
-    mate = np.full(n, UNMATCHED, dtype=np.int64)
-    pointer = np.full(n, UNMATCHED, dtype=np.int64)
-    mutual = MutualIndex(n)
-    frontier = np.arange(n, dtype=np.int64)
-    for _ in range(max_rounds):
-        compute_pointers(g.indptr, g.indices, g.weights, eids,
-                         mate, pointer, frontier)
-        oracle = find_mutual_pairs(pointer, None)
+def _lockstep_rounds(g, full_rescan=False):
+    """Drive the oracle's rounds (:func:`segment_rounds`, full-scan
+    matching) with a :class:`MutualIndex` checking each round's
+    pointers side by side, yielding both pair sets every round — the
+    oracle-identity harness for the delta engine."""
+    mutual = MutualIndex(g.num_vertices)
+    for _, pointer, frontier, _, lo, hi in segment_rounds(g, full_rescan):
         delta = mutual.find_pairs(pointer, frontier)
-        yield oracle, delta, mutual.last_host_scanned, len(frontier)
-        lo, hi = oracle
-        if len(lo) == 0:
-            return
-        mate[lo] = hi
-        mate[hi] = lo
-        pointer[lo] = UNMATCHED
-        pointer[hi] = UNMATCHED
-        if full_rescan:
-            frontier = np.nonzero(mate == UNMATCHED)[0]
-        else:
-            live = np.nonzero((mate == UNMATCHED) & (pointer >= 0))[0]
-            frontier = live[mate[pointer[live]] != UNMATCHED]
+        yield (lo, hi), delta, mutual.last_host_scanned, len(frontier)
 
 
 @pytest.mark.parametrize("full_rescan", [False, True])
@@ -604,16 +581,18 @@ def test_host_scan_counter_emitted(tie_graph):
 
     reg = MetricsRegistry()
     with record_into(reg):
-        r = ld_seq(tie_graph, engine="index")
-    child = reg.counter(HOST_SCAN_COUNTER, algorithm="ld_seq",
-                        engine="index")
+        r = ld_seq(tie_graph)
+    child = reg.counter(HOST_SCAN_COUNTER, algorithm="ld_seq")
     assert child.value == r.stats["host_entries_scanned"] > 0
 
     reg = MetricsRegistry()
     with record_into(reg):
-        ld_gpu(tie_graph, num_devices=2, engine="segment")
-    fam = reg.snapshot()  # smoke: snapshot renders without error
-    assert fam is not None
+        r = ld_gpu(tie_graph, num_devices=2)
+    child = reg.counter(HOST_SCAN_COUNTER, algorithm="ld_gpu",
+                        device=DGX_A100.device.name)
+    assert child.value == r.stats["host_entries_scanned"] > 0
+    samples = reg.snapshot().to_dict()[HOST_SCAN_COUNTER]["samples"]
+    assert all("engine" not in s["labels"] for s in samples)
 
 
 # ------------------------------------------------------------------ #
@@ -666,11 +645,8 @@ def test_pointing_suite_shape():
     from repro.harness.bench import SUITES, tie_clique_300, tie_path_6000
 
     suite = SUITES["pointing"]
-    names = {w.name for w in suite}
-    # Engines come in index/segment pairs over the same workload.
-    for name in names:
-        if name.endswith("-index"):
-            assert name[:-6] + "-segment" in names
+    # One pointing path: no workload selects an engine.
+    assert not any("engine" in w.overrides for w in suite)
     g = tie_clique_300()
     assert g.num_vertices == 300
     assert np.all(g.weights == 1.0)
@@ -681,10 +657,7 @@ def test_graph_plane_suite_shape():
     from repro.harness.bench import SUITES, tie_path_3000
 
     suite = SUITES["graph_plane"]
-    names = {w.name for w in suite}
-    for name in names:
-        if name.endswith("-index"):
-            assert name[:-6] + "-segment" in names
+    assert not any("engine" in w.overrides for w in suite)
     g = tie_path_3000()
     assert g.num_vertices == 3000
     assert g.num_directed_edges == 2 * 2999
@@ -699,13 +672,9 @@ def test_run_cells_builder_graph():
     from repro.engine.cells import Cell, run_cells
     from repro.harness.bench import tie_clique_300
 
-    records = run_cells([
-        Cell("ld_seq", build=tie_clique_300,
-             overrides={"engine": "index"}),
-        Cell("ld_seq", build=tie_clique_300,
-             overrides={"engine": "segment"}),
-    ])
-    assert all(r.ok for r in records)
-    assert records[0].graph == "tie-clique-300"
-    assert records[0].weight == records[1].weight
-    assert records[0].iterations == records[1].iterations == 151
+    record, = run_cells([Cell("ld_seq", build=tie_clique_300)])
+    want = ld_seq_segment(tie_clique_300())
+    assert record.ok
+    assert record.graph == "tie-clique-300"
+    assert record.weight == want.weight
+    assert record.iterations == want.iterations == 151

@@ -1,4 +1,4 @@
-"""Unit + property tests for the vectorised segment primitives."""
+"""Unit + property tests for the segment oracle's vectorised primitives."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from local_max_oracle import segment_max
-from repro.graph.segments import gather_rows, row_ids, segment_argmax_lex
+from segment_oracle import gather_rows, row_ids, segment_argmax_lex
 
 
 def indptr_from_lengths(lengths):

@@ -1182,8 +1182,8 @@ class TestWorkerLoop:
 
 
 class TestRetiredPointingEngine:
-    """The pointing engine is an ``engine=`` keyword of ld_seq/ld_gpu
-    only; the CLI, the daemon and the api no longer take it."""
+    """No surface selects a pointing engine: the CLI, the daemon and
+    the api reject the field, and ld_seq/ld_gpu take no ``engine=``."""
 
     def test_cli_flag_exits_2(self, tmp_path, capsys):
         from repro.cli import main

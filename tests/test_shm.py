@@ -337,8 +337,7 @@ def _generator_grid() -> list[Cell]:
     return [
         Cell("ld_seq", dataset="mouse_gene", quality=True),
         Cell("greedy", dataset="mouse_gene", quality=True),
-        Cell("ld_seq", build=tie_clique_300,
-             overrides={"engine": "index"}),
+        Cell("ld_seq", build=tie_clique_300),
         Cell("ld_gpu", build=tie_clique_300,
              config={"num_devices": 2},
              overrides={"collect_stats": False}),

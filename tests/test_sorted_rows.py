@@ -5,7 +5,7 @@ sort; ``PointerIndex`` (LD-SEQ, LD-GPU), ``suitor_seq``, the SR-OMP /
 SR-GPU rounds and ``IncrementalLD`` all read it.
 ``CSRGraph.sorted_edge_order`` is its only global edge sort;
 ``greedy_matching`` scans it in chunked vectorised rounds.  LD on the
-index engine, the Suitor variants and greedy read their matched weight
+sorted-row cursors, the Suitor variants and greedy read their matched weight
 in O(n) off their own state.  The reference oracles below are the
 implementations those replaced — a fresh lexsort per build or run,
 Suitor's full-row scan per proposal, the SR rounds' re-scan of every
@@ -24,9 +24,9 @@ import pytest
 from hypothesis import given
 
 from conftest import build_graph, random_graphs
+from segment_oracle import gather_rows, ld_seq_segment, segment_argmax_lex
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
-from repro.graph.segments import gather_rows, segment_argmax_lex
 from repro.matching import greedy as greedy_mod
 from repro.matching import suitor as suitor_mod
 from repro.matching.coreset import (
@@ -568,7 +568,7 @@ LD_GPU_SHAPES = [
 
 
 def assert_weight_exact(g: CSRGraph, shapes=LD_GPU_SHAPES) -> None:
-    runs = [ld_seq(g), ld_seq(g, engine="segment"), suitor_seq(g),
+    runs = [ld_seq(g), ld_seq_segment(g), suitor_seq(g),
             greedy_matching(g), cugraph_mg_sim(g, num_devices=3),
             coreset_matching(g, num_shards=3),
             coreset_matching(g, num_shards=3, base="ld"),

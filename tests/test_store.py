@@ -117,8 +117,10 @@ class TestFingerprint:
 
     def test_pre_change_config_upgrades(self):
         """Configs stored while cells carried ``pointing_engine``
-        rebuild: ``null`` is dropped, and a set engine becomes the
-        ``engine`` override."""
+        rebuild: ``null`` is dropped, so the row is today's cell; a row
+        that names an engine (as ``pointing_engine`` or as the
+        ``engine`` override) resumes as an explicit error record naming
+        the unexpected ``engine`` keyword."""
         mc = self._bound(Cell("ld_seq", dataset="mouse_gene",
                               quality=True, label="x"))
         config = cell_config(mc.cell, mc.ctx)
@@ -126,10 +128,18 @@ class TestFingerprint:
         old = json.loads(json.dumps({**config, "pointing_engine": None}))
         rebuilt = materialise_cells([cell_from_config(old)])[0]
         assert cell_config(rebuilt.cell, rebuilt.ctx) == config
-        cell = cell_from_config({**config, "pointing_engine": "segment"})
-        assert cell.overrides == {"engine": "segment"}
-        record = run_cells([cell], on_error="raise")[0]
-        assert record.extra["pointing_engine"] == "segment"
+        assert run_cells([cell_from_config(old)])[0].ok
+        named = [{**config, "pointing_engine": "segment"},
+                 {**config, "overrides": {"engine": "index"}}]
+        cells = [cell_from_config(json.loads(json.dumps(c)))
+                 for c in named]
+        assert [c.overrides for c in cells] == [{"engine": "segment"},
+                                                {"engine": "index"}]
+        for record in run_cells(cells):
+            assert record.status == "error"
+            assert record.error["type"] == "TypeError"
+            assert "unexpected keyword argument 'engine'" \
+                in record.error["message"]
 
     def test_in_process_graph_not_resumable(self, medium_graph):
         mc = self._bound(Cell("ld_gpu", config={"num_devices": 1}))

@@ -584,6 +584,7 @@ class TestStreamCLI:
         record.write_text(capsys.readouterr().out)
         assert main(["stats", str(record), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert "pointing" not in doc
         s = doc["streaming"]
         assert s["engine"] == "incremental"
         assert s["batches"] == 3

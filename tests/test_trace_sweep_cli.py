@@ -279,6 +279,7 @@ class TestCli:
         assert "communication fraction" in out
         assert "iterations touching" in out
         assert "provenance" in out
+        assert "host work: " in out and "engine" not in out
 
     def test_stats_non_simulator_record(self, tmp_path, capsys):
         record = tmp_path / "record.json"
